@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace c4::accl {
 
@@ -17,15 +17,28 @@ Communicator::Communicator(CommId id, JobId job,
     if (channels_ < 1)
         throw std::invalid_argument("Communicator needs >= 1 channel");
 
-    std::unordered_map<NodeId, int> per_node;
-    for (const auto &d : devices_) {
-        if (per_node.find(d.node) == per_node.end())
-            nodes_.push_back(d.node);
-        ++per_node[d.node];
+    // Group ranks by node (stable: rank order within a node) and
+    // index the groups, so ranksOnNode is a binary search.
+    ranksByNode_.resize(devices_.size());
+    std::iota(ranksByNode_.begin(), ranksByNode_.end(), Rank{0});
+    std::stable_sort(ranksByNode_.begin(), ranksByNode_.end(),
+                     [this](Rank a, Rank b) {
+                         return device(a).node < device(b).node;
+                     });
+    for (std::size_t i = 0; i < ranksByNode_.size(); ++i) {
+        const NodeId node = device(ranksByNode_[i]).node;
+        if (nodeRanks_.empty() || nodeRanks_.back().node != node)
+            nodeRanks_.push_back({node, static_cast<std::uint32_t>(i), 0});
+        ++nodeRanks_.back().count;
+        maxRanksPerNode_ = std::max(
+            maxRanksPerNode_, static_cast<int>(nodeRanks_.back().count));
+    }
+    // Distinct nodes in first-rank order.
+    for (Rank r = 0; r < size(); ++r) {
+        if (ranksOnNode(device(r).node).front() == r)
+            nodes_.push_back(device(r).node);
     }
     singleNode_ = nodes_.size() == 1;
-    for (const auto &[node, count] : per_node)
-        maxRanksPerNode_ = std::max(maxRanksPerNode_, count);
 
     if (!singleNode_) {
         for (Rank r = 0; r < size(); ++r) {
@@ -45,15 +58,16 @@ Communicator::device(Rank r) const
     return devices_[static_cast<std::size_t>(r)];
 }
 
-std::vector<Rank>
+std::span<const Rank>
 Communicator::ranksOnNode(NodeId node) const
 {
-    std::vector<Rank> out;
-    for (Rank r = 0; r < size(); ++r) {
-        if (devices_[static_cast<std::size_t>(r)].node == node)
-            out.push_back(r);
-    }
-    return out;
+    auto it = std::lower_bound(
+        nodeRanks_.begin(), nodeRanks_.end(), node,
+        [](const NodeRanks &g, NodeId key) { return g.node < key; });
+    if (it == nodeRanks_.end() || it->node != node)
+        return {};
+    return std::span<const Rank>(ranksByNode_).subspan(it->offset,
+                                                       it->count);
 }
 
 std::string

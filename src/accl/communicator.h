@@ -8,6 +8,8 @@
 #ifndef C4_ACCL_COMMUNICATOR_H
 #define C4_ACCL_COMMUNICATOR_H
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,8 +66,9 @@ class Communicator
     /** True if the whole communicator lives on a single node. */
     bool singleNode() const { return singleNode_; }
 
-    /** Ranks hosted on @p node, in rank order. */
-    std::vector<Rank> ranksOnNode(NodeId node) const;
+    /** Ranks hosted on @p node, in rank order (empty if none).
+     * Precomputed: a lookup, no allocation. */
+    std::span<const Rank> ranksOnNode(NodeId node) const;
 
     /** Distinct nodes hosting at least one rank, in first-rank order. */
     const std::vector<NodeId> &nodes() const { return nodes_; }
@@ -96,6 +99,16 @@ class Communicator
     int maxRanksPerNode_ = 0;
     std::vector<NodeId> nodes_;
     std::vector<Boundary> boundaries_;
+
+    /** ranksOnNode(node) is ranksByNode_[offset, offset + count). */
+    struct NodeRanks
+    {
+        NodeId node = kInvalidId;
+        std::uint32_t offset = 0;
+        std::uint32_t count = 0;
+    };
+    std::vector<Rank> ranksByNode_;    ///< grouped by node, rank order
+    std::vector<NodeRanks> nodeRanks_; ///< ascending node id
 };
 
 } // namespace c4::accl

@@ -101,9 +101,13 @@ Cluster::provisionBackupNodes(int count)
 int
 Cluster::freeNodes() const
 {
+    // Count exactly what allocateNodes can hand out: unused nodes
+    // minus unrepaired broken ones.
     int free = 0;
-    for (bool used : nodeUsed_)
-        free += used ? 0 : 1;
+    for (std::size_t n = 0; n < nodeUsed_.size(); ++n) {
+        if (!nodeUsed_[n] && !broken_.count(static_cast<NodeId>(n)))
+            ++free;
+    }
     return free;
 }
 

@@ -102,6 +102,8 @@ class Cluster
     /** Warm-standby target established by provisionBackupNodes. */
     int backupReserve() const { return backupReserve_; }
 
+    /** Nodes allocateNodes can still hand out: neither in use nor
+     * broken. */
     int freeNodes() const;
 
     /**

@@ -15,29 +15,43 @@
  * small sender-side rate fluctuation (paper Fig. 11's 12.5-17.5 kp/s band
  * and Fig. 10b's residual spread).
  *
- * Re-allocation is *incremental*: the fabric tracks dirty links (link
- * up/down, capacity scaling, membership changes from flow
- * start/end/abort/stall) and re-runs progressive filling only over the
- * connected component of flows reachable from dirty links through
- * shared-link membership. Progressive filling couples flows only
- * through shared links, so components fill independently and the
- * component-scoped result is exactly the global one; flows outside the
- * component keep their fair-share rates and link allocations. The
- * stochastic DCQCN overlay (CNP noise + sender jitter) remains a cheap
- * global pass so its RNG stream — and therefore every existing golden
- * CSV — is byte-identical to the historical full-rebuild allocator.
- * Set FabricConfig::incrementalRecompute = false to force the old
- * every-flow rebuild (the shadow reference for equivalence tests).
+ * Every flow event costs work in proportion to its *dirty component*,
+ * never the flow table. The fabric tracks dirty links (link up/down,
+ * capacity scaling, membership changes from flow start/end/abort/
+ * stall) and re-runs progressive filling only over the connected
+ * component of flows reachable from dirty links through shared-link
+ * membership. Progressive filling couples flows only through shared
+ * links, so components fill independently and the component-scoped
+ * result is exactly the global one. The rest of the bookkeeping is
+ * scoped the same way:
+ *  - the DCQCN overlay visits component flows only. Its two uniforms
+ *    come from a counter-based generator (net/philox.h) keyed by
+ *    (fabric seed, flow id, per-flow draw count), and a flow draws
+ *    again only when its fair share, congested flag or overload
+ *    changed, so no flow's numbers depend on table order or on which
+ *    other flows a recompute happened to visit;
+ *  - progress is lazy: a flow stores (remaining bytes, anchor time)
+ *    and is re-anchored only when its rate changes;
+ *  - completions live in an indexed min-heap keyed by (time, flow id)
+ *    with one kernel event for its top;
+ *  - per-NIC CNP sums are re-summed, over the NIC's flows in id order,
+ *    only for NICs whose flows changed.
+ * Anything that follows flow order (the fill's runnable set,
+ * completion callbacks, reroutes) goes in ascending FlowId order, and
+ * the fill breaks ties between equally constrained links by link id,
+ * so rates depend on the flow set, not on the order of admission.
+ * Set FabricConfig::incrementalRecompute = false to make every
+ * recompute treat all flows as dirty (the shadow reference for the
+ * equivalence tests); by the rules above both modes agree exactly.
  */
 
 #ifndef C4_NET_FABRIC_H
 #define C4_NET_FABRIC_H
 
 #include <functional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "common/random.h"
 #include "common/types.h"
 #include "net/routing.h"
 #include "net/topology.h"
@@ -69,10 +83,10 @@ struct FabricConfig
     double cnpNoise = 0.15;
 
     /**
-     * Scope progressive filling to the dirty-link connected component
-     * (see the file header). Off, every recompute rebuilds all flows —
-     * the historical behaviour, kept as the equivalence-test shadow.
-     * Both modes produce identical allocations.
+     * Scope re-allocation to the dirty-link connected component (see
+     * the file header). Off, every recompute treats all flows as
+     * dirty — the equivalence-test shadow. Both modes produce
+     * identical allocations, overlay draws and completion times.
      */
     bool incrementalRecompute = true;
 
@@ -126,7 +140,7 @@ class Fabric
      * @param topo wiring; the fabric registers no callbacks, callers must
      *        route link failures through Fabric::setLinkUp so flows reroute
      * @param cfg congestion model tunables
-     * @param seed RNG stream for jitter/CNP noise
+     * @param seed key of the counter-based jitter/CNP noise draws
      */
     Fabric(Simulator &sim, Topology &topo, FabricConfig cfg = {},
            std::uint64_t seed = 0xC4C4C4C4ull);
@@ -150,7 +164,8 @@ class Fabric
 
     /**
      * Abort a flow; its callback is not invoked.
-     * @return true if the flow existed.
+     * @return true if the flow was active (false for a finished,
+     *         aborted or never-assigned id).
      */
     bool abortFlow(FlowId id);
 
@@ -194,8 +209,9 @@ class Fabric
     /**
      * CNPs per second currently delivered to the sender-side bonded port
      * (NIC) — the paper's Fig. 11 metric. Aggregates both planes.
-     * O(1): served from a per-(node, nic) aggregate maintained by
+     * O(1): served from a dense per-(node, nic) aggregate maintained by
      * recompute(), so C4D-style polling of every NIC stays cheap.
+     * 0 for an out-of-range node or NIC.
      */
     double nicCnpRate(NodeId node, NicId nic);
 
@@ -222,22 +238,38 @@ class Fabric
     Simulator &simulator() { return sim_; }
 
   private:
+    /** Slot of a free table entry / flow not in the completion heap. */
+    static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+
     struct FlowState
     {
-        FlowId id = kInvalidId;
+        FlowId id = kInvalidId; // kInvalidId marks a free slot
         PathRequest req;
         bool hasReq = false;
         Route route;
-        double remaining = 0.0; // bytes
+        // Lazy progress: bytes left as of `anchor`; the flow has been
+        // sending at `rate` since then.
+        double remaining = 0.0;
+        Time anchor = 0;
         Bytes total = 0;
         Time startTime = 0;
         double baseRate = 0.0; // pure fair share, bits/s
         double rate = 0.0;     // post-jitter sending rate, bits/s
         double cnpRate = 0.0;
+        // Overlay inputs of the current rate; a change of any of them
+        // (or of baseRate) triggers a new draw.
+        bool congested = false;
+        double overload = 0.0;
+        std::uint64_t draws = 0; // counter of the flow's noise stream
         bool stalled = false;
+        // Progressive-filling scratch; -1 while not yet fixed.
+        double fillRate = 0.0;
         // Component-closure visit stamp; flows whose stamp matches the
         // fabric's current recompute epoch are being re-filled.
         std::uint64_t visitEpoch = 0;
+        Time due = kTimeNever; // completion time, if finite
+        std::uint32_t heapPos = kNoSlot;
+        std::int32_t nic = -1; // dense sender-NIC index (request flows)
         FlowCallback done;
     };
 
@@ -245,51 +277,64 @@ class Fabric
     Topology &topo_;
     PathSelector selector_;
     FabricConfig cfg_;
-    Rng rng_;
+    std::uint64_t seed_;
 
-    std::unordered_map<FlowId, FlowState> flows_;
+    // Dense flow table. Slots are recycled; FlowIds are not.
+    std::vector<FlowState> slots_;
+    std::vector<std::uint32_t> freeSlots_;
+    // (id, slot) of every admitted flow in ascending id order; a dead
+    // flow's slot reads kNoSlot until the next compaction.
+    std::vector<std::pair<FlowId, std::uint32_t>> index_;
+    std::size_t indexDead_ = 0;
+    std::size_t live_ = 0;
     FlowId nextFlowId_ = 1;
 
-    // Aggregate CNP rate per sender (node, nic), rebuilt by recompute().
-    std::unordered_map<std::uint64_t, double> nicCnp_;
+    // Aggregate CNP rate per sender (node * nicsPerNode + nic) and the
+    // request flows sending from each NIC, in id order.
+    std::vector<double> nicCnp_;
+    std::vector<std::vector<std::uint32_t>> nicFlows_;
+    std::vector<int> dirtyNics_;
+    std::vector<char> nicDirtyFlag_;
 
-    Time lastAdvance_ = 0;
+    // Completion min-heap of slots keyed by (due, id).
+    std::vector<std::uint32_t> heap_;
+    Time completionDue_ = kTimeNever; // when completionEvent_ fires
+
     bool dirty_ = false;
     Time recomputeDue_ = 0; // when the pending deferred recompute fires
     EventId recomputeEvent_ = kInvalidEvent;
     EventId completionEvent_ = kInvalidEvent;
 
-    // Persistent allocation state: with incremental recompute these
-    // survive across re-allocations and only the links of the dirty
-    // component are rewritten.
+    // Persistent allocation state: these survive across
+    // re-allocations and only the links of the dirty component are
+    // rewritten.
     std::vector<double> linkAlloc_;  // bits/s currently allocated
     std::vector<double> linkDemand_; // demand ratio
     std::vector<bool> linkCongested_;
 
-    // Persistent link -> flow-id membership mirror of every admitted
+    // Persistent link -> flow-slot membership mirror of every admitted
     // flow's current route; the edge set of the component search.
     LinkMembershipIndex membership_;
 
     // Dirty-link accumulator between recomputes.
     std::vector<LinkId> dirtyLinks_;
     std::vector<char> linkDirtyFlag_;
-    // Escape hatch: force the next recompute to rebuild every flow
-    // (equivalent to dirtying all links). Every mutation path dirties
-    // its links eagerly, so this stays false in normal operation.
-    bool allDirty_ = false;
 
     // Component-closure stamps (flows carry theirs in FlowState).
     std::uint64_t epoch_ = 0;
     std::vector<std::uint64_t> linkEpoch_;
     std::vector<LinkId> componentLinks_;
 
-    // Reused allocation scratch (recompute runs on every flow event;
-    // per-call vector-of-vectors allocation dominated profiles).
+    // Reused scratch: recompute runs on every flow event, so nothing
+    // on its path allocates once these have grown.
+    std::vector<std::uint32_t> scratchComponent_;
     std::vector<std::vector<FlowState *>> scratchMembers_;
     std::vector<double> scratchCap_;
     std::vector<int> scratchUnfixed_;
     std::vector<int> scratchActiveLinks_;
     std::vector<FlowState *> scratchRunnable_;
+    std::vector<std::uint32_t> scratchSlots_;
+    std::vector<std::pair<FlowEnd, FlowCallback>> scratchDone_;
 
     std::uint64_t completed_ = 0;
     std::uint64_t started_ = 0;
@@ -299,8 +344,36 @@ class Fabric
 
     FlowId admit(FlowState state);
 
-    /** Apply elapsed time to flows' remaining bytes. */
-    void advanceProgress();
+    /** Slot of active flow @p id, or kNoSlot. */
+    std::uint32_t slotOf(FlowId id) const;
+    FlowState *find(FlowId id);
+
+    /** Remove a departing flow from every structure; frees its slot. */
+    void release(std::uint32_t slot);
+
+    /** Sort @p slots by ascending flow id. */
+    void sortById(std::vector<std::uint32_t> &slots) const;
+
+    /** Bytes @p flow has left at the current instant. */
+    double remainingNow(const FlowState &flow) const;
+
+    /** Set @p flow's rate, re-anchoring its progress and completion
+     * time when the rate changes. */
+    void setRate(FlowState &flow, double rate);
+
+    void setCnpRate(FlowState &flow, double cnpRate);
+    void markNicDirty(const FlowState &flow);
+
+    /** @name Completion heap @{ */
+    bool heapBefore(std::uint32_t a, std::uint32_t b) const;
+    void heapPlace(std::uint32_t pos, std::uint32_t slot);
+    void heapSiftUp(std::uint32_t pos);
+    void heapSiftDown(std::uint32_t pos);
+    void heapUpdate(std::uint32_t slot);
+    void heapErase(std::uint32_t slot);
+    /** Point the completion event at the heap's top. */
+    void armCompletion();
+    /** @} */
 
     /**
      * Mark allocation stale and schedule a recompute @p delay from
@@ -315,16 +388,16 @@ class Fabric
     /** Point @p flow at @p route, maintaining membership + dirt. */
     void setFlowRoute(FlowState &flow, Route route);
 
-    /** Unregister a departing flow's route links, dirtying them. */
-    void dropFlowLinks(FlowState &flow);
-
-    /** Recompute fair-share rates and schedule the next completion. */
+    /** Recompute fair-share rates over the dirty component. */
     void recompute();
+
+    /** DCQCN overlay for one component flow after the fill. */
+    void applyOverlay(FlowState &flow);
 
     /** Ensure rates are consistent before a query. */
     void flush();
 
-    /** Fire completions whose remaining bytes reached zero. */
+    /** Fire completions that are due. */
     void onCompletionEvent();
 
     /** @return the number of flows whose routes were touched. */

@@ -119,15 +119,15 @@ struct TopologyConfig
  * Persistent link -> member index over a fixed link population.
  *
  * Maps every LinkId to the set of member ids (in practice: the flow
- * ids of the flows routed over the link) so that "who shares this
- * link" is an O(degree) lookup instead of an O(all members) scan.
+ * table slots of the flows routed over the link) so that "who shares
+ * this link" is an O(degree) lookup instead of an O(all members) scan.
  * The Fabric maintains one of these alongside its flow table and uses
- * it to scope incremental re-allocation to the connected component of
- * flows reachable from a dirty link.
+ * it to scope incremental re-allocation and reroutes to the flows
+ * reachable from a dirty link.
  *
  * Membership order is not meaningful: removal swap-pops, so callers
  * that need a deterministic order must impose their own (the fabric
- * orders by its flow-table iteration, never by this index).
+ * sorts by flow id, never trusting this index's order).
  */
 class LinkMembershipIndex
 {

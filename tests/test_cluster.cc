@@ -4,6 +4,8 @@
  * routing, and the experiment helpers.
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "core/cluster.h"
@@ -146,6 +148,35 @@ TEST(Cluster, LinkDownFaultKillsTrunkBothWays)
     EXPECT_FALSE(cluster.topology()
                      .link(cluster.topology().trunkDownlink(5, 2))
                      .up);
+}
+
+TEST(Cluster, FreeNodesExcludesBrokenNodes)
+{
+    // A pod with one node left, and that node breaks: the admission
+    // check (freeNodes) must agree with allocateNodes, which masks
+    // broken hardware out of the pool.
+    ClusterConfig cc;
+    cc.topology = paperTestbed();
+    Cluster cluster(cc);
+    const auto taken = cluster.allocateNodes(15);
+    NodeId spare = kInvalidId;
+    for (NodeId n = 0; n < cluster.topology().numNodes(); ++n)
+        if (std::count(taken.begin(), taken.end(), n) == 0)
+            spare = n;
+    ASSERT_NE(spare, kInvalidId);
+    ASSERT_EQ(cluster.freeNodes(), 1);
+
+    fault::FaultEvent ev;
+    ev.type = fault::FaultType::EccError;
+    ev.node = spare;
+    cluster.faults().injectNow(ev);
+    ASSERT_TRUE(cluster.isNodeBroken(spare));
+    EXPECT_EQ(cluster.freeNodes(), 0);
+    EXPECT_THROW(cluster.allocateNodes(1), std::runtime_error);
+
+    cluster.repairNode(spare);
+    EXPECT_EQ(cluster.freeNodes(), 1);
+    EXPECT_EQ(cluster.allocateNodes(1), std::vector<NodeId>{spare});
 }
 
 TEST(Cluster, BackupProvisioningNeedsC4d)

@@ -4,9 +4,14 @@
  * stalls, link failures with ECMP reroute, and the congestion overlay.
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "net/fabric.h"
+#include "net/philox.h"
+#include "perf/perf.h"
 #include "testutil/testutil.h"
 
 namespace c4::net {
@@ -279,11 +284,11 @@ TEST(Fabric, ZeroAndTinyFlows)
 
 /**
  * Two fabrics over identical topologies: one incremental (the
- * default), one forced to rebuild every flow (the historical
- * allocator). Every mutation is applied to both; equal() then
- * compares the complete observable state. Both draw their stochastic
- * overlay from the same global-order RNG pass, so the comparison is
- * exact, not approximate.
+ * default), one treating every flow as dirty on every recompute.
+ * Every mutation is applied to both; equal() then compares the
+ * complete observable state. Overlay draws are keyed by (seed, flow
+ * id, per-flow counter) and taken only when a flow's inputs change,
+ * so the comparison is exact, not approximate.
  */
 struct ShadowPair
 {
@@ -480,9 +485,9 @@ TEST(FabricIncremental, MatchesFullRebuildQuietSeed2)
 
 TEST(FabricIncremental, MatchesFullRebuildWithJitterAndCnpNoise)
 {
-    // Jitter + CNP noise on: the stochastic overlay must consume the
-    // RNG stream in the same order in both modes, so even the noisy
-    // state compares exactly.
+    // Jitter + CNP noise on: both modes must take the same keyed
+    // draws for the same flows, so even the noisy state compares
+    // exactly.
     runShadowEquivalence(0xA11CE003, FabricConfig{});
 }
 
@@ -605,8 +610,8 @@ TEST(Fabric, ExplicitRouteFlowsCarryDistinctJitterBias)
 {
     // Two probers on the same congested uplink. Their DCQCN bias must
     // derive from the flow id (they share flowLabel == 0), so their
-    // *mean* rates over many re-allocations separate; with the old
-    // shared bias the means coincide to within RNG noise.
+    // *mean* rates over many re-draws separate; with the old shared
+    // bias the means coincide to within RNG noise.
     net::FabricConfig fc; // jitter ON
     Harness h(podConfig(), fc);
     PathSelector sel(h.topo);
@@ -617,11 +622,14 @@ TEST(Fabric, ExplicitRouteFlowsCarryDistinctJitterBias)
     const FlowId f3 =
         h.fabric.startFlowOnRoute(route, gib(1000), nullptr); // id 3
 
+    // A flow draws new noise only when its overlay inputs change, so
+    // each round nudges the shared host uplink's capacity: both
+    // probers get a new fair share, hence a new draw.
     const int rounds = 400;
     double m1 = 0.0, m3 = 0.0;
-    const LinkId far = h.topo.trunkUplink(7, 7); // unrelated trunk
+    const LinkId shared = route.links.front();
     for (int r = 0; r < rounds; ++r) {
-        h.fabric.setLinkUp(far, r % 2 == 0 ? false : true);
+        h.fabric.setLinkCapacityScale(shared, r % 2 == 0 ? 0.99 : 1.0);
         m1 += h.fabric.flowRate(f1);
         m3 += h.fabric.flowRate(f3);
     }
@@ -647,6 +655,282 @@ TEST(Fabric, OutOfRangeLinkQueriesAreSafe)
     EXPECT_FALSE(h.fabric.linkCongested(past + 1000));
     EXPECT_DOUBLE_EQ(h.fabric.linkDemandRatio(-5), 0.0);
     EXPECT_DOUBLE_EQ(h.fabric.linkDemandRatio(past), 0.0);
+    EXPECT_DOUBLE_EQ(h.fabric.nicCnpRate(-1, 0), 0.0);
+    EXPECT_DOUBLE_EQ(h.fabric.nicCnpRate(h.topo.numNodes(), 0), 0.0);
+    EXPECT_DOUBLE_EQ(h.fabric.nicCnpRate(0, -1), 0.0);
+    EXPECT_DOUBLE_EQ(h.fabric.nicCnpRate(0, h.topo.nicsPerNode()), 0.0);
+}
+
+TEST(Fabric, StaleFlowIdsAreInert)
+{
+    Harness h;
+    bool fired = false;
+    const FlowId done = h.fabric.startFlow(
+        h.request(0, 4), mib(1), [&](const FlowEnd &) { fired = true; });
+    h.sim.run();
+    ASSERT_TRUE(fired);
+    // Enough churn to compact the id index past the finished flow.
+    std::vector<FlowId> aborted;
+    for (std::uint32_t i = 0; i < 100; ++i)
+        aborted.push_back(
+            h.fabric.startFlow(h.request(1, 5, i + 2), gib(1), nullptr));
+    for (FlowId id : aborted)
+        EXPECT_TRUE(h.fabric.abortFlow(id));
+    for (FlowId id : {done, aborted.front(), aborted.back(),
+                      FlowId{0}, FlowId{-3}, aborted.back() + 1}) {
+        EXPECT_FALSE(h.fabric.flowActive(id)) << id;
+        EXPECT_FALSE(h.fabric.abortFlow(id)) << id;
+        EXPECT_EQ(h.fabric.flowRoute(id), nullptr) << id;
+        EXPECT_DOUBLE_EQ(h.fabric.flowRate(id), 0.0) << id;
+        EXPECT_EQ(h.fabric.flowRemaining(id), 0) << id;
+        h.fabric.stallFlow(id); // no-ops
+        h.fabric.resumeFlow(id);
+    }
+    EXPECT_EQ(h.fabric.activeFlowCount(), 0u);
+    // Ids keep counting up: never reused after the churn.
+    EXPECT_EQ(h.fabric.startFlow(h.request(0, 4), mib(1), nullptr),
+              aborted.back() + 1);
+}
+
+// ---------------------------------------------------------------------
+// Order independence and steady-state cost
+// ---------------------------------------------------------------------
+
+TEST(Philox, MatchesRandom123KnownAnswers)
+{
+    EXPECT_EQ(philox4x32({0, 0, 0, 0}, {0, 0}),
+              (PhiloxBlock{0x6627e8d5u, 0xe169c58du, 0xbc57ac4cu,
+                           0x9b00dbd8u}));
+    EXPECT_EQ(philox4x32({~0u, ~0u, ~0u, ~0u}, {~0u, ~0u}),
+              (PhiloxBlock{0x408f276du, 0x41c83b0eu, 0xa20bc7c6u,
+                           0x6d5451fdu}));
+    const UniformPair u = philoxUniforms(7, 3, 0);
+    EXPECT_GE(u.first, 0.0);
+    EXPECT_LT(u.first, 1.0);
+    EXPECT_NE(u.first, philoxUniforms(7, 3, 1).first);
+    EXPECT_NE(u.first, philoxUniforms(7, 4, 0).first);
+    EXPECT_NE(u.first, philoxUniforms(8, 3, 0).first);
+}
+
+/** One logical flow of the order-independence workload. */
+struct OrderFlow
+{
+    NodeId src;
+    NodeId dst;
+    NicId nic;
+    std::uint32_t label;
+    Bytes bytes;
+};
+
+/** Segment 0 -> segment 1 traffic; flows share NICs and trunks, so
+ * links congest and per-NIC CNP sums have several terms. */
+std::vector<OrderFlow>
+orderFlows(int count, std::uint32_t firstLabel)
+{
+    std::vector<OrderFlow> out;
+    for (int i = 0; i < count; ++i) {
+        out.push_back({static_cast<NodeId>(i % 4),
+                       static_cast<NodeId>(4 + (i * 3 + i / 4) % 4),
+                       static_cast<NicId>(i % 3),
+                       firstLabel + static_cast<std::uint32_t>(i),
+                       mib(64 + 32 * (i % 5))});
+    }
+    return out;
+}
+
+/** What a run shows of the kept flows, by logical index. */
+struct OrderRun
+{
+    std::vector<double> rates; // every flow, at each snapshot
+    std::vector<double> cnp;   // NICs of nodes 0-7, at each snapshot
+    std::vector<Time> ends;
+
+    bool operator==(const OrderRun &) const = default;
+};
+
+/**
+ * Admit the first wave of kept flows in @p order, decoys on disjoint
+ * links (segments 2 -> 3) interleaved with it or after it, abort
+ * decoys per @p abortPlan, admit a second wave at 1 ms, and record
+ * rates, CNP sums and completion times.
+ */
+OrderRun
+runOrder(FabricConfig fc, bool incremental,
+         const std::vector<int> &order, bool interleaveDecoys,
+         int abortPlan)
+{
+    fc.incrementalRecompute = incremental;
+    Harness h(podConfig(), fc);
+    const std::vector<OrderFlow> first = orderFlows(24, 1);
+    const std::vector<OrderFlow> second = orderFlows(8, 100);
+    const std::size_t kept = first.size() + second.size();
+    OrderRun out;
+    out.ends.assign(kept, -1);
+    std::vector<FlowId> ids(kept, kInvalidId);
+    std::vector<FlowId> decoys;
+
+    auto startKept = [&](std::size_t i, const OrderFlow &f) {
+        PathRequest req = h.request(f.src, f.dst, f.label);
+        req.srcNic = req.dstNic = f.nic;
+        ids[i] = h.fabric.startFlow(
+            req, f.bytes,
+            [&out, i](const FlowEnd &end) { out.ends[i] = end.endTime; });
+    };
+    auto startDecoy = [&] {
+        const int k = static_cast<int>(decoys.size());
+        PathRequest req = h.request(8 + k % 4, 12 + (k + 1) % 4,
+                                    static_cast<std::uint32_t>(500 + k));
+        req.srcNic = req.dstNic = static_cast<NicId>(k % 8);
+        decoys.push_back(h.fabric.startFlow(req, mib(8 + k), nullptr));
+    };
+    auto snapshot = [&] {
+        for (FlowId id : ids)
+            out.rates.push_back(id == kInvalidId ? -1.0
+                                                 : h.fabric.flowRate(id));
+        for (NodeId n = 0; n < 8; ++n)
+            for (NicId k = 0; k < h.topo.nicsPerNode(); ++k)
+                out.cnp.push_back(h.fabric.nicCnpRate(n, k));
+    };
+
+    for (int i : order) {
+        if (interleaveDecoys)
+            startDecoy();
+        startKept(static_cast<std::size_t>(i),
+                  first[static_cast<std::size_t>(i)]);
+    }
+    if (!interleaveDecoys)
+        for (int k = 0; k < 10; ++k)
+            startDecoy();
+    snapshot();
+    if (abortPlan == 1) {
+        for (FlowId d : decoys)
+            h.fabric.abortFlow(d);
+    }
+    h.sim.run(microseconds(500));
+    if (abortPlan == 2) {
+        for (std::size_t k = decoys.size(); k-- > 0;)
+            if (k % 2 == 1)
+                h.fabric.abortFlow(decoys[k]);
+    }
+    h.sim.run(milliseconds(1));
+    for (std::size_t i = 0; i < second.size(); ++i)
+        startKept(first.size() + i, second[i]);
+    snapshot();
+    h.sim.run(milliseconds(8));
+    snapshot();
+    h.sim.run();
+    return out;
+}
+
+std::vector<int>
+identityOrder(int n)
+{
+    std::vector<int> order(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i)
+        order[static_cast<std::size_t>(i)] = i;
+    return order;
+}
+
+TEST(FabricOrder, AbortHistoryOfOtherFlowsDoesNotPerturbNoisyOverlay)
+{
+    // Jitter and CNP noise on. The kept flows get the same ids in
+    // every run; the decoys around them are aborted at different
+    // times and in different orders, so the kept flows land in
+    // different slots and the id index compacts differently. Noise
+    // drawn from one stream in table order would shift every flow's
+    // numbers under any of this; keyed draws must not move.
+    const std::vector<int> order = identityOrder(24);
+    for (bool incremental : {true, false}) {
+        const OrderRun base =
+            runOrder(FabricConfig{}, incremental, order, false, 0);
+        for (int plan : {1, 2}) {
+            const OrderRun other =
+                runOrder(FabricConfig{}, incremental, order, false, plan);
+            EXPECT_TRUE(other == base)
+                << "abort plan " << plan << " incremental "
+                << incremental;
+        }
+        for (Time end : base.ends)
+            EXPECT_GT(end, 0);
+    }
+}
+
+TEST(FabricOrder, AdmissionOrderDoesNotChangeDeterministicAllocation)
+{
+    // With the stochastic terms off, the allocation is a function of
+    // the flow set alone: admitting it in any order, with decoys
+    // interleaved (shifting every id) and aborted on any schedule,
+    // gives byte-identical rates, CNP sums and completion times.
+    FabricConfig fc;
+    fc.congestionJitter = false;
+    fc.cnpNoise = 0.0;
+    std::vector<int> reversed = identityOrder(24);
+    std::reverse(reversed.begin(), reversed.end());
+    std::vector<int> shuffled = identityOrder(24);
+    Rng rng(0x0DE7);
+    for (std::size_t i = shuffled.size(); i > 1; --i)
+        std::swap(shuffled[i - 1],
+                  shuffled[static_cast<std::size_t>(rng.uniformInt(
+                      0, static_cast<std::int64_t>(i - 1)))]);
+
+    const OrderRun base =
+        runOrder(fc, true, identityOrder(24), false, 0);
+    EXPECT_TRUE(std::any_of(base.cnp.begin(), base.cnp.end(),
+                            [](double c) { return c > 0.0; }))
+        << "workload never congests; the CNP check would be vacuous";
+    struct Case
+    {
+        const std::vector<int> *order;
+        bool interleave;
+        int plan;
+    };
+    const std::vector<int> ident = identityOrder(24);
+    for (const Case &c : {Case{&reversed, false, 0},
+                          Case{&shuffled, false, 2},
+                          Case{&ident, true, 1},
+                          Case{&reversed, true, 2},
+                          Case{&shuffled, true, 0}}) {
+        for (bool incremental : {true, false}) {
+            EXPECT_TRUE(runOrder(fc, incremental, *c.order, c.interleave,
+                                 c.plan) == base)
+                << "interleave " << c.interleave << " plan " << c.plan
+                << " incremental " << incremental;
+        }
+    }
+}
+
+TEST(Fabric, SteadyCapacityEventsDoNotAllocate)
+{
+    // A fixed flow set under repeated capacity-scale events: after a
+    // warm-up grows the scratch buffers, the completion heap and the
+    // kernel's event pool, a re-allocation allocates nothing.
+    Harness h(podConfig(), FabricConfig{}); // overlay draws on
+    std::uint32_t label = 0;
+    FlowId first = kInvalidId;
+    for (NodeId src = 0; src < 8; ++src) {
+        for (NicId nic = 0; nic < 4; ++nic) {
+            PathRequest req = h.request(src, 8 + (src + nic) % 8, ++label);
+            req.srcNic = req.dstNic = nic;
+            const FlowId id = h.fabric.startFlow(req, gib(1000), nullptr);
+            if (first == kInvalidId)
+                first = id;
+        }
+    }
+    const LinkId trunk = h.fabric.flowRoute(first)->links[1];
+    auto cycle = [&](int r) {
+        h.fabric.setLinkCapacityScale(trunk, r % 2 == 0 ? 0.5 : 1.0);
+        (void)h.fabric.nicCnpRate(0, 0);
+        h.sim.run(h.sim.now() + microseconds(10));
+    };
+    for (int r = 0; r < 64; ++r)
+        cycle(r);
+    const std::uint64_t before = perf::allocStatsNow().count;
+    const std::uint64_t reallocsBefore = h.fabric.reallocationCount();
+    for (int r = 0; r < 256; ++r)
+        cycle(r);
+    const std::uint64_t allocs = perf::allocStatsNow().count - before;
+    EXPECT_EQ(h.fabric.reallocationCount() - reallocsBefore, 256u);
+    EXPECT_EQ(allocs, 0u);
 }
 
 } // namespace
