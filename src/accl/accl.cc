@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <deque>
+#include <span>
 #include <stdexcept>
 
 #include "common/log.h"
@@ -53,36 +53,51 @@ struct Accl::CommState
     std::unordered_set<Rank> crashed;
     std::unordered_map<std::uint64_t, Connection> conns;
     CollSeq nextSeq = 1;
-    std::deque<PendingOp> queue;
-    std::unique_ptr<Exec> active;
+    /** FIFO of posted ops: queue[queueHead..] wait for the Exec. A
+     * vector rather than a deque, so steady posting reuses its slots
+     * instead of allocating a block every few ops. */
+    std::vector<PendingOp> queue;
+    std::size_t queueHead = 0;
+    /** Created with the first op and reused for every later one;
+     * declared last so it is destroyed (aborting its op) first. */
+    std::unique_ptr<Exec> exec;
 };
 
 /**
- * Execution state machine for one collective. Channels progress through
- * barrier-synchronized rounds independently; the operation completes when
- * every channel has drained every stage.
+ * Execution state machine for one communicator's collectives, one op at
+ * a time. Channels progress through barrier-synchronized rounds
+ * independently; the operation completes when every channel has drained
+ * every stage.
+ *
+ * The machine is allocation-free in steady state: its vectors keep their
+ * capacity from op to op, event callbacks go straight into the kernel's
+ * inline slots, and fabric callbacks capture only (this, flow slot) —
+ * small enough for std::function's inline buffer. That needs no
+ * liveness token: teardown() cancels every event and aborts every live
+ * flow of the op, so no callback can reach a finished op or a destroyed
+ * Exec.
  */
 class Accl::Exec
 {
   public:
-    Exec(Accl &lib, CommState &cs, PendingOp op)
-        : lib_(lib), cs_(cs), op_(std::move(op)),
-          alive_(std::make_shared<bool>(true))
-    {
-    }
+    Exec(Accl &lib, CommState &cs) : lib_(lib), cs_(cs) {}
 
-    ~Exec()
-    {
-        *alive_ = false;
-        for (FlowId f : activeFlows_)
-            lib_.fabric_.abortFlow(f);
-        for (EventId e : pendingEvents_)
-            lib_.sim_.cancel(e);
-    }
+    ~Exec() { teardown(); }
+
+    /** True between begin() and the end of that op. */
+    bool busy() const { return busy_; }
 
     void
-    begin()
+    begin(PendingOp op)
     {
+        assert(!busy_);
+        op_ = std::move(op);
+        busy_ = true;
+        activeChannels_ = 1;
+        channelsFinished_ = 0;
+        numStages_ = 0;
+        numCursors_ = 0;
+
         const Communicator &comm = *cs_.comm;
         const int n = comm.size();
 
@@ -126,15 +141,48 @@ class Accl::Exec
         schedule(t0, [this] { onAllRanksReady(); });
     }
 
+    /**
+     * End the current op: abort its live flows, then cancel its events.
+     * Flows are aborted in ascending FlowId order (each abort flushes a
+     * fabric recompute, so the order is observable); their ids are
+     * gathered first, so nothing a flush does can disturb the walk.
+     */
+    void
+    teardown()
+    {
+        abortIds_.clear();
+        for (FlowRec &f : flows_) {
+            if (f.live) {
+                f.live = false;
+                abortIds_.push_back(f.id);
+            }
+        }
+        flows_.clear();
+        freeFlows_.clear();
+        std::sort(abortIds_.begin(), abortIds_.end());
+        for (FlowId f : abortIds_)
+            lib_.fabric_.abortFlow(f);
+        // Ids of events that already fired are stale; cancelling them
+        // is a no-op.
+        for (EventId e : events_)
+            lib_.sim_.cancel(e);
+        events_.clear();
+        busy_ = false;
+    }
+
   private:
     struct Stage
     {
         /** Inter-node hops (rank pairs) active each round. */
-        std::vector<Communicator::Boundary> hops;
+        std::span<const Communicator::Boundary> hops;
         /** Nodes with intra-node (NVLink) hops each round. */
-        std::vector<NodeId> nvlinkNodes;
+        std::span<const NodeId> nvlinkNodes;
         Bytes bytesPerHopPerRound = 0;
         int rounds = 0;
+        /** Backing storage when the plan computes its own hops/nodes
+         * rather than referencing the communicator's. */
+        std::vector<Communicator::Boundary> ownHops;
+        std::vector<NodeId> ownNodes;
     };
 
     struct ChannelCursor
@@ -146,43 +194,93 @@ class Accl::Exec
         std::vector<std::uint64_t> connsUsed; // for post-round rebalance
     };
 
+    /** One fabric flow of the current op. Its completion callback
+     * captures only (this, index into flows_); the index is recycled
+     * once that callback has run. */
+    struct FlowRec
+    {
+        FlowId id = kInvalidId;
+        bool live = false;
+        int channel = 0;
+        Communicator::Boundary hop;
+        std::uint64_t key = 0;
+        std::size_t qp = 0;
+        // The realized path, for the telemetry record.
+        net::Plane txPlane = net::Plane::Left;
+        std::int32_t spine = kInvalidId;
+        std::int32_t rxPlane = kInvalidId;
+    };
+
     Accl &lib_;
     CommState &cs_;
     PendingOp op_;
-    std::shared_ptr<bool> alive_;
+    bool busy_ = false;
 
     std::vector<Time> postTimes_;
     Time minPost_ = 0;
     Time startTime_ = 0;
 
+    // stages_[0, numStages_) and cursors_[0, numCursors_) belong to the
+    // current op; the vectors only grow, so their buffers are reused.
     std::vector<Stage> stages_;
+    std::size_t numStages_ = 0;
     int activeChannels_ = 1;
     std::vector<ChannelCursor> cursors_;
-    int channelsFinished_ = 0;
+    std::size_t numCursors_ = 0;
+    std::size_t channelsFinished_ = 0;
 
-    std::unordered_set<FlowId> activeFlows_;
-    std::unordered_set<EventId> pendingEvents_;
+    std::vector<FlowRec> flows_;
+    std::vector<std::uint32_t> freeFlows_; // recycled flows_ indices
+    std::vector<EventId> events_; // every event the op scheduled
+    std::vector<FlowId> abortIds_; // teardown scratch
 
+    template <typename F>
     void
-    schedule(Time when, std::function<void()> fn)
+    schedule(Time when, F fn)
     {
-        auto weak = std::weak_ptr<bool>(alive_);
-        auto id_holder = std::make_shared<EventId>(kInvalidEvent);
-        const EventId id = lib_.sim_.scheduleAt(
-            when, [this, weak, id_holder, fn = std::move(fn)] {
-                if (auto p = weak.lock(); p && *p) {
-                    pendingEvents_.erase(*id_holder);
-                    fn();
-                }
-            });
-        *id_holder = id;
-        pendingEvents_.insert(id);
+        events_.push_back(lib_.sim_.scheduleAt(when, std::move(fn)));
     }
 
+    template <typename F>
     void
-    scheduleAfter(Duration d, std::function<void()> fn)
+    scheduleAfter(Duration d, F fn)
     {
         schedule(lib_.sim_.now() + d, std::move(fn));
+    }
+
+    /** Size the plan to @p count fresh stages, reusing earlier storage. */
+    void
+    resetStages(std::size_t count)
+    {
+        if (stages_.size() < count)
+            stages_.resize(count);
+        for (std::size_t i = 0; i < count; ++i) {
+            Stage &st = stages_[i];
+            st.hops = {};
+            st.nvlinkNodes = {};
+            st.bytesPerHopPerRound = 0;
+            st.rounds = 0;
+            st.ownHops.clear();
+            st.ownNodes.clear();
+        }
+        numStages_ = count;
+    }
+
+    /** Give each of @p count channels a fresh cursor. */
+    void
+    resetCursors(std::size_t count)
+    {
+        if (cursors_.size() < count)
+            cursors_.resize(count);
+        for (std::size_t i = 0; i < count; ++i) {
+            ChannelCursor &cur = cursors_[i];
+            cur.stage = 0;
+            cur.round = 0;
+            cur.pending = 0;
+            cur.finished = false;
+            cur.connsUsed.clear();
+        }
+        numCursors_ = count;
     }
 
     /** Derive the hop structure for the requested op/algo. */
@@ -194,26 +292,26 @@ class Accl::Exec
 
         if (op_.op == CollOp::SendRecv) {
             activeChannels_ = 1;
-            Stage st;
+            resetStages(1);
+            Stage &st = stages_[0];
             st.rounds = 1;
             st.bytesPerHopPerRound = std::max<Bytes>(1, op_.bytes);
             const auto &sd = comm.device(op_.p2pSrc);
             const auto &dd = comm.device(op_.p2pDst);
             if (sd.node == dd.node)
-                st.nvlinkNodes.push_back(sd.node);
+                st.ownNodes.push_back(sd.node);
             else
-                st.hops.push_back({op_.p2pSrc, op_.p2pDst});
-            stages_.push_back(std::move(st));
-            cursors_.resize(1);
+                st.ownHops.push_back({op_.p2pSrc, op_.p2pDst});
+            st.hops = st.ownHops;
+            st.nvlinkNodes = st.ownNodes;
+            resetCursors(1);
             return;
         }
 
         activeChannels_ = comm.channels();
         const double factor = busFactor(op_.op, n);
-        if (factor <= 0.0) {
-            cursors_.clear(); // degenerate single-rank op
-            return;
-        }
+        if (factor <= 0.0)
+            return; // degenerate single-rank op: no stages, no cursors
 
         const int real_rounds = ringRounds(op_.op, n);
         const int k =
@@ -232,7 +330,8 @@ class Accl::Exec
                    (n & (n - 1)) == 0) {
             buildHalvingDoublingPlan();
         } else {
-            Stage st;
+            resetStages(1);
+            Stage &st = stages_[0];
             st.rounds = k;
             st.bytesPerHopPerRound = per_round;
             st.hops = comm.boundaries();
@@ -241,9 +340,8 @@ class Accl::Exec
             // that caps bus bandwidth at ~362 Gbps on the paper's H800
             // nodes, whether or not the ring has co-located ranks.
             st.nvlinkNodes = comm.nodes();
-            stages_.push_back(std::move(st));
         }
-        cursors_.resize(static_cast<std::size_t>(activeChannels_));
+        resetCursors(static_cast<std::size_t>(activeChannels_));
     }
 
     /**
@@ -260,17 +358,18 @@ class Accl::Exec
             1.0, static_cast<double>(op_.bytes) /
                      (static_cast<double>(n) * activeChannels_)));
 
+        resetStages(static_cast<std::size_t>(n - 1));
         for (int shift = 1; shift < n; ++shift) {
-            Stage st;
+            Stage &st = stages_[static_cast<std::size_t>(shift - 1)];
             st.rounds = 1;
             st.bytesPerHopPerRound = per_hop;
             for (Rank i = 0; i < n; ++i) {
                 const Rank j = static_cast<Rank>((i + shift) % n);
                 if (comm.device(i).node != comm.device(j).node)
-                    st.hops.push_back({i, j});
+                    st.ownHops.push_back({i, j});
             }
+            st.hops = st.ownHops;
             st.nvlinkNodes = comm.nodes();
-            stages_.push_back(std::move(st));
         }
     }
 
@@ -285,33 +384,38 @@ class Accl::Exec
         const Communicator &comm = *cs_.comm;
         const int n = comm.size();
 
-        auto make_stage = [&](int mask, Bytes bytes_per_hop) {
-            Stage st;
+        int steps = 0;
+        for (int mask = 1; mask < n; mask <<= 1)
+            ++steps;
+        resetStages(2 * static_cast<std::size_t>(steps));
+
+        auto fill_stage = [&](Stage &st, int mask, Bytes bytes_per_hop) {
             st.rounds = 1;
             st.bytesPerHopPerRound = std::max<Bytes>(1, bytes_per_hop);
             for (Rank i = 0; i < n; ++i) {
                 const Rank j = static_cast<Rank>(i ^ mask);
                 if (comm.device(i).node != comm.device(j).node)
-                    st.hops.push_back({i, j});
+                    st.ownHops.push_back({i, j});
             }
+            st.hops = st.ownHops;
             st.nvlinkNodes = comm.nodes();
-            return st;
         };
 
-        // Halving: exchanged payload shrinks by half each step.
+        // Halving: exchanged payload shrinks by half each step. Stage i
+        // exchanges over mask 1 << i.
         Bytes step_bytes = static_cast<Bytes>(
             static_cast<double>(op_.bytes) / (2.0 * activeChannels_));
-        std::vector<Bytes> sizes;
-        for (int mask = 1; mask < n; mask <<= 1) {
-            sizes.push_back(step_bytes);
-            stages_.push_back(make_stage(mask, step_bytes));
+        std::size_t idx = 0;
+        for (int mask = 1; mask < n; mask <<= 1, ++idx) {
+            fill_stage(stages_[idx], mask, step_bytes);
             step_bytes = std::max<Bytes>(1, step_bytes / 2);
         }
-        // Doubling: mirror order, payload growing back.
-        int idx = static_cast<int>(sizes.size()) - 1;
-        for (int mask = n >> 1; mask >= 1; mask >>= 1, --idx)
-            stages_.push_back(make_stage(mask, sizes[
-                static_cast<std::size_t>(idx)]));
+        // Doubling: mirror order, each step moving what the halving
+        // step over the same mask moved.
+        std::size_t halving = idx;
+        for (int mask = n >> 1; mask >= 1; mask >>= 1, ++idx)
+            fill_stage(stages_[idx], mask,
+                       stages_[--halving].bytesPerHopPerRound);
     }
 
     /** Reduce-then-broadcast binary tree (two pipelined stages). */
@@ -328,25 +432,27 @@ class Accl::Exec
         const auto tree_per_round = static_cast<Bytes>(std::max(
             1.0, static_cast<double>(per_round) * 1.0 / ring_factor));
 
-        Stage up;
-        up.rounds = k;
-        up.bytesPerHopPerRound = tree_per_round;
-        Stage down = up;
-
+        resetStages(2);
+        Stage &up = stages_[0];
+        Stage &down = stages_[1];
+        for (Stage *st : {&up, &down}) {
+            st->rounds = k;
+            st->bytesPerHopPerRound = tree_per_round;
+            // As with the ring, every node's HBM/NVLink plane is in the
+            // path.
+            st->nvlinkNodes = comm.nodes();
+        }
         for (Rank r = 1; r < n; ++r) {
             const Rank parent = (r - 1) / 2;
             const auto &cd = comm.device(r);
             const auto &pd = comm.device(parent);
             if (cd.node != pd.node) {
-                up.hops.push_back({r, parent});
-                down.hops.push_back({parent, r});
+                up.ownHops.push_back({r, parent});
+                down.ownHops.push_back({parent, r});
             }
         }
-        // As with the ring, every node's HBM/NVLink plane is in the path.
-        up.nvlinkNodes = comm.nodes();
-        down.nvlinkNodes = comm.nodes();
-        stages_.push_back(std::move(up));
-        stages_.push_back(std::move(down));
+        up.hops = up.ownHops;
+        down.hops = down.ownHops;
     }
 
     void
@@ -368,7 +474,7 @@ class Accl::Exec
             mon.heartbeat(comm.id(), r, startTime_);
         }
 
-        if (cursors_.empty() || stages_.empty()) {
+        if (numCursors_ == 0 || numStages_ == 0) {
             finish(); // degenerate op (single rank)
             return;
         }
@@ -444,7 +550,8 @@ class Accl::Exec
 
         Connection &conn =
             lib_.getConnection(cs_, channel, hop.src, hop.dst);
-        cur.connsUsed.push_back(connKey(channel, hop.src, hop.dst));
+        const std::uint64_t key = connKey(channel, hop.src, hop.dst);
+        cur.connsUsed.push_back(key);
 
         double wsum = 0.0;
         for (double w : conn.weights)
@@ -477,69 +584,57 @@ class Accl::Exec
             req.rxPlane = dec.rxPlane;
             req.flowLabel = dec.flowLabel;
 
-            auto weak = std::weak_ptr<bool>(alive_);
-            const std::size_t qi = q;
-            const auto key = connKey(channel, hop.src, hop.dst);
-            FlowId fid = lib_.fabric_.startFlow(
-                req, qbytes,
-                [this, weak, channel, hop, key, qi](
-                    const net::FlowEnd &end) {
-                    if (auto p = weak.lock(); p && *p)
-                        onFlowDone(channel, hop, key, qi, end);
-                });
-            activeFlows_.insert(fid);
-
-            // Capture the realized path for the telemetry record.
-            FlowMeta meta;
-            meta.channel = channel;
-            meta.hop = hop;
-            meta.qp = qi;
-            meta.txPlane = dec.txPlane;
-            if (const net::Route *route = lib_.fabric_.flowRoute(fid)) {
-                meta.spine = route->spine;
-                meta.rxPlane = net::planeIndex(route->rxPlane);
+            std::uint32_t slot;
+            if (freeFlows_.empty()) {
+                slot = static_cast<std::uint32_t>(flows_.size());
+                flows_.emplace_back();
+            } else {
+                slot = freeFlows_.back();
+                freeFlows_.pop_back();
             }
-            pendingFlowMeta_[fid] = meta;
+            FlowRec &f = flows_[slot];
+            f.channel = channel;
+            f.hop = hop;
+            f.key = key;
+            f.qp = q;
+            f.txPlane = dec.txPlane;
+            f.id = lib_.fabric_.startFlow(
+                req, qbytes, [this, slot](const net::FlowEnd &end) {
+                    onFlowDone(slot, end);
+                });
+            f.live = true;
+            f.spine = kInvalidId;
+            f.rxPlane = kInvalidId;
+            if (const net::Route *route = lib_.fabric_.flowRoute(f.id)) {
+                f.spine = route->spine;
+                f.rxPlane = net::planeIndex(route->rxPlane);
+            }
         }
     }
 
-    struct FlowMeta
-    {
-        int channel = 0;
-        Communicator::Boundary hop;
-        std::size_t qp = 0;
-        net::Plane txPlane = net::Plane::Left;
-        std::int32_t spine = kInvalidId;
-        std::int32_t rxPlane = kInvalidId;
-    };
-    std::unordered_map<FlowId, FlowMeta> pendingFlowMeta_;
-
     void
-    onFlowDone(int channel, const Communicator::Boundary &hop,
-               std::uint64_t key, std::size_t qp, const net::FlowEnd &end)
+    onFlowDone(std::uint32_t slot, const net::FlowEnd &end)
     {
         const Communicator &comm = *cs_.comm;
-        activeFlows_.erase(end.id);
+        // Copy out: hopDone() may start the next round, reusing the slot
+        // or growing flows_.
+        FlowRec &f = flows_[slot];
+        f.live = false;
+        const FlowRec meta = f;
+        freeFlows_.push_back(slot);
 
-        FlowMeta meta;
-        if (auto it = pendingFlowMeta_.find(end.id);
-            it != pendingFlowMeta_.end()) {
-            meta = it->second;
-            pendingFlowMeta_.erase(it);
-        }
-
-        Connection &conn = cs_.conns.at(key);
-        const ConnContext &ctx = conn.ctxs[qp];
-        const PathDecision &dec = conn.decisions[qp];
+        Connection &conn = cs_.conns.at(meta.key);
+        const ConnContext &ctx = conn.ctxs[meta.qp];
+        const PathDecision &dec = conn.decisions[meta.qp];
 
         ConnRecord rec;
         rec.comm = comm.id();
         rec.seq = op_.seq;
-        rec.channel = channel;
-        rec.qpIndex = static_cast<int>(qp);
-        rec.qp = conn.qpIds[qp];
-        rec.srcRank = hop.src;
-        rec.dstRank = hop.dst;
+        rec.channel = meta.channel;
+        rec.qpIndex = static_cast<int>(meta.qp);
+        rec.qp = conn.qpIds[meta.qp];
+        rec.srcRank = meta.hop.src;
+        rec.dstRank = meta.hop.dst;
         rec.srcNode = ctx.srcNode;
         rec.dstNode = ctx.dstNode;
         rec.srcNic = ctx.srcNic;
@@ -550,8 +645,8 @@ class Accl::Exec
         rec.startTime = end.startTime;
         rec.endTime = end.endTime;
         lib_.monitor_.record(rec);
-        lib_.monitor_.heartbeat(comm.id(), hop.src, end.endTime);
-        lib_.monitor_.heartbeat(comm.id(), hop.dst, end.endTime);
+        lib_.monitor_.heartbeat(comm.id(), meta.hop.src, end.endTime);
+        lib_.monitor_.heartbeat(comm.id(), meta.hop.dst, end.endTime);
 
         PathFeedback fb;
         fb.bytes = end.bytes;
@@ -559,7 +654,7 @@ class Accl::Exec
         fb.achievedRate = end.achievedRate();
         lib_.policy_->feedback(ctx, dec, fb);
 
-        hopDone(channel);
+        hopDone(meta.channel);
     }
 
     void
@@ -599,12 +694,10 @@ class Accl::Exec
             cur.round = 0;
             ++cur.stage;
         }
-        if (cur.stage >= static_cast<int>(stages_.size())) {
+        if (static_cast<std::size_t>(cur.stage) >= numStages_) {
             cur.finished = true;
-            if (++channelsFinished_ ==
-                static_cast<int>(cursors_.size())) {
+            if (++channelsFinished_ == numCursors_)
                 finish();
-            }
             return;
         }
         startRound(channel);
@@ -645,7 +738,9 @@ class Accl::Exec
         res.endTime = end;
 
         CollectiveCallback done = std::move(op_.done);
-        lib_.finishExec(cs_); // destroys *this; run callback after
+        // Ends this op and may begin the next one on this Exec (or, via
+        // the callback, destroy it): touch no member after this.
+        lib_.finishExec(cs_);
         if (done)
             done(res);
     }
@@ -709,7 +804,7 @@ Accl::destroyCommunicator(CommId comm)
 
     releaseConnections(cs);
     monitor_.commClosed(comm);
-    comms_.erase(it); // Exec destructor aborts in-flight flows
+    comms_.erase(it); // Exec destructor aborts the in-flight op
 }
 
 bool
@@ -863,19 +958,29 @@ Accl::rankCrashed(CommId comm, Rank rank) const
 void
 Accl::startNext(CommState &cs)
 {
-    if (cs.active || cs.queue.empty())
+    if ((cs.exec && cs.exec->busy()) || cs.queueHead == cs.queue.size())
         return;
-    PendingOp op = std::move(cs.queue.front());
-    cs.queue.pop_front();
-    cs.active = std::make_unique<Exec>(*this, cs, std::move(op));
-    cs.active->begin();
+    PendingOp op = std::move(cs.queue[cs.queueHead++]);
+    if (cs.queueHead == cs.queue.size()) {
+        cs.queue.clear();
+        cs.queueHead = 0;
+    } else if (cs.queueHead > 32 && 2 * cs.queueHead > cs.queue.size()) {
+        // A queue that never drains: drop the consumed prefix.
+        cs.queue.erase(cs.queue.begin(),
+                       cs.queue.begin() +
+                           static_cast<std::ptrdiff_t>(cs.queueHead));
+        cs.queueHead = 0;
+    }
+    if (!cs.exec)
+        cs.exec = std::make_unique<Exec>(*this, cs);
+    cs.exec->begin(std::move(op));
 }
 
 void
 Accl::finishExec(CommState &cs)
 {
     ++completed_;
-    cs.active.reset();
+    cs.exec->teardown();
     startNext(cs);
 }
 

@@ -5,7 +5,8 @@
 namespace c4::accl {
 
 AcclMonitor::AcclMonitor(bool enabled, std::size_t capacityPerStream)
-    : enabled_(enabled), capacity_(capacityPerStream)
+    : enabled_(enabled), comm_(capacityPerStream), coll_(capacityPerStream),
+      rankWait_(capacityPerStream), conn_(capacityPerStream)
 {
 }
 
@@ -40,16 +41,24 @@ AcclMonitor::record(const ConnRecord &r)
 void
 AcclMonitor::heartbeat(CommId comm, Rank rank, Time when)
 {
-    if (!enabled_)
+    if (!enabled_ || rank < 0)
         return;
-    heartbeats_[key(comm, rank)] = when;
+    std::vector<Time> &ranks = heartbeats_[comm];
+    const auto r = static_cast<std::size_t>(rank);
+    if (r >= ranks.size())
+        ranks.resize(r + 1, kTimeNever);
+    ranks[r] = when;
 }
 
 Time
 AcclMonitor::lastHeartbeat(CommId comm, Rank rank) const
 {
-    auto it = heartbeats_.find(key(comm, rank));
-    return it == heartbeats_.end() ? kTimeNever : it->second;
+    auto it = heartbeats_.find(comm);
+    if (it == heartbeats_.end() || rank < 0 ||
+        static_cast<std::size_t>(rank) >= it->second.size()) {
+        return kTimeNever;
+    }
+    return it->second[static_cast<std::size_t>(rank)];
 }
 
 void
@@ -91,12 +100,7 @@ void
 AcclMonitor::commClosed(CommId comm)
 {
     currentOps_.erase(comm);
-    for (auto it = heartbeats_.begin(); it != heartbeats_.end();) {
-        if (static_cast<CommId>(it->first >> 20) == comm)
-            it = heartbeats_.erase(it);
-        else
-            ++it;
-    }
+    heartbeats_.erase(comm);
 }
 
 const OpProgress *
@@ -110,10 +114,10 @@ namespace {
 
 template <typename T>
 std::vector<T>
-drainQueue(std::deque<T> &q)
+drainQueue(RingWindow<T> &q)
 {
-    std::vector<T> out(q.begin(), q.end());
-    q.clear();
+    std::vector<T> out;
+    q.drainTo(out);
     return out;
 }
 
@@ -141,6 +145,30 @@ std::vector<ConnRecord>
 AcclMonitor::drainConn()
 {
     return drainQueue(conn_);
+}
+
+void
+AcclMonitor::drainComm(std::vector<CommRecord> &out)
+{
+    comm_.drainTo(out);
+}
+
+void
+AcclMonitor::drainColl(std::vector<CollRecord> &out)
+{
+    coll_.drainTo(out);
+}
+
+void
+AcclMonitor::drainRankWait(std::vector<RankWaitRecord> &out)
+{
+    rankWait_.drainTo(out);
+}
+
+void
+AcclMonitor::drainConn(std::vector<ConnRecord> &out)
+{
+    conn_.drainTo(out);
 }
 
 void

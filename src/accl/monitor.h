@@ -15,12 +15,12 @@
 #define C4_ACCL_MONITOR_H
 
 #include <cstdint>
-#include <deque>
 #include <ostream>
 #include <unordered_map>
 #include <vector>
 
 #include "accl/collective.h"
+#include "common/ring.h"
 #include "common/types.h"
 #include "net/topology.h"
 
@@ -126,6 +126,11 @@ struct OpProgress
  * In-memory sink for all four record streams plus per-rank progress
  * heartbeats (used by hang detection). Draining consumes records;
  * capacity is bounded so detached (unmonitored) runs don't accumulate.
+ *
+ * Every collective and connection is monitored, so this is on the hot
+ * path: the streams are ring windows and the heartbeats one dense
+ * vector per communicator, and draining into caller-owned vectors
+ * allocates nothing once the buffers have grown to their working size.
  */
 class AcclMonitor
 {
@@ -148,7 +153,8 @@ class AcclMonitor
     void record(const RankWaitRecord &r);
     void record(const ConnRecord &r);
 
-    /** Note forward progress of a rank (any message/round completion). */
+    /** Note forward progress of a rank (any message/round completion).
+     * Negative ranks are ignored. */
     void heartbeat(CommId comm, Rank rank, Time when);
 
     /** @name Operation progress tracking @{ */
@@ -166,14 +172,22 @@ class AcclMonitor
      */
     const OpProgress *currentOp(CommId comm) const;
 
-    /** @name Draining (called by C4 agents); consumes the records @{ */
+    /** @name Draining (called by C4 agents); consumes the records
+     * The overloads taking @p out replace its contents and reuse its
+     * capacity.
+     * @{ */
     std::vector<CommRecord> drainComm();
     std::vector<CollRecord> drainColl();
     std::vector<RankWaitRecord> drainRankWait();
     std::vector<ConnRecord> drainConn();
+    void drainComm(std::vector<CommRecord> &out);
+    void drainColl(std::vector<CollRecord> &out);
+    void drainRankWait(std::vector<RankWaitRecord> &out);
+    void drainConn(std::vector<ConnRecord> &out);
     /** @} */
 
-    /** Last observed progress time per (comm, rank); kTimeNever if none. */
+    /** Last observed progress time per (comm, rank); kTimeNever if none
+     * (unknown or closed comm, or a rank that never beat). */
     Time lastHeartbeat(CommId comm, Rank rank) const;
 
     /** @name Lifetime counters (not consumed by draining) @{ */
@@ -191,15 +205,15 @@ class AcclMonitor
 
   private:
     bool enabled_;
-    std::size_t capacity_;
 
-    std::deque<CommRecord> comm_;
-    std::deque<CollRecord> coll_;
-    std::deque<RankWaitRecord> rankWait_;
-    std::deque<ConnRecord> conn_;
+    RingWindow<CommRecord> comm_;
+    RingWindow<CollRecord> coll_;
+    RingWindow<RankWaitRecord> rankWait_;
+    RingWindow<ConnRecord> conn_;
 
-    // (comm << 20 | rank) -> last progress time
-    std::unordered_map<std::uint64_t, Time> heartbeats_;
+    // comm -> last progress time per rank (kTimeNever: none yet),
+    // grown to the highest rank seen
+    std::unordered_map<CommId, std::vector<Time>> heartbeats_;
 
     // comm -> progress of its most recent operation
     std::unordered_map<CommId, OpProgress> currentOps_;
@@ -210,23 +224,10 @@ class AcclMonitor
 
     template <typename T>
     void
-    push(std::deque<T> &q, const T &r)
+    push(RingWindow<T> &q, const T &r)
     {
-        if (!enabled_)
-            return;
-        if (q.size() >= capacity_) {
-            q.pop_front();
+        if (enabled_ && !q.push(r))
             ++dropped_;
-        }
-        q.push_back(r);
-    }
-
-    static std::uint64_t
-    key(CommId comm, Rank rank)
-    {
-        return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(comm))
-                << 20) |
-               static_cast<std::uint32_t>(rank);
     }
 };
 

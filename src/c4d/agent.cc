@@ -27,7 +27,8 @@ C4Agent::collectOnce()
     ++collections_;
 
     // Communicator lifecycle first so record routing finds the comms.
-    for (const auto &rec : monitor_.drainComm()) {
+    monitor_.drainComm(commRecs_);
+    for (const auto &rec : commRecs_) {
         if (rec.created) {
             live_[rec.comm] = rec.nranks;
             master_.registerComm(rec);
@@ -37,21 +38,23 @@ C4Agent::collectOnce()
         }
     }
 
-    master_.ingest(monitor_.drainConn());
-    master_.ingest(monitor_.drainRankWait());
-    monitor_.drainColl(); // consumed; the master keys off OpProgress
+    monitor_.drainConn(connRecs_);
+    master_.ingest(connRecs_);
+    monitor_.drainRankWait(waitRecs_);
+    master_.ingest(waitRecs_);
+    // Collective records are consumed; the master keys off OpProgress.
+    monitor_.drainColl(collRecs_);
 
     // Progress snapshots: current operation + per-rank heartbeats.
     for (const auto &[comm, nranks] : live_) {
         const accl::OpProgress *op = monitor_.currentOp(comm);
         if (op == nullptr)
             continue;
-        std::vector<Time> heartbeats(static_cast<std::size_t>(nranks),
-                                     kTimeNever);
+        heartbeats_.resize(static_cast<std::size_t>(nranks));
         for (Rank r = 0; r < nranks; ++r)
-            heartbeats[static_cast<std::size_t>(r)] =
+            heartbeats_[static_cast<std::size_t>(r)] =
                 monitor_.lastHeartbeat(comm, r);
-        master_.updateProgress(comm, *op, std::move(heartbeats));
+        master_.updateProgress(comm, *op, heartbeats_);
     }
 }
 

@@ -10,6 +10,7 @@
 #define C4_C4D_AGENT_H
 
 #include <unordered_map>
+#include <vector>
 
 #include "accl/monitor.h"
 #include "c4d/master.h"
@@ -50,6 +51,13 @@ class C4Agent
 
     /** Live communicators: id -> rank count (from CommRecords). */
     std::unordered_map<CommId, int> live_;
+
+    // Drain and snapshot buffers, reused by every pass.
+    std::vector<accl::CommRecord> commRecs_;
+    std::vector<accl::ConnRecord> connRecs_;
+    std::vector<accl::RankWaitRecord> waitRecs_;
+    std::vector<accl::CollRecord> collRecs_;
+    std::vector<Time> heartbeats_;
 };
 
 } // namespace c4::c4d

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <map>
 #include <sstream>
 
 namespace c4::c4d {
@@ -14,6 +13,16 @@ DelayMatrix::DelayMatrix(int nranks)
       count_(static_cast<std::size_t>(nranks) * nranks, 0)
 {
     assert(nranks >= 1);
+}
+
+void
+DelayMatrix::reset(int nranks)
+{
+    assert(nranks >= 1);
+    n_ = nranks;
+    const auto cells = static_cast<std::size_t>(nranks) * nranks;
+    sumDelay_.assign(cells, 0.0);
+    count_.assign(cells, 0);
 }
 
 void
@@ -32,12 +41,8 @@ DelayMatrix::build(int nranks,
                    const std::vector<accl::ConnRecord> &records)
 {
     DelayMatrix m(nranks);
-    for (const auto &r : records) {
-        if (r.srcRank >= 0 && r.srcRank < nranks && r.dstRank >= 0 &&
-            r.dstRank < nranks) {
-            m.add(r.srcRank, r.dstRank, r.bytes, r.duration());
-        }
-    }
+    for (const auto &r : records)
+        m.add(r);
     return m;
 }
 
@@ -58,6 +63,13 @@ double
 DelayMatrix::medianDelay() const
 {
     std::vector<double> cells;
+    return medianDelay(cells);
+}
+
+double
+DelayMatrix::medianDelay(std::vector<double> &cells) const
+{
+    cells.clear();
     for (Rank s = 0; s < n_; ++s) {
         for (Rank d = 0; d < n_; ++d) {
             const double v = at(s, d);
@@ -115,24 +127,32 @@ CommSlowFinding::str() const
 CommSlowFinding
 analyzeCommSlow(const DelayMatrix &matrix, const AnalyzerConfig &cfg)
 {
+    CommSlowScratch scratch;
+    return analyzeCommSlow(matrix, cfg, scratch);
+}
+
+CommSlowFinding
+analyzeCommSlow(const DelayMatrix &matrix, const AnalyzerConfig &cfg,
+                CommSlowScratch &scratch)
+{
+    using Cell = CommSlowScratch::Cell;
     CommSlowFinding finding;
-    const double median = matrix.medianDelay();
+    const double median = matrix.medianDelay(scratch.cells);
     if (median <= 0.0)
         return finding;
     const int n = matrix.size();
     const double cutoff = median * cfg.slowRatio;
 
     // Collect outlier cells.
-    struct Cell
-    {
-        Rank src, dst;
-        double ratio;
-    };
-    std::vector<Cell> outliers;
-    std::vector<int> row_present(static_cast<std::size_t>(n), 0);
-    std::vector<int> row_out(static_cast<std::size_t>(n), 0);
-    std::vector<int> col_present(static_cast<std::size_t>(n), 0);
-    std::vector<int> col_out(static_cast<std::size_t>(n), 0);
+    std::vector<Cell> &outliers = scratch.outliers;
+    outliers.clear();
+    std::vector<int> &row_present = scratch.rowPresent;
+    std::vector<int> &row_out = scratch.rowOut;
+    std::vector<int> &col_present = scratch.colPresent;
+    std::vector<int> &col_out = scratch.colOut;
+    for (std::vector<int> *v : {&row_present, &row_out, &col_present,
+                                &col_out})
+        v->assign(static_cast<std::size_t>(n), 0);
 
     for (Rank s = 0; s < n; ++s) {
         for (Rank d = 0; d < n; ++d) {
@@ -211,40 +231,67 @@ analyzeNonCommSlow(int nranks,
                    const std::vector<accl::RankWaitRecord> &waits,
                    const AnalyzerConfig &cfg)
 {
+    WaitScan scan;
+    scan.reset(nranks);
+    for (const auto &w : waits)
+        scan.add(w);
+    return scan.judge(cfg);
+}
+
+void
+WaitScan::reset(int nranks)
+{
+    nranks_ = nranks;
+    any_ = false;
+    const auto n = static_cast<std::size_t>(std::max(0, nranks));
+    sum_.assign(n, 0.0);
+    count_.assign(n, 0);
+    runs_.clear();
+}
+
+void
+WaitScan::add(const accl::RankWaitRecord &w)
+{
+    any_ = true;
+    if (w.rank < 0 || w.rank >= nranks_)
+        return;
+    sum_[static_cast<std::size_t>(w.rank)] +=
+        static_cast<double>(w.recvWait);
+    ++count_[static_cast<std::size_t>(w.rank)];
+    // Per-operation minimum-wait rank, for the consistency test; the
+    // first record with the minimum wins ties.
+    if (!runs_.empty() && runs_.back().seq == w.seq) {
+        if (w.recvWait < runs_.back().wait) {
+            runs_.back().rank = w.rank;
+            runs_.back().wait = w.recvWait;
+        }
+        return;
+    }
+    runs_.push_back({w.seq, runs_.size(), w.rank, w.recvWait});
+}
+
+NonCommSlowFinding
+WaitScan::judge(const AnalyzerConfig &cfg)
+{
     NonCommSlowFinding finding;
-    if (nranks < 2 || waits.empty())
+    if (nranks_ < 2 || !any_)
         return finding;
 
-    std::vector<double> sum(static_cast<std::size_t>(nranks), 0.0);
-    std::vector<int> count(static_cast<std::size_t>(nranks), 0);
-    // Per-operation minimum-wait rank, for the consistency test.
-    std::map<accl::CollSeq, std::pair<Rank, Duration>> op_min;
-    for (const auto &w : waits) {
-        if (w.rank >= 0 && w.rank < nranks) {
-            sum[static_cast<std::size_t>(w.rank)] +=
-                static_cast<double>(w.recvWait);
-            ++count[static_cast<std::size_t>(w.rank)];
-            auto it = op_min.find(w.seq);
-            if (it == op_min.end() || w.recvWait < it->second.second)
-                op_min[w.seq] = {w.rank, w.recvWait};
-        }
-    }
-
-    std::vector<double> means;
-    for (int r = 0; r < nranks; ++r) {
+    means_.clear();
+    for (int r = 0; r < nranks_; ++r) {
         const auto ri = static_cast<std::size_t>(r);
-        if (count[ri] == 0)
+        if (count_[ri] == 0)
             return finding; // need full coverage to judge
-        means.push_back(sum[ri] / count[ri]);
+        means_.push_back(sum_[ri] / count_[ri]);
     }
 
-    std::vector<double> sorted = means;
-    std::sort(sorted.begin(), sorted.end());
-    const double median = sorted[sorted.size() / 2];
+    sorted_.assign(means_.begin(), means_.end());
+    std::sort(sorted_.begin(), sorted_.end());
+    const double median = sorted_[sorted_.size() / 2];
     if (median < static_cast<double>(cfg.minWaitForSlow))
         return finding; // waits are just noise
 
-    const auto min_it = std::min_element(means.begin(), means.end());
+    const auto min_it = std::min_element(means_.begin(), means_.end());
     const double straggler_wait = *min_it;
     if (straggler_wait * cfg.waitRatio > median)
         return finding; // no rank stands out
@@ -252,14 +299,28 @@ analyzeNonCommSlow(int nranks,
     // Consistency: a real straggler is the per-op minimum nearly every
     // time; rotating load skew moves the minimum around the group.
     const auto candidate =
-        static_cast<Rank>(std::distance(means.begin(), min_it));
-    if (!op_min.empty()) {
+        static_cast<Rank>(std::distance(means_.begin(), min_it));
+    if (!runs_.empty()) {
+        // Merge the runs of each seq in window order: a later run's
+        // minimum replaces an earlier one only when strictly smaller.
+        std::sort(runs_.begin(), runs_.end(),
+                  [](const OpMin &a, const OpMin &b) {
+                      return a.seq != b.seq ? a.seq < b.seq
+                                            : a.run < b.run;
+                  });
         int hits = 0;
-        for (const auto &[seq, entry] : op_min)
-            hits += entry.first == candidate ? 1 : 0;
+        int ops = 0;
+        for (std::size_t i = 0; i < runs_.size();) {
+            OpMin best = runs_[i];
+            for (++i; i < runs_.size() && runs_[i].seq == best.seq; ++i) {
+                if (runs_[i].wait < best.wait)
+                    best = runs_[i];
+            }
+            ++ops;
+            hits += best.rank == candidate ? 1 : 0;
+        }
         const double consistency =
-            static_cast<double>(hits) /
-            static_cast<double>(op_min.size());
+            static_cast<double>(hits) / static_cast<double>(ops);
         if (consistency < cfg.stragglerConsistency)
             return finding; // transient imbalance, not a straggler
     }

@@ -34,8 +34,22 @@ class DelayMatrix
   public:
     explicit DelayMatrix(int nranks);
 
+    /** Empty the matrix and resize it to @p nranks, reusing storage. */
+    void reset(int nranks);
+
     /** Accumulate one message observation. */
     void add(Rank src, Rank dst, Bytes bytes, Duration duration);
+
+    /** Accumulate one connection record (ignored when a rank is out of
+     * range). */
+    void
+    add(const accl::ConnRecord &r)
+    {
+        if (r.srcRank >= 0 && r.srcRank < n_ && r.dstRank >= 0 &&
+            r.dstRank < n_) {
+            add(r.srcRank, r.dstRank, r.bytes, r.duration());
+        }
+    }
 
     /** Build directly from a batch of connection records. */
     static DelayMatrix build(int nranks,
@@ -51,6 +65,9 @@ class DelayMatrix
 
     /** Median of all present cells; <0 when the matrix is empty. */
     double medianDelay() const;
+
+    /** medianDelay() using @p cells as its sort buffer. */
+    double medianDelay(std::vector<double> &cells) const;
 
     /** Multi-line rendering (row = source, column = destination). */
     std::string str() const;
@@ -121,11 +138,30 @@ struct AnalyzerConfig
     double stragglerConsistency = 0.6;
 };
 
+/** Buffers analyzeCommSlow reuses when a long-lived caller (the C4D
+ * master) passes the same scratch on every evaluation. */
+struct CommSlowScratch
+{
+    struct Cell
+    {
+        Rank src, dst;
+        double ratio;
+    };
+    std::vector<double> cells;
+    std::vector<Cell> outliers;
+    std::vector<int> rowPresent, rowOut, colPresent, colOut;
+};
+
 /**
  * Localize communication slowness from a delay matrix (paper Fig. 7).
  */
 CommSlowFinding analyzeCommSlow(const DelayMatrix &matrix,
                                 const AnalyzerConfig &cfg = {});
+
+/** analyzeCommSlow() allocating nothing once @p scratch has grown. */
+CommSlowFinding analyzeCommSlow(const DelayMatrix &matrix,
+                                const AnalyzerConfig &cfg,
+                                CommSlowScratch &scratch);
 
 struct NonCommSlowFinding
 {
@@ -149,6 +185,41 @@ NonCommSlowFinding
 analyzeNonCommSlow(int nranks,
                    const std::vector<accl::RankWaitRecord> &waits,
                    const AnalyzerConfig &cfg = {});
+
+/**
+ * analyzeNonCommSlow() as a scan: reset(), add() the window's records
+ * oldest first, then judge(). The buffers survive reset(), so a scan
+ * kept by a long-lived caller allocates nothing in steady state.
+ *
+ * The per-operation minimum is taken over runs of equal-seq records
+ * (one run per op in a communicator's window); runs are merged by seq
+ * before judging, so any record order gives what a per-seq map would.
+ */
+class WaitScan
+{
+  public:
+    void reset(int nranks);
+    void add(const accl::RankWaitRecord &w);
+    NonCommSlowFinding judge(const AnalyzerConfig &cfg);
+
+  private:
+    /** Minimum-wait record of one run of equal-seq records. */
+    struct OpMin
+    {
+        accl::CollSeq seq = 0;
+        std::size_t run = 0; ///< window order, for the merge
+        Rank rank = kInvalidId;
+        Duration wait = 0;
+    };
+
+    int nranks_ = 0;
+    bool any_ = false; ///< any record at all (even out of range)
+    std::vector<double> sum_;
+    std::vector<int> count_;
+    std::vector<OpMin> runs_;
+    std::vector<double> means_;
+    std::vector<double> sorted_;
+};
 
 /** Hang classification of one communicator's current operation. */
 enum class HangKind {

@@ -48,13 +48,13 @@ C4dMaster::C4dMaster(Simulator &sim, C4dConfig cfg)
 void
 C4dMaster::registerComm(const accl::CommRecord &rec)
 {
-    CommHealth health;
+    CommHealth health(cfg_.connWindow, cfg_.waitWindow);
     health.job = rec.job;
     health.nranks = rec.nranks;
     health.rankNodes = rec.rankNodes;
     health.heartbeats.assign(static_cast<std::size_t>(rec.nranks),
                              kTimeNever);
-    comms_[rec.comm] = std::move(health);
+    comms_.insert_or_assign(rec.comm, std::move(health));
 }
 
 void
@@ -68,12 +68,8 @@ C4dMaster::ingest(const std::vector<accl::ConnRecord> &records)
 {
     for (const auto &r : records) {
         auto it = comms_.find(r.comm);
-        if (it == comms_.end())
-            continue;
-        auto &q = it->second.conns;
-        if (q.size() >= cfg_.connWindow)
-            q.pop_front();
-        q.push_back(r);
+        if (it != comms_.end())
+            it->second.conns.push(r);
     }
 }
 
@@ -82,24 +78,20 @@ C4dMaster::ingest(const std::vector<accl::RankWaitRecord> &records)
 {
     for (const auto &r : records) {
         auto it = comms_.find(r.comm);
-        if (it == comms_.end())
-            continue;
-        auto &q = it->second.waits;
-        if (q.size() >= cfg_.waitWindow)
-            q.pop_front();
-        q.push_back(r);
+        if (it != comms_.end())
+            it->second.waits.push(r);
     }
 }
 
 void
 C4dMaster::updateProgress(CommId comm, const accl::OpProgress &op,
-                          std::vector<Time> heartbeats)
+                          std::span<const Time> heartbeats)
 {
     auto it = comms_.find(comm);
     if (it == comms_.end())
         return;
     it->second.progress = op;
-    it->second.heartbeats = std::move(heartbeats);
+    it->second.heartbeats.assign(heartbeats.begin(), heartbeats.end());
 }
 
 void
@@ -192,12 +184,11 @@ C4dMaster::evaluateComm(CommId comm, CommHealth &health)
 
     // 2. Communication slow (delay-matrix localization, Fig. 7).
     if (!health.conns.empty()) {
-        std::vector<accl::ConnRecord> window(health.conns.begin(),
-                                             health.conns.end());
-        const DelayMatrix matrix =
-            DelayMatrix::build(health.nranks, window);
+        matrix_.reset(health.nranks);
+        for (const accl::ConnRecord &r : health.conns)
+            matrix_.add(r);
         const CommSlowFinding slow =
-            analyzeCommSlow(matrix, cfg_.analyzer);
+            analyzeCommSlow(matrix_, cfg_.analyzer, commSlowScratch_);
         if (slow.found() && cooldownOk(health, C4dEventKind::CommSlow)) {
             C4dEvent ev;
             ev.kind = C4dEventKind::CommSlow;
@@ -221,10 +212,11 @@ C4dMaster::evaluateComm(CommId comm, CommHealth &health)
 
     // 3. Non-communication slow (receiver wait chain).
     if (!health.waits.empty()) {
-        std::vector<accl::RankWaitRecord> window(health.waits.begin(),
-                                                 health.waits.end());
+        waitScan_.reset(health.nranks);
+        for (const accl::RankWaitRecord &w : health.waits)
+            waitScan_.add(w);
         const NonCommSlowFinding straggler =
-            analyzeNonCommSlow(health.nranks, window, cfg_.analyzer);
+            waitScan_.judge(cfg_.analyzer);
         if (straggler.found &&
             cooldownOk(health, C4dEventKind::NonCommSlow)) {
             C4dEvent ev;

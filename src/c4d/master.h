@@ -10,14 +10,15 @@
 #ifndef C4_C4D_MASTER_H
 #define C4_C4D_MASTER_H
 
-#include <deque>
 #include <functional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "accl/monitor.h"
 #include "c4d/analyzer.h"
+#include "common/ring.h"
 #include "common/types.h"
 #include "sim/simulator.h"
 
@@ -91,7 +92,7 @@ class C4dMaster
 
     /** Latest operation progress + per-rank heartbeats for a comm. */
     void updateProgress(CommId comm, const accl::OpProgress &op,
-                        std::vector<Time> heartbeats);
+                        std::span<const Time> heartbeats);
     /** @} */
 
     /** Begin periodic evaluation. */
@@ -112,11 +113,16 @@ class C4dMaster
   private:
     struct CommHealth
     {
+        CommHealth(std::size_t connWindow, std::size_t waitWindow)
+            : conns(connWindow), waits(waitWindow)
+        {
+        }
+
         JobId job = kInvalidId;
         int nranks = 0;
         std::vector<NodeId> rankNodes;
-        std::deque<accl::ConnRecord> conns;
-        std::deque<accl::RankWaitRecord> waits;
+        RingWindow<accl::ConnRecord> conns;
+        RingWindow<accl::RankWaitRecord> waits;
         accl::OpProgress progress;
         std::vector<Time> heartbeats;
         bool flaggedFatal = false;
@@ -131,6 +137,11 @@ class C4dMaster
     std::uint64_t evaluations_ = 0;
     std::uint64_t emitted_ = 0;
     std::vector<C4dEvent> eventLog_;
+
+    // Analysis scratch, reused by every evaluation.
+    DelayMatrix matrix_{1};
+    CommSlowScratch commSlowScratch_;
+    WaitScan waitScan_;
 
     void evaluateComm(CommId comm, CommHealth &health);
     bool cooldownOk(CommHealth &health, C4dEventKind kind);

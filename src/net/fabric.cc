@@ -69,18 +69,21 @@ Fabric::sortById(std::vector<std::uint32_t> &slots) const
               });
 }
 
-FlowId
-Fabric::admit(FlowState state)
+std::uint32_t
+Fabric::acquireSlot()
 {
-    std::uint32_t slot;
     if (freeSlots_.empty()) {
-        slot = static_cast<std::uint32_t>(slots_.size());
-        slots_.push_back(std::move(state));
-    } else {
-        slot = freeSlots_.back();
-        freeSlots_.pop_back();
-        slots_[slot] = std::move(state);
+        slots_.emplace_back();
+        return static_cast<std::uint32_t>(slots_.size() - 1);
     }
+    const std::uint32_t slot = freeSlots_.back();
+    freeSlots_.pop_back();
+    return slot;
+}
+
+FlowId
+Fabric::admit(std::uint32_t slot)
+{
     FlowState &flow = slots_[slot];
     flow.id = nextFlowId_++;
     flow.startTime = sim_.now();
@@ -132,7 +135,11 @@ Fabric::release(std::uint32_t slot)
         });
         indexDead_ = 0;
     }
+    // Reset the slot but keep the route's link buffer for the next flow.
+    std::vector<LinkId> links = std::move(flow.route.links);
+    links.clear();
     flow = FlowState{};
+    flow.route.links = std::move(links);
     freeSlots_.push_back(slot);
     --live_;
 }
@@ -141,10 +148,11 @@ FlowId
 Fabric::startFlow(const PathRequest &req, Bytes bytes, FlowCallback done)
 {
     assert(bytes > 0);
-    FlowState st;
+    const std::uint32_t slot = acquireSlot();
+    FlowState &st = slots_[slot];
     st.req = req;
     st.hasReq = true;
-    st.route = selector_.select(req);
+    selector_.select(req, st.route);
     st.remaining = static_cast<double>(bytes);
     st.total = bytes;
     st.done = std::move(done);
@@ -152,19 +160,20 @@ Fabric::startFlow(const PathRequest &req, Bytes bytes, FlowCallback done)
         logDebug("fabric", "flow admitted stalled (no healthy path) "
                  "src=n%d dst=n%d", req.srcNode, req.dstNode);
     }
-    return admit(std::move(st));
+    return admit(slot);
 }
 
 FlowId
 Fabric::startFlowOnRoute(Route route, Bytes bytes, FlowCallback done)
 {
     assert(bytes > 0);
-    FlowState st;
+    const std::uint32_t slot = acquireSlot();
+    FlowState &st = slots_[slot];
     st.route = std::move(route);
     st.remaining = static_cast<double>(bytes);
     st.total = bytes;
     st.done = std::move(done);
-    return admit(std::move(st));
+    return admit(slot);
 }
 
 bool
@@ -172,8 +181,15 @@ Fabric::abortFlow(FlowId id)
 {
     flush();
     const std::uint32_t slot = slotOf(id);
-    if (slot == kNoSlot)
+    if (slot == kNoSlot) {
+        // Already released by a completion whose callback is still
+        // queued (an earlier callback of the batch aborted it): drop it.
+        for (auto &[end, callback] : scratchDone_) {
+            if (end.id == id)
+                callback = nullptr;
+        }
         return false;
+    }
     release(slot);
     markDirty();
     return true;

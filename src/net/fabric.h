@@ -163,7 +163,9 @@ class Fabric
     FlowId startFlowOnRoute(Route route, Bytes bytes, FlowCallback done);
 
     /**
-     * Abort a flow; its callback is not invoked.
+     * Abort a flow; its callback is not invoked — also when the flow
+     * completed in the batch whose callbacks are being delivered and its
+     * own callback has not run yet.
      * @return true if the flow was active (false for a finished,
      *         aborted or never-assigned id).
      */
@@ -342,7 +344,13 @@ class Fabric
     std::uint64_t recomputeOps_ = 0;
     std::uint64_t lastRecomputeOps_ = 0;
 
-    FlowId admit(FlowState state);
+    /** A free slot (recycled or appended). A recycled slot is reset
+     * but keeps its route's link capacity, so steady flow churn does
+     * not allocate routes. */
+    std::uint32_t acquireSlot();
+    /** Admit the flow filled into @p slot (request, route, bytes,
+     * callback): assign its id and link it into every structure. */
+    FlowId admit(std::uint32_t slot);
 
     /** Slot of active flow @p id, or kNoSlot. */
     std::uint32_t slotOf(FlowId id) const;

@@ -49,10 +49,21 @@ PathSelector::candidateSpines(int txLeaf, int rxLeaf) const
 Route
 PathSelector::select(const PathRequest &req, std::uint32_t salt) const
 {
+    Route route;
+    select(req, route, salt);
+    return route;
+}
+
+void
+PathSelector::select(const PathRequest &req, Route &route,
+                     std::uint32_t salt) const
+{
     assert(req.srcNode != req.dstNode &&
            "intra-node traffic rides NVLink, not the fabric");
 
-    Route route;
+    route.links.clear();
+    route.spine = kInvalidId;
+    route.rxPlane = Plane::Left;
 
     const int src_seg = topo_.segmentOf(req.srcNode);
     const int dst_seg = topo_.segmentOf(req.dstNode);
@@ -70,47 +81,59 @@ PathSelector::select(const PathRequest &req, std::uint32_t salt) const
     const LinkId host_up =
         topo_.hostUplink(req.srcNode, req.srcNic, req.txPlane);
     if (!topo_.link(host_up).up)
-        return route; // source port dead: unroutable on this plane
+        return; // source port dead: unroutable on this plane
 
     // Same segment and same plane: turn around at the shared leaf.
     if (src_seg == dst_seg && rx_plane == req.txPlane) {
         const LinkId host_down =
             topo_.hostDownlink(req.dstNode, req.dstNic, rx_plane);
         if (!topo_.link(host_down).up)
-            return route;
-        route.links = {host_up, host_down};
+            return;
+        route.links.push_back(host_up);
+        route.links.push_back(host_down);
         route.rxPlane = rx_plane;
-        return route;
+        return;
     }
 
     // Cross-segment (or cross-plane) traffic transits a spine.
     const int rx_leaf = topo_.leafIndex(dst_seg, rx_plane);
+    auto healthy = [&](int s) {
+        return topo_.link(topo_.trunkUplink(tx_leaf, s)).up &&
+               topo_.link(topo_.trunkDownlink(s, rx_leaf)).up;
+    };
 
     int spine = kInvalidId;
     if (req.spine != kInvalidId) {
         // Pinned by C4P; honour it only if still healthy.
-        if (topo_.link(topo_.trunkUplink(tx_leaf, req.spine)).up &&
-            topo_.link(topo_.trunkDownlink(req.spine, rx_leaf)).up) {
+        if (healthy(req.spine))
             spine = req.spine;
-        }
     }
     if (spine == kInvalidId) {
-        const auto healthy = topo_.healthySpines(tx_leaf, rx_leaf);
-        if (healthy.empty())
-            return route;
-        spine = healthy[ecmpHash(req, salt) % healthy.size()];
+        // ECMP: the hash picks among the healthy spines in index order
+        // (Topology::healthySpines without building the list).
+        std::uint32_t count = 0;
+        for (int s = 0; s < topo_.numSpines(); ++s)
+            count += healthy(s) ? 1u : 0u;
+        if (count == 0)
+            return;
+        std::uint32_t pick = ecmpHash(req, salt) % count;
+        for (int s = 0; spine == kInvalidId; ++s) {
+            if (healthy(s) && pick-- == 0)
+                spine = s;
+        }
     }
 
     const LinkId host_down =
         topo_.hostDownlink(req.dstNode, req.dstNic, rx_plane);
     if (!topo_.link(host_down).up)
-        return route;
+        return;
 
-    route.links = {host_up, topo_.trunkUplink(tx_leaf, spine),
-                   topo_.trunkDownlink(spine, rx_leaf), host_down};
+    route.links.push_back(host_up);
+    route.links.push_back(topo_.trunkUplink(tx_leaf, spine));
+    route.links.push_back(topo_.trunkDownlink(spine, rx_leaf));
+    route.links.push_back(host_down);
     route.spine = spine;
     route.rxPlane = rx_plane;
-    return route;
 }
 
 } // namespace c4::net

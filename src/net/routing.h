@@ -97,6 +97,14 @@ class PathSelector
     Route select(const PathRequest &req, std::uint32_t salt = 0) const;
 
     /**
+     * select() into a caller-owned route (reusing its link capacity), so
+     * resolving a request allocates nothing once @p out has held a
+     * route. Every field of @p out is overwritten.
+     */
+    void select(const PathRequest &req, Route &out,
+                std::uint32_t salt = 0) const;
+
+    /**
      * Enumerate the distinct spine choices currently healthy for a
      * (txLeaf, rxLeaf) pair. Used by the C4P path prober.
      */

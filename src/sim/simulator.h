@@ -13,8 +13,8 @@
  *  - Callbacks live in a free-list slab of fixed slots, grown in
  *    never-moved chunks. Each slot has an inline small-buffer
  *    (kInlineCallbackBytes) sized for the codebase's capture patterns
- *    (`[this]`, `[this, id, epoch]`, a std::function plus bookkeeping
- *    pointers); only oversized captures fall back to one heap
+ *    (`[this]`, `[this, id, epoch]`, a std::function plus a few
+ *    words); only oversized captures fall back to one heap
  *    allocation.
  *  - An EventId encodes {slot index, generation}; cancel() and
  *    pending() are O(1) array probes, no hash map. The generation
@@ -81,7 +81,8 @@ class Simulator
 
     /** Inline callback storage per event slot; larger captures take one
      * heap allocation. 80 bytes covers every capture pattern in the
-     * tree, including accl's {this, weak_ptr, shared_ptr, function}. */
+     * tree; the hot ones are far smaller (accl's `[this, channel,
+     * node]`, the fabric's `[this]`, a train job's `[this, epoch]`). */
     static constexpr std::size_t kInlineCallbackBytes = 80;
 
     Simulator() = default;

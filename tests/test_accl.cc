@@ -7,9 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "accl/accl.h"
 #include "net/fabric.h"
+#include "perf/perf.h"
 #include "testutil/testutil.h"
+#include "trace/trace.h"
 
 namespace c4::accl {
 namespace {
@@ -337,6 +342,135 @@ TEST(Accl, PolicyRebalanceWeightsRespected)
     }
     EXPECT_EQ(qp1_msgs, 4);
     EXPECT_EQ(qp0_msgs, 2 * 2 * 8);
+}
+
+TEST(Accl, SteadyCollectivesDoNotAllocate)
+{
+    // Ring allreduces on a fixed 4-node communicator, each followed by a
+    // drain of the monitor into reused vectors (what a C4 agent does):
+    // once a warm-up has grown the Exec, connection cache, monitor,
+    // fabric and kernel buffers, a collective allocates nothing.
+    Harness h(4);
+    const CommId comm = h.fullComm(4);
+    int done = 0;
+    std::vector<ConnRecord> conns;
+    std::vector<CollRecord> colls;
+    std::vector<RankWaitRecord> waits;
+    auto one = [&] {
+        h.lib.postCollective(comm, CollOp::AllReduce, mib(64),
+                             [&done](const CollectiveResult &) { ++done; });
+        h.sim.run();
+        h.lib.monitor().drainConn(conns);
+        h.lib.monitor().drainColl(colls);
+        h.lib.monitor().drainRankWait(waits);
+    };
+    for (int i = 0; i < 8; ++i)
+        one();
+    const std::uint64_t before = perf::allocStatsNow().count;
+    for (int i = 0; i < 32; ++i)
+        one();
+    const std::uint64_t allocs = perf::allocStatsNow().count - before;
+    EXPECT_EQ(done, 40);
+    EXPECT_FALSE(conns.empty());
+    EXPECT_EQ(allocs, 0u);
+}
+
+/**
+ * Two jobs' communicators over the same four nodes, both mid-allreduce
+ * on a noisy fabric, recording every fabric recompute.
+ */
+struct TeardownRun
+{
+    // Declared first: the harness still records while it tears down.
+    trace::TraceRecorder recorder{
+        trace::kindBit(trace::EventKind::RecomputeBegin) |
+        trace::kindBit(trace::EventKind::RecomputeEnd)};
+    Harness h{testutil::flatConfig(4), net::FabricConfig{}};
+    CommId victim = kInvalidId;
+    CommId other = kInvalidId;
+
+    TeardownRun()
+    {
+        h.sim.setTracer(trace::TraceScope(&recorder));
+        victim = h.fullComm(4, 1);
+        other = h.fullComm(4, 2);
+        for (CommId c : {victim, other})
+            h.lib.postCollective(c, CollOp::AllReduce, gib(4), nullptr);
+        h.sim.run(milliseconds(3));
+    }
+
+    std::vector<FlowId>
+    liveFlows() const
+    {
+        std::vector<FlowId> ids;
+        for (FlowId id = 0;
+             id <= static_cast<FlowId>(h.fabric.totalFlowsStarted()) + 1;
+             ++id) {
+            if (h.fabric.flowRoute(id) != nullptr)
+                ids.push_back(id);
+        }
+        return ids;
+    }
+};
+
+TEST(Accl, TeardownAbortsLiveFlowsInAscendingIdOrder)
+{
+    // Each abortFlow flushes a recompute, so the order a destroyed
+    // communicator aborts its flows in reaches the recompute trace and,
+    // through the CNP-noise draws, the survivors' rates. It must be
+    // ascending FlowId order, not hash-container order.
+    TeardownRun destroyed;
+    const std::vector<FlowId> all = destroyed.liveFlows();
+    destroyed.h.lib.destroyCommunicator(destroyed.victim);
+    const std::vector<FlowId> survivors = destroyed.liveFlows();
+    std::vector<FlowId> victims;
+    std::set_difference(all.begin(), all.end(), survivors.begin(),
+                        survivors.end(), std::back_inserter(victims));
+    ASSERT_GE(victims.size(), 4u);
+    ASSERT_FALSE(survivors.empty());
+
+    TeardownRun byHand;
+    ASSERT_EQ(byHand.liveFlows(), all);
+    for (FlowId id : victims)
+        EXPECT_TRUE(byHand.h.fabric.abortFlow(id));
+
+    for (FlowId id : survivors) {
+        EXPECT_EQ(destroyed.h.fabric.flowRate(id),
+                  byHand.h.fabric.flowRate(id))
+            << "flow " << id;
+    }
+    for (NodeId n = 0; n < 4; ++n) {
+        for (NicId nic = 0; nic < destroyed.h.topo.nicsPerNode(); ++nic) {
+            EXPECT_EQ(destroyed.h.fabric.nicCnpRate(n, nic),
+                      byHand.h.fabric.nicCnpRate(n, nic));
+        }
+    }
+    EXPECT_GT(destroyed.recorder.size(), 0u);
+    EXPECT_EQ(destroyed.recorder.events(), byHand.recorder.events());
+}
+
+TEST(Accl, DestroyFromAnotherCommsCallbackInTheSameBatch)
+{
+    // Two communicators on the same node pair finish their rounds at the
+    // same instant, so their last flows complete in one fabric batch.
+    // The first callback destroys the other communicator: its pending
+    // callbacks in the batch must not run against the destroyed Exec.
+    Harness h(2);
+    const CommId a = h.fullComm({0, 1}, 1);
+    const CommId b = h.fullComm({0, 1}, 2);
+    int finished = 0;
+    h.lib.postCollective(a, CollOp::AllReduce, mib(64),
+                         [&](const CollectiveResult &) {
+                             ++finished;
+                             h.lib.destroyCommunicator(b);
+                         });
+    h.lib.postCollective(b, CollOp::AllReduce, mib(64),
+                         [&](const CollectiveResult &) { ++finished; });
+    h.sim.run();
+    EXPECT_EQ(finished, 1);
+    EXPECT_FALSE(h.lib.hasCommunicator(b));
+    EXPECT_EQ(h.fabric.activeFlowCount(), 0u);
+    EXPECT_EQ(h.sim.pendingCount(), 0u);
 }
 
 } // namespace

@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
+#include <random>
 
 #include "c4d/analyzer.h"
 
@@ -213,6 +215,156 @@ TEST(AnalyzeNonCommSlow, NeedsFullCoverage)
                                  }),
                   records.end());
     EXPECT_FALSE(analyzeNonCommSlow(8, records).found);
+}
+
+/**
+ * The straggler analysis as it was written before the scan: a per-call
+ * std::map from seq to that op's first minimum-wait record. Kept as the
+ * reference the allocation-free WaitScan must agree with exactly.
+ */
+NonCommSlowFinding
+referenceNonCommSlow(int nranks, const std::vector<RankWaitRecord> &waits,
+                     const AnalyzerConfig &cfg)
+{
+    NonCommSlowFinding finding;
+    if (nranks < 2 || waits.empty())
+        return finding;
+    std::vector<double> sum(static_cast<std::size_t>(nranks), 0.0);
+    std::vector<int> count(static_cast<std::size_t>(nranks), 0);
+    std::map<accl::CollSeq, std::pair<Rank, Duration>> op_min;
+    for (const auto &w : waits) {
+        if (w.rank >= 0 && w.rank < nranks) {
+            sum[static_cast<std::size_t>(w.rank)] +=
+                static_cast<double>(w.recvWait);
+            ++count[static_cast<std::size_t>(w.rank)];
+            auto it = op_min.find(w.seq);
+            if (it == op_min.end() || w.recvWait < it->second.second)
+                op_min[w.seq] = {w.rank, w.recvWait};
+        }
+    }
+    std::vector<double> means;
+    for (int r = 0; r < nranks; ++r) {
+        const auto ri = static_cast<std::size_t>(r);
+        if (count[ri] == 0)
+            return finding;
+        means.push_back(sum[ri] / count[ri]);
+    }
+    std::vector<double> sorted = means;
+    std::sort(sorted.begin(), sorted.end());
+    const double median = sorted[sorted.size() / 2];
+    if (median < static_cast<double>(cfg.minWaitForSlow))
+        return finding;
+    const auto min_it = std::min_element(means.begin(), means.end());
+    const double straggler_wait = *min_it;
+    if (straggler_wait * cfg.waitRatio > median)
+        return finding;
+    const auto candidate =
+        static_cast<Rank>(std::distance(means.begin(), min_it));
+    if (!op_min.empty()) {
+        int hits = 0;
+        for (const auto &[seq, entry] : op_min)
+            hits += entry.first == candidate ? 1 : 0;
+        if (static_cast<double>(hits) /
+                static_cast<double>(op_min.size()) <
+            cfg.stragglerConsistency)
+            return finding;
+    }
+    finding.found = true;
+    finding.rank = candidate;
+    finding.medianWait = static_cast<Duration>(median);
+    finding.stragglerWait = static_cast<Duration>(straggler_wait);
+    return finding;
+}
+
+/**
+ * A communicator's wait window: ops with ascending (gapped) seqs, one
+ * record per rank in rank order with some ranks missing, waits from a
+ * coarse grid (so ties are common) with a usual straggler, an
+ * occasional out-of-range rank, and the front cut at a random record as
+ * the master's bounded window does.
+ */
+std::vector<RankWaitRecord>
+randomWindow(std::mt19937_64 &rng, int nranks)
+{
+    auto uniform = [&rng](int lo, int hi) {
+        return std::uniform_int_distribution<int>(lo, hi)(rng);
+    };
+    const int ops = uniform(1, 24);
+    const Rank straggler = static_cast<Rank>(uniform(0, nranks - 1));
+    std::vector<RankWaitRecord> out;
+    accl::CollSeq seq = static_cast<accl::CollSeq>(uniform(1, 5));
+    for (int op = 0; op < ops; ++op) {
+        seq += static_cast<accl::CollSeq>(uniform(1, 3));
+        for (Rank r = 0; r < nranks; ++r) {
+            if (uniform(0, 19) == 0)
+                continue; // missing rank
+            RankWaitRecord w;
+            w.comm = 1;
+            w.seq = seq;
+            w.rank = r;
+            const bool lagging = r == straggler && uniform(0, 9) < 8;
+            w.recvWait = lagging ? milliseconds(uniform(0, 1) * 50)
+                                 : milliseconds(uniform(0, 6) * 150);
+            out.push_back(w);
+        }
+        if (uniform(0, 29) == 0) {
+            RankWaitRecord bad;
+            bad.seq = seq;
+            bad.rank = uniform(0, 1) ? -1 : static_cast<Rank>(nranks);
+            out.push_back(bad);
+        }
+    }
+    const auto cut = static_cast<std::ptrdiff_t>(
+        uniform(0, static_cast<int>(out.size()) / 3));
+    out.erase(out.begin(), out.begin() + cut);
+    return out;
+}
+
+void
+expectSameFinding(const NonCommSlowFinding &got,
+                  const NonCommSlowFinding &want)
+{
+    EXPECT_EQ(got.found, want.found);
+    EXPECT_EQ(got.rank, want.rank);
+    EXPECT_EQ(got.medianWait, want.medianWait);
+    EXPECT_EQ(got.stragglerWait, want.stragglerWait);
+}
+
+TEST(AnalyzeNonCommSlow, ScanMatchesMapReferenceOnRandomWindows)
+{
+    AnalyzerConfig cfg;
+    cfg.minWaitForSlow = milliseconds(50);
+    cfg.waitRatio = 3.0;
+    WaitScan reused; // one scan across every window, as the master keeps
+    int found = 0;
+    int windows = 0;
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        std::mt19937_64 rng(seed);
+        for (int i = 0; i < 400; ++i) {
+            const int nranks = std::uniform_int_distribution<int>(1, 9)(rng);
+            std::vector<RankWaitRecord> window = randomWindow(rng, nranks);
+            if (i % 4 == 3) {
+                // Interleaved ops (not produced by one communicator):
+                // runs of one seq merge as a per-seq map would.
+                std::shuffle(window.begin(), window.end(), rng);
+            }
+            SCOPED_TRACE("seed " + std::to_string(seed) + " window " +
+                         std::to_string(i));
+            const NonCommSlowFinding want =
+                referenceNonCommSlow(nranks, window, cfg);
+            expectSameFinding(analyzeNonCommSlow(nranks, window, cfg),
+                              want);
+            reused.reset(nranks);
+            for (const RankWaitRecord &w : window)
+                reused.add(w);
+            expectSameFinding(reused.judge(cfg), want);
+            found += want.found ? 1 : 0;
+            ++windows;
+        }
+    }
+    // Both outcomes are exercised.
+    EXPECT_GT(found, windows / 10);
+    EXPECT_LT(found, windows * 9 / 10);
 }
 
 OpProgress

@@ -13,6 +13,7 @@
 #include "c4d/master.h"
 #include "c4d/steering.h"
 #include "net/fabric.h"
+#include "perf/perf.h"
 #include "testutil/testutil.h"
 #include "train/job.h"
 
@@ -160,6 +161,48 @@ TEST(C4dMaster, CooldownSuppressesDuplicateSlowFindings)
     // Cooldown is 2 minutes: at most 2 findings in a 3-minute window.
     EXPECT_GE(slow_events, 1);
     EXPECT_LE(slow_events, 2);
+}
+
+TEST(C4dMaster, SteadyCollectAndEvaluateDoNotAllocate)
+{
+    // A persistent straggler keeps the whole analysis path busy (delay
+    // matrix, wait scan, consistency merge, cooldown check). After a
+    // warm-up fills the telemetry windows and grows the drain buffers,
+    // a collection pass plus an evaluation allocates nothing.
+    C4dConfig cfg = testutil::fastC4dConfig();
+    cfg.connWindow = 256;
+    cfg.waitWindow = 128;
+    testutil::AcclHarness h(4);
+    C4dMaster master(h.sim, cfg);
+    C4Agent agent(h.sim, h.lib.monitor(), master);
+    const CommId comm = h.fullComm(4);
+    const int n = h.lib.communicator(comm).size();
+
+    auto pass = [&] {
+        std::vector<Duration> delays(static_cast<std::size_t>(n),
+                                     milliseconds(500));
+        delays[5] = milliseconds(900); // everyone waits for rank 5
+        h.lib.postCollective(comm, CollOp::AllReduce, mib(64), nullptr,
+                             std::move(delays));
+        h.sim.run();
+        const std::uint64_t before = perf::allocStatsNow().count;
+        agent.collectOnce();
+        master.evaluate();
+        return perf::allocStatsNow().count - before;
+    };
+    for (int i = 0; i < 16; ++i)
+        pass();
+    ASSERT_EQ(master.eventsEmitted(), 1u);
+    EXPECT_EQ(master.eventLog().front().kind, C4dEventKind::NonCommSlow);
+    ASSERT_EQ(master.eventLog().front().suspectRanks,
+              std::vector<Rank>{5});
+
+    std::uint64_t allocs = 0;
+    for (int i = 0; i < 32; ++i)
+        allocs += pass();
+    EXPECT_EQ(allocs, 0u);
+    EXPECT_EQ(master.evaluations(), 48u);
+    EXPECT_EQ(master.eventsEmitted(), 1u); // cooldown holds the rest
 }
 
 TEST(Steering, IsolatesAndRestartsOnFatalEvent)

@@ -5,12 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
 #include <sstream>
 
 #include "common/csv.h"
 #include "common/log.h"
 #include "common/random.h"
+#include "common/ring.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "common/types.h"
@@ -370,6 +373,68 @@ TEST(Log, LevelNames)
     EXPECT_STREQ(logLevelName(LogLevel::Trace), "TRACE");
     EXPECT_STREQ(logLevelName(LogLevel::Warn), "WARN");
     EXPECT_STREQ(logLevelName(LogLevel::Off), "OFF");
+}
+
+TEST(RingWindow, KeepsTheNewestOldestFirst)
+{
+    RingWindow<int> ring(4);
+    EXPECT_TRUE(ring.empty());
+    for (int i = 0; i < 3; ++i)
+        EXPECT_TRUE(ring.push(i));
+    EXPECT_EQ(std::vector<int>(ring.begin(), ring.end()),
+              (std::vector<int>{0, 1, 2}));
+    EXPECT_TRUE(ring.push(3));
+    EXPECT_FALSE(ring.push(4)); // full: drops 0
+    EXPECT_FALSE(ring.push(5));
+    EXPECT_EQ(ring.size(), 4u);
+    EXPECT_EQ(std::vector<int>(ring.begin(), ring.end()),
+              (std::vector<int>{2, 3, 4, 5}));
+    EXPECT_EQ(ring[0], 2);
+    EXPECT_EQ(ring[3], 5);
+
+    std::vector<int> out{99};
+    ring.drainTo(out);
+    EXPECT_EQ(out, (std::vector<int>{2, 3, 4, 5}));
+    EXPECT_TRUE(ring.empty());
+
+    // Reuse after a wrap: order restarts from the first new push.
+    for (int i = 10; i < 16; ++i)
+        ring.push(i);
+    EXPECT_EQ(std::vector<int>(ring.begin(), ring.end()),
+              (std::vector<int>{12, 13, 14, 15}));
+    ring.clear();
+    ring.push(7);
+    EXPECT_EQ(std::vector<int>(ring.begin(), ring.end()),
+              (std::vector<int>{7}));
+}
+
+TEST(RingWindow, MatchesABoundedDequeAcrossBlocks)
+{
+    // Capacities spanning several (doubling, last one trimmed) blocks,
+    // random pushes and clears: the window always reads as a deque
+    // that drops its front past the capacity.
+    Rng rng(11);
+    for (std::size_t cap : {1u, 127u, 128u, 129u, 1000u, 5000u}) {
+        RingWindow<int> ring(cap);
+        std::deque<int> model;
+        for (int i = 0; i < 20000; ++i) {
+            if (rng.uniformInt(0, 999) == 0) {
+                ring.clear();
+                model.clear();
+            }
+            const bool kept = ring.push(i);
+            model.push_back(i);
+            EXPECT_EQ(kept, model.size() <= cap);
+            if (model.size() > cap)
+                model.pop_front();
+            if (i % 97 == 0) {
+                ASSERT_EQ(ring.size(), model.size());
+                ASSERT_TRUE(std::equal(ring.begin(), ring.end(),
+                                       model.begin(), model.end()))
+                    << "cap " << cap << " step " << i;
+            }
+        }
+    }
 }
 
 } // namespace

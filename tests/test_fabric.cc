@@ -661,6 +661,33 @@ TEST(Fabric, OutOfRangeLinkQueriesAreSafe)
     EXPECT_DOUBLE_EQ(h.fabric.nicCnpRate(0, h.topo.nicsPerNode()), 0.0);
 }
 
+TEST(Fabric, AbortingAFlowWhoseCallbackIsStillQueuedDropsIt)
+{
+    // Two identical flows finish at the same instant, so they complete
+    // in one batch. The first callback aborts the second flow, already
+    // released but not yet called back: its callback must not run (its
+    // owner may be gone), and the abort reports the flow as inactive.
+    Harness h;
+    FlowId second = kInvalidId;
+    int firstCalls = 0;
+    int secondCalls = 0;
+    bool abortResult = true;
+    const FlowId first = h.fabric.startFlow(
+        h.request(0, 4, 1, 0), mib(8), [&](const FlowEnd &) {
+            ++firstCalls;
+            abortResult = h.fabric.abortFlow(second);
+        });
+    second = h.fabric.startFlow(h.request(1, 5, 1, 1), mib(8),
+                                [&](const FlowEnd &) { ++secondCalls; });
+    ASSERT_LT(first, second);
+    h.sim.run();
+    EXPECT_EQ(firstCalls, 1);
+    EXPECT_EQ(secondCalls, 0);
+    EXPECT_FALSE(abortResult);
+    EXPECT_EQ(h.fabric.totalFlowsCompleted(), 2u);
+    EXPECT_EQ(h.fabric.activeFlowCount(), 0u);
+}
+
 TEST(Fabric, StaleFlowIdsAreInert)
 {
     Harness h;

@@ -44,11 +44,24 @@ TEST(Monitor, DisabledDropsEverything)
 {
     AcclMonitor mon(false);
     mon.record(makeConn(1, 0, 1, mib(1), milliseconds(1)));
-    mon.heartbeat(1, 0, seconds(5));
+    mon.record(CommRecord{});
+    mon.record(CollRecord{});
+    mon.record(RankWaitRecord{});
+    for (Rank r = 0; r < 8; ++r)
+        mon.heartbeat(1, r, seconds(5));
     mon.opPosted(1, 1, CollOp::AllReduce, mib(1), seconds(1));
     EXPECT_TRUE(mon.drainConn().empty());
-    EXPECT_EQ(mon.lastHeartbeat(1, 0), kTimeNever);
+    EXPECT_TRUE(mon.drainComm().empty());
+    EXPECT_TRUE(mon.drainRankWait().empty());
+    std::vector<CollRecord> colls{CollRecord{}};
+    mon.drainColl(colls);
+    EXPECT_TRUE(colls.empty());
+    for (Rank r = 0; r < 8; ++r)
+        EXPECT_EQ(mon.lastHeartbeat(1, r), kTimeNever);
     EXPECT_EQ(mon.currentOp(1), nullptr);
+    EXPECT_EQ(mon.totalCollRecords(), 0u);
+    EXPECT_EQ(mon.totalConnRecords(), 0u);
+    EXPECT_EQ(mon.droppedRecords(), 0u);
 }
 
 TEST(Monitor, CapacityBoundsRetention)
@@ -108,10 +121,73 @@ TEST(Monitor, CommClosedClearsState)
     mon.opPosted(7, 1, CollOp::AllReduce, mib(1), seconds(1));
     mon.heartbeat(7, 0, seconds(1));
     mon.heartbeat(8, 0, seconds(1));
+    mon.heartbeat(7, 1, seconds(2));
     mon.commClosed(7);
     EXPECT_EQ(mon.currentOp(7), nullptr);
     EXPECT_EQ(mon.lastHeartbeat(7, 0), kTimeNever);
+    EXPECT_EQ(mon.lastHeartbeat(7, 1), kTimeNever);
     EXPECT_EQ(mon.lastHeartbeat(8, 0), seconds(1)); // untouched
+    // A comm beating again after closing starts from scratch.
+    mon.heartbeat(7, 0, seconds(3));
+    EXPECT_EQ(mon.lastHeartbeat(7, 0), seconds(3));
+    EXPECT_EQ(mon.lastHeartbeat(7, 1), kTimeNever);
+    mon.commClosed(42); // never seen: harmless
+    EXPECT_EQ(mon.lastHeartbeat(7, 0), seconds(3));
+}
+
+TEST(Monitor, HeartbeatQueriesOutsideTheDenseRangeAreNever)
+{
+    AcclMonitor mon;
+    for (Rank r = 0; r < 4; ++r)
+        mon.heartbeat(3, r, seconds(1 + r));
+    EXPECT_EQ(mon.lastHeartbeat(3, 3), seconds(4));
+    EXPECT_EQ(mon.lastHeartbeat(3, 4), kTimeNever);   // past the size
+    EXPECT_EQ(mon.lastHeartbeat(3, 1000), kTimeNever);
+    EXPECT_EQ(mon.lastHeartbeat(3, -1), kTimeNever);
+    EXPECT_EQ(mon.lastHeartbeat(99, 0), kTimeNever);  // unknown comm
+
+    // A gap in the ranks reads as never, not as a neighbour's beat.
+    mon.heartbeat(3, 9, seconds(9));
+    EXPECT_EQ(mon.lastHeartbeat(3, 6), kTimeNever);
+    EXPECT_EQ(mon.lastHeartbeat(3, 9), seconds(9));
+
+    mon.heartbeat(3, -1, seconds(10)); // ignored
+    EXPECT_EQ(mon.lastHeartbeat(3, -1), kTimeNever);
+}
+
+TEST(Monitor, HighRanksDoNotCollideAcrossComms)
+{
+    // Heartbeats once shared one map keyed comm << 20 | rank, so rank
+    // 2^20 of comm 1 aliased rank 0 of comm 2, and closing comm 2 erased
+    // it. Per-comm storage keeps them apart.
+    AcclMonitor mon;
+    const Rank high = 1 << 20;
+    mon.heartbeat(1, high, seconds(1));
+    EXPECT_EQ(mon.lastHeartbeat(2, 0), kTimeNever);
+    mon.heartbeat(2, 0, seconds(2));
+    EXPECT_EQ(mon.lastHeartbeat(1, high), seconds(1));
+    mon.commClosed(2);
+    EXPECT_EQ(mon.lastHeartbeat(1, high), seconds(1));
+    EXPECT_EQ(mon.lastHeartbeat(2, 0), kTimeNever);
+}
+
+TEST(Monitor, DrainIntoReusedVectorKeepsOrderAndCapacity)
+{
+    AcclMonitor mon(true, 4);
+    std::vector<ConnRecord> out;
+    for (int round = 0; round < 3; ++round) {
+        for (int i = 0; i < 6; ++i)
+            mon.record(makeConn(1, 0, 1, mib(1), milliseconds(i + 1)));
+        mon.drainConn(out);
+        // The four newest survive, oldest first.
+        ASSERT_EQ(out.size(), 4u);
+        for (int i = 0; i < 4; ++i)
+            EXPECT_EQ(out[static_cast<std::size_t>(i)].duration(),
+                      milliseconds(i + 3));
+        mon.drainConn(out);
+        EXPECT_TRUE(out.empty()); // draining consumes
+    }
+    EXPECT_EQ(mon.droppedRecords(), 6u);
 }
 
 TEST(Monitor, CsvDumpsParse)

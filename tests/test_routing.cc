@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <random>
 #include <set>
 
 #include "net/routing.h"
@@ -189,6 +190,107 @@ TEST(PathSelector, CandidateSpinesMatchesTopology)
     EXPECT_EQ(sel.candidateSpines(tx, rx).size(), 8u);
     topo.setLinkUp(topo.trunkDownlink(1, rx), false);
     EXPECT_EQ(sel.candidateSpines(tx, rx).size(), 7u);
+}
+
+/**
+ * Path selection as written before select() learned to fill a reused
+ * route: it built the healthy-spine list and indexed it with the hash.
+ * Kept as the reference for the allocation-free version.
+ */
+Route
+referenceSelect(const Topology &topo, const PathRequest &req,
+                std::uint32_t salt)
+{
+    Route route;
+    const int src_seg = topo.segmentOf(req.srcNode);
+    const int dst_seg = topo.segmentOf(req.dstNode);
+    const int tx_leaf = topo.leafIndex(src_seg, req.txPlane);
+    const Plane rx_plane =
+        req.rxPlane != kInvalidId
+            ? planeFromIndex(static_cast<int>(req.rxPlane))
+            : planeFromIndex(
+                  static_cast<int>(ecmpHash(req, salt ^ 0xA5A5A5A5u) % 2));
+    const LinkId host_up =
+        topo.hostUplink(req.srcNode, req.srcNic, req.txPlane);
+    if (!topo.link(host_up).up)
+        return route;
+    if (src_seg == dst_seg && rx_plane == req.txPlane) {
+        const LinkId host_down =
+            topo.hostDownlink(req.dstNode, req.dstNic, rx_plane);
+        if (!topo.link(host_down).up)
+            return route;
+        route.links = {host_up, host_down};
+        route.rxPlane = rx_plane;
+        return route;
+    }
+    const int rx_leaf = topo.leafIndex(dst_seg, rx_plane);
+    int spine = kInvalidId;
+    if (req.spine != kInvalidId &&
+        topo.link(topo.trunkUplink(tx_leaf, req.spine)).up &&
+        topo.link(topo.trunkDownlink(req.spine, rx_leaf)).up) {
+        spine = req.spine;
+    }
+    if (spine == kInvalidId) {
+        const auto healthy = topo.healthySpines(tx_leaf, rx_leaf);
+        if (healthy.empty())
+            return route;
+        spine = healthy[ecmpHash(req, salt) % healthy.size()];
+    }
+    const LinkId host_down =
+        topo.hostDownlink(req.dstNode, req.dstNic, rx_plane);
+    if (!topo.link(host_down).up)
+        return route;
+    route.links = {host_up, topo.trunkUplink(tx_leaf, spine),
+                   topo.trunkDownlink(spine, rx_leaf), host_down};
+    route.spine = spine;
+    route.rxPlane = rx_plane;
+    return route;
+}
+
+TEST(PathSelector, ReusedRouteMatchesReferenceUnderRandomFailures)
+{
+    // Random requests (pinned and hashed, both planes, salts) over a pod
+    // whose links fail and heal at random; one Route is reused for every
+    // answer, so stale links or fields from the previous answer would
+    // show.
+    Topology topo(podConfig());
+    PathSelector sel(topo);
+    std::mt19937_64 rng(7);
+    auto uniform = [&rng](int lo, int hi) {
+        return std::uniform_int_distribution<int>(lo, hi)(rng);
+    };
+    Route reused;
+    int valid = 0;
+    for (int i = 0; i < 4000; ++i) {
+        if (i % 50 == 0) {
+            for (std::size_t l = 0; l < topo.numLinks(); ++l)
+                topo.setLinkUp(static_cast<LinkId>(l), uniform(0, 9) != 0);
+        }
+        PathRequest req;
+        req.srcNode = uniform(0, topo.numNodes() - 1);
+        do {
+            req.dstNode = uniform(0, topo.numNodes() - 1);
+        } while (req.dstNode == req.srcNode);
+        req.srcNic = uniform(0, topo.nicsPerNode() - 1);
+        req.dstNic = uniform(0, topo.nicsPerNode() - 1);
+        req.txPlane = planeFromIndex(uniform(0, 1));
+        req.spine = uniform(0, 2) == 0 ? uniform(0, topo.numSpines() - 1)
+                                       : kInvalidId;
+        req.rxPlane = uniform(0, 2) == 0 ? uniform(0, 1) : kInvalidId;
+        req.flowLabel = static_cast<std::uint32_t>(rng());
+        const auto salt = static_cast<std::uint32_t>(uniform(0, 3));
+
+        const Route want = referenceSelect(topo, req, salt);
+        sel.select(req, reused, salt);
+        ASSERT_EQ(reused.links, want.links) << "request " << i;
+        ASSERT_EQ(reused.spine, want.spine) << "request " << i;
+        ASSERT_EQ(reused.rxPlane, want.rxPlane) << "request " << i;
+        const Route fresh = sel.select(req, salt);
+        ASSERT_EQ(fresh.links, want.links);
+        valid += want.valid() ? 1 : 0;
+    }
+    EXPECT_GT(valid, 1000);
+    EXPECT_LT(valid, 4000);
 }
 
 } // namespace
