@@ -80,7 +80,7 @@ emitOps(TrialContext &ctx, net::Fabric &fabric)
                static_cast<double>(fabric.recomputeOpsLast()));
 }
 
-/** The micro_core link-toggle loop: down/query/up/query per rep. */
+/** The link-toggle loop: down/query/up/query per rep. */
 void
 runToggleLoop(TrialContext &ctx, const OpsParams &p)
 {

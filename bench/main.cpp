@@ -5,24 +5,14 @@
  * linked alongside this main. `c4bench --list` enumerates them;
  * `c4bench <name> --smoke` is what CTest runs under the bench-smoke
  * label. Spec-file support (--spec / --dump-spec) comes from specio.
- *
- * `c4bench --perf` bypasses the scenario CLI entirely and runs the
- * wall-clock performance harness (see perf/perf.h).
  */
 
-#include <cstring>
-
-#include "perf/perf.h"
 #include "scenario/cli.h"
 #include "specio/specio.h"
 
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--perf") == 0)
-            return c4::perf::perfMain(argc, argv);
-    }
     c4::specio::installSpecCliHooks();
     return c4::scenario::scenarioMain(argc, argv);
 }

@@ -49,7 +49,7 @@ main(int argc, char **argv)
     try {
         file = argc > 1 ? specio::loadSpecFile(argv[1])
                         : specio::parseSpecFile(kEmbeddedSpec);
-    } catch (const specio::SpecError &e) {
+    } catch (const SpecError &e) {
         std::fprintf(stderr, "spec error: %s\n", e.what());
         return 2;
     }

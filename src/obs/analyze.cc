@@ -1,78 +1,17 @@
 #include "obs/analyze.h"
 
-#include <algorithm>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
+#include "common/jsonl_files.h"
 #include "common/table.h"
 
 namespace c4::obs {
 
 namespace {
 
-namespace fs = std::filesystem;
-
-std::string
-readFile(const std::string &path)
-{
-    // An ifstream on a directory opens fine but reads zero bytes,
-    // which would make `diff <dir> <dir>` report "identical: 0
-    // lines" instead of failing.
-    if (!fs::is_regular_file(path))
-        throw std::runtime_error("'" + path +
-                                 "' is not a snapshot file");
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw std::runtime_error("cannot read '" + path + "'");
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-}
-
-std::vector<std::string>
-splitLines(const std::string &text)
-{
-    std::vector<std::string> lines;
-    std::size_t start = 0;
-    while (start < text.size()) {
-        const std::size_t nl = text.find('\n', start);
-        const std::size_t end =
-            nl == std::string::npos ? text.size() : nl;
-        lines.push_back(text.substr(start, end - start));
-        if (nl == std::string::npos)
-            break;
-        start = nl + 1;
-    }
-    return lines;
-}
-
-std::string
-formatTime(Time when)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.9f",
-                  static_cast<double>(when) / 1e9);
-    return buf;
-}
-
-/** Short tag for multi-file listings: the file name sans .jsonl. */
-std::string
-fileTag(const std::string &path)
-{
-    std::string name = fs::path(path).filename().string();
-    const std::string suffix = ".jsonl";
-    if (name.size() > suffix.size() &&
-        name.compare(name.size() - suffix.size(), suffix.size(),
-                     suffix) == 0) {
-        name.resize(name.size() - suffix.size());
-    }
-    return name;
-}
+constexpr JsonlNoun kSnapshotNoun{"snapshot", "snapshot"};
 
 void
 describeSample(const Sample &s, std::ostream &out)
@@ -99,28 +38,7 @@ describeSample(const Sample &s, std::ostream &out)
 std::vector<std::string>
 collectSnapshotFiles(const std::string &path)
 {
-    std::vector<std::string> files;
-    std::error_code ec;
-    if (fs::is_directory(path, ec)) {
-        for (const auto &entry :
-             fs::recursive_directory_iterator(path)) {
-            if (entry.is_regular_file() &&
-                entry.path().extension() == ".jsonl") {
-                files.push_back(entry.path().string());
-            }
-        }
-        std::sort(files.begin(), files.end());
-        if (files.empty()) {
-            throw std::runtime_error(
-                "no *.jsonl snapshot files under '" + path + "'");
-        }
-    } else if (fs::is_regular_file(path, ec)) {
-        files.push_back(path);
-    } else {
-        throw std::runtime_error(
-            "no snapshot file or directory at '" + path + "'");
-    }
-    return files;
+    return collectJsonlFiles(path, kSnapshotNoun);
 }
 
 SnapshotFile
@@ -129,7 +47,8 @@ loadSnapshotFile(const std::string &path)
     SnapshotFile sf;
     sf.path = path;
     try {
-        parseSnapshot(readFile(path), sf.meta, sf.samples);
+        parseSnapshot(readJsonlFile(path, kSnapshotNoun), sf.meta,
+                      sf.samples);
     } catch (const SpecError &e) {
         throw std::runtime_error(path + ": " + e.what());
     }
@@ -213,10 +132,10 @@ printTail(const std::vector<SnapshotFile> &files, int ticks,
             --from;
         }
         if (tagged)
-            out << "== " << fileTag(sf.path) << " ==\n";
+            out << "== " << jsonlFileTag(sf.path) << " ==\n";
         for (std::size_t i = from; i < sf.samples.size(); ++i) {
             const Sample &s = sf.samples[i];
-            out << "t=" << formatTime(s.when) << "s  ";
+            out << "t=" << formatSimSeconds(s.when) << "s  ";
             describeSample(s, out);
             out << "\n";
         }
@@ -227,37 +146,7 @@ int
 diffSnapshots(const std::string &pathA, const std::string &pathB,
               std::ostream &out, int context)
 {
-    const std::vector<std::string> a = splitLines(readFile(pathA));
-    const std::vector<std::string> b = splitLines(readFile(pathB));
-    const std::size_t n = std::min(a.size(), b.size());
-    std::size_t div = n;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (a[i] != b[i]) {
-            div = i;
-            break;
-        }
-    }
-    if (div == n && a.size() == b.size()) {
-        out << "identical: " << a.size() << " snapshot line(s)\n";
-        return 0;
-    }
-
-    out << "snapshots diverge at line " << div + 1 << "\n";
-    const std::size_t from =
-        div > static_cast<std::size_t>(context)
-            ? div - static_cast<std::size_t>(context)
-            : 0;
-    for (std::size_t i = from; i < div; ++i)
-        out << "  " << i + 1 << "   " << a[i] << "\n";
-    if (div < a.size())
-        out << "< " << div + 1 << "   " << a[div] << "\n";
-    else
-        out << "< " << div + 1 << "   <end of " << pathA << ">\n";
-    if (div < b.size())
-        out << "> " << div + 1 << "   " << b[div] << "\n";
-    else
-        out << "> " << div + 1 << "   <end of " << pathB << ">\n";
-    return 1;
+    return diffJsonlFiles(pathA, pathB, kSnapshotNoun, out, context);
 }
 
 } // namespace c4::obs

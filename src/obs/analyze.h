@@ -52,6 +52,7 @@ void printTail(const std::vector<SnapshotFile> &files, int ticks,
  * divergence with @p context preceding lines.
  * @return 0 when identical, 1 when different (the determinism
  *         debugger's exit-code contract, like `c4trace diff`).
+ * @throws std::runtime_error when either path is not a readable file.
  */
 int diffSnapshots(const std::string &pathA, const std::string &pathB,
                   std::ostream &out, int context = 3);

@@ -1,17 +1,18 @@
 /**
  * @file
- * Process-wide allocation counters behind `c4bench --perf`.
+ * Process-wide allocation counters behind perf/perf.h.
  *
  * Replaces the global operator new/delete family with thin malloc/
- * free wrappers that bump two relaxed atomics, so the harness can
- * report an allocation count and byte total per workload next to its
- * wall-clock numbers. malloc-based (not a custom arena) so the
- * sanitizer builds keep their heap instrumentation underneath.
+ * free wrappers that bump two relaxed atomics, so the end-to-end
+ * benchmark can report heap allocations and tests can assert that a
+ * steady-state hot path allocates nothing. malloc-based (not a custom
+ * arena) so the sanitizer builds keep their heap instrumentation
+ * underneath.
  *
  * The counters are monotonic and process-wide; callers measure
- * deltas around the region of interest (see runPerf). The hooks land
- * in every binary that links c4::perf — perf.cc references
- * allocStatsNow(), which pulls this archive member in.
+ * deltas around the region of interest. The hooks land in every
+ * binary that links c4::perf and references allocStatsNow(), which
+ * pulls this archive member in.
  */
 
 #include <atomic>

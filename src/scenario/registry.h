@@ -31,14 +31,6 @@ struct Scenario
     int fullTrials = 1;
     int smokeTrials = 1;
 
-    /**
-     * Force the trial sweep onto a single worker regardless of
-     * --threads. For scenarios whose metrics are wall-clock timings
-     * (micro_core): concurrent trials would measure each other's CPU
-     * contention.
-     */
-    bool serialTrials = false;
-
     /** Base seed when the CLI does not override. */
     std::uint64_t seed = 0xC4C10C4Dull;
 

@@ -279,10 +279,7 @@ ScenarioRunner::run(const Scenario &scenario)
     };
 
     const std::size_t workers =
-        scenario.serialTrials
-            ? 1
-            : std::min<std::size_t>(
-                  static_cast<std::size_t>(opt.threads), items);
+        std::min<std::size_t>(static_cast<std::size_t>(opt.threads), items);
     if (workers <= 1) {
         worker();
     } else {

@@ -39,11 +39,11 @@
  *    clear() from inside the callback skips it) and recycled after,
  *    with no intermediate move of the callable.
  *
- * The external contract — the (when, seq) FIFO tie-break among
- * equal-time events — is identical to the original
- * priority_queue + unordered_map kernel, so every seeded run, golden
- * CSV, and event trace is byte-identical. `c4bench --perf` measures
- * the kernels side by side (see perf/).
+ * The external contract is the (when, seq) FIFO tie-break among
+ * equal-time events, so every seeded run, golden CSV, and event trace
+ * is byte-identical. tests/test_sim.cc checks the kernel against a
+ * naive reference model (SimulatorEquivalence) and pins zero
+ * steady-state allocation (SteadyScheduleFireDoesNotAllocate).
  */
 
 #ifndef C4_SIM_SIMULATOR_H

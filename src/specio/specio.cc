@@ -1143,7 +1143,6 @@ specFromScenario(const Scenario &scenario, const RunOptions &opt)
     file.notes = scenario.notes;
     file.fullTrials = scenario.fullTrials;
     file.smokeTrials = scenario.smokeTrials;
-    file.serialTrials = scenario.serialTrials;
     // The dump captures the run the flags describe, not the built-in
     // defaults: an overridden seed / trial count must replay from the
     // file exactly as it ran.
@@ -1167,7 +1166,6 @@ scenarioFromSpec(const SpecFile &file)
     s.notes = file.notes;
     s.fullTrials = file.fullTrials;
     s.smokeTrials = file.smokeTrials;
-    s.serialTrials = file.serialTrials;
     s.trialBegin = file.trialBegin;
     s.trialCount = file.trialCount;
     s.seed = file.seed;
@@ -1192,8 +1190,6 @@ writeSpecFile(const SpecFile &file)
         add(doc, "full_trials", jsonInt(file.fullTrials));
     if (file.smokeTrials != 1)
         add(doc, "smoke_trials", jsonInt(file.smokeTrials));
-    if (file.serialTrials)
-        add(doc, "serial_trials", jsonBool(true));
     if (file.trialBegin != 0)
         add(doc, "trial_begin", jsonInt(file.trialBegin));
     if (file.trialCount != 0)
@@ -1224,7 +1220,6 @@ parseSpecFile(const std::string &text)
     b.get("notes", file.notes);
     b.get("full_trials", file.fullTrials);
     b.get("smoke_trials", file.smokeTrials);
-    b.get("serial_trials", file.serialTrials);
     b.get("trial_begin", file.trialBegin);
     b.get("trial_count", file.trialCount);
     b.getSeed("seed", file.seed);

@@ -30,8 +30,8 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "scenario/registry.h"
-#include "specio/json.h"
 
 namespace c4::specio {
 
@@ -44,7 +44,6 @@ struct SpecFile
     std::string notes;
     int fullTrials = 1;
     int smokeTrials = 1;
-    bool serialTrials = false;
 
     /** Shard trial range (`trial_begin` / `trial_count` keys); the
      * default covers the whole sweep. See Scenario::trialBegin. */

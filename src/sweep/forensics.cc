@@ -18,15 +18,13 @@
 #include <unistd.h>
 
 #include "c4d/incident.h"
+#include "common/json.h"
 #include "replay/corpus.h"
 #include "replay/replay.h"
-#include "specio/json.h"
 #include "sweep/manifest.h"
 #include "trace/analyze.h"
 
 namespace c4::sweep {
-
-using specio::Json;
 
 namespace {
 
@@ -169,7 +167,7 @@ writeBundleManifest(const BundleManifest &bundle)
     add(doc, "forensic_exit", jsonInt(bundle.forensicExit));
     add(doc, "traces", stringArray(bundle.traces));
     add(doc, "metrics", stringArray(bundle.metrics));
-    return specio::writeJson(doc);
+    return writeJson(doc);
 }
 
 BundleManifest
@@ -177,8 +175,8 @@ parseBundleManifest(const std::string &text)
 {
     Json doc;
     try {
-        doc = specio::parseJson(text);
-    } catch (const specio::SpecError &e) {
+        doc = parseJson(text);
+    } catch (const SpecError &e) {
         bad(e.what());
     }
     if (doc.kind != Json::Kind::Object)

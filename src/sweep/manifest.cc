@@ -6,12 +6,10 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/json.h"
 #include "common/table.h"
-#include "specio/json.h"
 
 namespace c4::sweep {
-
-using specio::Json;
 
 namespace {
 
@@ -166,7 +164,7 @@ writeManifest(const Manifest &manifest)
         shards.array.push_back(std::move(o));
     }
     add(doc, "shards", std::move(shards));
-    return specio::writeJson(doc);
+    return writeJson(doc);
 }
 
 Manifest
@@ -174,8 +172,8 @@ parseManifest(const std::string &text)
 {
     Json doc;
     try {
-        doc = specio::parseJson(text);
-    } catch (const specio::SpecError &e) {
+        doc = parseJson(text);
+    } catch (const SpecError &e) {
         bad(e.what());
     }
     if (doc.kind != Json::Kind::Object)

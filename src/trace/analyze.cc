@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/jsonl_files.h"
 #include "common/stats.h"
 #include "trace/export.h"
 
@@ -17,58 +16,7 @@ namespace c4::trace {
 
 namespace {
 
-namespace fs = std::filesystem;
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw std::runtime_error("cannot read '" + path + "'");
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-}
-
-std::vector<std::string>
-splitLines(const std::string &text)
-{
-    std::vector<std::string> lines;
-    std::size_t start = 0;
-    while (start < text.size()) {
-        const std::size_t nl = text.find('\n', start);
-        const std::size_t end =
-            nl == std::string::npos ? text.size() : nl;
-        lines.push_back(text.substr(start, end - start));
-        if (nl == std::string::npos)
-            break;
-        start = nl + 1;
-    }
-    return lines;
-}
-
-std::string
-formatTime(Time when)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.9f",
-                  static_cast<double>(when) / 1e9);
-    return buf;
-}
-
-/** Short tag for interleaved timelines: the file name sans .jsonl. */
-std::string
-fileTag(const std::string &path)
-{
-    std::string name = fs::path(path).filename().string();
-    const std::string suffix = ".jsonl";
-    if (name.size() > suffix.size() &&
-        name.compare(name.size() - suffix.size(), suffix.size(),
-                     suffix) == 0) {
-        name.resize(name.size() - suffix.size());
-    }
-    return name;
-}
+constexpr JsonlNoun kTraceNoun{"trace", "event"};
 
 void
 describeEvent(const Event &ev, std::ostream &out)
@@ -93,28 +41,7 @@ describeEvent(const Event &ev, std::ostream &out)
 std::vector<std::string>
 collectTraceFiles(const std::string &path)
 {
-    std::vector<std::string> files;
-    std::error_code ec;
-    if (fs::is_directory(path, ec)) {
-        for (const auto &entry :
-             fs::recursive_directory_iterator(path)) {
-            if (entry.is_regular_file() &&
-                entry.path().extension() == ".jsonl") {
-                files.push_back(entry.path().string());
-            }
-        }
-        std::sort(files.begin(), files.end());
-        if (files.empty()) {
-            throw std::runtime_error("no *.jsonl trace files under '" +
-                                     path + "'");
-        }
-    } else if (fs::is_regular_file(path, ec)) {
-        files.push_back(path);
-    } else {
-        throw std::runtime_error("no trace file or directory at '" +
-                                 path + "'");
-    }
-    return files;
+    return collectJsonlFiles(path, kTraceNoun);
 }
 
 TraceFile
@@ -123,7 +50,7 @@ loadTraceFile(const std::string &path)
     TraceFile tf;
     tf.path = path;
     try {
-        tf.events = parseJsonl(readFile(path));
+        tf.events = parseJsonl(readJsonlFile(path, kTraceNoun));
     } catch (const SpecError &e) {
         throw std::runtime_error(path + ": " + e.what());
     }
@@ -205,9 +132,9 @@ printSummary(const std::vector<TraceFile> &traces, std::ostream &out)
         const std::size_t n =
             std::min<std::size_t>(5, recomputes.size());
         for (std::size_t i = 0; i < n; ++i) {
-            out << "    t=" << formatTime(recomputes[i].when)
+            out << "    t=" << formatSimSeconds(recomputes[i].when)
                 << "s ops=" << formatJsonDouble(recomputes[i].ops)
-                << "  (" << fileTag(*recomputes[i].path) << ")\n";
+                << "  (" << jsonlFileTag(*recomputes[i].path) << ")\n";
         }
     }
 }
@@ -233,9 +160,9 @@ printTimeline(const std::vector<TraceFile> &traces, std::ostream &out)
         if (best == traces.size())
             break;
         const Event &ev = traces[best].events[cursor[best]++];
-        out << "t=" << formatTime(ev.when) << "s  ";
+        out << "t=" << formatSimSeconds(ev.when) << "s  ";
         if (tagged)
-            out << "[" << fileTag(traces[best].path) << "] ";
+            out << "[" << jsonlFileTag(traces[best].path) << "] ";
         describeEvent(ev, out);
         out << "\n";
     }
@@ -245,37 +172,7 @@ int
 diffTraces(const std::string &pathA, const std::string &pathB,
            std::ostream &out, int context)
 {
-    const std::vector<std::string> a = splitLines(readFile(pathA));
-    const std::vector<std::string> b = splitLines(readFile(pathB));
-    const std::size_t n = std::min(a.size(), b.size());
-    std::size_t div = n;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (a[i] != b[i]) {
-            div = i;
-            break;
-        }
-    }
-    if (div == n && a.size() == b.size()) {
-        out << "identical: " << a.size() << " event line(s)\n";
-        return 0;
-    }
-
-    out << "traces diverge at line " << div + 1 << "\n";
-    const std::size_t from =
-        div > static_cast<std::size_t>(context)
-            ? div - static_cast<std::size_t>(context)
-            : 0;
-    for (std::size_t i = from; i < div; ++i)
-        out << "  " << i + 1 << "   " << a[i] << "\n";
-    if (div < a.size())
-        out << "< " << div + 1 << "   " << a[div] << "\n";
-    else
-        out << "< " << div + 1 << "   <end of " << pathA << ">\n";
-    if (div < b.size())
-        out << "> " << div + 1 << "   " << b[div] << "\n";
-    else
-        out << "> " << div + 1 << "   <end of " << pathB << ">\n";
-    return 1;
+    return diffJsonlFiles(pathA, pathB, kTraceNoun, out, context);
 }
 
 } // namespace c4::trace

@@ -57,6 +57,7 @@ void printTimeline(const std::vector<TraceFile> &traces,
  * Byte-compare two JSONL traces line by line; on divergence print the
  * first differing line of each with @p context preceding lines.
  * @return 0 identical, 1 divergent.
+ * @throws std::runtime_error when either path is not a readable file.
  */
 int diffTraces(const std::string &pathA, const std::string &pathB,
                std::ostream &out, int context = 3);

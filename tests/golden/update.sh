@@ -23,11 +23,6 @@ done
 dir=$(CDPATH= cd -- "$(dirname -- "$0")" && pwd)
 incidents=$(CDPATH= cd -- "$dir/../incidents" && pwd)
 "$bench" --list | while read -r name _; do
-    case $name in
-    micro_core)
-        # Wall-clock timing metrics; never reproducible.
-        continue ;;
-    esac
     "$bench" "$name" --smoke --trials 1 --csv "$dir/$name.csv" \
         > /dev/null
     echo "updated tests/golden/$name.csv"

@@ -496,6 +496,28 @@ TEST(Diff, ReportsIdenticalTracesAndInjectedDivergences)
               std::string::npos);
 }
 
+TEST(Diff, RejectsDirectories)
+{
+    // Two directories holding different traces: reading a directory
+    // as one empty file would report them identical.
+    const fs::path a = scratchDir("diff_dir_a");
+    const fs::path b = scratchDir("diff_dir_b");
+    std::ofstream(a / "t.jsonl", std::ios::binary)
+        << writeJsonl({makeEvent(EventKind::FaultInjected, 1)});
+    std::ofstream(b / "t.jsonl", std::ios::binary)
+        << writeJsonl({makeEvent(EventKind::FaultInjected, 2)});
+
+    std::ostringstream out;
+    try {
+        diffTraces(a.string(), b.string(), out);
+        FAIL() << "diff of two directories returned: " << out.str();
+    } catch (const std::runtime_error &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "'" + a.string() + "' is not a trace file");
+    }
+    EXPECT_EQ(out.str(), "");
+}
+
 TEST(Jsonl, EveryPrefixOfARealIncidentTraceParsesOrThrows)
 {
     // Harden the reader against truncated writes: for a real corpus
