@@ -1,10 +1,13 @@
 #include "common/json.h"
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <system_error>
 
 namespace c4 {
 
@@ -44,44 +47,73 @@ Json::kindName(Kind kind)
 
 namespace {
 
-class Parser
+/** A decoded number token. */
+struct NumberToken
+{
+    bool isInt = false;
+    std::int64_t integer = 0;
+    double number = 0.0;
+    std::string_view raw;
+};
+
+/**
+ * strtod over a NUL-terminated copy of @p raw; the caller reads errno.
+ * Every realistic number fits the stack buffer, so only pathological
+ * tokens allocate.
+ */
+double
+strtodToken(std::string_view raw)
+{
+    char buf[64];
+    if (raw.size() < sizeof(buf)) {
+        std::memcpy(buf, raw.data(), raw.size());
+        buf[raw.size()] = '\0';
+        return std::strtod(buf, nullptr);
+    }
+    return std::strtod(std::string(raw).c_str(), nullptr);
+}
+
+/**
+ * Tokens and whitespace over a JsonCursor. The DOM parser and the
+ * record scanner both lex through this, so they agree on every token
+ * and on every error's text and position.
+ */
+class Lexer
 {
   public:
-    explicit Parser(const std::string &text) : text_(text) {}
+    explicit Lexer(JsonCursor &cur) : cur_(cur) {}
 
-    Json
-    document()
-    {
-        skipWhitespace();
-        Json v = value(0);
-        skipWhitespace();
-        if (pos_ < text_.size())
-            fail("unexpected trailing content after the document");
-        return v;
-    }
-
-  private:
     [[noreturn]] void
     fail(const std::string &what) const
     {
-        throw SpecError(what, line_, column_);
+        throw SpecError(what, cur_.line, cur_.column);
+    }
+
+    bool atEnd() const { return cur_.pos >= cur_.text.size(); }
+
+    /** Move forward to @p pos over bytes that hold no newline. */
+    void
+    moveTo(std::size_t pos)
+    {
+        cur_.column += static_cast<int>(pos - cur_.pos);
+        cur_.pos = pos;
     }
 
     char
     peek() const
     {
-        return pos_ < text_.size() ? text_[pos_] : '\0';
+        return atEnd() ? '\0' : cur_.text[cur_.pos];
     }
 
     char
     advance()
     {
-        const char c = text_[pos_++];
+        const char c = cur_.text[cur_.pos++];
         if (c == '\n') {
-            ++line_;
-            column_ = 1;
+            ++cur_.line;
+            cur_.column = 1;
         } else {
-            ++column_;
+            ++cur_.column;
         }
         return c;
     }
@@ -89,8 +121,8 @@ class Parser
     void
     skipWhitespace()
     {
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
+        while (!atEnd()) {
+            const char c = cur_.text[cur_.pos];
             if (c != ' ' && c != '\t' && c != '\n' && c != '\r')
                 return;
             advance();
@@ -100,7 +132,7 @@ class Parser
     void
     expect(char c, const char *context)
     {
-        if (pos_ >= text_.size()) {
+        if (atEnd()) {
             fail(std::string("unexpected end of document; expected "
                              "'") +
                  c + "' " + context);
@@ -112,142 +144,82 @@ class Parser
         advance();
     }
 
-    Json
-    value(int depth)
+    /** Fail unless the document ends here (after whitespace). */
+    void
+    expectEnd()
     {
-        if (depth > 64)
-            fail("document nests deeper than 64 levels");
         skipWhitespace();
-        if (pos_ >= text_.size())
-            fail("unexpected end of document; expected a value");
-        Json v;
-        v.line = line_;
-        v.column = column_;
-        const char c = peek();
-        if (c == '{')
-            parseObject(v, depth);
-        else if (c == '[')
-            parseArray(v, depth);
-        else if (c == '"')
-            parseString(v);
-        else if (c == '-' || (c >= '0' && c <= '9'))
-            parseNumber(v);
-        else if (literal("true"))
-            v.kind = Json::Kind::Bool, v.boolean = true;
-        else if (literal("false"))
-            v.kind = Json::Kind::Bool, v.boolean = false;
-        else if (literal("null"))
-            v.kind = Json::Kind::Null;
-        else
-            fail(std::string("unexpected character '") + c + "'");
-        return v;
+        if (!atEnd())
+            fail("unexpected trailing content after the document");
     }
 
     bool
-    literal(const char *word)
+    literal(std::string_view word)
     {
-        const std::size_t n = std::strlen(word);
-        if (text_.compare(pos_, n, word) != 0)
+        if (cur_.text.substr(cur_.pos, word.size()) != word)
             return false;
-        for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t i = 0; i < word.size(); ++i)
             advance();
         return true;
     }
 
-    void
-    parseObject(Json &v, int depth)
+    /** End of the run of plain string bytes starting at @p pos: no
+     * quote, backslash or control byte (so no newline either). */
+    std::size_t
+    plainRunEnd(std::size_t pos) const
     {
-        v.kind = Json::Kind::Object;
-        advance(); // '{'
-        skipWhitespace();
-        if (peek() == '}') {
-            advance();
-            return;
+        while (pos < cur_.text.size()) {
+            const auto u = static_cast<unsigned char>(cur_.text[pos]);
+            if (u == '"' || u == '\\' || u < 0x20)
+                break;
+            ++pos;
         }
-        for (;;) {
-            skipWhitespace();
-            Json::Member m;
-            m.keyLine = line_;
-            m.keyColumn = column_;
-            if (peek() != '"')
-                fail("expected a quoted object key");
-            Json key;
-            parseString(key);
-            m.key = key.string;
-            if (v.find(m.key)) {
-                throw SpecError("duplicate key \"" + m.key + "\"",
-                                m.keyLine, m.keyColumn);
-            }
-            skipWhitespace();
-            expect(':', "after object key");
-            m.value = value(depth + 1);
-            v.object.push_back(std::move(m));
-            skipWhitespace();
-            if (peek() == ',') {
-                advance();
-                continue;
-            }
-            expect('}', "to close the object");
-            return;
-        }
+        return pos;
     }
 
-    void
-    parseArray(Json &v, int depth)
+    /**
+     * Lex the string starting at the '"' under the cursor. A string
+     * without escapes comes back as a view of the text; otherwise
+     * @p scratch receives the decoded bytes and the view is of it.
+     */
+    std::string_view
+    string(std::string &scratch)
     {
-        v.kind = Json::Kind::Array;
-        advance(); // '['
-        skipWhitespace();
-        if (peek() == ']') {
-            advance();
-            return;
-        }
-        for (;;) {
-            v.array.push_back(value(depth + 1));
-            skipWhitespace();
-            if (peek() == ',') {
-                advance();
-                continue;
-            }
-            expect(']', "to close the array");
-            return;
-        }
-    }
-
-    void
-    parseString(Json &v)
-    {
-        v.kind = Json::Kind::String;
         advance(); // '"'
-        std::string out;
+        const std::size_t start = cur_.pos;
+        std::size_t run = plainRunEnd(start);
+        if (run < cur_.text.size() && cur_.text[run] == '"') {
+            moveTo(run + 1);
+            return cur_.text.substr(start, run - start);
+        }
+        scratch.clear();
         for (;;) {
-            if (pos_ >= text_.size())
+            scratch.append(cur_.text.data() + cur_.pos, run - cur_.pos);
+            moveTo(run);
+
+            if (atEnd())
                 fail("unterminated string");
             const char c = advance();
             if (c == '"')
-                break;
-            if (static_cast<unsigned char>(c) < 0x20)
+                return scratch;
+            if (c != '\\')
                 fail("raw control character inside a string");
-            if (c != '\\') {
-                out.push_back(c);
-                continue;
-            }
-            if (pos_ >= text_.size())
+            if (atEnd())
                 fail("unterminated escape sequence");
             const char e = advance();
             switch (e) {
-              case '"': out.push_back('"'); break;
-              case '\\': out.push_back('\\'); break;
-              case '/': out.push_back('/'); break;
-              case 'b': out.push_back('\b'); break;
-              case 'f': out.push_back('\f'); break;
-              case 'n': out.push_back('\n'); break;
-              case 'r': out.push_back('\r'); break;
-              case 't': out.push_back('\t'); break;
+              case '"': scratch.push_back('"'); break;
+              case '\\': scratch.push_back('\\'); break;
+              case '/': scratch.push_back('/'); break;
+              case 'b': scratch.push_back('\b'); break;
+              case 'f': scratch.push_back('\f'); break;
+              case 'n': scratch.push_back('\n'); break;
+              case 'r': scratch.push_back('\r'); break;
+              case 't': scratch.push_back('\t'); break;
               case 'u': {
                 unsigned code = 0;
                 for (int i = 0; i < 4; ++i) {
-                    if (pos_ >= text_.size())
+                    if (atEnd())
                         fail("unterminated \\u escape");
                     const char h = advance();
                     code <<= 4;
@@ -263,18 +235,18 @@ class Parser
                 // UTF-8 encode the code point (BMP only; surrogate
                 // pairs are not needed for spec files).
                 if (code < 0x80) {
-                    out.push_back(static_cast<char>(code));
+                    scratch.push_back(static_cast<char>(code));
                 } else if (code < 0x800) {
-                    out.push_back(
+                    scratch.push_back(
                         static_cast<char>(0xC0 | (code >> 6)));
-                    out.push_back(
+                    scratch.push_back(
                         static_cast<char>(0x80 | (code & 0x3F)));
                 } else {
-                    out.push_back(
+                    scratch.push_back(
                         static_cast<char>(0xE0 | (code >> 12)));
-                    out.push_back(static_cast<char>(
+                    scratch.push_back(static_cast<char>(
                         0x80 | ((code >> 6) & 0x3F)));
-                    out.push_back(
+                    scratch.push_back(
                         static_cast<char>(0x80 | (code & 0x3F)));
                 }
                 break;
@@ -282,91 +254,196 @@ class Parser
               default:
                 fail(std::string("invalid escape '\\") + e + "'");
             }
+            run = plainRunEnd(cur_.pos);
         }
-        v.string = std::move(out);
     }
 
-    void
-    parseNumber(Json &v)
+    /** Lex the number starting under the cursor. */
+    NumberToken
+    number()
     {
-        const std::size_t start = pos_;
+        // Index-based: a number holds no newline, so the cursor moves
+        // once, to the end of the token or to the offending byte.
+        const std::string_view t = cur_.text;
+        const std::size_t start = cur_.pos;
+        std::size_t i = start;
+        auto digit = [&](std::size_t j) {
+            return j < t.size() && t[j] >= '0' && t[j] <= '9';
+        };
+        auto failAt = [&](std::size_t j, const char *what) {
+            moveTo(j);
+            fail(what);
+        };
         bool isDouble = false;
-        if (peek() == '-')
-            advance();
-        if (!(peek() >= '0' && peek() <= '9'))
-            fail("malformed number");
+        if (i < t.size() && t[i] == '-')
+            ++i;
+        if (!digit(i))
+            failAt(i, "malformed number");
         // JSON: a leading zero stands alone before the point/exponent.
-        if (peek() == '0') {
-            advance();
-            if (peek() >= '0' && peek() <= '9')
-                fail("malformed number: leading zero");
+        if (t[i] == '0') {
+            ++i;
+            if (digit(i))
+                failAt(i, "malformed number: leading zero");
         }
-        while (peek() >= '0' && peek() <= '9')
-            advance();
-        if (peek() == '.') {
+        while (digit(i))
+            ++i;
+        if (i < t.size() && t[i] == '.') {
             isDouble = true;
-            advance();
-            if (!(peek() >= '0' && peek() <= '9'))
-                fail("malformed number: digit required after '.'");
-            while (peek() >= '0' && peek() <= '9')
-                advance();
+            ++i;
+            if (!digit(i))
+                failAt(i, "malformed number: digit required after '.'");
+            while (digit(i))
+                ++i;
         }
-        if (peek() == 'e' || peek() == 'E') {
+        if (i < t.size() && (t[i] == 'e' || t[i] == 'E')) {
             isDouble = true;
-            advance();
-            if (peek() == '+' || peek() == '-')
-                advance();
-            if (!(peek() >= '0' && peek() <= '9'))
-                fail("malformed number: digit required in exponent");
-            while (peek() >= '0' && peek() <= '9')
-                advance();
+            ++i;
+            if (i < t.size() && (t[i] == '+' || t[i] == '-'))
+                ++i;
+            if (!digit(i))
+                failAt(i, "malformed number: digit required in exponent");
+            while (digit(i))
+                ++i;
         }
-        const std::string token = text_.substr(start, pos_ - start);
-        v.raw = token;
+        moveTo(i);
+        NumberToken tok;
+        tok.raw = cur_.text.substr(start, cur_.pos - start);
         if (!isDouble) {
-            errno = 0;
-            char *end = nullptr;
-            const long long i =
-                std::strtoll(token.c_str(), &end, 10);
-            if (errno == 0 && end && *end == '\0') {
-                v.kind = Json::Kind::Int;
-                v.integer = i;
-                return;
+            const char *last = tok.raw.data() + tok.raw.size();
+            const auto [end, ec] =
+                std::from_chars(tok.raw.data(), last, tok.integer);
+            if (ec == std::errc() && end == last) {
+                tok.isInt = true;
+                return tok;
             }
             // Fall through: out of int64 range, keep as double.
         }
-        v.kind = Json::Kind::Double;
         errno = 0;
-        v.number = std::strtod(token.c_str(), nullptr);
-        if (errno == ERANGE && !std::isfinite(v.number))
-            fail("number '" + token + "' is out of double range");
+        tok.number = strtodToken(tok.raw);
+        if (errno == ERANGE && !std::isfinite(tok.number))
+            fail("number '" + std::string(tok.raw) +
+                 "' is out of double range");
+        return tok;
     }
 
-    const std::string &text_;
-    std::size_t pos_ = 0;
-    int line_ = 1;
-    int column_ = 1;
+  private:
+    JsonCursor &cur_;
 };
 
-void
-writeString(std::string &out, const std::string &s)
+class Parser
 {
-    out.push_back('"');
-    for (char c : s) {
-        const auto u = static_cast<unsigned char>(c);
-        if (c == '"' || c == '\\') {
-            out.push_back('\\');
-            out.push_back(c);
-        } else if (u < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", u);
-            out += buf;
+  public:
+    explicit Parser(JsonCursor &cur) : lex_(cur), cur_(cur) {}
+
+    Json
+    document()
+    {
+        lex_.skipWhitespace();
+        Json v = value(0);
+        lex_.expectEnd();
+        return v;
+    }
+
+    Json
+    value(int depth)
+    {
+        if (depth > 64)
+            lex_.fail("document nests deeper than 64 levels");
+        lex_.skipWhitespace();
+        if (lex_.atEnd())
+            lex_.fail("unexpected end of document; expected a value");
+        Json v;
+        v.line = cur_.line;
+        v.column = cur_.column;
+        const char c = lex_.peek();
+        if (c == '{') {
+            parseObject(v, depth);
+        } else if (c == '[') {
+            parseArray(v, depth);
+        } else if (c == '"') {
+            v.kind = Json::Kind::String;
+            v.string = lex_.string(scratch_);
+        } else if (c == '-' || (c >= '0' && c <= '9')) {
+            const NumberToken tok = lex_.number();
+            v.kind = tok.isInt ? Json::Kind::Int : Json::Kind::Double;
+            v.integer = tok.integer;
+            v.number = tok.number;
+            v.raw = tok.raw;
+        } else if (lex_.literal("true")) {
+            v.kind = Json::Kind::Bool, v.boolean = true;
+        } else if (lex_.literal("false")) {
+            v.kind = Json::Kind::Bool, v.boolean = false;
+        } else if (lex_.literal("null")) {
+            v.kind = Json::Kind::Null;
         } else {
-            out.push_back(c);
+            lex_.fail(std::string("unexpected character '") + c + "'");
+        }
+        return v;
+    }
+
+  private:
+    void
+    parseObject(Json &v, int depth)
+    {
+        v.kind = Json::Kind::Object;
+        lex_.advance(); // '{'
+        lex_.skipWhitespace();
+        if (lex_.peek() == '}') {
+            lex_.advance();
+            return;
+        }
+        for (;;) {
+            lex_.skipWhitespace();
+            Json::Member m;
+            m.keyLine = cur_.line;
+            m.keyColumn = cur_.column;
+            if (lex_.peek() != '"')
+                lex_.fail("expected a quoted object key");
+            m.key = lex_.string(scratch_);
+            if (v.find(m.key)) {
+                throw SpecError("duplicate key \"" + m.key + "\"",
+                                m.keyLine, m.keyColumn);
+            }
+            lex_.skipWhitespace();
+            lex_.expect(':', "after object key");
+            m.value = value(depth + 1);
+            v.object.push_back(std::move(m));
+            lex_.skipWhitespace();
+            if (lex_.peek() == ',') {
+                lex_.advance();
+                continue;
+            }
+            lex_.expect('}', "to close the object");
+            return;
         }
     }
-    out.push_back('"');
-}
+
+    void
+    parseArray(Json &v, int depth)
+    {
+        v.kind = Json::Kind::Array;
+        lex_.advance(); // '['
+        lex_.skipWhitespace();
+        if (lex_.peek() == ']') {
+            lex_.advance();
+            return;
+        }
+        for (;;) {
+            v.array.push_back(value(depth + 1));
+            lex_.skipWhitespace();
+            if (lex_.peek() == ',') {
+                lex_.advance();
+                continue;
+            }
+            lex_.expect(']', "to close the array");
+            return;
+        }
+    }
+
+    Lexer lex_;
+    JsonCursor &cur_;
+    std::string scratch_; ///< decoded text of an escaped string
+};
 
 void
 writeValue(std::string &out, const Json &v, int indent)
@@ -382,13 +459,16 @@ writeValue(std::string &out, const Json &v, int indent)
         out += v.boolean ? "true" : "false";
         break;
       case Json::Kind::Int:
-        out += std::to_string(v.integer);
+        appendJsonInt(out, v.integer);
         break;
       case Json::Kind::Double:
-        out += v.raw.empty() ? formatJsonDouble(v.number) : v.raw;
+        if (v.raw.empty())
+            appendJsonDouble(out, v.number);
+        else
+            out += v.raw;
         break;
       case Json::Kind::String:
-        writeString(out, v.string);
+        appendJsonString(out, v.string);
         break;
       case Json::Kind::Array: {
         if (v.array.empty()) {
@@ -437,7 +517,7 @@ writeValue(std::string &out, const Json &v, int indent)
             first = false;
             out.push_back('\n');
             out += inner;
-            writeString(out, m.key);
+            appendJsonString(out, m.key);
             out += ": ";
             writeValue(out, m.value, indent + 1);
         }
@@ -461,13 +541,16 @@ writeValueCompact(std::string &out, const Json &v)
         out += v.boolean ? "true" : "false";
         break;
       case Json::Kind::Int:
-        out += std::to_string(v.integer);
+        appendJsonInt(out, v.integer);
         break;
       case Json::Kind::Double:
-        out += v.raw.empty() ? formatJsonDouble(v.number) : v.raw;
+        if (v.raw.empty())
+            appendJsonDouble(out, v.number);
+        else
+            out += v.raw;
         break;
       case Json::Kind::String:
-        writeString(out, v.string);
+        appendJsonString(out, v.string);
         break;
       case Json::Kind::Array: {
         out.push_back('[');
@@ -488,7 +571,7 @@ writeValueCompact(std::string &out, const Json &v)
             if (!first)
                 out.push_back(',');
             first = false;
-            writeString(out, m.key);
+            appendJsonString(out, m.key);
             out.push_back(':');
             writeValueCompact(out, m.value);
         }
@@ -503,29 +586,77 @@ writeValueCompact(std::string &out, const Json &v)
 std::string
 formatJsonDouble(double v)
 {
+    std::string out;
+    appendJsonDouble(out, v);
+    return out;
+}
+
+void
+appendJsonString(std::string &out, std::string_view s)
+{
+    static constexpr char kHex[] = "0123456789abcdef";
+    out.push_back('"');
+    std::size_t plain = 0; // start of the pending run of plain bytes
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const auto u = static_cast<unsigned char>(s[i]);
+        if (u != '"' && u != '\\' && u >= 0x20)
+            continue;
+        out.append(s.data() + plain, i - plain);
+        plain = i + 1;
+        if (u < 0x20) {
+            const char esc[6] = {'\\', 'u', '0', '0', kHex[u >> 4],
+                                 kHex[u & 0xF]};
+            out.append(esc, sizeof(esc));
+        } else {
+            out.push_back('\\');
+            out.push_back(static_cast<char>(u));
+        }
+    }
+    out.append(s.data() + plain, s.size() - plain);
+    out.push_back('"');
+}
+
+void
+appendJsonInt(std::string &out, std::int64_t v)
+{
+    char buf[24];
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+    out.append(buf, end);
+}
+
+void
+appendJsonDouble(std::string &out, double v)
+{
     // JSON has no encoding for these; surfacing the error beats
     // emitting a document that cannot re-parse.
     if (!std::isfinite(v))
         throw SpecError("non-finite number cannot be serialized", 0, 0);
-    // Shortest decimal form that parses back to the same double, so
-    // write -> parse -> write is byte-stable.
+    // Shortest of "%.15g", "%.16g", "%.17g" (to_chars with a
+    // precision is printf's %g) that strtod reads back as the same
+    // double, so write -> parse -> write is byte-stable.
     char buf[40];
+    char *end = buf;
     for (int precision = 15; precision <= 17; ++precision) {
-        std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+        end = std::to_chars(buf, buf + sizeof(buf) - 1, v,
+                            std::chars_format::general, precision)
+                  .ptr;
+        *end = '\0';
         if (std::strtod(buf, nullptr) == v)
             break;
     }
+    out.append(buf, end);
     // A bare integer-looking token would re-parse as Kind::Int; keep
     // the double-ness explicit.
-    if (!std::strpbrk(buf, ".eE"))
-        std::strcat(buf, ".0");
-    return buf;
+    if (std::string_view(buf, static_cast<std::size_t>(end - buf))
+            .find_first_of(".eE") == std::string_view::npos)
+        out += ".0";
 }
 
 Json
 parseJson(const std::string &text)
 {
-    return Parser(text).document();
+    JsonCursor cur{text};
+    return Parser(cur).document();
 }
 
 std::string
@@ -543,6 +674,198 @@ writeJsonCompact(const Json &value)
     std::string out;
     writeValueCompact(out, value);
     return out;
+}
+
+void
+JsonRecordScanner::reset(std::string_view text, const char *notAnObject)
+{
+    cur_ = JsonCursor{text};
+    seen_.clear();
+    seenDecoded_.clear();
+    failed_ = false;
+    state_ = State::Done;
+    Lexer lex(cur_);
+    lex.skipWhitespace();
+    if (lex.peek() != '{') {
+        // Parse whatever it is, so syntax errors keep precedence,
+        // then reject it for not being a record.
+        const Json v = Parser(cur_).value(0);
+        lex.expectEnd();
+        throw SpecError(notAnObject, v.line, v.column);
+    }
+    objectLine_ = cur_.line;
+    objectColumn_ = cur_.column;
+    lex.advance(); // '{'
+    lex.skipWhitespace();
+    if (lex.peek() == '}') {
+        lex.advance();
+        closeDocument();
+        return;
+    }
+    state_ = State::Open;
+}
+
+bool
+JsonRecordScanner::next()
+{
+    Lexer lex(cur_);
+    if (state_ == State::Done)
+        return false;
+    if (state_ == State::AfterValue) {
+        lex.skipWhitespace();
+        if (lex.peek() != ',') {
+            lex.expect('}', "to close the object");
+            closeDocument();
+            return false;
+        }
+        lex.advance();
+    }
+    lex.skipWhitespace();
+    keyLine_ = cur_.line;
+    keyColumn_ = cur_.column;
+    if (lex.peek() != '"')
+        lex.fail("expected a quoted object key");
+    key_ = lex.string(scratch_);
+    const bool decoded = key_.data() == scratch_.data();
+    auto same = [&](std::string_view seen) {
+        // Keys are short; the size and first byte settle most pairs.
+        return seen.size() == key_.size() &&
+               (key_.empty() || seen[0] == key_[0]) && seen == key_;
+    };
+    if (std::any_of(seen_.begin(), seen_.end(), same) ||
+        std::any_of(seenDecoded_.begin(), seenDecoded_.end(), same)) {
+        throw SpecError("duplicate key \"" + std::string(key_) + "\"",
+                        keyLine_, keyColumn_);
+    }
+    if (decoded) {
+        seenDecoded_.push_back(scratch_);
+        key_ = seenDecoded_.back();
+    } else {
+        seen_.push_back(key_);
+    }
+    lex.skipWhitespace();
+    lex.expect(':', "after object key");
+    readValue();
+    state_ = State::AfterValue;
+    return true;
+}
+
+void
+JsonRecordScanner::readValue()
+{
+    Lexer lex(cur_);
+    lex.skipWhitespace();
+    if (lex.atEnd())
+        lex.fail("unexpected end of document; expected a value");
+    valueLine_ = cur_.line;
+    valueColumn_ = cur_.column;
+    const char c = lex.peek();
+    if (c == '"') {
+        kind_ = Json::Kind::String;
+        string_ = lex.string(scratch_);
+    } else if (c == '-' || (c >= '0' && c <= '9')) {
+        const NumberToken tok = lex.number();
+        kind_ = tok.isInt ? Json::Kind::Int : Json::Kind::Double;
+        integer_ = tok.integer;
+        number_ = tok.number;
+    } else if (c == '{' || c == '[') {
+        // Records are flat, so a nested value is only ever bound to
+        // fail; the DOM parser checks its syntax.
+        kind_ = Parser(cur_).value(1).kind;
+    } else if (lex.literal("true") || lex.literal("false")) {
+        kind_ = Json::Kind::Bool;
+    } else if (lex.literal("null")) {
+        kind_ = Json::Kind::Null;
+    } else {
+        lex.fail(std::string("unexpected character '") + c + "'");
+    }
+}
+
+void
+JsonRecordScanner::closeDocument()
+{
+    Lexer(cur_).expectEnd();
+    state_ = State::Done;
+}
+
+std::int64_t
+JsonRecordScanner::integer(const char *key)
+{
+    if (kind_ != Json::Kind::Int) {
+        failValue(std::string("\"") + key + "\" must be an integer");
+        return 0;
+    }
+    return integer_;
+}
+
+std::int32_t
+JsonRecordScanner::int32(const char *key)
+{
+    const std::int64_t v = integer(key);
+    if (v < std::numeric_limits<std::int32_t>::min() ||
+        v > std::numeric_limits<std::int32_t>::max()) {
+        failValue(std::string("\"") + key +
+                  "\" is outside the 32-bit integer range");
+        return 0;
+    }
+    return static_cast<std::int32_t>(v);
+}
+
+double
+JsonRecordScanner::number(const char *key)
+{
+    if (kind_ == Json::Kind::Int)
+        return static_cast<double>(integer_);
+    if (kind_ == Json::Kind::Double)
+        return number_;
+    failValue(std::string("\"") + key + "\" must be a number");
+    return 0.0;
+}
+
+std::string_view
+JsonRecordScanner::string(const char *key)
+{
+    if (kind_ != Json::Kind::String) {
+        failValue(std::string("\"") + key + "\" must be a string");
+        return {};
+    }
+    return string_;
+}
+
+void
+JsonRecordScanner::fail(std::string what, int line, int column)
+{
+    if (failed_)
+        return;
+    failed_ = true;
+    error_ = std::move(what);
+    errorLine_ = line;
+    errorColumn_ = column;
+}
+
+void
+JsonRecordScanner::failValue(std::string what)
+{
+    fail(std::move(what), valueLine_, valueColumn_);
+}
+
+void
+JsonRecordScanner::failKey(std::string what)
+{
+    fail(std::move(what), keyLine_, keyColumn_);
+}
+
+void
+JsonRecordScanner::failRecord(std::string what)
+{
+    fail(std::move(what), objectLine_, objectColumn_);
+}
+
+void
+JsonRecordScanner::finish() const
+{
+    if (failed_)
+        throw SpecError(error_, errorLine_, errorColumn_);
 }
 
 } // namespace c4

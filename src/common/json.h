@@ -2,7 +2,7 @@
  * @file
  * A dependency-free JSON-subset reader/writer, shared by the spec-file
  * subsystem (specio), the sweep manifest journal, and the event-trace
- * exporters.
+ * and metric-snapshot codecs.
  *
  * The dialect is strict JSON (objects, arrays, strings, numbers,
  * true/false/null) minus nothing, plus nothing — no comments, no
@@ -16,6 +16,12 @@
  *  - integers are kept exact (std::int64_t) and distinct from doubles,
  *    and the writer formats doubles with the shortest representation
  *    that round-trips, so write -> parse -> write is byte-stable.
+ *
+ * Flat JSONL records (event traces, metric snapshots) skip the DOM:
+ * JsonRecordWriter appends one record straight into an output buffer,
+ * and JsonRecordScanner binds one record member by member. Both share
+ * the DOM's token formatting and lexing, so a record means the same
+ * bytes and the same errors on either path.
  */
 
 #ifndef C4_COMMON_JSON_H
@@ -25,6 +31,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -110,6 +117,220 @@ std::string writeJsonCompact(const Json &value);
 
 /** Canonical number formatting (shared with the spec writer). */
 std::string formatJsonDouble(double v);
+
+/** Append @p s quoted and escaped, as every JSON writer here does. */
+void appendJsonString(std::string &out, std::string_view s);
+
+/** Append @p v in decimal. */
+void appendJsonInt(std::string &out, std::int64_t v);
+
+/** Append formatJsonDouble(@p v) without a temporary string. */
+void appendJsonDouble(std::string &out, double v);
+
+/**
+ * Appends one compact JSON object, member by member, to a caller's
+ * buffer: the same bytes writeJsonCompact() makes from the equivalent
+ * DOM object, with no DOM and no temporary strings. Keys are written
+ * as given, so callers pass plain identifiers.
+ */
+class JsonRecordWriter
+{
+  public:
+    explicit JsonRecordWriter(std::string &out) : out_(out)
+    {
+        out_.push_back('{');
+    }
+
+    void
+    integer(std::string_view key, std::int64_t v)
+    {
+        member(key);
+        appendJsonInt(out_, v);
+    }
+
+    void
+    number(std::string_view key, double v)
+    {
+        member(key);
+        appendJsonDouble(out_, v);
+    }
+
+    void
+    string(std::string_view key, std::string_view v)
+    {
+        member(key);
+        appendJsonString(out_, v);
+    }
+
+    /** Close the object (no newline). */
+    void close() { out_.push_back('}'); }
+
+  private:
+    void
+    member(std::string_view key)
+    {
+        if (!first_)
+            out_.push_back(',');
+        first_ = false;
+        out_.push_back('"');
+        out_ += key;
+        out_ += "\":";
+    }
+
+    std::string &out_;
+    bool first_ = true;
+};
+
+/**
+ * Hand each non-empty line of a JSONL document to @p bind, as a view
+ * of @p text. A SpecError from @p bind gains a "record on line N: "
+ * prefix. A final line without its newline throws as a truncated
+ * write even when it would parse: every JSONL writer here
+ * newline-terminates, so a mid-line end of file may have dropped
+ * trailing fields of the record.
+ */
+template <typename Bind>
+void
+forEachJsonlRecord(std::string_view text, Bind &&bind)
+{
+    std::size_t start = 0;
+    int lineNo = 0;
+    while (start < text.size()) {
+        const std::size_t nl = text.find('\n', start);
+        ++lineNo;
+        if (nl == std::string_view::npos) {
+            throw SpecError("record on line " + std::to_string(lineNo) +
+                                ": truncated record (missing final "
+                                "newline; incomplete write?)",
+                            0, 0);
+        }
+        const std::string_view line = text.substr(start, nl - start);
+        if (!line.empty()) {
+            try {
+                bind(line);
+            } catch (const SpecError &e) {
+                throw SpecError("record on line " +
+                                    std::to_string(lineNo) + ": " +
+                                    e.what(),
+                                0, 0);
+            }
+        }
+        start = nl + 1;
+    }
+}
+
+/** A read position in a JSON text, counted as the errors report it. */
+struct JsonCursor
+{
+    std::string_view text;
+    std::size_t pos = 0;
+    int line = 1;
+    int column = 1;
+};
+
+/**
+ * Single-pass binder input for one flat JSON object record (one JSONL
+ * line): yields the members in order, each with its decoded value,
+ * without building a DOM or copying the line.
+ *
+ * It accepts and rejects exactly what parseJson() followed by a
+ * member-by-member binder would: strings and numbers go through the
+ * DOM parser's own lexer, nested values through the DOM parser
+ * itself, duplicate keys and malformed syntax throw at once, and
+ * binding errors are deferred until the record has parsed, so a
+ * syntax error later in the line still wins. Only the first binding
+ * error is kept. Usage:
+ *
+ *     scanner.reset(line, "record must be a JSON object");
+ *     while (scanner.next()) {
+ *         if (scanner.key() == "t")
+ *             when = scanner.integer("t");
+ *         else
+ *             scanner.failKey("unknown key ...");
+ *     }
+ *     scanner.finish(); // throws the first binding error
+ *
+ * Keys and strings without escapes are views of the line; escaped
+ * ones are decoded into buffers. One scanner is meant to be reset per
+ * line, so those buffers stop allocating once they have grown.
+ */
+class JsonRecordScanner
+{
+  public:
+    /**
+     * Start on @p text, which must outlive the scan. A record that
+     * parses but is not an object throws @p notAnObject at its
+     * position.
+     * @throws SpecError on malformed input.
+     */
+    void reset(std::string_view text, const char *notAnObject);
+
+    /**
+     * Advance to the next member.
+     * @return false once the object and the document have closed.
+     * @throws SpecError on malformed input or a duplicate key.
+     */
+    bool next();
+
+    /** The current member's decoded key. */
+    std::string_view key() const { return key_; }
+
+    /** The current value's kind (Array/Object values are skipped). */
+    Json::Kind kind() const { return kind_; }
+
+    /** The decoded current String value; valid until next(). */
+    std::string_view stringValue() const { return string_; }
+
+    /** The current Int value, else a deferred error and 0. */
+    std::int64_t integer(const char *key);
+
+    /** integer(), also rejecting values outside int32. */
+    std::int32_t int32(const char *key);
+
+    /** The current Int or Double value as a double, else 0. */
+    double number(const char *key);
+
+    /** stringValue() when the value is a String, else "". */
+    std::string_view string(const char *key);
+
+    /** Defer a binding error located at the current value. */
+    void failValue(std::string what);
+
+    /** Defer a binding error located at the current key. */
+    void failKey(std::string what);
+
+    /** Defer a binding error located at the record's opening brace. */
+    void failRecord(std::string what);
+
+    /** @throws SpecError holding the first deferred binding error. */
+    void finish() const;
+
+  private:
+    void fail(std::string what, int line, int column);
+    void readValue();
+    void closeDocument();
+
+    enum class State { Open, AfterValue, Done };
+
+    JsonCursor cur_;
+    State state_ = State::Done;
+    int objectLine_ = 0, objectColumn_ = 0;
+    int keyLine_ = 0, keyColumn_ = 0;
+    int valueLine_ = 0, valueColumn_ = 0;
+    /** Keys seen in this record: views of the text, and the decoded
+     * copies of keys written with escapes. */
+    std::vector<std::string_view> seen_;
+    std::vector<std::string> seenDecoded_;
+    std::string_view key_;
+    Json::Kind kind_ = Json::Kind::Null;
+    std::int64_t integer_ = 0;
+    double number_ = 0.0;
+    std::string_view string_;
+    std::string scratch_; ///< decoded text of an escaped string
+    bool failed_ = false;
+    std::string error_;
+    int errorLine_ = 0, errorColumn_ = 0;
+};
 
 } // namespace c4
 

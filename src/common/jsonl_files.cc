@@ -51,6 +51,26 @@ readJsonlFile(const std::string &path, const JsonlNoun &noun)
     return buf.str();
 }
 
+std::string
+sanitizeFileComponent(const std::string &label)
+{
+    std::string out = label;
+    for (char &c : out) {
+        const bool ok = (c >= 'a' && c <= 'z') ||
+                        (c >= 'A' && c <= 'Z') ||
+                        (c >= '0' && c <= '9') || c == '.' ||
+                        c == '_' || c == '-';
+        if (!ok)
+            c = '_';
+    }
+    // "." and ".." are path traversal, not names: a spec file can put
+    // anything in its scenario name, and `--trace DIR` / `--metrics
+    // DIR` must never write outside DIR.
+    if (out.empty() || out == "." || out == "..")
+        return std::string(out.empty() ? 1 : out.size(), '_');
+    return out;
+}
+
 std::vector<std::string>
 collectJsonlFiles(const std::string &path, const JsonlNoun &noun)
 {

@@ -1,9 +1,11 @@
 /**
  * @file
- * The file side of the JSONL analyzers (`c4trace`, `c4stat`): reading
- * one file, expanding a CLI path into `*.jsonl` files, short file tags
- * and simulated-time stamps for listings, and the first-divergence line
- * diff that both tools' `diff` command prints.
+ * The file side of the JSONL tools: safe file names for the runner's
+ * `--trace`/`--metrics` output, and for the analyzers (`c4trace`,
+ * `c4stat`) reading one file, expanding a CLI path into `*.jsonl`
+ * files, short file tags and simulated-time stamps for listings, and
+ * the first-divergence line diff that both tools' `diff` command
+ * prints.
  *
  * The analyzers differ only in the nouns their messages use, so every
  * call takes a JsonlNoun: {"trace", "event"} for event traces,
@@ -43,6 +45,14 @@ std::string readJsonlFile(const std::string &path, const JsonlNoun &noun);
  */
 std::vector<std::string> collectJsonlFiles(const std::string &path,
                                            const JsonlNoun &noun);
+
+/**
+ * Make a scenario/variant label safe as a file-name component:
+ * characters outside [A-Za-z0-9._-] become '_', and "." / ".." (path
+ * traversal, not names) become underscores. Callers must still
+ * namespace by index when two labels could collide after mapping.
+ */
+std::string sanitizeFileComponent(const std::string &label);
 
 /** Short tag for multi-file listings: the file name sans .jsonl. */
 std::string jsonlFileTag(const std::string &path);

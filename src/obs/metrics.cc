@@ -19,7 +19,7 @@ kindName(MetricKind kind)
 }
 
 bool
-kindFromName(const std::string &text, MetricKind &out)
+kindFromName(std::string_view text, MetricKind &out)
 {
     if (text == "counter") {
         out = MetricKind::Counter;

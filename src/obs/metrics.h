@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -36,7 +37,7 @@ enum class MetricKind : std::uint8_t {
 const char *kindName(MetricKind kind);
 
 /** Inverse of kindName(); false when @p text names no kind. */
-bool kindFromName(const std::string &text, MetricKind &out);
+bool kindFromName(std::string_view text, MetricKind &out);
 
 /**
  * One metric's state captured at one sampling tick. Counter samples

@@ -1,75 +1,124 @@
 #include "obs/snapshot.h"
 
+#include <algorithm>
+
 namespace c4::obs {
 
 namespace {
 
-Json
-makeInt(std::int64_t v)
+void
+appendMetaLine(std::string &out, const SnapshotMeta &meta)
 {
-    Json j;
-    j.kind = Json::Kind::Int;
-    j.integer = v;
-    return j;
-}
-
-Json
-makeDouble(double v)
-{
-    Json j;
-    j.kind = Json::Kind::Double;
-    j.number = v;
-    return j;
-}
-
-Json
-makeString(std::string s)
-{
-    Json j;
-    j.kind = Json::Kind::String;
-    j.string = std::move(s);
-    return j;
+    JsonRecordWriter w(out);
+    w.string("schema", kSnapshotSchema);
+    w.string("scenario", meta.scenario);
+    w.string("variant", meta.variant);
+    w.integer("trial", meta.trial);
+    w.integer("period_ns", meta.periodNs);
+    w.close();
 }
 
 void
-addMember(Json &obj, const char *key, Json value)
+appendSampleLine(std::string &out, const Sample &sample)
 {
-    Json::Member m;
-    m.key = key;
-    m.value = std::move(value);
-    obj.object.push_back(std::move(m));
+    JsonRecordWriter w(out);
+    w.integer("t", sample.when);
+    w.string("n", sample.name);
+    w.string("k", kindName(sample.kind));
+    if (sample.count != 0)
+        w.integer("c", sample.count);
+    if (sample.value != 0.0)
+        w.number("v", sample.value);
+    if (sample.min != 0.0)
+        w.number("min", sample.min);
+    if (sample.p50 != 0.0)
+        w.number("p50", sample.p50);
+    if (sample.p90 != 0.0)
+        w.number("p90", sample.p90);
+    if (sample.p99 != 0.0)
+        w.number("p99", sample.p99);
+    if (sample.max != 0.0)
+        w.number("max", sample.max);
+    w.close();
 }
 
-[[noreturn]] void
-bindFail(const Json &at, const std::string &what)
+/** Bind the header record under @p sc into @p meta.
+ * @throws SpecError */
+void
+bindMeta(JsonRecordScanner &sc, SnapshotMeta &meta)
 {
-    throw SpecError(what, at.line, at.column);
+    bool haveSchema = false;
+    while (sc.next()) {
+        const std::string_view key = sc.key();
+        if (key == "schema") {
+            const std::string_view schema = sc.string("schema");
+            if (sc.kind() == Json::Kind::String &&
+                schema != kSnapshotSchema) {
+                sc.failValue("unknown snapshot schema \"" +
+                             std::string(schema) + "\" (expected \"" +
+                             std::string(kSnapshotSchema) + "\")");
+            }
+            haveSchema = true;
+        } else if (key == "scenario") {
+            meta.scenario = sc.string("scenario");
+        } else if (key == "variant") {
+            meta.variant = sc.string("variant");
+        } else if (key == "trial") {
+            meta.trial = sc.int32("trial");
+        } else if (key == "period_ns") {
+            meta.periodNs = sc.integer("period_ns");
+        } else {
+            sc.failKey("unknown snapshot header key \"" +
+                       std::string(key) + "\"");
+        }
+    }
+    if (!haveSchema)
+        sc.failRecord("snapshot header needs \"schema\"");
+    sc.finish();
 }
 
-std::int64_t
-bindInt(const Json &v, const char *key)
+/** Bind the sample record under @p sc into @p s.
+ * @throws SpecError */
+void
+bindSample(JsonRecordScanner &sc, Sample &s)
 {
-    if (v.kind != Json::Kind::Int)
-        bindFail(v, std::string("\"") + key + "\" must be an integer");
-    return v.integer;
-}
-
-double
-bindNumber(const Json &v, const char *key)
-{
-    if (v.kind == Json::Kind::Int)
-        return static_cast<double>(v.integer);
-    if (v.kind == Json::Kind::Double)
-        return v.number;
-    bindFail(v, std::string("\"") + key + "\" must be a number");
-}
-
-std::string
-bindString(const Json &v, const char *key)
-{
-    if (v.kind != Json::Kind::String)
-        bindFail(v, std::string("\"") + key + "\" must be a string");
-    return v.string;
+    bool haveWhen = false, haveName = false, haveKind = false;
+    while (sc.next()) {
+        const std::string_view key = sc.key();
+        if (key == "t") {
+            s.when = sc.integer("t");
+            haveWhen = true;
+        } else if (key == "n") {
+            s.name = sc.string("n");
+            haveName = true;
+        } else if (key == "k") {
+            if (sc.kind() != Json::Kind::String ||
+                !kindFromName(sc.stringValue(), s.kind)) {
+                sc.failValue("\"k\" must name a known metric kind");
+            }
+            haveKind = true;
+        } else if (key == "c") {
+            s.count = sc.integer("c");
+        } else if (key == "v") {
+            s.value = sc.number("v");
+        } else if (key == "min") {
+            s.min = sc.number("min");
+        } else if (key == "p50") {
+            s.p50 = sc.number("p50");
+        } else if (key == "p90") {
+            s.p90 = sc.number("p90");
+        } else if (key == "p99") {
+            s.p99 = sc.number("p99");
+        } else if (key == "max") {
+            s.max = sc.number("max");
+        } else {
+            sc.failKey("unknown metric record key \"" +
+                       std::string(key) + "\"");
+        }
+    }
+    if (!haveWhen || !haveName || !haveKind)
+        sc.failRecord("metric record needs \"t\", \"n\", and \"k\"");
+    sc.finish();
 }
 
 } // namespace
@@ -77,131 +126,29 @@ bindString(const Json &v, const char *key)
 std::string
 metaToJsonLine(const SnapshotMeta &meta)
 {
-    Json obj;
-    obj.kind = Json::Kind::Object;
-    addMember(obj, "schema", makeString(kSnapshotSchema));
-    addMember(obj, "scenario", makeString(meta.scenario));
-    addMember(obj, "variant", makeString(meta.variant));
-    addMember(obj, "trial", makeInt(meta.trial));
-    addMember(obj, "period_ns", makeInt(meta.periodNs));
-    return writeJsonCompact(obj);
+    std::string out;
+    appendMetaLine(out, meta);
+    return out;
 }
 
 std::string
 sampleToJsonLine(const Sample &sample)
 {
-    Json obj;
-    obj.kind = Json::Kind::Object;
-    addMember(obj, "t", makeInt(sample.when));
-    addMember(obj, "n", makeString(sample.name));
-    addMember(obj, "k", makeString(kindName(sample.kind)));
-    if (sample.count != 0)
-        addMember(obj, "c", makeInt(sample.count));
-    if (sample.value != 0.0)
-        addMember(obj, "v", makeDouble(sample.value));
-    if (sample.min != 0.0)
-        addMember(obj, "min", makeDouble(sample.min));
-    if (sample.p50 != 0.0)
-        addMember(obj, "p50", makeDouble(sample.p50));
-    if (sample.p90 != 0.0)
-        addMember(obj, "p90", makeDouble(sample.p90));
-    if (sample.p99 != 0.0)
-        addMember(obj, "p99", makeDouble(sample.p99));
-    if (sample.max != 0.0)
-        addMember(obj, "max", makeDouble(sample.max));
-    return writeJsonCompact(obj);
-}
-
-SnapshotMeta
-metaFromJson(const Json &value)
-{
-    if (value.kind != Json::Kind::Object)
-        bindFail(value, "snapshot header must be a JSON object");
-    SnapshotMeta meta;
-    bool haveSchema = false;
-    for (const Json::Member &m : value.object) {
-        const Json &v = m.value;
-        if (m.key == "schema") {
-            const std::string schema = bindString(v, "schema");
-            if (schema != kSnapshotSchema) {
-                bindFail(v, "unknown snapshot schema \"" + schema +
-                                "\" (expected \"" +
-                                std::string(kSnapshotSchema) + "\")");
-            }
-            haveSchema = true;
-        } else if (m.key == "scenario") {
-            meta.scenario = bindString(v, "scenario");
-        } else if (m.key == "variant") {
-            meta.variant = bindString(v, "variant");
-        } else if (m.key == "trial") {
-            meta.trial = static_cast<int>(bindInt(v, "trial"));
-        } else if (m.key == "period_ns") {
-            meta.periodNs = bindInt(v, "period_ns");
-        } else {
-            throw SpecError("unknown snapshot header key \"" + m.key +
-                                "\"",
-                            m.keyLine, m.keyColumn);
-        }
-    }
-    if (!haveSchema)
-        bindFail(value, "snapshot header needs \"schema\"");
-    return meta;
-}
-
-Sample
-sampleFromJson(const Json &value)
-{
-    if (value.kind != Json::Kind::Object)
-        bindFail(value, "metric record must be a JSON object");
-    Sample s;
-    bool haveWhen = false, haveName = false, haveKind = false;
-    for (const Json::Member &m : value.object) {
-        const Json &v = m.value;
-        if (m.key == "t") {
-            s.when = bindInt(v, "t");
-            haveWhen = true;
-        } else if (m.key == "n") {
-            s.name = bindString(v, "n");
-            haveName = true;
-        } else if (m.key == "k") {
-            if (v.kind != Json::Kind::String ||
-                !kindFromName(v.string, s.kind)) {
-                bindFail(v, "\"k\" must name a known metric kind");
-            }
-            haveKind = true;
-        } else if (m.key == "c") {
-            s.count = bindInt(v, "c");
-        } else if (m.key == "v") {
-            s.value = bindNumber(v, "v");
-        } else if (m.key == "min") {
-            s.min = bindNumber(v, "min");
-        } else if (m.key == "p50") {
-            s.p50 = bindNumber(v, "p50");
-        } else if (m.key == "p90") {
-            s.p90 = bindNumber(v, "p90");
-        } else if (m.key == "p99") {
-            s.p99 = bindNumber(v, "p99");
-        } else if (m.key == "max") {
-            s.max = bindNumber(v, "max");
-        } else {
-            throw SpecError("unknown metric record key \"" + m.key +
-                                "\"",
-                            m.keyLine, m.keyColumn);
-        }
-    }
-    if (!haveWhen || !haveName || !haveKind)
-        bindFail(value, "metric record needs \"t\", \"n\", and \"k\"");
-    return s;
+    std::string out;
+    appendSampleLine(out, sample);
+    return out;
 }
 
 std::string
 writeSnapshot(const SnapshotMeta &meta,
               const std::vector<Sample> &samples)
 {
-    std::string out = metaToJsonLine(meta);
+    std::string out;
+    out.reserve(128 + samples.size() * 96);
+    appendMetaLine(out, meta);
     out.push_back('\n');
     for (const Sample &s : samples) {
-        out += sampleToJsonLine(s);
+        appendSampleLine(out, s);
         out.push_back('\n');
     }
     return out;
@@ -213,70 +160,24 @@ parseSnapshot(const std::string &text, SnapshotMeta &meta,
 {
     meta = SnapshotMeta{};
     samples.clear();
-    std::size_t start = 0;
-    int lineNo = 0;
+    samples.reserve(static_cast<std::size_t>(
+        std::count(text.begin(), text.end(), '\n')));
+    JsonRecordScanner scanner;
     bool haveHeader = false;
-    while (start < text.size()) {
-        const std::size_t nl = text.find('\n', start);
-        const std::size_t end = nl == std::string::npos ? text.size()
-                                                        : nl;
-        ++lineNo;
-        const std::string line = text.substr(start, end - start);
-        // A record without its terminating newline is a truncated
-        // write (writeSnapshot always newline-terminates): even when
-        // the visible prefix happens to parse, trailing fields of the
-        // record may be missing, so reject instead of silently
-        // keeping a plausible-looking half sample.
-        if (nl == std::string::npos && !line.empty()) {
-            throw SpecError("record on line " + std::to_string(lineNo) +
-                                ": truncated record (missing final "
-                                "newline; incomplete write?)",
-                            0, 0);
+    forEachJsonlRecord(text, [&](std::string_view line) {
+        if (!haveHeader) {
+            scanner.reset(line, "snapshot header must be a JSON object");
+            bindMeta(scanner, meta);
+            haveHeader = true;
+        } else {
+            scanner.reset(line, "metric record must be a JSON object");
+            bindSample(scanner, samples.emplace_back());
         }
-        if (!line.empty()) {
-            try {
-                const Json parsed = parseJson(line);
-                if (!haveHeader) {
-                    meta = metaFromJson(parsed);
-                    haveHeader = true;
-                } else {
-                    samples.push_back(sampleFromJson(parsed));
-                }
-            } catch (const SpecError &e) {
-                throw SpecError("record on line " +
-                                    std::to_string(lineNo) + ": " +
-                                    e.what(),
-                                0, 0);
-            }
-        }
-        if (nl == std::string::npos)
-            break;
-        start = nl + 1;
-    }
+    });
     if (!haveHeader && !text.empty()) {
         throw SpecError("snapshot has no c4metrics/1 header line", 0,
                         0);
     }
-}
-
-std::string
-sanitizeFileComponent(const std::string &label)
-{
-    std::string out = label;
-    for (char &c : out) {
-        const bool ok = (c >= 'a' && c <= 'z') ||
-                        (c >= 'A' && c <= 'Z') ||
-                        (c >= '0' && c <= '9') || c == '.' ||
-                        c == '_' || c == '-';
-        if (!ok)
-            c = '_';
-    }
-    // "." and ".." are path traversal, not names: a spec file can put
-    // anything in its scenario name, and `--metrics DIR` must never
-    // write outside DIR.
-    if (out.empty() || out == "." || out == "..")
-        return std::string(out.empty() ? 1 : out.size(), '_');
-    return out;
 }
 
 } // namespace c4::obs

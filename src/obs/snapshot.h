@@ -42,30 +42,18 @@ std::string metaToJsonLine(const SnapshotMeta &meta);
 /** One sample as a compact one-line JSON object (no newline). */
 std::string sampleToJsonLine(const Sample &sample);
 
-/**
- * Bind one parsed header record back to a SnapshotMeta. Unknown keys,
- * mistyped values, and unknown schema tags are errors.
- * @throws SpecError
- */
-SnapshotMeta metaFromJson(const Json &value);
-
-/**
- * Bind one parsed sample record back to a Sample. Unknown keys and
- * mistyped values are errors (schema drift must not pass silently).
- * @throws SpecError
- */
-Sample sampleFromJson(const Json &value);
-
 /** Header plus all samples, one line each, newline-terminated. */
 std::string writeSnapshot(const SnapshotMeta &meta,
                           const std::vector<Sample> &samples);
 
 /**
- * Parse a snapshot document produced by writeSnapshot. The first
- * non-empty line must be a `c4metrics/1` header.
+ * Parse a snapshot document produced by writeSnapshot, one pass over
+ * the text with a JsonRecordScanner (no per-line copy, no JSON tree).
+ * The first non-empty line must be a `c4metrics/1` header.
  *
- * Strict by design: malformed records, unknown kinds/keys, and
- * truncated input all throw — a final record without its terminating
+ * Strict by design: malformed records, unknown kinds/keys, duplicate
+ * keys, mistyped values, a trial outside int32, and truncated input
+ * all throw — a final record without its terminating
  * newline is rejected as a truncated write even when the visible
  * prefix parses, because writeSnapshot always newline-terminates and
  * a mid-line EOF may have silently dropped trailing fields.
@@ -73,13 +61,6 @@ std::string writeSnapshot(const SnapshotMeta &meta,
  */
 void parseSnapshot(const std::string &text, SnapshotMeta &meta,
                    std::vector<Sample> &samples);
-
-/**
- * Make a scenario/variant label safe as a file-name component:
- * characters outside [A-Za-z0-9._-] become '_'. Callers must still
- * namespace by index when two labels could collide after mapping.
- */
-std::string sanitizeFileComponent(const std::string &label);
 
 } // namespace c4::obs
 

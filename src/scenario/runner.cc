@@ -9,6 +9,7 @@
 #include <memory>
 #include <thread>
 
+#include "common/jsonl_files.h"
 #include "common/random.h"
 #include "obs/snapshot.h"
 #include "scenario/workload.h"
@@ -35,7 +36,7 @@ writeTraces(const RunOptions &opt, const Scenario &scenario,
 {
     namespace fs = std::filesystem;
     const fs::path dir =
-        fs::path(opt.traceDir) / trace::sanitizeFileComponent(
+        fs::path(opt.traceDir) / sanitizeFileComponent(
                                      scenario.name);
     std::error_code ec;
     fs::create_directories(dir, ec);
@@ -49,7 +50,7 @@ writeTraces(const RunOptions &opt, const Scenario &scenario,
     for (std::size_t v = 0; v < variants.size(); ++v) {
         const std::string stem =
             "v" + std::to_string(v) + "_" +
-            trace::sanitizeFileComponent(variants[v].variant);
+            sanitizeFileComponent(variants[v].variant);
         for (int t = 0; t < trialCount; ++t) {
             const int trial = trialBegin + t;
             const std::size_t i =
@@ -80,7 +81,7 @@ writeTraces(const RunOptions &opt, const Scenario &scenario,
 
     const fs::path chrome =
         fs::path(opt.traceDir) /
-        (trace::sanitizeFileComponent(scenario.name) + ".trace.json");
+        (sanitizeFileComponent(scenario.name) + ".trace.json");
     std::ofstream out(chrome, std::ios::binary);
     if (!out)
         return "cannot write '" + chrome.string() + "'";
@@ -111,7 +112,7 @@ writeMetricSnapshots(
     namespace fs = std::filesystem;
     const fs::path dir =
         fs::path(opt.metricsDir) /
-        obs::sanitizeFileComponent(scenario.name);
+        sanitizeFileComponent(scenario.name);
     std::error_code ec;
     fs::create_directories(dir, ec);
     if (ec) {
@@ -122,7 +123,7 @@ writeMetricSnapshots(
     for (std::size_t v = 0; v < variants.size(); ++v) {
         const std::string stem =
             "v" + std::to_string(v) + "_" +
-            obs::sanitizeFileComponent(variants[v].variant);
+            sanitizeFileComponent(variants[v].variant);
         for (int t = 0; t < trialCount; ++t) {
             const int trial = trialBegin + t;
             const std::size_t i =

@@ -1,5 +1,7 @@
 #include "trace/export.h"
 
+#include <algorithm>
+
 namespace c4::trace {
 
 namespace {
@@ -40,18 +42,65 @@ addMember(Json &obj, const char *key, Json value)
     obj.object.push_back(std::move(m));
 }
 
-[[noreturn]] void
-bindFail(const Json &at, const std::string &what)
+/** Bind the record under @p sc into the default-constructed @p ev.
+ * @throws SpecError */
+void
+bindEvent(JsonRecordScanner &sc, Event &ev)
 {
-    throw SpecError(what, at.line, at.column);
+    bool haveWhen = false, haveKind = false;
+    while (sc.next()) {
+        const std::string_view key = sc.key();
+        if (key == "t") {
+            ev.when = sc.integer("t");
+            haveWhen = true;
+        } else if (key == "k") {
+            if (sc.kind() != Json::Kind::String ||
+                !eventKindFromName(sc.stringValue(), ev.kind)) {
+                sc.failValue("\"k\" must name a known event kind");
+            }
+            haveKind = true;
+        } else if (key == "job") {
+            ev.job = sc.int32("job");
+        } else if (key == "node") {
+            ev.node = sc.int32("node");
+        } else if (key == "a") {
+            ev.a = sc.integer("a");
+        } else if (key == "b") {
+            ev.b = sc.integer("b");
+        } else if (key == "v") {
+            ev.value = sc.number("v");
+        } else if (key == "d") {
+            ev.detail = sc.string("d");
+        } else {
+            sc.failKey("unknown trace record key \"" + std::string(key) +
+                       "\"");
+        }
+    }
+    if (!haveWhen || !haveKind)
+        sc.failRecord("trace record needs \"t\" and \"k\"");
+    sc.finish();
 }
 
-std::int64_t
-bindInt(const Json &v, const char *key)
+/** Append @p event as one compact record (no newline). */
+void
+appendEventLine(std::string &out, const Event &event)
 {
-    if (v.kind != Json::Kind::Int)
-        bindFail(v, std::string("\"") + key + "\" must be an integer");
-    return v.integer;
+    JsonRecordWriter w(out);
+    w.integer("t", event.when);
+    w.string("k", eventKindName(event.kind));
+    if (event.job != kInvalidId)
+        w.integer("job", event.job);
+    if (event.node != kInvalidId)
+        w.integer("node", event.node);
+    if (event.a != 0)
+        w.integer("a", event.a);
+    if (event.b != 0)
+        w.integer("b", event.b);
+    if (event.value != 0.0)
+        w.number("v", event.value);
+    if (!event.detail.empty())
+        w.string("d", event.detail);
+    w.close();
 }
 
 } // namespace
@@ -59,79 +108,20 @@ bindInt(const Json &v, const char *key)
 std::string
 eventToJsonLine(const Event &event)
 {
-    Json obj;
-    obj.kind = Json::Kind::Object;
-    addMember(obj, "t", makeInt(event.when));
-    addMember(obj, "k", makeString(eventKindName(event.kind)));
-    if (event.job != kInvalidId)
-        addMember(obj, "job", makeInt(event.job));
-    if (event.node != kInvalidId)
-        addMember(obj, "node", makeInt(event.node));
-    if (event.a != 0)
-        addMember(obj, "a", makeInt(event.a));
-    if (event.b != 0)
-        addMember(obj, "b", makeInt(event.b));
-    if (event.value != 0.0)
-        addMember(obj, "v", makeDouble(event.value));
-    if (!event.detail.empty())
-        addMember(obj, "d", makeString(event.detail));
-    return writeJsonCompact(obj);
-}
-
-Event
-eventFromJson(const Json &value)
-{
-    if (value.kind != Json::Kind::Object)
-        bindFail(value, "trace record must be a JSON object");
-    Event ev;
-    bool haveWhen = false, haveKind = false;
-    for (const Json::Member &m : value.object) {
-        const Json &v = m.value;
-        if (m.key == "t") {
-            ev.when = bindInt(v, "t");
-            haveWhen = true;
-        } else if (m.key == "k") {
-            if (v.kind != Json::Kind::String ||
-                !eventKindFromName(v.string, ev.kind)) {
-                bindFail(v, "\"k\" must name a known event kind");
-            }
-            haveKind = true;
-        } else if (m.key == "job") {
-            ev.job = static_cast<JobId>(bindInt(v, "job"));
-        } else if (m.key == "node") {
-            ev.node = static_cast<NodeId>(bindInt(v, "node"));
-        } else if (m.key == "a") {
-            ev.a = bindInt(v, "a");
-        } else if (m.key == "b") {
-            ev.b = bindInt(v, "b");
-        } else if (m.key == "v") {
-            if (v.kind == Json::Kind::Int)
-                ev.value = static_cast<double>(v.integer);
-            else if (v.kind == Json::Kind::Double)
-                ev.value = v.number;
-            else
-                bindFail(v, "\"v\" must be a number");
-        } else if (m.key == "d") {
-            if (v.kind != Json::Kind::String)
-                bindFail(v, "\"d\" must be a string");
-            ev.detail = v.string;
-        } else {
-            throw SpecError("unknown trace record key \"" + m.key +
-                                "\"",
-                            m.keyLine, m.keyColumn);
-        }
-    }
-    if (!haveWhen || !haveKind)
-        bindFail(value, "trace record needs \"t\" and \"k\"");
-    return ev;
+    std::string out;
+    appendEventLine(out, event);
+    return out;
 }
 
 std::string
 writeJsonl(const std::vector<Event> &events)
 {
+    // Records average ~55 bytes; one reservation usually covers the
+    // whole document.
     std::string out;
+    out.reserve(events.size() * 64);
     for (const Event &ev : events) {
-        out += eventToJsonLine(ev);
+        appendEventLine(out, ev);
         out.push_back('\n');
     }
     return out;
@@ -141,39 +131,13 @@ std::vector<Event>
 parseJsonl(const std::string &text)
 {
     std::vector<Event> out;
-    std::size_t start = 0;
-    int lineNo = 0;
-    while (start < text.size()) {
-        const std::size_t nl = text.find('\n', start);
-        const std::size_t end = nl == std::string::npos ? text.size()
-                                                        : nl;
-        ++lineNo;
-        const std::string line = text.substr(start, end - start);
-        // A record without its terminating newline is a truncated
-        // write (writeJsonl always newline-terminates): even when the
-        // visible prefix happens to parse, trailing fields of the
-        // record may be missing, so reject instead of silently
-        // keeping a plausible-looking half event.
-        if (nl == std::string::npos && !line.empty()) {
-            throw SpecError("record on line " + std::to_string(lineNo) +
-                                ": truncated record (missing final "
-                                "newline; incomplete write?)",
-                            0, 0);
-        }
-        if (!line.empty()) {
-            try {
-                out.push_back(eventFromJson(parseJson(line)));
-            } catch (const SpecError &e) {
-                throw SpecError("record on line " +
-                                    std::to_string(lineNo) + ": " +
-                                    e.what(),
-                                0, 0);
-            }
-        }
-        if (nl == std::string::npos)
-            break;
-        start = nl + 1;
-    }
+    out.reserve(static_cast<std::size_t>(
+        std::count(text.begin(), text.end(), '\n')));
+    JsonRecordScanner scanner;
+    forEachJsonlRecord(text, [&](std::string_view line) {
+        scanner.reset(line, "trace record must be a JSON object");
+        bindEvent(scanner, out.emplace_back());
+    });
     return out;
 }
 
@@ -267,26 +231,6 @@ writeChromeTrace(const std::vector<ChromeTrack> &tracks)
         }
     }
     out += "\n],\"displayTimeUnit\":\"ms\"}\n";
-    return out;
-}
-
-std::string
-sanitizeFileComponent(const std::string &label)
-{
-    std::string out = label;
-    for (char &c : out) {
-        const bool ok = (c >= 'a' && c <= 'z') ||
-                        (c >= 'A' && c <= 'Z') ||
-                        (c >= '0' && c <= '9') || c == '.' ||
-                        c == '_' || c == '-';
-        if (!ok)
-            c = '_';
-    }
-    // "." and ".." are path traversal, not names: a spec file can put
-    // anything in its scenario name, and `--trace DIR` must never
-    // write outside DIR.
-    if (out.empty() || out == "." || out == "..")
-        return std::string(out.empty() ? 1 : out.size(), '_');
     return out;
 }
 

@@ -26,24 +26,22 @@ namespace c4::trace {
 std::string eventToJsonLine(const Event &event);
 
 /**
- * Bind one parsed JSONL record back to an Event. Unknown keys and
- * mistyped values are errors (schema drift must not pass silently).
- * @throws SpecError
+ * All events, one line each, newline-terminated. Appended straight
+ * into one buffer; no per-event JSON tree or temporary string.
  */
-Event eventFromJson(const Json &value);
-
-/** All events, one line each, newline-terminated. */
 std::string writeJsonl(const std::vector<Event> &events);
 
 /**
- * Parse a JSONL document produced by writeJsonl.
+ * Parse a JSONL document produced by writeJsonl, one pass over the
+ * text with a JsonRecordScanner: no per-line copy and no JSON tree.
  *
  * Strict by design (the incident corpus depends on it): malformed
- * records, unknown kinds/keys, and truncated input all throw — a
- * final record without its terminating newline is rejected as a
- * truncated write even when the visible prefix parses, because
- * writeJsonl always newline-terminates and a mid-line EOF may have
- * silently dropped trailing fields of the record.
+ * records, unknown kinds/keys, duplicate keys, mistyped values, ids
+ * outside int32, and truncated input all throw — a final record
+ * without its terminating newline is rejected as a truncated write
+ * even when the visible prefix parses, because writeJsonl always
+ * newline-terminates and a mid-line EOF may have silently dropped
+ * trailing fields of the record.
  * @throws SpecError with the 1-based line number of the bad record.
  */
 std::vector<Event> parseJsonl(const std::string &text);
@@ -69,13 +67,6 @@ struct ChromeTrack
  * (the format's unit), derived exactly from the nanosecond values.
  */
 std::string writeChromeTrace(const std::vector<ChromeTrack> &tracks);
-
-/**
- * Make a scenario/variant label safe as a file-name component:
- * characters outside [A-Za-z0-9._-] become '_'. Callers must still
- * namespace by index when two labels could collide after mapping.
- */
-std::string sanitizeFileComponent(const std::string &label);
 
 } // namespace c4::trace
 

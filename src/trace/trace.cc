@@ -4,7 +4,8 @@ namespace c4::trace {
 
 namespace {
 
-const char *const kKindNames[kNumEventKinds] = {
+// Views of string literals, so data() is null-terminated.
+constexpr std::string_view kKindNames[kNumEventKinds] = {
     "fault_injected",    // FaultInjected
     "fault_recovered",   // FaultRecovered
     "steering_decision", // SteeringDecision
@@ -34,11 +35,11 @@ const char *
 eventKindName(EventKind kind)
 {
     const int k = static_cast<int>(kind);
-    return k >= 0 && k < kNumEventKinds ? kKindNames[k] : "?";
+    return k >= 0 && k < kNumEventKinds ? kKindNames[k].data() : "?";
 }
 
 bool
-eventKindFromName(const std::string &name, EventKind &out)
+eventKindFromName(std::string_view name, EventKind &out)
 {
     for (int k = 0; k < kNumEventKinds; ++k) {
         if (name == kKindNames[k]) {

@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -86,7 +87,7 @@ constexpr int kNumEventKinds = 9;
 const char *eventKindName(EventKind kind);
 
 /** @return false when @p name is not a known kind name. */
-bool eventKindFromName(const std::string &name, EventKind &out);
+bool eventKindFromName(std::string_view name, EventKind &out);
 
 /** Bitmask over EventKind, for recording filters. */
 using KindMask = std::uint32_t;

@@ -2,7 +2,8 @@
  * @file
  * Live-metrics subsystem: the zero-overhead detached scope, registry
  * kind discipline and registration-order determinism, byte-stable
- * c4metrics/1 snapshot round-trips, prefix-fuzz hardening of the
+ * c4metrics/1 snapshot round-trips, the DOM-free codec against its
+ * DOM reference (tests/jsonl_reference.h), prefix-fuzz hardening of the
  * parser over the committed golden, snapshot byte-equality across
  * runner thread counts, CSV invariance with metrics enabled, and
  * divergence detection in the diff analyzer. The end-to-end gate over
@@ -15,8 +16,10 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <random>
 #include <sstream>
 
+#include "jsonl_reference.h"
 #include "obs/analyze.h"
 #include "obs/metrics.h"
 #include "obs/snapshot.h"
@@ -231,15 +234,239 @@ TEST(Jsonl, RejectsMalformedAndUnknownRecords)
     }
 }
 
-TEST(Snapshot, SanitizedComponentsCannotTraverseDirectories)
+TEST(Jsonl, RejectsTrialOutsideInt32)
 {
-    EXPECT_EQ(sanitizeFileComponent("fig9_dualport"),
-              "fig9_dualport");
-    EXPECT_EQ(sanitizeFileComponent("2:1 oversub"), "2_1_oversub");
-    EXPECT_EQ(sanitizeFileComponent(""), "_");
-    EXPECT_EQ(sanitizeFileComponent("."), "_");
-    EXPECT_EQ(sanitizeFileComponent(".."), "__");
-    EXPECT_EQ(sanitizeFileComponent("../evil"), ".._evil");
+    // Narrowing 4294967299 to 3 would break
+    // writeSnapshot(parseSnapshot(text)) == text.
+    SnapshotMeta meta;
+    std::vector<Sample> samples;
+    try {
+        parseSnapshot("{\"schema\":\"c4metrics/1\",\"scenario\":\"s\","
+                      "\"variant\":\"v\",\"trial\":4294967299,"
+                      "\"period_ns\":0}\n",
+                      meta, samples);
+        FAIL() << "expected SpecError";
+    } catch (const SpecError &e) {
+        EXPECT_STREQ(e.what(),
+                     "record on line 1: line 1, column 62: \"trial\" is "
+                     "outside the 32-bit integer range");
+    }
+}
+
+// --- the codec against its DOM reference -----------------------------
+
+/** What one parser made of one document. */
+struct Outcome
+{
+    bool ok = false;
+    SnapshotMeta meta;
+    std::vector<Sample> samples;
+    std::string error;
+};
+
+template <typename Parse>
+Outcome
+outcomeOf(Parse parse, const std::string &text)
+{
+    Outcome o;
+    try {
+        parse(text, o.meta, o.samples);
+        o.ok = true;
+    } catch (const SpecError &e) {
+        o.error = e.what();
+    }
+    return o;
+}
+
+Outcome
+scanned(const std::string &text)
+{
+    return outcomeOf(
+        [](const std::string &t, SnapshotMeta &m,
+           std::vector<Sample> &s) { parseSnapshot(t, m, s); },
+        text);
+}
+
+Outcome
+referenceParsed(const std::string &text)
+{
+    return outcomeOf(
+        [](const std::string &t, SnapshotMeta &m,
+           std::vector<Sample> &s) {
+            reference::parseSnapshot(t, m, s);
+        },
+        text);
+}
+
+/** Parse @p text with the scanner and with the DOM reference; both
+ * must accept the same snapshot or fail with the same message.
+ * @return whether the document was accepted. */
+bool
+expectSameOutcome(const std::string &text)
+{
+    const Outcome scan = scanned(text);
+    const Outcome dom = referenceParsed(text);
+    EXPECT_EQ(scan.ok, dom.ok) << text;
+    EXPECT_EQ(scan.error, dom.error) << text;
+    if (scan.ok && dom.ok) {
+        EXPECT_EQ(scan.meta, dom.meta) << text;
+        EXPECT_EQ(scan.samples, dom.samples) << text;
+    }
+    return scan.ok;
+}
+
+Sample
+randomSample(std::mt19937_64 &rng)
+{
+    Sample s;
+    s.when = static_cast<Time>(rng() >> 1);
+    s.name = reference::randomLabel(rng);
+    s.kind = static_cast<MetricKind>(rng() % 3);
+    s.count = reference::randomInt(rng);
+    s.value = reference::randomDouble(rng);
+    s.min = reference::randomDouble(rng);
+    s.p50 = reference::randomDouble(rng);
+    s.p90 = reference::randomDouble(rng);
+    s.p99 = reference::randomDouble(rng);
+    s.max = reference::randomDouble(rng);
+    return s;
+}
+
+TEST(Jsonl, CodecMatchesTheDomReferenceOnGoldenAndRandomSnapshots)
+{
+    const std::string golden = readFile(C4_METRICS_GOLDEN);
+    std::mt19937_64 rng(0x5A4D);
+    SnapshotMeta meta;
+    meta.scenario = reference::randomLabel(rng);
+    meta.variant = reference::randomLabel(rng);
+    meta.trial = -7;
+    meta.periodNs = static_cast<Duration>(rng() >> 1);
+    std::vector<Sample> samples;
+    for (int i = 0; i < 5000; ++i)
+        samples.push_back(randomSample(rng));
+
+    SnapshotMeta goldenMeta;
+    std::vector<Sample> goldenSamples;
+    parseSnapshot(golden, goldenMeta, goldenSamples);
+    EXPECT_EQ(writeSnapshot(goldenMeta, goldenSamples), golden);
+
+    for (const auto &[m, s] :
+         {std::pair(goldenMeta, goldenSamples), std::pair(meta, samples)}) {
+        const std::string text = writeSnapshot(m, s);
+        EXPECT_EQ(text, reference::writeSnapshot(m, s));
+        const Outcome back = scanned(text);
+        ASSERT_TRUE(back.ok) << back.error;
+        EXPECT_EQ(back.meta, m);
+        EXPECT_EQ(back.samples, s);
+        EXPECT_TRUE(expectSameOutcome(text));
+    }
+}
+
+TEST(Jsonl, ScannerMatchesTheDomReferenceOnMutatedRecords)
+{
+    std::mt19937_64 rng(0xBADC0DE);
+    std::vector<std::string> samples;
+    std::istringstream golden(readFile(C4_METRICS_GOLDEN));
+    std::string header;
+    std::getline(golden, header);
+    for (std::string line; std::getline(golden, line);)
+        samples.push_back(line);
+    for (int i = 0; i < 300; ++i)
+        samples.push_back(sampleToJsonLine(randomSample(rng)));
+
+    std::vector<std::string> headers = {header};
+    for (int i = 0; i < 20; ++i) {
+        SnapshotMeta meta;
+        meta.scenario = reference::randomLabel(rng);
+        meta.variant = reference::randomLabel(rng);
+        meta.trial = static_cast<int>(rng() % 100);
+        meta.periodNs = static_cast<Duration>(rng() % 1000000000);
+        headers.push_back(metaToJsonLine(meta));
+    }
+
+    std::size_t accepted = 0, rejected = 0;
+    auto check = [&](const std::string &text) {
+        (expectSameOutcome(text) ? accepted : rejected) += 1;
+    };
+    for (const std::string &sample : samples) {
+        for (const std::string &mutant : reference::mutations(sample, rng))
+            check(header + "\n" + mutant + "\n");
+    }
+    for (const std::string &h : headers) {
+        for (const std::string &mutant : reference::mutations(h, rng))
+            check(mutant + "\n" + samples.front() + "\n");
+    }
+    // The mutations reach both outcomes in bulk.
+    EXPECT_GT(accepted, 1000u);
+    EXPECT_GT(rejected, 1000u);
+}
+
+TEST(Jsonl, ScannerReportsTheDomReferenceMessages)
+{
+    const std::string header = metaToJsonLine(SnapshotMeta{}) + "\n";
+    const std::string sample =
+        "{\"t\":1,\"n\":\"a\",\"k\":\"counter\"}\n";
+    // {document, expected message}
+    const std::vector<std::pair<std::string, std::string>> table = {
+        {"{\"scenario\":\"s\"}\n",
+         "record on line 1: line 1, column 1: snapshot header needs "
+         "\"schema\""},
+        {"{\"schema\":\"c4metrics/9\"}\n",
+         "record on line 1: line 1, column 11: unknown snapshot schema "
+         "\"c4metrics/9\" (expected \"c4metrics/1\")"},
+        {"{\"schema\":1}\n",
+         "record on line 1: line 1, column 11: \"schema\" must be a "
+         "string"},
+        {"{\"schema\":\"c4metrics/1\",\"bogus\":1}\n",
+         "record on line 1: line 1, column 25: unknown snapshot header "
+         "key \"bogus\""},
+        {"{\"schema\":\"c4metrics/1\",\"trial\":\"3\"}\n",
+         "record on line 1: line 1, column 33: \"trial\" must be an "
+         "integer"},
+        {"{\"schema\":\"c4metrics/1\",\"trial\":-2147483649}\n",
+         "record on line 1: line 1, column 33: \"trial\" is outside the "
+         "32-bit integer range"},
+        {"{\"schema\":\"c4metrics/1\",\"period_ns\":1e3}\n",
+         "record on line 1: line 1, column 37: \"period_ns\" must be an "
+         "integer"},
+        {"\"x\"\n",
+         "record on line 1: line 1, column 1: snapshot header must be a "
+         "JSON object"},
+        // A syntax error anywhere beats an earlier binding error.
+        {"{\"schema\":1,\"bogus\"}\n",
+         "record on line 1: line 1, column 20: expected ':' after "
+         "object key, found '}'"},
+        {header + "{\"t\":1}\n",
+         "record on line 2: line 1, column 1: metric record needs "
+         "\"t\", \"n\", and \"k\""},
+        {header + "{\"t\":1,\"n\":\"a\",\"k\":\"nope\"}\n",
+         "record on line 2: line 1, column 20: \"k\" must name a known "
+         "metric kind"},
+        {header + "{\"t\":1,\"n\":\"a\",\"k\":\"counter\",\"x\":2}\n",
+         "record on line 2: line 1, column 30: unknown metric record "
+         "key \"x\""},
+        {header + "{\"t\":1,\"n\":2,\"k\":\"counter\"}\n",
+         "record on line 2: line 1, column 12: \"n\" must be a string"},
+        {header + "{\"t\":1,\"n\":\"a\",\"k\":\"counter\",\"c\":1.5}\n",
+         "record on line 2: line 1, column 34: \"c\" must be an integer"},
+        {header + "{\"t\":1,\"n\":\"a\",\"k\":\"counter\",\"p99\":null}\n",
+         "record on line 2: line 1, column 36: \"p99\" must be a number"},
+        {header + "{\"t\":1,\"n\":\"a\",\"n\":\"b\",\"k\":\"counter\"}\n",
+         "record on line 2: line 1, column 16: duplicate key \"n\""},
+        {header + "[]\n",
+         "record on line 2: line 1, column 1: metric record must be a "
+         "JSON object"},
+        {header + sample + "{\"t\":1,\"n\":\"a\",\"k\":\"gauge\"}",
+         "record on line 3: truncated record (missing final newline; "
+         "incomplete write?)"},
+        {"\n\n", "snapshot has no c4metrics/1 header line"},
+        {"\n \n", "record on line 2: line 1, column 2: unexpected end of "
+                  "document; expected a value"},
+    };
+    for (const auto &[text, what] : table) {
+        EXPECT_EQ(scanned(text).error, what) << text;
+        EXPECT_EQ(referenceParsed(text).error, what) << text;
+    }
 }
 
 TEST(Jsonl, EveryPrefixOfTheCommittedGoldenParsesOrThrows)

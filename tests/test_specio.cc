@@ -10,7 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <random>
 #include <sstream>
 
 #include "scenario/runner.h"
@@ -80,6 +85,76 @@ TEST(Json, StrictAboutLeadingZerosAndControlCharacters)
               "a\tb");
 }
 
+TEST(Json, AppendersMatchThePrintfFormatting)
+{
+    // Strings: '"' and '\\' get a backslash, control bytes become
+    // "\\u00xx" as snprintf("\\u%04x") wrote them, all else is verbatim.
+    for (int b = 0; b < 256; ++b) {
+        const char c = static_cast<char>(b);
+        std::string expected = "\"a";
+        if (c == '"' || c == '\\') {
+            expected += '\\';
+            expected += c;
+        } else if (b < 0x20) {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x", b);
+            expected += buf;
+        } else {
+            expected += c;
+        }
+        expected += "b\"";
+        std::string out;
+        appendJsonString(out, std::string("a") + c + "b");
+        EXPECT_EQ(out, expected) << "byte " << b;
+    }
+
+    // Doubles: the shortest of snprintf's %.15g/%.16g/%.17g that
+    // strtod reads back exactly, with ".0" on integer-looking tokens.
+    auto printfForm = [](double v) {
+        char buf[40];
+        for (int precision = 15; precision <= 17; ++precision) {
+            std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+            if (std::strtod(buf, nullptr) == v)
+                break;
+        }
+        std::string out = buf;
+        if (out.find_first_of(".eE") == std::string::npos)
+            out += ".0";
+        return out;
+    };
+    std::vector<double> values = {
+        0.0, -0.0, 1.0, -1.5, 0.1, 1.0 / 3.0, 1e15, 1e16, 1e17,
+        123456789012345678.0, 1e-4, 1e-5, 100000.0, 1e21, 12.47835092903174,
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::lowest()};
+    std::mt19937_64 rng(0xD0B1E);
+    while (values.size() < 200000) {
+        const std::uint64_t bits = rng();
+        double v;
+        std::memcpy(&v, &bits, sizeof(v));
+        if (std::isfinite(v))
+            values.push_back(v);
+        values.push_back(static_cast<double>(rng() % 1000000) /
+                         static_cast<double>(1 + rng() % 1000));
+    }
+    for (double v : values) {
+        std::string out;
+        appendJsonDouble(out, v);
+        ASSERT_EQ(out, printfForm(v)) << v;
+        ASSERT_EQ(formatJsonDouble(v), out);
+    }
+
+    std::string ints;
+    appendJsonInt(ints, std::numeric_limits<std::int64_t>::min());
+    ints += ' ';
+    appendJsonInt(ints, 0);
+    ints += ' ';
+    appendJsonInt(ints, std::numeric_limits<std::int64_t>::max());
+    EXPECT_EQ(ints, "-9223372036854775808 0 9223372036854775807");
+}
+
 TEST(Json, RejectsTrailingContent)
 {
     EXPECT_THROW(parseJson("{} {}"), SpecError);
@@ -93,6 +168,24 @@ TEST(Json, ParsesEscapesAndNumbers)
     EXPECT_EQ(doc.find("s")->value.string, "a\nA");
     EXPECT_EQ(doc.find("i")->value.integer, -42);
     EXPECT_DOUBLE_EQ(doc.find("d")->value.number, 250.0);
+
+    // The int64 bounds stay integers and one past them is a double; so
+    // is a token far longer than any number the writers produce.
+    const Json nums = parseJson("[-9223372036854775808, "
+                                "9223372036854775807, "
+                                "9223372036854775808, 0." +
+                                std::string(80, '0') + "25e81]");
+    ASSERT_EQ(nums.array.size(), 4u);
+    EXPECT_EQ(nums.array[0].kind, Json::Kind::Int);
+    EXPECT_EQ(nums.array[0].integer,
+              std::numeric_limits<std::int64_t>::min());
+    EXPECT_EQ(nums.array[1].kind, Json::Kind::Int);
+    EXPECT_EQ(nums.array[1].integer,
+              std::numeric_limits<std::int64_t>::max());
+    EXPECT_EQ(nums.array[2].kind, Json::Kind::Double);
+    EXPECT_EQ(nums.array[2].number, 9223372036854775808.0);
+    EXPECT_EQ(nums.array[3].kind, Json::Kind::Double);
+    EXPECT_EQ(nums.array[3].number, 2.5);
 }
 
 TEST(Json, WriterIsStableUnderReparse)

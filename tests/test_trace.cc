@@ -1,7 +1,8 @@
 /**
  * @file
  * Event-trace subsystem: the zero-overhead detached path, recording
- * filters, byte-stable JSONL round-trips, fabric recompute
+ * filters, byte-stable JSONL round-trips, the DOM-free codec against
+ * its DOM reference (tests/jsonl_reference.h), fabric recompute
  * instrumentation and its deterministic ops counters, trace-file
  * byte-equality across runner thread counts, CSV invariance under
  * tracing, and divergence detection in the diff analyzer. The
@@ -11,11 +12,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <random>
 #include <sstream>
 
+#include "common/jsonl_files.h"
+#include "jsonl_reference.h"
+#include "perf/perf.h"
 #include "scenario/registry.h"
 #include "scenario/runner.h"
 #include "scenario/sink.h"
@@ -157,8 +167,371 @@ TEST(Jsonl, RejectsMalformedAndUnknownRecords)
     }
 }
 
+TEST(Jsonl, RejectsIdsOutsideInt32)
+{
+    // Job and node ids are int32: narrowing 4294967297 to 1 would
+    // break writeJsonl(parseJsonl(text)) == text.
+    try {
+        parseJsonl("{\"t\":1,\"k\":\"job_arrival\",\"job\":4294967297,"
+                   "\"a\":2}\n");
+        FAIL() << "expected SpecError";
+    } catch (const SpecError &e) {
+        EXPECT_STREQ(e.what(),
+                     "record on line 1: line 1, column 32: \"job\" is "
+                     "outside the 32-bit integer range");
+    }
+    EXPECT_THROW(parseJsonl("{\"t\":1,\"k\":\"job_arrival\","
+                            "\"node\":-2147483649}\n"),
+                 SpecError);
+
+    // The int32 extremes themselves round-trip.
+    const std::string edges =
+        "{\"t\":1,\"k\":\"job_arrival\",\"job\":2147483647,"
+        "\"node\":-2147483648}\n";
+    const std::vector<Event> events = parseJsonl(edges);
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].job, std::numeric_limits<JobId>::max());
+    EXPECT_EQ(events[0].node, std::numeric_limits<NodeId>::min());
+    EXPECT_EQ(writeJsonl(events), edges);
+}
+
+// --- the codec against its DOM reference -----------------------------
+
+/** What one parser made of one document. */
+struct Outcome
+{
+    bool ok = false;
+    std::vector<Event> events;
+    std::string error;
+};
+
+template <typename Parse>
+Outcome
+outcomeOf(Parse parse, const std::string &text)
+{
+    Outcome o;
+    try {
+        o.events = parse(text);
+        o.ok = true;
+    } catch (const SpecError &e) {
+        o.error = e.what();
+    }
+    return o;
+}
+
+/** Parse @p text with the scanner and with the DOM reference; both
+ * must accept the same records or fail with the same message.
+ * @return whether the document was accepted. */
+bool
+expectSameOutcome(const std::string &text)
+{
+    const Outcome scan = outcomeOf(
+        [](const std::string &t) { return parseJsonl(t); }, text);
+    const Outcome dom = outcomeOf(
+        [](const std::string &t) { return reference::parseJsonl(t); },
+        text);
+    EXPECT_EQ(scan.ok, dom.ok) << text;
+    EXPECT_EQ(scan.error, dom.error) << text;
+    EXPECT_EQ(scan.events, dom.events) << text;
+    return scan.ok;
+}
+
+/** The writer, the scanner and the DOM reference agree on @p events
+ * and on the bytes they make. */
+void
+expectCodecsAgree(const std::vector<Event> &events)
+{
+    const std::string text = writeJsonl(events);
+    EXPECT_EQ(text, reference::writeJsonl(events));
+    EXPECT_EQ(parseJsonl(text), events);
+    EXPECT_TRUE(expectSameOutcome(text));
+}
+
+std::vector<std::string>
+corpusTraces()
+{
+    std::vector<std::string> texts;
+    for (const std::string &path :
+         collectJsonlFiles(C4_INCIDENT_CORPUS_DIR, {"trace", "event"})) {
+        if (path.size() >= 12 &&
+            path.compare(path.size() - 12, 12, ".trace.jsonl") == 0)
+            texts.push_back(readFile(path));
+    }
+    return texts;
+}
+
+std::vector<std::string>
+linesOf(const std::string &text)
+{
+    std::vector<std::string> lines;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    return lines;
+}
+
+Event
+randomEvent(std::mt19937_64 &rng)
+{
+    Event ev;
+    ev.when = static_cast<Time>(rng() >> 1);
+    ev.kind = static_cast<EventKind>(rng() % kNumEventKinds);
+    auto id = [&]() -> std::int32_t {
+        switch (rng() % 4) {
+          case 0: return kInvalidId;
+          case 1: return static_cast<std::int32_t>(rng() % 512);
+          case 2: return std::numeric_limits<std::int32_t>::min();
+          default: return static_cast<std::int32_t>(rng());
+        }
+    };
+    ev.job = id();
+    ev.node = id();
+    ev.a = reference::randomInt(rng);
+    ev.b = reference::randomInt(rng);
+    ev.value = reference::randomDouble(rng);
+    ev.detail = rng() % 3 == 0 ? "" : reference::randomLabel(rng);
+    return ev;
+}
+
+/** A fig12-style trial in miniature: 8 cross-segment allreduces on
+ * fully loaded leaves, one trunk cut mid-run, static TE vs dynamic LB. */
+scenario::Scenario
+fig12StyleScenario()
+{
+    auto variant = [](bool dynamicLb) {
+        scenario::ScenarioSpec spec;
+        spec.variant = dynamicLb ? "dynamic_lb" : "static_te";
+        spec.topology.nodesPerSegment = 8;
+        spec.topology.nvlinkBusBandwidth = gbps(450);
+        spec.features.c4p = true;
+        spec.features.dynamicLoadBalance = dynamicLb;
+        spec.features.qpsPerConnection = 2;
+        scenario::AllreduceGroupSpec g;
+        g.tasks = 8;
+        g.bytes = mib(64);
+        g.iterations = 12;
+        spec.allreduces.push_back(g);
+        scenario::LinkEventSpec fail;
+        fail.at = milliseconds(20);
+        fail.segment = 0;
+        fail.plane = net::Plane::Left;
+        fail.spine = 0;
+        fail.up = false;
+        spec.linkEvents.push_back(fail);
+        return spec;
+    };
+    scenario::Scenario sc;
+    sc.name = "fig12_style";
+    sc.title = "fig12 in miniature";
+    sc.fullTrials = 1;
+    sc.smokeTrials = 1;
+    sc.variants = [variant](const scenario::RunOptions &) {
+        return std::vector<scenario::ScenarioSpec>{variant(false),
+                                                   variant(true)};
+    };
+    return sc;
+}
+
+TEST(Jsonl, CodecMatchesTheDomReferenceOnTheCorpus)
+{
+    const std::vector<std::string> texts = corpusTraces();
+    ASSERT_GE(texts.size(), 10u);
+    for (const std::string &text : texts) {
+        const std::vector<Event> events = parseJsonl(text);
+        ASSERT_FALSE(events.empty());
+        EXPECT_EQ(writeJsonl(events), text);
+        expectCodecsAgree(events);
+    }
+}
+
+TEST(Jsonl, CodecMatchesTheDomReferenceOnARealFig12StyleTrial)
+{
+    const fs::path dir = scratchDir("fig12_style");
+    scenario::RunOptions opt;
+    opt.trials = 1;
+    opt.threads = 1;
+    opt.seed = 0xF16B01;
+    opt.seedSet = true;
+    opt.traceDir = dir.string();
+    scenario::ScenarioRunner runner(opt);
+    ASSERT_EQ(runner.run(fig12StyleScenario()), 0);
+
+    for (const char *file : {"v0_static_te.t0.jsonl",
+                             "v1_dynamic_lb.t0.jsonl"}) {
+        const std::string text =
+            readFile(dir / "fig12_style" / file);
+        const std::vector<Event> events = parseJsonl(text);
+        ASSERT_GT(events.size(), 100u) << file;
+        bool sawCut = false;
+        for (const Event &ev : events)
+            sawCut |= ev.detail == "link_down";
+        EXPECT_TRUE(sawCut) << file;
+        EXPECT_EQ(writeJsonl(events), text);
+        expectCodecsAgree(events);
+    }
+}
+
+TEST(Jsonl, CodecMatchesTheDomReferenceOnRandomEvents)
+{
+    std::mt19937_64 rng(0xC0DEC);
+    std::vector<Event> events;
+    for (int i = 0; i < 10000; ++i)
+        events.push_back(randomEvent(rng));
+    expectCodecsAgree(events);
+}
+
+TEST(Jsonl, ScannerMatchesTheDomReferenceOnMutatedRecords)
+{
+    std::mt19937_64 rng(0xBADC0DE);
+    std::vector<std::string> lines;
+    for (const std::string &text : corpusTraces()) {
+        const std::vector<std::string> corpusLines = linesOf(text);
+        for (std::size_t i = 0; i < corpusLines.size(); i += 7)
+            lines.push_back(corpusLines[i]);
+    }
+    for (int i = 0; i < 300; ++i)
+        lines.push_back(eventToJsonLine(randomEvent(rng)));
+
+    const std::string valid = "{\"t\":0,\"k\":\"job_arrival\"}\n";
+    std::size_t accepted = 0, rejected = 0;
+    for (const std::string &line : lines) {
+        for (const std::string &mutant : reference::mutations(line, rng)) {
+            // Alone, and as the second record so the line number
+            // must carry over too.
+            const bool ok = expectSameOutcome(mutant + "\n");
+            (ok ? accepted : rejected) += 1;
+            expectSameOutcome(valid + mutant + "\n");
+        }
+    }
+    // The mutations reach both outcomes in bulk.
+    EXPECT_GT(accepted, 1000u);
+    EXPECT_GT(rejected, 1000u);
+}
+
+TEST(Jsonl, ScannerReportsTheDomReferenceMessages)
+{
+    const std::string deep =
+        "{\"t\":1,\"k\":\"job_arrival\",\"x\":" + std::string(70, '[') +
+        std::string(70, ']') + "}\n";
+    const std::vector<std::pair<std::string, std::string>> table = {
+        {"{\"t\":1}\n",
+         "line 1, column 1: trace record needs \"t\" and \"k\""},
+        {"  {}\n", "line 1, column 3: trace record needs \"t\" and \"k\""},
+        {"{\"t\":1,\"k\":\"nope\"}\n",
+         "line 1, column 12: \"k\" must name a known event kind"},
+        {"{\"t\":1,\"k\":7}\n",
+         "line 1, column 12: \"k\" must name a known event kind"},
+        {"{\"t\":1,\"k\":\"job_arrival\",\"x\":2}\n",
+         "line 1, column 26: unknown trace record key \"x\""},
+        {"{\"t\":1,\"t\":2,\"k\":\"job_arrival\"}\n",
+         "line 1, column 8: duplicate key \"t\""},
+        {"{\"x\":1,\"x\":2}\n", "line 1, column 8: duplicate key \"x\""},
+        {"{\"t\":\"1\",\"k\":\"job_arrival\"}\n",
+         "line 1, column 6: \"t\" must be an integer"},
+        {"{\"t\":1.5,\"k\":\"job_arrival\"}\n",
+         "line 1, column 6: \"t\" must be an integer"},
+        {"{\"t\":99999999999999999999,\"k\":\"job_arrival\"}\n",
+         "line 1, column 6: \"t\" must be an integer"},
+        {"{\"t\":1,\"k\":\"job_arrival\",\"node\":-2147483649}\n",
+         "line 1, column 33: \"node\" is outside the 32-bit integer "
+         "range"},
+        {"{\"t\":1,\"k\":\"job_arrival\",\"a\":true}\n",
+         "line 1, column 30: \"a\" must be an integer"},
+        {"{\"t\":1,\"k\":\"job_arrival\",\"v\":\"x\"}\n",
+         "line 1, column 30: \"v\" must be a number"},
+        {"{\"t\":1,\"k\":\"job_arrival\",\"d\":[\"x\"]}\n",
+         "line 1, column 30: \"d\" must be a string"},
+        {"{\"t\":1,\"k\":\"job_arrival\",\"d\":{\"y\":1,\"y\":2}}\n",
+         "line 1, column 37: duplicate key \"y\""},
+        {deep, "line 1, column 94: document nests deeper than 64 levels"},
+        {"{\"t\":1,\"k\":\"job_arrival\"} x\n",
+         "line 1, column 27: unexpected trailing content after the "
+         "document"},
+        {"[1]\n", "line 1, column 1: trace record must be a JSON object"},
+        {"\"x\" y\n",
+         "line 1, column 5: unexpected trailing content after the "
+         "document"},
+        {"not json\n", "line 1, column 1: unexpected character 'n'"},
+        {"\r\n",
+         "line 1, column 2: unexpected end of document; expected a "
+         "value"},
+        {"{\"t\":1,\"k\":\"job_arrival\",}\n",
+         "line 1, column 26: expected a quoted object key"},
+        {"{\"t\":1 \"k\":\"job_arrival\"}\n",
+         "line 1, column 8: expected '}' to close the object, found "
+         "'\"'"},
+        {"{\"t\" 1}\n", "line 1, column 6: expected ':' after object key, "
+                       "found '1'"},
+        {"{\"t\":01,\"k\":\"job_arrival\"}\n",
+         "line 1, column 7: malformed number: leading zero"},
+        {"{\"t\":-,\"k\":\"job_arrival\"}\n",
+         "line 1, column 7: malformed number"},
+        {"{\"t\":1,\"k\":\"job_arrival\",\"v\":1e400}\n",
+         "line 1, column 35: number '1e400' is out of double range"},
+        {"{\"t\":1,\"k\":\"job_arrival\",\"d\":\"a\\qb\"}\n",
+         "line 1, column 34: invalid escape '\\q'"},
+        {"{\"t\":1,\"k\":\"job_arrival\",\"d\":\"\\u00g0\"}\n",
+         "line 1, column 36: invalid \\u escape digit"},
+        {"{\"t\":1,\"k\":\"job_arrival\",\"d\":\"a\x01\"}\n",
+         "line 1, column 33: raw control character inside a string"},
+        // A syntax error anywhere beats an earlier binding error.
+        {"{\"t\":\"x\",\"k\":\n",
+         "line 1, column 14: unexpected end of document; expected a "
+         "value"},
+    };
+    for (const auto &[line, what] : table) {
+        for (const std::string &prefix :
+             {std::string(),
+              std::string("{\"t\":0,\"k\":\"job_arrival\"}\n")}) {
+            const std::string expected =
+                std::string("record on line ") +
+                (prefix.empty() ? "1" : "2") + ": " + what;
+            EXPECT_EQ(outcomeOf([](const std::string &t) {
+                          return parseJsonl(t);
+                      }, prefix + line).error,
+                      expected);
+            EXPECT_EQ(outcomeOf([](const std::string &t) {
+                          return reference::parseJsonl(t);
+                      }, prefix + line).error,
+                      expected);
+        }
+    }
+
+    // Escapes decode to the same record; CRLF endings are whitespace.
+    const std::vector<Event> escaped = parseJsonl(
+        "{\"\\u0074\":1,\"k\":\"job\\u005farrival\",\"d\":\"\\u00e9\"}\r\n");
+    ASSERT_EQ(escaped.size(), 1u);
+    EXPECT_EQ(escaped[0].kind, EventKind::JobArrival);
+    EXPECT_EQ(escaped[0].detail, "\xc3\xa9");
+}
+
+TEST(Jsonl, CodecAllocatesPerDocumentNotPerEvent)
+{
+    std::vector<Event> events;
+    events.reserve(100000);
+    static const char *const kDetails[] = {"", "link_down", "restart",
+                                           "slow-nic-tx"};
+    for (int i = 0; i < 100000; ++i) {
+        Event ev;
+        ev.when = static_cast<Time>(i) * 1000;
+        ev.kind = static_cast<EventKind>(i % kNumEventKinds);
+        ev.job = i % 3 == 0 ? kInvalidId : i % 64;
+        ev.a = i % 5;
+        ev.value = i % 2 == 0 ? 0.0 : 12.478350929 * i;
+        ev.detail = kDetails[i % 4];
+        events.push_back(std::move(ev));
+    }
+    const std::uint64_t before = perf::allocStatsNow().count;
+    const std::string text = writeJsonl(events);
+    const std::vector<Event> back = parseJsonl(text);
+    const std::uint64_t allocs = perf::allocStatsNow().count - before;
+    EXPECT_EQ(back, events);
+    EXPECT_LT(allocs, 100u);
+}
+
 TEST(Export, SanitizedComponentsCannotTraverseDirectories)
 {
+    // The runner names both its trace and its metric files with this.
     EXPECT_EQ(sanitizeFileComponent("fig9_dualport"),
               "fig9_dualport");
     EXPECT_EQ(sanitizeFileComponent("2:1 oversub"), "2_1_oversub");
