@@ -21,13 +21,74 @@ SpecError::locate(const std::string &message, int line, int column)
 }
 
 const Json::Member *
-Json::find(const std::string &key) const
+Json::find(std::string_view key) const
 {
     for (const Member &m : object) {
         if (m.key == key)
             return &m;
     }
     return nullptr;
+}
+
+void
+Json::add(std::string key, Json value)
+{
+    Member m;
+    m.key = std::move(key);
+    m.value = std::move(value);
+    object.push_back(std::move(m));
+}
+
+Json
+Json::fromBool(bool v)
+{
+    Json j;
+    j.kind = Json::Kind::Bool;
+    j.boolean = v;
+    return j;
+}
+
+Json
+Json::fromInt(std::int64_t v)
+{
+    Json j;
+    j.kind = Json::Kind::Int;
+    j.integer = v;
+    return j;
+}
+
+Json
+Json::fromDouble(double v)
+{
+    Json j;
+    j.kind = Json::Kind::Double;
+    j.number = v;
+    return j;
+}
+
+Json
+Json::fromString(std::string v)
+{
+    Json j;
+    j.kind = Json::Kind::String;
+    j.string = std::move(v);
+    return j;
+}
+
+Json
+Json::emptyArray()
+{
+    Json j;
+    j.kind = Json::Kind::Array;
+    return j;
+}
+
+Json
+Json::emptyObject()
+{
+    Json j;
+    j.kind = Json::Kind::Object;
+    return j;
 }
 
 const char *
@@ -866,6 +927,161 @@ JsonRecordScanner::finish() const
 {
     if (failed_)
         throw SpecError(error_, errorLine_, errorColumn_);
+}
+
+// --- JsonBinder -------------------------------------------------------
+
+namespace {
+
+int
+editDistance(std::string_view a, std::string_view b)
+{
+    std::vector<int> prev(b.size() + 1), cur(b.size() + 1);
+    for (std::size_t j = 0; j <= b.size(); ++j)
+        prev[j] = static_cast<int>(j);
+    for (std::size_t i = 1; i <= a.size(); ++i) {
+        cur[0] = static_cast<int>(i);
+        for (std::size_t j = 1; j <= b.size(); ++j) {
+            const int sub =
+                prev[j - 1] + (a[i - 1] == b[j - 1] ? 0 : 1);
+            cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1, sub});
+        }
+        std::swap(prev, cur);
+    }
+    return prev[b.size()];
+}
+
+/** The quoted key an error names; array entries add " entry". */
+std::string
+valueName(const char *key, bool entry)
+{
+    return std::string("\"") + key + (entry ? "\" entry" : "\"");
+}
+
+} // namespace
+
+JsonBinder::JsonBinder(const Json &obj, std::string context)
+    : obj_(obj), context_(std::move(context))
+{
+    if (obj_.kind != Json::Kind::Object) {
+        throw SpecError(context_ + " must be an object, not " +
+                            Json::kindName(obj_.kind),
+                        obj_.line, obj_.column);
+    }
+}
+
+const Json *
+JsonBinder::member(const char *key)
+{
+    known_.push_back(key);
+    const Json::Member *m = obj_.find(key);
+    return m ? &m->value : nullptr;
+}
+
+const Json &
+JsonBinder::need(const char *key)
+{
+    const Json *v = member(key);
+    if (!v)
+        fail(obj_, std::string("missing key \"") + key + "\"");
+    return *v;
+}
+
+void
+JsonBinder::read(const Json &v, const char *key, bool &out,
+                 bool entry) const
+{
+    expectKind(v, Json::Kind::Bool, key, entry);
+    out = v.boolean;
+}
+
+void
+JsonBinder::read(const Json &v, const char *key, int &out,
+                 bool entry) const
+{
+    expectKind(v, Json::Kind::Int, key, entry);
+    if (v.integer < std::numeric_limits<int>::min() ||
+        v.integer > std::numeric_limits<int>::max()) {
+        fail(v, valueName(key, entry) + " is out of integer range");
+    }
+    out = static_cast<int>(v.integer);
+}
+
+void
+JsonBinder::read(const Json &v, const char *key, std::int64_t &out,
+                 bool entry) const
+{
+    expectKind(v, Json::Kind::Int, key, entry);
+    out = v.integer;
+}
+
+void
+JsonBinder::read(const Json &v, const char *key, double &out,
+                 bool entry) const
+{
+    if (v.kind == Json::Kind::Int)
+        out = static_cast<double>(v.integer);
+    else if (v.kind == Json::Kind::Double)
+        out = v.number;
+    else
+        expectKind(v, Json::Kind::Double, key, entry);
+}
+
+void
+JsonBinder::read(const Json &v, const char *key, std::string &out,
+                 bool entry) const
+{
+    expectKind(v, Json::Kind::String, key, entry);
+    out = v.string;
+}
+
+void
+JsonBinder::expect(const Json &v, Json::Kind kind, const char *key) const
+{
+    expectKind(v, kind, key, false);
+}
+
+void
+JsonBinder::expectKind(const Json &v, Json::Kind kind, const char *key,
+                       bool entry) const
+{
+    if (v.kind != kind) {
+        fail(v, valueName(key, entry) + " must be a " +
+                    Json::kindName(kind) + ", not " +
+                    Json::kindName(v.kind));
+    }
+}
+
+void
+JsonBinder::finish() const
+{
+    for (const Json::Member &m : obj_.object) {
+        if (std::find(known_.begin(), known_.end(), m.key) !=
+            known_.end()) {
+            continue;
+        }
+        std::string message =
+            "unknown key \"" + m.key + "\" in " + context_;
+        int best = 3; // suggest only within edit distance 2
+        const char *suggestion = nullptr;
+        for (const char *k : known_) {
+            const int d = editDistance(m.key, k);
+            if (d < best) {
+                best = d;
+                suggestion = k;
+            }
+        }
+        if (suggestion)
+            message += std::string(", did you mean \"") + suggestion +
+                       "\"?";
+        throw SpecError(message, m.keyLine, m.keyColumn);
+    }
+}
+
+void
+JsonBinder::fail(const Json &at, const std::string &message) const
+{
+    throw SpecError(message + " in " + context_, at.line, at.column);
 }
 
 } // namespace c4

@@ -1,8 +1,9 @@
 /**
  * @file
- * A dependency-free JSON-subset reader/writer, shared by the spec-file
- * subsystem (specio), the sweep manifest journal, and the event-trace
- * and metric-snapshot codecs.
+ * A dependency-free JSON-subset reader/writer, shared by every document
+ * format in the repo: spec files (specio), the sweep manifest and the
+ * forensics bundle (sweep), incident labels and verdicts (replay), and
+ * the event-trace and metric-snapshot codecs (trace, obs).
  *
  * The dialect is strict JSON (objects, arrays, strings, numbers,
  * true/false/null) minus nothing, plus nothing — no comments, no
@@ -16,6 +17,14 @@
  *  - integers are kept exact (std::int64_t) and distinct from doubles,
  *    and the writer formats doubles with the shortest representation
  *    that round-trips, so write -> parse -> write is byte-stable.
+ *
+ * Whole documents go through the DOM: writers build it with the
+ * Json::fromInt()/... constructors and Json::add(), and readers bind
+ * it through JsonBinder, the one strict object binder (typed,
+ * range-checked gets, located errors, and a finish() that rejects
+ * unknown keys with a nearest-key suggestion). Spec files, sweep
+ * manifests, forensics bundles and incident labels all read through
+ * it.
  *
  * Flat JSONL records (event traces, metric snapshots) skip the DOM:
  * JsonRecordWriter appends one record straight into an output buffer,
@@ -82,7 +91,19 @@ struct Json
     std::vector<Member> object;
 
     /** The object member named @p key, or nullptr. */
-    const Member *find(const std::string &key) const;
+    const Member *find(std::string_view key) const;
+
+    /** Append the object member @p key (writers add in key order). */
+    void add(std::string key, Json value);
+
+    /** @name Value constructors, for documents built to be written. @{ */
+    static Json fromBool(bool v);
+    static Json fromInt(std::int64_t v);
+    static Json fromDouble(double v);
+    static Json fromString(std::string v);
+    static Json emptyArray();
+    static Json emptyObject();
+    /** @} */
 
     /** Human-readable kind name ("object", "string", ...). */
     static const char *kindName(Kind kind);
@@ -126,6 +147,115 @@ void appendJsonInt(std::string &out, std::int64_t v);
 
 /** Append formatJsonDouble(@p v) without a temporary string. */
 void appendJsonDouble(std::string &out, double v);
+
+/**
+ * Typed, strict access to one JSON object. Every get()/need() marks
+ * its key as known; finish() rejects whatever keys remain, suggesting
+ * the nearest known one. Errors are SpecErrors located at the
+ * offending value and end with " in <context>".
+ *
+ * Integer gets are range-checked: a value that does not fit the
+ * target type is an error, never a silent narrowing. Keys are kept as
+ * pointers, so pass string literals; the binder also keeps a
+ * reference to @p obj, which must outlive it.
+ */
+class JsonBinder
+{
+  public:
+    /** @throws SpecError unless @p obj is an object. */
+    JsonBinder(const Json &obj, std::string context);
+
+    JsonBinder(const JsonBinder &) = delete;
+    JsonBinder &operator=(const JsonBinder &) = delete;
+
+    /** How errors name the object ("variants[0].topology"). */
+    const std::string &context() const { return context_; }
+
+    /** The member named @p key, or nullptr; marks the key known. */
+    const Json *member(const char *key);
+
+    /** member(), but a missing key is an error. */
+    const Json &need(const char *key);
+
+    /** Bind member @p key into @p out, if present (bool, int,
+     * int64, double, string, or vectors of those). */
+    template <typename T>
+    void
+    get(const char *key, T &out)
+    {
+        if (const Json *v = member(key))
+            read(*v, key, out);
+    }
+
+    /** get(), but a missing key is an error. */
+    template <typename T>
+    void
+    need(const char *key, T &out)
+    {
+        read(need(key), key, out);
+    }
+
+    /**
+     * Bind each entry of the array @p v (the value of @p key) through
+     * @p bind(JsonBinder &entry), naming entry i "<path>[i]"; each
+     * entry's finish() runs after @p bind returns.
+     */
+    template <typename Bind>
+    void
+    eachObject(const Json &v, const char *key, const std::string &path,
+               Bind &&bind) const
+    {
+        expect(v, Json::Kind::Array, key);
+        for (std::size_t i = 0; i < v.array.size(); ++i) {
+            JsonBinder entry(v.array[i],
+                             path + "[" + std::to_string(i) + "]");
+            bind(entry);
+            entry.finish();
+        }
+    }
+
+    /** @throws SpecError unless @p v is a @p kind. */
+    void expect(const Json &v, Json::Kind kind, const char *key) const;
+
+    /** Reject leftover keys, suggesting the nearest known one. */
+    void finish() const;
+
+    /** @throws SpecError "<message> in <context>" located at @p at. */
+    [[noreturn]] void fail(const Json &at,
+                           const std::string &message) const;
+
+  private:
+    /** @p entry: @p v is one entry of the array named @p key. */
+    void read(const Json &v, const char *key, bool &out,
+              bool entry = false) const;
+    void read(const Json &v, const char *key, int &out,
+              bool entry = false) const;
+    void read(const Json &v, const char *key, std::int64_t &out,
+              bool entry = false) const;
+    void read(const Json &v, const char *key, double &out,
+              bool entry = false) const;
+    void read(const Json &v, const char *key, std::string &out,
+              bool entry = false) const;
+
+    template <typename T>
+    void
+    read(const Json &v, const char *key, std::vector<T> &out,
+         bool entry = false) const
+    {
+        expectKind(v, Json::Kind::Array, key, entry);
+        out.clear();
+        out.reserve(v.array.size());
+        for (const Json &e : v.array)
+            read(e, key, out.emplace_back(), true);
+    }
+
+    void expectKind(const Json &v, Json::Kind kind, const char *key,
+                    bool entry) const;
+
+    const Json &obj_;
+    std::string context_;
+    std::vector<const char *> known_;
+};
 
 /**
  * Appends one compact JSON object, member by member, to a caller's

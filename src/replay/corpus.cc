@@ -18,93 +18,23 @@ constexpr const char *kLabelSchema = "c4incident/1";
 constexpr const char *kTraceSuffix = ".trace.jsonl";
 constexpr const char *kLabelSuffix = ".label.json";
 
-Json
-makeInt(std::int64_t v)
-{
-    Json j;
-    j.kind = Json::Kind::Int;
-    j.integer = v;
-    return j;
-}
-
-Json
-makeDouble(double v)
-{
-    Json j;
-    j.kind = Json::Kind::Double;
-    j.number = v;
-    return j;
-}
-
-Json
-makeBool(bool v)
-{
-    Json j;
-    j.kind = Json::Kind::Bool;
-    j.boolean = v;
-    return j;
-}
-
-Json
-makeString(std::string s)
-{
-    Json j;
-    j.kind = Json::Kind::String;
-    j.string = std::move(s);
-    return j;
-}
-
-void
-addMember(Json &obj, const char *key, Json value)
-{
-    Json::Member m;
-    m.key = key;
-    m.value = std::move(value);
-    obj.object.push_back(std::move(m));
-}
-
-[[noreturn]] void
-bindFail(const Json &at, const std::string &what)
-{
-    throw SpecError(what, at.line, at.column);
-}
-
-std::int64_t
-bindInt(const Json &v, const char *key)
-{
-    if (v.kind != Json::Kind::Int)
-        bindFail(v, std::string("\"") + key + "\" must be an integer");
-    return v.integer;
-}
-
-std::string
-bindString(const Json &v, const char *key)
-{
-    if (v.kind != Json::Kind::String)
-        bindFail(v, std::string("\"") + key + "\" must be a string");
-    return v.string;
-}
-
 } // namespace
 
 std::string
 writeLabelJson(const IncidentLabel &label)
 {
-    Json obj;
-    obj.kind = Json::Kind::Object;
-    addMember(obj, "schema", makeString(kLabelSchema));
-    addMember(obj, "name", makeString(label.name));
-    addMember(obj, "root_cause", makeString(label.rootCause));
-    addMember(obj, "culprit_node", makeInt(label.culpritNode));
-    Json links;
-    links.kind = Json::Kind::Array;
+    Json obj = Json::emptyObject();
+    obj.add("schema", Json::fromString(kLabelSchema));
+    obj.add("name", Json::fromString(label.name));
+    obj.add("root_cause", Json::fromString(label.rootCause));
+    obj.add("culprit_node", Json::fromInt(label.culpritNode));
+    Json links = Json::emptyArray();
     for (std::int64_t l : label.culpritLinks)
-        links.array.push_back(makeInt(l));
-    addMember(obj, "culprit_links", std::move(links));
-    addMember(obj, "t_inject_ns", makeInt(label.tInject));
-    addMember(obj, "seed",
-              makeInt(static_cast<std::int64_t>(label.seed)));
-    addMember(obj, "notes", makeString(label.notes));
+        links.array.push_back(Json::fromInt(l));
+    obj.add("culprit_links", std::move(links));
+    obj.add("t_inject_ns", Json::fromInt(label.tInject));
+    obj.add("seed", Json::fromInt(static_cast<std::int64_t>(label.seed)));
+    obj.add("notes", Json::fromString(label.notes));
     return writeJson(obj) + "\n";
 }
 
@@ -112,52 +42,33 @@ IncidentLabel
 labelFromJson(const std::string &text)
 {
     const Json root = parseJson(text);
-    if (root.kind != Json::Kind::Object)
-        bindFail(root, "label must be a JSON object");
-    IncidentLabel label;
-    bool haveSchema = false;
-    for (const Json::Member &m : root.object) {
-        const Json &v = m.value;
-        if (m.key == "schema") {
-            if (bindString(v, "schema") != kLabelSchema)
-                bindFail(v, "unsupported label schema \"" + v.string +
-                                "\" (want " + kLabelSchema + ")");
-            haveSchema = true;
-        } else if (m.key == "name") {
-            label.name = bindString(v, "name");
-        } else if (m.key == "root_cause") {
-            label.rootCause = bindString(v, "root_cause");
-            c4d::IncidentKind kind;
-            if (label.rootCause != "none" &&
-                !c4d::incidentKindFromName(label.rootCause, kind)) {
-                bindFail(v, "unknown root_cause \"" + label.rootCause +
-                                "\"");
-            }
-        } else if (m.key == "culprit_node") {
-            label.culpritNode =
-                static_cast<NodeId>(bindInt(v, "culprit_node"));
-        } else if (m.key == "culprit_links") {
-            if (v.kind != Json::Kind::Array)
-                bindFail(v, "\"culprit_links\" must be an array");
-            for (const Json &e : v.array)
-                label.culpritLinks.push_back(
-                    bindInt(e, "culprit_links"));
-        } else if (m.key == "t_inject_ns") {
-            label.tInject = bindInt(v, "t_inject_ns");
-        } else if (m.key == "seed") {
-            label.seed =
-                static_cast<std::uint64_t>(bindInt(v, "seed"));
-        } else if (m.key == "notes") {
-            label.notes = bindString(v, "notes");
-        } else {
-            throw SpecError("unknown label key \"" + m.key + "\"",
-                            m.keyLine, m.keyColumn);
-        }
+    JsonBinder b(root, "the label");
+    std::string schema;
+    b.need("schema", schema);
+    if (schema != kLabelSchema) {
+        b.fail(*b.member("schema"),
+               "unsupported label schema \"" + schema + "\" (want " +
+                   kLabelSchema + ")");
     }
-    if (!haveSchema)
-        bindFail(root, "label needs a \"schema\" member");
+    IncidentLabel label;
+    b.get("name", label.name);
+    b.get("root_cause", label.rootCause);
+    c4d::IncidentKind kind;
+    if (label.rootCause != "none" &&
+        !c4d::incidentKindFromName(label.rootCause, kind)) {
+        b.fail(*b.member("root_cause"),
+               "unknown root_cause \"" + label.rootCause + "\"");
+    }
+    b.get("culprit_node", label.culpritNode);
+    b.get("culprit_links", label.culpritLinks);
+    b.get("t_inject_ns", label.tInject);
+    std::int64_t seed = 0;
+    b.get("seed", seed);
+    label.seed = static_cast<std::uint64_t>(seed);
+    b.get("notes", label.notes);
+    b.finish();
     if (label.name.empty())
-        bindFail(root, "label needs a non-empty \"name\"");
+        b.fail(root, "label needs a non-empty \"name\"");
     return label;
 }
 
@@ -249,27 +160,24 @@ verdictsToJsonl(const std::string &incident,
 {
     std::string out;
     if (vs.empty()) {
-        Json obj;
-        obj.kind = Json::Kind::Object;
-        addMember(obj, "incident", makeString(incident));
-        addMember(obj, "verdicts", makeInt(0));
+        Json obj = Json::emptyObject();
+        obj.add("incident", Json::fromString(incident));
+        obj.add("verdicts", Json::fromInt(0));
         out += writeJsonCompact(obj);
         out.push_back('\n');
         return out;
     }
     for (const c4d::IncidentVerdict &v : vs) {
-        Json obj;
-        obj.kind = Json::Kind::Object;
-        addMember(obj, "incident", makeString(incident));
-        addMember(obj, "kind",
-                  makeString(c4d::incidentKindName(v.kind)));
-        addMember(obj, "node", makeInt(v.node));
-        addMember(obj, "link", makeInt(v.link));
-        addMember(obj, "t_detect", makeInt(v.detectedAt));
-        addMember(obj, "cause", makeString(v.cause));
-        addMember(obj, "corroborated", makeBool(v.corroborated));
-        addMember(obj, "confidence", makeDouble(v.confidence));
-        addMember(obj, "evidence", makeString(v.evidence));
+        Json obj = Json::emptyObject();
+        obj.add("incident", Json::fromString(incident));
+        obj.add("kind", Json::fromString(c4d::incidentKindName(v.kind)));
+        obj.add("node", Json::fromInt(v.node));
+        obj.add("link", Json::fromInt(v.link));
+        obj.add("t_detect", Json::fromInt(v.detectedAt));
+        obj.add("cause", Json::fromString(v.cause));
+        obj.add("corroborated", Json::fromBool(v.corroborated));
+        obj.add("confidence", Json::fromDouble(v.confidence));
+        obj.add("evidence", Json::fromString(v.evidence));
         out += writeJsonCompact(obj);
         out.push_back('\n');
     }

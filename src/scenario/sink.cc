@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/csv.h"
+#include "common/json.h"
 #include "common/table.h"
 #include "scenario/registry.h"
 
@@ -22,24 +23,12 @@ formatDouble(double v)
     return buf;
 }
 
+/** @p s as a quoted, escaped JSON string. */
 std::string
-jsonEscape(const std::string &s)
+jsonQuoted(std::string_view s)
 {
     std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        const auto u = static_cast<unsigned char>(c);
-        if (c == '"' || c == '\\') {
-            out.push_back('\\');
-            out.push_back(c);
-        } else if (u < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", u);
-            out += buf;
-        } else {
-            out.push_back(c);
-        }
-    }
+    appendJsonString(out, s);
     return out;
 }
 
@@ -207,9 +196,9 @@ JsonSink::begin(const Scenario &scenario, const RunOptions &opt)
         out_ << ",";
     anyScenario_ = true;
     anyTrial_ = false;
-    out_ << "\n  {\"scenario\": \"" << jsonEscape(scenario.name)
-         << "\", \"title\": \"" << jsonEscape(scenario.title)
-         << "\", \"smoke\": " << (opt.smoke ? "true" : "false")
+    out_ << "\n  {\"scenario\": " << jsonQuoted(scenario.name)
+         << ", \"title\": " << jsonQuoted(scenario.title)
+         << ", \"smoke\": " << (opt.smoke ? "true" : "false")
          << ", \"trials\": " << opt.trials << ", \"results\": [";
 }
 
@@ -219,16 +208,15 @@ JsonSink::trial(const TrialResult &result)
     if (anyTrial_)
         out_ << ",";
     anyTrial_ = true;
-    out_ << "\n    {\"variant\": \"" << jsonEscape(result.variant)
-         << "\", \"trial\": " << result.trial << ", \"seed\": "
+    out_ << "\n    {\"variant\": " << jsonQuoted(result.variant)
+         << ", \"trial\": " << result.trial << ", \"seed\": "
          << result.seed << ", \"metrics\": {";
     bool first = true;
     for (const Metric &m : result.metrics) {
         if (!first)
             out_ << ", ";
         first = false;
-        out_ << "\"" << jsonEscape(m.name)
-             << "\": " << formatDouble(m.value);
+        out_ << jsonQuoted(m.name) << ": " << formatDouble(m.value);
     }
     out_ << "}}";
 }

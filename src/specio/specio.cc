@@ -9,6 +9,8 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
+#include <vector>
 
 #include "scenario/cli.h"
 #include "scenario/runner.h"
@@ -207,578 +209,360 @@ secondsTokenToNanos(const std::string &token, Duration &out)
     return true;
 }
 
-// --- binder -----------------------------------------------------------
+// --- field lists ----------------------------------------------------
+//
+// Each spec struct states its document keys once, in document order.
+// A visitor gets one call per member:
+//   v.field(key, &T::m)          plain values, nested structs, lists
+//   v.seconds(key, &T::m)        durations, as decimal seconds
+//   v.field(key, &T::m, names)   enums, by name
+// Reader binds them from a document; Writer emits the members that
+// differ from a default-constructed struct.
 
-int
-editDistance(const std::string &a, const std::string &b)
+template <typename V>
+void
+fields(V &v, std::type_identity<TopologySpec>)
 {
-    std::vector<int> prev(b.size() + 1), cur(b.size() + 1);
-    for (std::size_t j = 0; j <= b.size(); ++j)
-        prev[j] = static_cast<int>(j);
-    for (std::size_t i = 1; i <= a.size(); ++i) {
-        cur[0] = static_cast<int>(i);
-        for (std::size_t j = 1; j <= b.size(); ++j) {
-            const int sub =
-                prev[j - 1] + (a[i - 1] == b[j - 1] ? 0 : 1);
-            cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1, sub});
-        }
-        std::swap(prev, cur);
-    }
-    return prev[b.size()];
+    using T = TopologySpec;
+    v.field("kind", &T::kind, kTopologyKinds);
+    v.field("num_nodes", &T::numNodes);
+    v.field("oversubscription", &T::oversubscription);
+    v.field("nodes_per_segment", &T::nodesPerSegment);
+    v.field("nvlink_bus_bw_bps", &T::nvlinkBusBandwidth);
 }
 
-/**
- * Typed, typo-detecting access to one JSON object. Every get() marks
- * its key as known; finish() rejects whatever keys remain, suggesting
- * the nearest known key.
- */
-class Binder
+template <typename V>
+void
+fields(V &v, std::type_identity<FeatureSpec>)
+{
+    using T = FeatureSpec;
+    v.field("c4p", &T::c4p);
+    v.field("dual_port_rule", &T::dualPortRule);
+    v.field("spine_rule", &T::spineRule);
+    v.field("dynamic_load_balance", &T::dynamicLoadBalance);
+    v.field("spray_paths", &T::sprayPaths);
+    v.field("qps_per_connection", &T::qpsPerConnection);
+    v.field("c4d", &T::c4d);
+    v.seconds("evaluate_period_s", &T::evaluatePeriod);
+    v.seconds("hang_threshold_s", &T::hangThreshold);
+    v.seconds("min_wait_for_slow_s", &T::minWaitForSlow);
+    v.field("isolate_on_slow", &T::isolateOnSlow);
+    v.seconds("isolation_delay_s", &T::isolationDelay);
+    v.field("backup_nodes", &T::backupNodes);
+    v.seconds("fabric_coalesce_window_s", &T::fabricCoalesceWindow);
+}
+
+template <typename V>
+void
+fields(V &v, std::type_identity<train::ParallelismSpec>)
+{
+    using T = train::ParallelismSpec;
+    v.field("tp", &T::tp);
+    v.field("pp", &T::pp);
+    v.field("dp", &T::dp);
+    v.field("ep", &T::ep);
+    v.field("gradient_accumulation", &T::gradientAccumulation);
+    v.field("zero_stage", &T::zeroStage);
+}
+
+template <typename V>
+void
+fields(V &v, std::type_identity<JobSpec>)
+{
+    using T = JobSpec;
+    v.field("id", &T::id);
+    v.field("name", &T::name);
+    v.field("model", &T::model);
+    v.seconds("microbatch_compute_s", &T::microbatchCompute);
+    v.field("parallel", &T::parallel);
+    v.field("micro_batch", &T::microBatch);
+    v.seconds("init_time_s", &T::initTime);
+    v.field("dp_groups_simulated", &T::dpGroupsSimulated);
+    v.field("checkpoint_interval_iters", &T::checkpointIntervalIters);
+    v.seconds("checkpoint_cost_s", &T::checkpointCost);
+    v.seconds("hang_watchdog_timeout_s", &T::hangWatchdogTimeout);
+    v.field("nodes", &T::nodes);
+    v.field("placement", &T::placement, kPlacements);
+}
+
+template <typename V>
+void
+fields(V &v, std::type_identity<AllreduceGroupSpec>)
+{
+    using T = AllreduceGroupSpec;
+    v.field("tasks", &T::tasks);
+    v.field("placement", &T::placement, kTaskPlacements);
+    v.field("nodes_per_task", &T::nodesPerTask);
+    v.field("explicit_nodes", &T::explicitNodes);
+    v.field("bytes", &T::bytes);
+    v.field("iterations", &T::iterations);
+}
+
+template <typename V>
+void
+fields(V &v, std::type_identity<LinkEventSpec>)
+{
+    using T = LinkEventSpec;
+    v.seconds("at_s", &T::at);
+    v.field("segment", &T::segment);
+    v.field("plane", &T::plane, kPlanes);
+    v.field("spine", &T::spine);
+    v.field("up", &T::up);
+}
+
+template <typename V>
+void
+fields(V &v, std::type_identity<FaultSpec>)
+{
+    using T = FaultSpec;
+    v.seconds("at_s", &T::at);
+    v.field("type", &T::type, kFaultTypes);
+    v.field("job", &T::job);
+    v.field("job_node_index", &T::jobNodeIndex);
+    v.field("node", &T::node);
+    v.field("all_nics", &T::allNics);
+    v.field("nic", &T::nic);
+    v.field("severity", &T::severity);
+}
+
+template <typename V>
+void
+fields(V &v, std::type_identity<CampaignSpec>)
+{
+    using T = CampaignSpec;
+    v.field("enabled", &T::enabled);
+    v.field("rates", &T::rates, kCampaignRates);
+    v.field("scale", &T::scale);
+    v.seconds("span_s", &T::span);
+}
+
+template <typename V>
+void
+fields(V &v, std::type_identity<MetricsSpec>)
+{
+    using T = MetricsSpec;
+    v.field("task_busbw", &T::taskBusBw);
+    v.field("per_task", &T::perTask);
+    v.seconds("split_at_s", &T::splitAt);
+    v.field("job_throughput", &T::jobThroughput);
+    v.field("job_comm_share", &T::jobCommShare);
+    v.field("job_segments", &T::jobSegments);
+    v.field("steering_counters", &T::steeringCounters);
+    v.seconds("cnp_sample_period_s", &T::cnpSamplePeriod);
+    v.field("cnp_nic", &T::cnpNic);
+    v.seconds("uplink_sample_period_s", &T::uplinkSamplePeriod);
+    v.field("uplink_segment", &T::uplinkSegment);
+    v.field("uplink_plane", &T::uplinkPlane, kPlanes);
+    v.field("detection", &T::detection);
+    v.field("detection_kind", &T::detectionKind, kEventKinds);
+}
+
+/** A variant's keys between the always-written "variant" and the
+ * trailing "custom" marker. */
+template <typename V>
+void
+fields(V &v, std::type_identity<ScenarioSpec>)
+{
+    using T = ScenarioSpec;
+    v.field("topology", &T::topology);
+    v.field("features", &T::features);
+    v.field("jobs", &T::jobs);
+    v.field("allreduces", &T::allreduces);
+    v.field("link_events", &T::linkEvents);
+    v.field("faults", &T::faults);
+    v.field("campaign", &T::campaign);
+    v.field("metrics", &T::metrics);
+    v.seconds("horizon_s", &T::horizon);
+    v.seconds("abort_at_s", &T::abortAt);
+    v.field("abort_trial", &T::abortTrial);
+}
+
+/** The document keys between the always-written "scenario" and
+ * "seed". */
+template <typename V>
+void
+fields(V &v, std::type_identity<SpecFile>)
+{
+    using T = SpecFile;
+    v.field("title", &T::title);
+    v.field("description", &T::description);
+    v.field("notes", &T::notes);
+    v.field("full_trials", &T::fullTrials);
+    v.field("smoke_trials", &T::smokeTrials);
+    v.field("trial_begin", &T::trialBegin);
+    v.field("trial_count", &T::trialCount);
+}
+
+/** The structs with a field list above. */
+template <typename T>
+concept HasFields =
+    requires(int &v) { fields(v, std::type_identity<T>{}); };
+
+template <typename T>
+constexpr bool kIsList = false;
+template <typename E>
+constexpr bool kIsList<std::vector<E>> = true;
+
+template <typename T>
+constexpr bool kIsStructList = false;
+template <HasFields E>
+constexpr bool kIsStructList<std::vector<E>> = true;
+
+// --- reader -----------------------------------------------------------
+
+template <typename T>
+void bindFields(JsonBinder &b, T &out);
+
+/** Binds one field list from the object under a binder. */
+template <typename T>
+class Reader
 {
   public:
-    Binder(const Json &obj, std::string context)
-        : obj_(obj), context_(std::move(context))
-    {
-        if (obj_.kind != Json::Kind::Object) {
-            throw SpecError(context_ + " must be an object, not " +
-                                Json::kindName(obj_.kind),
-                            obj_.line, obj_.column);
-        }
-    }
+    Reader(JsonBinder &b, T &out) : b_(b), out_(out) {}
 
-    ~Binder() = default;
-    Binder(const Binder &) = delete;
-    Binder &operator=(const Binder &) = delete;
-
-    /** Raw member access (arrays / nested objects); marks key known. */
-    const Json *
-    member(const char *key)
-    {
-        known_.push_back(key);
-        const Json::Member *m = obj_.find(key);
-        return m ? &m->value : nullptr;
-    }
-
+    template <typename F>
     void
-    get(const char *key, bool &out)
+    field(const char *key, F T::*m)
     {
-        if (const Json *v = member(key)) {
-            require(*v, Json::Kind::Bool, key);
-            out = v->boolean;
-        }
-    }
-
-    void
-    get(const char *key, int &out)
-    {
-        if (const Json *v = member(key)) {
-            require(*v, Json::Kind::Int, key);
-            if (v->integer < std::numeric_limits<int>::min() ||
-                v->integer > std::numeric_limits<int>::max()) {
-                fail(*v, std::string("\"") + key +
-                             "\" is out of integer range");
+        F &f = out_.*m;
+        if constexpr (HasFields<F> || kIsStructList<F>) {
+            const Json *v = b_.member(key);
+            if (!v)
+                return;
+            const std::string path = b_.context() + "." + key;
+            if constexpr (HasFields<F>) {
+                JsonBinder nested(*v, path);
+                bindFields(nested, f);
+                nested.finish();
+            } else {
+                b_.eachObject(*v, key, path, [&f](JsonBinder &entry) {
+                    bindFields(entry, f.emplace_back());
+                });
             }
-            out = static_cast<int>(v->integer);
+        } else {
+            b_.get(key, f);
         }
     }
 
     void
-    get(const char *key, std::int64_t &out)
+    seconds(const char *key, Duration T::*m)
     {
-        if (const Json *v = member(key)) {
-            require(*v, Json::Kind::Int, key);
-            out = v->integer;
-        }
-    }
-
-    void
-    get(const char *key, double &out)
-    {
-        if (const Json *v = member(key)) {
-            if (v->kind == Json::Kind::Int)
-                out = static_cast<double>(v->integer);
-            else if (v->kind == Json::Kind::Double)
-                out = v->number;
-            else
-                fail(*v, std::string("\"") + key +
-                             "\" must be a number, not " +
-                             Json::kindName(v->kind));
-        }
-    }
-
-    void
-    get(const char *key, std::string &out)
-    {
-        if (const Json *v = member(key)) {
-            require(*v, Json::Kind::String, key);
-            out = v->string;
-        }
-    }
-
-    /** Duration/Time key, expressed in seconds in the document. */
-    void
-    getSeconds(const char *key, std::int64_t &out)
-    {
-        if (const Json *v = member(key)) {
-            if (v->kind != Json::Kind::Int &&
-                v->kind != Json::Kind::Double) {
-                fail(*v, std::string("\"") + key +
-                             "\" must be a number of seconds, not " +
-                             Json::kindName(v->kind));
-            }
-            const std::string &token =
-                v->raw.empty() ? std::to_string(v->integer) : v->raw;
-            Duration ns = 0;
-            if (!secondsTokenToNanos(token, ns)) {
-                fail(*v, std::string("\"") + key + "\" value '" +
-                             token +
-                             "' does not fit an integer-nanosecond "
-                             "duration");
-            }
-            out = ns;
-        }
-    }
-
-    void
-    getSeed(const char *key, std::uint64_t &out)
-    {
-        const Json *v = member(key);
+        const Json *v = b_.member(key);
         if (!v)
             return;
-        if (v->kind == Json::Kind::Int && v->integer >= 0) {
-            out = static_cast<std::uint64_t>(v->integer);
-            return;
+        if (v->kind != Json::Kind::Int && v->kind != Json::Kind::Double) {
+            b_.fail(*v, std::string("\"") + key +
+                            "\" must be a number of seconds, not " +
+                            Json::kindName(v->kind));
         }
-        if (v->kind == Json::Kind::String) {
-            // Strict shape check first: strtoull alone would skip
-            // whitespace, wrap negatives, and read "077" as octal.
-            const std::string &s = v->string;
-            int base = 10;
-            std::size_t digits = 0;
-            if (s.size() > 2 && s[0] == '0' &&
-                (s[1] == 'x' || s[1] == 'X')) {
-                base = 16;
-                digits = 2;
-            }
-            bool wellFormed = s.size() > digits;
-            for (std::size_t i = digits; i < s.size(); ++i) {
-                const auto c = static_cast<unsigned char>(s[i]);
-                if (!(base == 16 ? std::isxdigit(c)
-                                 : std::isdigit(c))) {
-                    wellFormed = false;
-                    break;
-                }
-            }
-            if (wellFormed) {
-                errno = 0;
-                out = std::strtoull(s.c_str(), nullptr, base);
-                if (errno == 0)
-                    return;
-            }
+        const std::string &token =
+            v->raw.empty() ? std::to_string(v->integer) : v->raw;
+        if (!secondsTokenToNanos(token, out_.*m)) {
+            b_.fail(*v, std::string("\"") + key + "\" value '" + token +
+                            "' does not fit an integer-nanosecond "
+                            "duration");
         }
-        fail(*v, std::string("\"") + key +
-                     "\" must be a non-negative integer or a "
-                     "\"0x...\" string");
     }
 
     template <typename E, std::size_t N>
     void
-    getEnum(const char *key, E &out, const EnumName<E> (&table)[N])
+    field(const char *key, E T::*m, const EnumName<E> (&names)[N])
     {
-        const Json *v = member(key);
+        const Json *v = b_.member(key);
         if (!v)
             return;
-        require(*v, Json::Kind::String, key);
-        for (const EnumName<E> &e : table) {
+        b_.expect(*v, Json::Kind::String, key);
+        for (const EnumName<E> &e : names) {
             if (v->string == e.name) {
-                out = e.value;
+                out_.*m = e.value;
                 return;
             }
         }
         std::string allowed;
-        for (const EnumName<E> &e : table) {
+        for (const EnumName<E> &e : names) {
             if (!allowed.empty())
                 allowed += ", ";
             allowed += std::string("\"") + e.name + "\"";
         }
-        fail(*v, std::string("\"") + key + "\" value \"" + v->string +
-                     "\" is not one of " + allowed);
-    }
-
-    /** Array of integers (node lists). */
-    void
-    getIntArray(const char *key, std::vector<NodeId> &out)
-    {
-        const Json *v = member(key);
-        if (!v)
-            return;
-        require(*v, Json::Kind::Array, key);
-        out = intArray(*v, key);
-    }
-
-    std::vector<NodeId>
-    intArray(const Json &v, const char *key) const
-    {
-        std::vector<NodeId> out;
-        out.reserve(v.array.size());
-        for (const Json &e : v.array) {
-            if (e.kind != Json::Kind::Int) {
-                fail(e, std::string("\"") + key +
-                            "\" entries must be integers, not " +
-                            Json::kindName(e.kind));
-            }
-            out.push_back(static_cast<NodeId>(e.integer));
-        }
-        return out;
-    }
-
-    /** Reject leftover keys, suggesting the nearest known one. */
-    void
-    finish()
-    {
-        for (const Json::Member &m : obj_.object) {
-            if (std::find(known_.begin(), known_.end(), m.key) !=
-                known_.end()) {
-                continue;
-            }
-            std::string message = "unknown key \"" + m.key + "\" in " +
-                                  context_;
-            int best = 3; // suggest only within edit distance 2
-            const char *suggestion = nullptr;
-            for (const char *k : known_) {
-                const int d = editDistance(m.key, k);
-                if (d < best) {
-                    best = d;
-                    suggestion = k;
-                }
-            }
-            if (suggestion) {
-                message += std::string(", did you mean \"") +
-                           suggestion + "\"?";
-            }
-            throw SpecError(message, m.keyLine, m.keyColumn);
-        }
-    }
-
-    [[noreturn]] void
-    fail(const Json &at, const std::string &message) const
-    {
-        throw SpecError(message + " in " + context_, at.line,
-                        at.column);
+        b_.fail(*v, std::string("\"") + key + "\" value \"" + v->string +
+                        "\" is not one of " + allowed);
     }
 
   private:
-    void
-    require(const Json &v, Json::Kind kind, const char *key) const
-    {
-        if (v.kind != kind) {
-            fail(v, std::string("\"") + key + "\" must be a " +
-                        Json::kindName(kind) + ", not " +
-                        Json::kindName(v.kind));
-        }
-    }
-
-    const Json &obj_;
-    std::string context_;
-    std::vector<const char *> known_;
+    JsonBinder &b_;
+    T &out_;
 };
 
-// --- struct binders ---------------------------------------------------
-
+template <typename T>
 void
-bindTopology(const Json &doc, TopologySpec &out,
-             const std::string &context)
+bindFields(JsonBinder &b, T &out)
 {
-    Binder b(doc, context);
-    b.getEnum("kind", out.kind, kTopologyKinds);
-    b.get("num_nodes", out.numNodes);
-    b.get("oversubscription", out.oversubscription);
-    b.get("nodes_per_segment", out.nodesPerSegment);
-    b.get("nvlink_bus_bw_bps", out.nvlinkBusBandwidth);
-    b.finish();
+    Reader<T> reader(b, out);
+    fields(reader, std::type_identity<T>{});
 }
 
 void
-bindFeatures(const Json &doc, FeatureSpec &out,
-             const std::string &context)
+getSeed(JsonBinder &b, const char *key, std::uint64_t &out)
 {
-    Binder b(doc, context);
-    b.get("c4p", out.c4p);
-    b.get("dual_port_rule", out.dualPortRule);
-    b.get("spine_rule", out.spineRule);
-    b.get("dynamic_load_balance", out.dynamicLoadBalance);
-    b.get("spray_paths", out.sprayPaths);
-    b.get("qps_per_connection", out.qpsPerConnection);
-    b.get("c4d", out.c4d);
-    b.getSeconds("evaluate_period_s", out.evaluatePeriod);
-    b.getSeconds("hang_threshold_s", out.hangThreshold);
-    b.getSeconds("min_wait_for_slow_s", out.minWaitForSlow);
-    b.get("isolate_on_slow", out.isolateOnSlow);
-    b.getSeconds("isolation_delay_s", out.isolationDelay);
-    b.get("backup_nodes", out.backupNodes);
-    b.getSeconds("fabric_coalesce_window_s", out.fabricCoalesceWindow);
-    b.finish();
-}
-
-void
-bindParallel(const Json &doc, train::ParallelismSpec &out,
-             const std::string &context)
-{
-    Binder b(doc, context);
-    b.get("tp", out.tp);
-    b.get("pp", out.pp);
-    b.get("dp", out.dp);
-    b.get("ep", out.ep);
-    b.get("gradient_accumulation", out.gradientAccumulation);
-    b.get("zero_stage", out.zeroStage);
-    b.finish();
-}
-
-void
-bindJob(const Json &doc, JobSpec &out, const std::string &context)
-{
-    Binder b(doc, context);
-    int id = out.id;
-    b.get("id", id);
-    out.id = static_cast<JobId>(id);
-    b.get("name", out.name);
-    b.get("model", out.model);
-    b.getSeconds("microbatch_compute_s", out.microbatchCompute);
-    if (const Json *v = b.member("parallel"))
-        bindParallel(*v, out.parallel, context + ".parallel");
-    b.get("micro_batch", out.microBatch);
-    b.getSeconds("init_time_s", out.initTime);
-    b.get("dp_groups_simulated", out.dpGroupsSimulated);
-    b.get("checkpoint_interval_iters", out.checkpointIntervalIters);
-    b.getSeconds("checkpoint_cost_s", out.checkpointCost);
-    b.getSeconds("hang_watchdog_timeout_s", out.hangWatchdogTimeout);
-    b.getIntArray("nodes", out.nodes);
-    b.getEnum("placement", out.placement, kPlacements);
-    b.finish();
-}
-
-void
-bindAllreduce(const Json &doc, AllreduceGroupSpec &out,
-              const std::string &context)
-{
-    Binder b(doc, context);
-    b.get("tasks", out.tasks);
-    b.getEnum("placement", out.placement, kTaskPlacements);
-    b.get("nodes_per_task", out.nodesPerTask);
-    if (const Json *v = b.member("explicit_nodes")) {
-        if (v->kind != Json::Kind::Array) {
-            b.fail(*v, "\"explicit_nodes\" must be an array of node "
-                       "lists");
+    const Json *v = b.member(key);
+    if (!v)
+        return;
+    if (v->kind == Json::Kind::Int && v->integer >= 0) {
+        out = static_cast<std::uint64_t>(v->integer);
+        return;
+    }
+    if (v->kind == Json::Kind::String) {
+        // Strict shape check first: strtoull alone would skip
+        // whitespace, wrap negatives, and read "077" as octal.
+        const std::string &s = v->string;
+        int base = 10;
+        std::size_t digits = 0;
+        if (s.size() > 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X')) {
+            base = 16;
+            digits = 2;
         }
-        for (const Json &e : v->array) {
-            if (e.kind != Json::Kind::Array) {
-                b.fail(e, "\"explicit_nodes\" entries must be arrays "
-                          "of node ids");
+        bool wellFormed = s.size() > digits;
+        for (std::size_t i = digits; i < s.size(); ++i) {
+            const auto c = static_cast<unsigned char>(s[i]);
+            if (!(base == 16 ? std::isxdigit(c) : std::isdigit(c))) {
+                wellFormed = false;
+                break;
             }
-            out.explicitNodes.push_back(
-                b.intArray(e, "explicit_nodes"));
+        }
+        if (wellFormed) {
+            errno = 0;
+            out = std::strtoull(s.c_str(), nullptr, base);
+            if (errno == 0)
+                return;
         }
     }
-    b.get("bytes", out.bytes);
-    b.get("iterations", out.iterations);
-    b.finish();
+    b.fail(*v, std::string("\"") + key +
+                   "\" must be a non-negative integer or a "
+                   "\"0x...\" string");
 }
 
-void
-bindLinkEvent(const Json &doc, LinkEventSpec &out,
-              const std::string &context)
-{
-    Binder b(doc, context);
-    b.getSeconds("at_s", out.at);
-    b.get("segment", out.segment);
-    b.getEnum("plane", out.plane, kPlanes);
-    b.get("spine", out.spine);
-    b.get("up", out.up);
-    b.finish();
-}
+// --- writer -----------------------------------------------------------
 
-void
-bindFault(const Json &doc, FaultSpec &out, const std::string &context)
-{
-    Binder b(doc, context);
-    b.getSeconds("at_s", out.at);
-    b.getEnum("type", out.type, kFaultTypes);
-    int job = out.job;
-    b.get("job", job);
-    out.job = static_cast<JobId>(job);
-    b.get("job_node_index", out.jobNodeIndex);
-    int node = out.node;
-    b.get("node", node);
-    out.node = static_cast<NodeId>(node);
-    b.get("all_nics", out.allNics);
-    int nic = out.nic;
-    b.get("nic", nic);
-    out.nic = static_cast<NicId>(nic);
-    b.get("severity", out.severity);
-    b.finish();
-}
+Json jsonOf(bool v) { return Json::fromBool(v); }
+Json jsonOf(int v) { return Json::fromInt(v); }
+Json jsonOf(std::int64_t v) { return Json::fromInt(v); }
+Json jsonOf(double v) { return Json::fromDouble(v); }
+Json jsonOf(const std::string &v) { return Json::fromString(v); }
 
-void
-bindCampaign(const Json &doc, CampaignSpec &out,
-             const std::string &context)
-{
-    Binder b(doc, context);
-    b.get("enabled", out.enabled);
-    b.getEnum("rates", out.rates, kCampaignRates);
-    b.get("scale", out.scale);
-    b.getSeconds("span_s", out.span);
-    b.finish();
-}
-
-void
-bindMetrics(const Json &doc, MetricsSpec &out,
-            const std::string &context)
-{
-    Binder b(doc, context);
-    b.get("task_busbw", out.taskBusBw);
-    b.get("per_task", out.perTask);
-    b.getSeconds("split_at_s", out.splitAt);
-    b.get("job_throughput", out.jobThroughput);
-    b.get("job_comm_share", out.jobCommShare);
-    b.get("job_segments", out.jobSegments);
-    b.get("steering_counters", out.steeringCounters);
-    b.getSeconds("cnp_sample_period_s", out.cnpSamplePeriod);
-    int cnpNic = out.cnpNic;
-    b.get("cnp_nic", cnpNic);
-    out.cnpNic = static_cast<NicId>(cnpNic);
-    b.getSeconds("uplink_sample_period_s", out.uplinkSamplePeriod);
-    b.get("uplink_segment", out.uplinkSegment);
-    b.getEnum("uplink_plane", out.uplinkPlane, kPlanes);
-    b.get("detection", out.detection);
-    b.getEnum("detection_kind", out.detectionKind, kEventKinds);
-    b.finish();
-}
-
-void
-bindVariant(const Json &doc, ScenarioSpec &out,
-            const std::string &context)
-{
-    Binder b(doc, context);
-    b.get("variant", out.variant);
-    if (const Json *v = b.member("topology"))
-        bindTopology(*v, out.topology, context + ".topology");
-    if (const Json *v = b.member("features"))
-        bindFeatures(*v, out.features, context + ".features");
-    if (const Json *v = b.member("jobs")) {
-        if (v->kind != Json::Kind::Array)
-            b.fail(*v, "\"jobs\" must be an array");
-        for (std::size_t i = 0; i < v->array.size(); ++i) {
-            JobSpec job;
-            bindJob(v->array[i], job,
-                    context + ".jobs[" + std::to_string(i) + "]");
-            out.jobs.push_back(std::move(job));
-        }
-    }
-    if (const Json *v = b.member("allreduces")) {
-        if (v->kind != Json::Kind::Array)
-            b.fail(*v, "\"allreduces\" must be an array");
-        for (std::size_t i = 0; i < v->array.size(); ++i) {
-            AllreduceGroupSpec group;
-            bindAllreduce(v->array[i], group,
-                          context + ".allreduces[" +
-                              std::to_string(i) + "]");
-            out.allreduces.push_back(std::move(group));
-        }
-    }
-    if (const Json *v = b.member("link_events")) {
-        if (v->kind != Json::Kind::Array)
-            b.fail(*v, "\"link_events\" must be an array");
-        for (std::size_t i = 0; i < v->array.size(); ++i) {
-            LinkEventSpec event;
-            bindLinkEvent(v->array[i], event,
-                          context + ".link_events[" +
-                              std::to_string(i) + "]");
-            out.linkEvents.push_back(event);
-        }
-    }
-    if (const Json *v = b.member("faults")) {
-        if (v->kind != Json::Kind::Array)
-            b.fail(*v, "\"faults\" must be an array");
-        for (std::size_t i = 0; i < v->array.size(); ++i) {
-            FaultSpec faultSpec;
-            bindFault(v->array[i], faultSpec,
-                      context + ".faults[" + std::to_string(i) + "]");
-            out.faults.push_back(faultSpec);
-        }
-    }
-    if (const Json *v = b.member("campaign"))
-        bindCampaign(*v, out.campaign, context + ".campaign");
-    if (const Json *v = b.member("metrics"))
-        bindMetrics(*v, out.metrics, context + ".metrics");
-    b.getSeconds("horizon_s", out.horizon);
-    b.getSeconds("abort_at_s", out.abortAt);
-    b.get("abort_trial", out.abortTrial);
-    bool custom = false;
-    b.get("custom", custom);
-    if (custom) {
-        // The built-in this was dumped from runs code, not data; a
-        // reloaded copy can only hold the variant's declarative shell.
-        out.custom = [](scenario::TrialContext &) {
-            throw std::runtime_error(
-                "this variant was dumped from a scenario with a "
-                "custom (code-defined) executor; it cannot run from "
-                "a spec file");
-        };
-    }
-    b.finish();
-}
-
-// --- writers ----------------------------------------------------------
-
-Json
-jsonString(const std::string &s)
-{
-    Json v;
-    v.kind = Json::Kind::String;
-    v.string = s;
-    return v;
-}
-
-Json
-jsonBool(bool b)
-{
-    Json v;
-    v.kind = Json::Kind::Bool;
-    v.boolean = b;
-    return v;
-}
-
-Json
-jsonInt(std::int64_t i)
-{
-    Json v;
-    v.kind = Json::Kind::Int;
-    v.integer = i;
-    return v;
-}
-
-Json
-jsonDouble(double d)
-{
-    Json v;
-    v.kind = Json::Kind::Double;
-    v.number = d;
-    return v;
-}
+template <typename E>
+Json jsonOf(const std::vector<E> &list);
+template <HasFields T>
+Json jsonOf(const T &value);
 
 /** Seconds value carrying exact decimal text derived from @p ns. */
 Json
 jsonSeconds(Duration ns)
 {
-    Json v;
     const std::string text = secondsText(ns);
-    if (text.find('.') == std::string::npos) {
-        v.kind = Json::Kind::Int;
-        v.integer = ns / 1000000000;
-    } else {
-        v.kind = Json::Kind::Double;
-        v.raw = text;
-        v.number = std::strtod(text.c_str(), nullptr);
-    }
+    if (text.find('.') == std::string::npos)
+        return Json::fromInt(ns / 1000000000);
+    Json v = Json::fromDouble(std::strtod(text.c_str(), nullptr));
+    v.raw = text;
     return v;
 }
 
@@ -788,332 +572,79 @@ jsonSeed(std::uint64_t seed)
     char buf[24];
     std::snprintf(buf, sizeof(buf), "0x%llX",
                   static_cast<unsigned long long>(seed));
-    return jsonString(buf);
+    return Json::fromString(buf);
 }
 
-Json
-jsonNodeList(const std::vector<NodeId> &nodes)
+/** Adds one field list's members that differ from their defaults;
+ * an empty list or nested object is left out. */
+template <typename T>
+class Writer
 {
-    Json v;
-    v.kind = Json::Kind::Array;
-    for (NodeId n : nodes)
-        v.array.push_back(jsonInt(n));
-    return v;
-}
+  public:
+    Writer(const T &value, Json &out) : value_(value), out_(out) {}
 
+    template <typename F>
+    void
+    field(const char *key, F T::*m)
+    {
+        const F &f = value_.*m;
+        if constexpr (HasFields<F>) {
+            Json o = jsonOf(f);
+            if (!o.object.empty())
+                out_.add(key, std::move(o));
+        } else if constexpr (kIsList<F>) {
+            if (!f.empty())
+                out_.add(key, jsonOf(f));
+        } else if (f != def_.*m) {
+            out_.add(key, jsonOf(f));
+        }
+    }
+
+    void
+    seconds(const char *key, Duration T::*m)
+    {
+        if (value_.*m != def_.*m)
+            out_.add(key, jsonSeconds(value_.*m));
+    }
+
+    template <typename E, std::size_t N>
+    void
+    field(const char *key, E T::*m, const EnumName<E> (&names)[N])
+    {
+        if (value_.*m != def_.*m)
+            out_.add(key, Json::fromString(enumToName(names, value_.*m)));
+    }
+
+  private:
+    const T &value_;
+    const T def_{};
+    Json &out_;
+};
+
+template <typename T>
 void
-add(Json &obj, const char *key, Json value)
+addFields(Json &out, const T &value)
 {
-    Json::Member m;
-    m.key = key;
-    m.value = std::move(value);
-    obj.object.push_back(std::move(m));
+    Writer<T> writer(value, out);
+    fields(writer, std::type_identity<T>{});
 }
 
+template <typename E>
 Json
-emptyObject()
+jsonOf(const std::vector<E> &list)
 {
-    Json v;
-    v.kind = Json::Kind::Object;
-    return v;
+    Json a = Json::emptyArray();
+    for (const E &e : list)
+        a.array.push_back(jsonOf(e));
+    return a;
 }
 
-template <typename E, std::size_t N>
+template <HasFields T>
 Json
-jsonEnum(const EnumName<E> (&table)[N], E value)
+jsonOf(const T &value)
 {
-    return jsonString(enumToName(table, value));
-}
-
-Json
-topologyToJson(const TopologySpec &t)
-{
-    const TopologySpec def;
-    Json o = emptyObject();
-    if (t.kind != def.kind)
-        add(o, "kind", jsonEnum(kTopologyKinds, t.kind));
-    if (t.numNodes != def.numNodes)
-        add(o, "num_nodes", jsonInt(t.numNodes));
-    if (t.oversubscription != def.oversubscription)
-        add(o, "oversubscription", jsonDouble(t.oversubscription));
-    if (t.nodesPerSegment != def.nodesPerSegment)
-        add(o, "nodes_per_segment", jsonInt(t.nodesPerSegment));
-    if (t.nvlinkBusBandwidth != def.nvlinkBusBandwidth)
-        add(o, "nvlink_bus_bw_bps", jsonDouble(t.nvlinkBusBandwidth));
-    return o;
-}
-
-Json
-featuresToJson(const FeatureSpec &f)
-{
-    const FeatureSpec def;
-    Json o = emptyObject();
-    if (f.c4p != def.c4p)
-        add(o, "c4p", jsonBool(f.c4p));
-    if (f.dualPortRule != def.dualPortRule)
-        add(o, "dual_port_rule", jsonBool(f.dualPortRule));
-    if (f.spineRule != def.spineRule)
-        add(o, "spine_rule", jsonBool(f.spineRule));
-    if (f.dynamicLoadBalance != def.dynamicLoadBalance)
-        add(o, "dynamic_load_balance",
-            jsonBool(f.dynamicLoadBalance));
-    if (f.sprayPaths != def.sprayPaths)
-        add(o, "spray_paths", jsonBool(f.sprayPaths));
-    if (f.qpsPerConnection != def.qpsPerConnection)
-        add(o, "qps_per_connection", jsonInt(f.qpsPerConnection));
-    if (f.c4d != def.c4d)
-        add(o, "c4d", jsonBool(f.c4d));
-    if (f.evaluatePeriod != def.evaluatePeriod)
-        add(o, "evaluate_period_s", jsonSeconds(f.evaluatePeriod));
-    if (f.hangThreshold != def.hangThreshold)
-        add(o, "hang_threshold_s", jsonSeconds(f.hangThreshold));
-    if (f.minWaitForSlow != def.minWaitForSlow)
-        add(o, "min_wait_for_slow_s", jsonSeconds(f.minWaitForSlow));
-    if (f.isolateOnSlow != def.isolateOnSlow)
-        add(o, "isolate_on_slow", jsonBool(f.isolateOnSlow));
-    if (f.isolationDelay != def.isolationDelay)
-        add(o, "isolation_delay_s", jsonSeconds(f.isolationDelay));
-    if (f.backupNodes != def.backupNodes)
-        add(o, "backup_nodes", jsonInt(f.backupNodes));
-    if (f.fabricCoalesceWindow != def.fabricCoalesceWindow)
-        add(o, "fabric_coalesce_window_s",
-            jsonSeconds(f.fabricCoalesceWindow));
-    return o;
-}
-
-Json
-parallelToJson(const train::ParallelismSpec &p)
-{
-    const train::ParallelismSpec def;
-    Json o = emptyObject();
-    if (p.tp != def.tp)
-        add(o, "tp", jsonInt(p.tp));
-    if (p.pp != def.pp)
-        add(o, "pp", jsonInt(p.pp));
-    if (p.dp != def.dp)
-        add(o, "dp", jsonInt(p.dp));
-    if (p.ep != def.ep)
-        add(o, "ep", jsonInt(p.ep));
-    if (p.gradientAccumulation != def.gradientAccumulation)
-        add(o, "gradient_accumulation",
-            jsonInt(p.gradientAccumulation));
-    if (p.zeroStage != def.zeroStage)
-        add(o, "zero_stage", jsonInt(p.zeroStage));
-    return o;
-}
-
-Json
-jobToJson(const JobSpec &j)
-{
-    const JobSpec def;
-    Json o = emptyObject();
-    if (j.id != def.id)
-        add(o, "id", jsonInt(j.id));
-    if (!j.name.empty())
-        add(o, "name", jsonString(j.name));
-    if (j.model != def.model)
-        add(o, "model", jsonString(j.model));
-    if (j.microbatchCompute != def.microbatchCompute)
-        add(o, "microbatch_compute_s",
-            jsonSeconds(j.microbatchCompute));
-    Json parallel = parallelToJson(j.parallel);
-    if (!parallel.object.empty())
-        add(o, "parallel", std::move(parallel));
-    if (j.microBatch != def.microBatch)
-        add(o, "micro_batch", jsonInt(j.microBatch));
-    if (j.initTime != def.initTime)
-        add(o, "init_time_s", jsonSeconds(j.initTime));
-    if (j.dpGroupsSimulated != def.dpGroupsSimulated)
-        add(o, "dp_groups_simulated", jsonInt(j.dpGroupsSimulated));
-    if (j.checkpointIntervalIters != def.checkpointIntervalIters)
-        add(o, "checkpoint_interval_iters",
-            jsonInt(j.checkpointIntervalIters));
-    if (j.checkpointCost != def.checkpointCost)
-        add(o, "checkpoint_cost_s", jsonSeconds(j.checkpointCost));
-    if (j.hangWatchdogTimeout != def.hangWatchdogTimeout)
-        add(o, "hang_watchdog_timeout_s",
-            jsonSeconds(j.hangWatchdogTimeout));
-    if (!j.nodes.empty())
-        add(o, "nodes", jsonNodeList(j.nodes));
-    if (j.placement != def.placement)
-        add(o, "placement", jsonEnum(kPlacements, j.placement));
-    return o;
-}
-
-Json
-allreduceToJson(const AllreduceGroupSpec &g)
-{
-    const AllreduceGroupSpec def;
-    Json o = emptyObject();
-    if (g.tasks != def.tasks)
-        add(o, "tasks", jsonInt(g.tasks));
-    if (g.placement != def.placement)
-        add(o, "placement", jsonEnum(kTaskPlacements, g.placement));
-    if (g.nodesPerTask != def.nodesPerTask)
-        add(o, "nodes_per_task", jsonInt(g.nodesPerTask));
-    if (!g.explicitNodes.empty()) {
-        Json lists;
-        lists.kind = Json::Kind::Array;
-        for (const std::vector<NodeId> &nodes : g.explicitNodes)
-            lists.array.push_back(jsonNodeList(nodes));
-        add(o, "explicit_nodes", std::move(lists));
-    }
-    if (g.bytes != def.bytes)
-        add(o, "bytes", jsonInt(g.bytes));
-    if (g.iterations != def.iterations)
-        add(o, "iterations", jsonInt(g.iterations));
-    return o;
-}
-
-Json
-linkEventToJson(const LinkEventSpec &e)
-{
-    const LinkEventSpec def;
-    Json o = emptyObject();
-    if (e.at != def.at)
-        add(o, "at_s", jsonSeconds(e.at));
-    if (e.segment != def.segment)
-        add(o, "segment", jsonInt(e.segment));
-    if (e.plane != def.plane)
-        add(o, "plane", jsonEnum(kPlanes, e.plane));
-    if (e.spine != def.spine)
-        add(o, "spine", jsonInt(e.spine));
-    if (e.up != def.up)
-        add(o, "up", jsonBool(e.up));
-    return o;
-}
-
-Json
-faultToJson(const FaultSpec &f)
-{
-    const FaultSpec def;
-    Json o = emptyObject();
-    if (f.at != def.at)
-        add(o, "at_s", jsonSeconds(f.at));
-    if (f.type != def.type)
-        add(o, "type", jsonEnum(kFaultTypes, f.type));
-    if (f.job != def.job)
-        add(o, "job", jsonInt(f.job));
-    if (f.jobNodeIndex != def.jobNodeIndex)
-        add(o, "job_node_index", jsonInt(f.jobNodeIndex));
-    if (f.node != def.node)
-        add(o, "node", jsonInt(f.node));
-    if (f.allNics != def.allNics)
-        add(o, "all_nics", jsonBool(f.allNics));
-    if (f.nic != def.nic)
-        add(o, "nic", jsonInt(f.nic));
-    if (f.severity != def.severity)
-        add(o, "severity", jsonDouble(f.severity));
-    return o;
-}
-
-Json
-campaignToJson(const CampaignSpec &c)
-{
-    const CampaignSpec def;
-    Json o = emptyObject();
-    if (c.enabled != def.enabled)
-        add(o, "enabled", jsonBool(c.enabled));
-    if (c.rates != def.rates)
-        add(o, "rates", jsonEnum(kCampaignRates, c.rates));
-    if (c.scale != def.scale)
-        add(o, "scale", jsonDouble(c.scale));
-    if (c.span != def.span)
-        add(o, "span_s", jsonSeconds(c.span));
-    return o;
-}
-
-Json
-metricsToJson(const MetricsSpec &m)
-{
-    const MetricsSpec def;
-    Json o = emptyObject();
-    if (m.taskBusBw != def.taskBusBw)
-        add(o, "task_busbw", jsonBool(m.taskBusBw));
-    if (m.perTask != def.perTask)
-        add(o, "per_task", jsonBool(m.perTask));
-    if (m.splitAt != def.splitAt)
-        add(o, "split_at_s", jsonSeconds(m.splitAt));
-    if (m.jobThroughput != def.jobThroughput)
-        add(o, "job_throughput", jsonBool(m.jobThroughput));
-    if (m.jobCommShare != def.jobCommShare)
-        add(o, "job_comm_share", jsonBool(m.jobCommShare));
-    if (m.jobSegments != def.jobSegments)
-        add(o, "job_segments", jsonBool(m.jobSegments));
-    if (m.steeringCounters != def.steeringCounters)
-        add(o, "steering_counters", jsonBool(m.steeringCounters));
-    if (m.cnpSamplePeriod != def.cnpSamplePeriod)
-        add(o, "cnp_sample_period_s", jsonSeconds(m.cnpSamplePeriod));
-    if (m.cnpNic != def.cnpNic)
-        add(o, "cnp_nic", jsonInt(m.cnpNic));
-    if (m.uplinkSamplePeriod != def.uplinkSamplePeriod)
-        add(o, "uplink_sample_period_s",
-            jsonSeconds(m.uplinkSamplePeriod));
-    if (m.uplinkSegment != def.uplinkSegment)
-        add(o, "uplink_segment", jsonInt(m.uplinkSegment));
-    if (m.uplinkPlane != def.uplinkPlane)
-        add(o, "uplink_plane", jsonEnum(kPlanes, m.uplinkPlane));
-    if (m.detection != def.detection)
-        add(o, "detection", jsonBool(m.detection));
-    if (m.detectionKind != def.detectionKind)
-        add(o, "detection_kind",
-            jsonEnum(kEventKinds, m.detectionKind));
-    return o;
-}
-
-Json
-variantToJson(const ScenarioSpec &spec)
-{
-    Json o = emptyObject();
-    add(o, "variant", jsonString(spec.variant));
-    Json topology = topologyToJson(spec.topology);
-    if (!topology.object.empty())
-        add(o, "topology", std::move(topology));
-    Json features = featuresToJson(spec.features);
-    if (!features.object.empty())
-        add(o, "features", std::move(features));
-    if (!spec.jobs.empty()) {
-        Json jobs;
-        jobs.kind = Json::Kind::Array;
-        for (const JobSpec &j : spec.jobs)
-            jobs.array.push_back(jobToJson(j));
-        add(o, "jobs", std::move(jobs));
-    }
-    if (!spec.allreduces.empty()) {
-        Json groups;
-        groups.kind = Json::Kind::Array;
-        for (const AllreduceGroupSpec &g : spec.allreduces)
-            groups.array.push_back(allreduceToJson(g));
-        add(o, "allreduces", std::move(groups));
-    }
-    if (!spec.linkEvents.empty()) {
-        Json events;
-        events.kind = Json::Kind::Array;
-        for (const LinkEventSpec &e : spec.linkEvents)
-            events.array.push_back(linkEventToJson(e));
-        add(o, "link_events", std::move(events));
-    }
-    if (!spec.faults.empty()) {
-        Json faults;
-        faults.kind = Json::Kind::Array;
-        for (const FaultSpec &f : spec.faults)
-            faults.array.push_back(faultToJson(f));
-        add(o, "faults", std::move(faults));
-    }
-    Json campaign = campaignToJson(spec.campaign);
-    if (!campaign.object.empty())
-        add(o, "campaign", std::move(campaign));
-    Json metrics = metricsToJson(spec.metrics);
-    if (!metrics.object.empty())
-        add(o, "metrics", std::move(metrics));
-    if (spec.horizon != 0)
-        add(o, "horizon_s", jsonSeconds(spec.horizon));
-    if (spec.abortAt != 0)
-        add(o, "abort_at_s", jsonSeconds(spec.abortAt));
-    if (spec.abortTrial != -1)
-        add(o, "abort_trial", jsonInt(spec.abortTrial));
-    if (spec.custom)
-        add(o, "custom", jsonBool(true));
+    Json o = Json::emptyObject();
+    addFields(o, value);
     return o;
 }
 
@@ -1178,28 +709,20 @@ scenarioFromSpec(const SpecFile &file)
 std::string
 writeSpecFile(const SpecFile &file)
 {
-    Json doc = emptyObject();
-    add(doc, "scenario", jsonString(file.name));
-    if (!file.title.empty())
-        add(doc, "title", jsonString(file.title));
-    if (!file.description.empty())
-        add(doc, "description", jsonString(file.description));
-    if (!file.notes.empty())
-        add(doc, "notes", jsonString(file.notes));
-    if (file.fullTrials != 1)
-        add(doc, "full_trials", jsonInt(file.fullTrials));
-    if (file.smokeTrials != 1)
-        add(doc, "smoke_trials", jsonInt(file.smokeTrials));
-    if (file.trialBegin != 0)
-        add(doc, "trial_begin", jsonInt(file.trialBegin));
-    if (file.trialCount != 0)
-        add(doc, "trial_count", jsonInt(file.trialCount));
-    add(doc, "seed", jsonSeed(file.seed));
-    Json variants;
-    variants.kind = Json::Kind::Array;
-    for (const ScenarioSpec &spec : file.variants)
-        variants.array.push_back(variantToJson(spec));
-    add(doc, "variants", std::move(variants));
+    Json doc = Json::emptyObject();
+    doc.add("scenario", Json::fromString(file.name));
+    addFields(doc, file);
+    doc.add("seed", jsonSeed(file.seed));
+    Json variants = Json::emptyArray();
+    for (const ScenarioSpec &spec : file.variants) {
+        Json o = Json::emptyObject();
+        o.add("variant", Json::fromString(spec.variant));
+        addFields(o, spec);
+        if (spec.custom)
+            o.add("custom", Json::fromBool(true));
+        variants.array.push_back(std::move(o));
+    }
+    doc.add("variants", std::move(variants));
     return writeJson(doc);
 }
 
@@ -1208,21 +731,15 @@ parseSpecFile(const std::string &text)
 {
     const Json doc = parseJson(text);
     SpecFile file;
-    Binder b(doc, "the spec document");
+    JsonBinder b(doc, "the spec document");
     b.get("scenario", file.name);
     if (!validName(file.name)) {
         throw SpecError("\"scenario\" must name the scenario "
                         "([A-Za-z0-9_.-]+, required)",
                         doc.line, doc.column);
     }
-    b.get("title", file.title);
-    b.get("description", file.description);
-    b.get("notes", file.notes);
-    b.get("full_trials", file.fullTrials);
-    b.get("smoke_trials", file.smokeTrials);
-    b.get("trial_begin", file.trialBegin);
-    b.get("trial_count", file.trialCount);
-    b.getSeed("seed", file.seed);
+    bindFields(b, file);
+    getSeed(b, "seed", file.seed);
     const Json *variants = b.member("variants");
     if (!variants || variants->kind != Json::Kind::Array ||
         variants->array.empty()) {
@@ -1246,8 +763,23 @@ parseSpecFile(const std::string &text)
     for (std::size_t i = 0; i < variants->array.size(); ++i) {
         const Json &v = variants->array[i];
         ScenarioSpec spec;
-        bindVariant(v, spec,
-                    "variants[" + std::to_string(i) + "]");
+        JsonBinder vb(v, "variants[" + std::to_string(i) + "]");
+        vb.get("variant", spec.variant);
+        bindFields(vb, spec);
+        bool custom = false;
+        vb.get("custom", custom);
+        if (custom) {
+            // The built-in this was dumped from runs code, not data; a
+            // reloaded copy can only hold the variant's declarative
+            // shell.
+            spec.custom = [](scenario::TrialContext &) {
+                throw std::runtime_error(
+                    "this variant was dumped from a scenario with a "
+                    "custom (code-defined) executor; it cannot run from "
+                    "a spec file");
+            };
+        }
+        vb.finish();
         const std::string invalid = scenario::validateSpec(spec);
         if (!invalid.empty())
             throw SpecError(invalid, v.line, v.column);

@@ -8,7 +8,6 @@
 #include <fstream>
 #include <map>
 #include <ostream>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -28,95 +27,45 @@ namespace c4::sweep {
 
 namespace {
 
-Json
-jsonString(const std::string &s)
-{
-    Json v;
-    v.kind = Json::Kind::String;
-    v.string = s;
-    return v;
-}
-
-Json
-jsonInt(std::int64_t i)
-{
-    Json v;
-    v.kind = Json::Kind::Int;
-    v.integer = i;
-    return v;
-}
-
-void
-add(Json &obj, const char *key, Json value)
-{
-    Json::Member m;
-    m.key = key;
-    m.value = std::move(value);
-    obj.object.push_back(std::move(m));
-}
-
-Json
-emptyObject()
-{
-    Json v;
-    v.kind = Json::Kind::Object;
-    return v;
-}
-
-Json
-stringArray(const std::vector<std::string> &items)
-{
-    Json v;
-    v.kind = Json::Kind::Array;
-    for (const std::string &s : items)
-        v.array.push_back(jsonString(s));
-    return v;
-}
-
 [[noreturn]] void
 bad(const std::string &what)
 {
     throw std::runtime_error("bundle: " + what);
 }
 
-const Json &
-need(const Json &obj, const char *key, Json::Kind kind)
+BundleManifest
+bindBundle(const Json &doc)
 {
-    const Json::Member *m = obj.find(key);
-    if (!m)
-        bad(std::string("missing key \"") + key + "\"");
-    if (m->value.kind != kind) {
-        bad(std::string("\"") + key + "\" must be a " +
-            Json::kindName(kind) + ", not " +
-            Json::kindName(m->value.kind));
+    // Every key is required and no other is allowed: a bundle is
+    // evidence, and evidence that parses differently on two hosts is
+    // worse than none.
+    JsonBinder b(doc, "the bundle");
+    std::string schema;
+    b.need("schema", schema);
+    if (schema != kBundleSchema) {
+        bad("unsupported schema \"" + schema + "\" (want " +
+            kBundleSchema + ")");
     }
-    return m->value;
-}
 
-std::string
-needString(const Json &obj, const char *key)
-{
-    return need(obj, key, Json::Kind::String).string;
-}
-
-int
-needInt(const Json &obj, const char *key)
-{
-    return static_cast<int>(need(obj, key, Json::Kind::Int).integer);
-}
-
-std::vector<std::string>
-needStringArray(const Json &obj, const char *key)
-{
-    std::vector<std::string> out;
-    for (const Json &v : need(obj, key, Json::Kind::Array).array) {
-        if (v.kind != Json::Kind::String) {
-            bad(std::string("\"") + key +
-                "\" entries must be strings");
-        }
-        out.push_back(v.string);
-    }
-    return out;
+    BundleManifest bundle;
+    b.need("shard", bundle.shard);
+    b.need("scenario", bundle.scenario);
+    b.need("spec", bundle.spec);
+    b.need("log", bundle.log);
+    b.need("csv", bundle.csv);
+    b.need("trial_begin", bundle.trialBegin);
+    b.need("trial_count", bundle.trialCount);
+    b.need("attempts", bundle.attempts);
+    b.need("exit_code", bundle.exitCode);
+    b.need("forensic_exit", bundle.forensicExit);
+    b.need("traces", bundle.traces);
+    b.need("metrics", bundle.metrics);
+    b.finish();
+    if (bundle.shard.empty())
+        bad("\"shard\" must not be empty");
+    if (bundle.trialBegin < 0 || bundle.trialCount < 1)
+        bad("bundle for \"" + bundle.shard + "\" has a bad trial range");
+    return bundle;
 }
 
 /** Every *.jsonl under `<root>/<sub>`, root-relative and sorted. */
@@ -153,72 +102,37 @@ bundleDir(const std::string &shardId)
 std::string
 writeBundleManifest(const BundleManifest &bundle)
 {
-    Json doc = emptyObject();
-    add(doc, "schema", jsonString(kBundleSchema));
-    add(doc, "shard", jsonString(bundle.shard));
-    add(doc, "scenario", jsonString(bundle.scenario));
-    add(doc, "spec", jsonString(bundle.spec));
-    add(doc, "log", jsonString(bundle.log));
-    add(doc, "csv", jsonString(bundle.csv));
-    add(doc, "trial_begin", jsonInt(bundle.trialBegin));
-    add(doc, "trial_count", jsonInt(bundle.trialCount));
-    add(doc, "attempts", jsonInt(bundle.attempts));
-    add(doc, "exit_code", jsonInt(bundle.exitCode));
-    add(doc, "forensic_exit", jsonInt(bundle.forensicExit));
-    add(doc, "traces", stringArray(bundle.traces));
-    add(doc, "metrics", stringArray(bundle.metrics));
+    auto strings = [](const std::vector<std::string> &items) {
+        Json a = Json::emptyArray();
+        for (const std::string &s : items)
+            a.array.push_back(Json::fromString(s));
+        return a;
+    };
+    Json doc = Json::emptyObject();
+    doc.add("schema", Json::fromString(kBundleSchema));
+    doc.add("shard", Json::fromString(bundle.shard));
+    doc.add("scenario", Json::fromString(bundle.scenario));
+    doc.add("spec", Json::fromString(bundle.spec));
+    doc.add("log", Json::fromString(bundle.log));
+    doc.add("csv", Json::fromString(bundle.csv));
+    doc.add("trial_begin", Json::fromInt(bundle.trialBegin));
+    doc.add("trial_count", Json::fromInt(bundle.trialCount));
+    doc.add("attempts", Json::fromInt(bundle.attempts));
+    doc.add("exit_code", Json::fromInt(bundle.exitCode));
+    doc.add("forensic_exit", Json::fromInt(bundle.forensicExit));
+    doc.add("traces", strings(bundle.traces));
+    doc.add("metrics", strings(bundle.metrics));
     return writeJson(doc);
 }
 
 BundleManifest
 parseBundleManifest(const std::string &text)
 {
-    Json doc;
     try {
-        doc = parseJson(text);
+        return bindBundle(parseJson(text));
     } catch (const SpecError &e) {
         bad(e.what());
     }
-    if (doc.kind != Json::Kind::Object)
-        bad("document must be an object");
-
-    // Strict key set: a misspelled or future key is an error, never
-    // silently ignored — a bundle is evidence, and evidence that
-    // parses differently on two hosts is worse than none.
-    static const std::set<std::string> kKnown = {
-        "schema",      "shard",       "scenario", "spec",
-        "log",         "csv",         "trial_begin", "trial_count",
-        "attempts",    "exit_code",   "forensic_exit", "traces",
-        "metrics"};
-    for (const Json::Member &m : doc.object) {
-        if (kKnown.count(m.key) == 0)
-            bad("unknown key \"" + m.key + "\"");
-    }
-
-    const std::string schema = needString(doc, "schema");
-    if (schema != kBundleSchema) {
-        bad("unsupported schema \"" + schema + "\" (want " +
-            kBundleSchema + ")");
-    }
-
-    BundleManifest b;
-    b.shard = needString(doc, "shard");
-    b.scenario = needString(doc, "scenario");
-    b.spec = needString(doc, "spec");
-    b.log = needString(doc, "log");
-    b.csv = needString(doc, "csv");
-    b.trialBegin = needInt(doc, "trial_begin");
-    b.trialCount = needInt(doc, "trial_count");
-    b.attempts = needInt(doc, "attempts");
-    b.exitCode = needInt(doc, "exit_code");
-    b.forensicExit = needInt(doc, "forensic_exit");
-    b.traces = needStringArray(doc, "traces");
-    b.metrics = needStringArray(doc, "metrics");
-    if (b.shard.empty())
-        bad("\"shard\" must not be empty");
-    if (b.trialBegin < 0 || b.trialCount < 1)
-        bad("bundle for \"" + b.shard + "\" has a bad trial range");
-    return b;
 }
 
 BundleManifest

@@ -16,80 +16,54 @@ namespace {
 constexpr const char *kStatusNames[] = {"pending", "running", "done",
                                         "failed"};
 
-Json
-jsonString(const std::string &s)
-{
-    Json v;
-    v.kind = Json::Kind::String;
-    v.string = s;
-    return v;
-}
-
-Json
-jsonInt(std::int64_t i)
-{
-    Json v;
-    v.kind = Json::Kind::Int;
-    v.integer = i;
-    return v;
-}
-
-Json
-jsonBool(bool b)
-{
-    Json v;
-    v.kind = Json::Kind::Bool;
-    v.boolean = b;
-    return v;
-}
-
-void
-add(Json &obj, const char *key, Json value)
-{
-    Json::Member m;
-    m.key = key;
-    m.value = std::move(value);
-    obj.object.push_back(std::move(m));
-}
-
-Json
-emptyObject()
-{
-    Json v;
-    v.kind = Json::Kind::Object;
-    return v;
-}
-
 [[noreturn]] void
 bad(const std::string &what)
 {
     throw std::runtime_error("manifest: " + what);
 }
 
-const Json &
-need(const Json &obj, const char *key, Json::Kind kind)
+Manifest
+bindManifest(const Json &doc)
 {
-    const Json::Member *m = obj.find(key);
-    if (!m)
-        bad(std::string("missing key \"") + key + "\"");
-    if (m->value.kind != kind) {
-        bad(std::string("\"") + key + "\" must be a " +
-            Json::kindName(kind) + ", not " +
-            Json::kindName(m->value.kind));
-    }
-    return m->value;
-}
+    JsonBinder b(doc, "the manifest");
+    Manifest m;
+    b.need("version", m.version);
+    if (m.version != 1)
+        bad("unsupported version " + std::to_string(m.version));
+    b.need("smoke", m.smoke);
 
-std::string
-needString(const Json &obj, const char *key)
-{
-    return need(obj, key, Json::Kind::String).string;
-}
+    b.eachObject(b.need("scenarios"), "scenarios", "scenarios",
+                 [&](JsonBinder &s) {
+        ScenarioEntry entry;
+        s.need("name", entry.name);
+        s.need("trials", entry.trials);
+        if (entry.trials < 1)
+            bad("scenario \"" + entry.name + "\" has trials < 1");
+        m.scenarios.push_back(std::move(entry));
+    });
 
-int
-needInt(const Json &obj, const char *key)
-{
-    return static_cast<int>(need(obj, key, Json::Kind::Int).integer);
+    b.eachObject(b.need("shards"), "shards", "shards", [&](JsonBinder &s) {
+        Shard shard;
+        s.need("id", shard.id);
+        s.need("scenario", shard.scenario);
+        s.need("spec", shard.spec);
+        s.need("csv", shard.csv);
+        s.need("log", shard.log);
+        s.need("trial_begin", shard.trialBegin);
+        s.need("trial_count", shard.trialCount);
+        std::string status;
+        s.need("status", status);
+        if (!shardStatusFromName(status, shard.status))
+            bad("shard \"" + shard.id + "\" has unknown status \"" +
+                status + "\"");
+        s.need("attempts", shard.attempts);
+        s.need("exit_code", shard.exitCode);
+        if (shard.trialBegin < 0 || shard.trialCount < 1)
+            bad("shard \"" + shard.id + "\" has a bad trial range");
+        m.shards.push_back(std::move(shard));
+    });
+    b.finish();
+    return m;
 }
 
 } // namespace
@@ -133,91 +107,46 @@ campaignPath(const std::string &dir, const std::string &relative)
 std::string
 writeManifest(const Manifest &manifest)
 {
-    Json doc = emptyObject();
-    add(doc, "version", jsonInt(manifest.version));
-    add(doc, "smoke", jsonBool(manifest.smoke));
+    Json doc = Json::emptyObject();
+    doc.add("version", Json::fromInt(manifest.version));
+    doc.add("smoke", Json::fromBool(manifest.smoke));
 
-    Json scenarios;
-    scenarios.kind = Json::Kind::Array;
+    Json scenarios = Json::emptyArray();
     for (const ScenarioEntry &s : manifest.scenarios) {
-        Json o = emptyObject();
-        add(o, "name", jsonString(s.name));
-        add(o, "trials", jsonInt(s.trials));
+        Json o = Json::emptyObject();
+        o.add("name", Json::fromString(s.name));
+        o.add("trials", Json::fromInt(s.trials));
         scenarios.array.push_back(std::move(o));
     }
-    add(doc, "scenarios", std::move(scenarios));
+    doc.add("scenarios", std::move(scenarios));
 
-    Json shards;
-    shards.kind = Json::Kind::Array;
+    Json shards = Json::emptyArray();
     for (const Shard &s : manifest.shards) {
-        Json o = emptyObject();
-        add(o, "id", jsonString(s.id));
-        add(o, "scenario", jsonString(s.scenario));
-        add(o, "spec", jsonString(s.spec));
-        add(o, "csv", jsonString(s.csv));
-        add(o, "log", jsonString(s.log));
-        add(o, "trial_begin", jsonInt(s.trialBegin));
-        add(o, "trial_count", jsonInt(s.trialCount));
-        add(o, "status", jsonString(shardStatusName(s.status)));
-        add(o, "attempts", jsonInt(s.attempts));
-        add(o, "exit_code", jsonInt(s.exitCode));
+        Json o = Json::emptyObject();
+        o.add("id", Json::fromString(s.id));
+        o.add("scenario", Json::fromString(s.scenario));
+        o.add("spec", Json::fromString(s.spec));
+        o.add("csv", Json::fromString(s.csv));
+        o.add("log", Json::fromString(s.log));
+        o.add("trial_begin", Json::fromInt(s.trialBegin));
+        o.add("trial_count", Json::fromInt(s.trialCount));
+        o.add("status", Json::fromString(shardStatusName(s.status)));
+        o.add("attempts", Json::fromInt(s.attempts));
+        o.add("exit_code", Json::fromInt(s.exitCode));
         shards.array.push_back(std::move(o));
     }
-    add(doc, "shards", std::move(shards));
+    doc.add("shards", std::move(shards));
     return writeJson(doc);
 }
 
 Manifest
 parseManifest(const std::string &text)
 {
-    Json doc;
     try {
-        doc = parseJson(text);
+        return bindManifest(parseJson(text));
     } catch (const SpecError &e) {
         bad(e.what());
     }
-    if (doc.kind != Json::Kind::Object)
-        bad("document must be an object");
-
-    Manifest m;
-    m.version = needInt(doc, "version");
-    if (m.version != 1)
-        bad("unsupported version " + std::to_string(m.version));
-    m.smoke = need(doc, "smoke", Json::Kind::Bool).boolean;
-
-    for (const Json &s : need(doc, "scenarios", Json::Kind::Array).array) {
-        if (s.kind != Json::Kind::Object)
-            bad("\"scenarios\" entries must be objects");
-        ScenarioEntry entry;
-        entry.name = needString(s, "name");
-        entry.trials = needInt(s, "trials");
-        if (entry.trials < 1)
-            bad("scenario \"" + entry.name + "\" has trials < 1");
-        m.scenarios.push_back(std::move(entry));
-    }
-
-    for (const Json &s : need(doc, "shards", Json::Kind::Array).array) {
-        if (s.kind != Json::Kind::Object)
-            bad("\"shards\" entries must be objects");
-        Shard shard;
-        shard.id = needString(s, "id");
-        shard.scenario = needString(s, "scenario");
-        shard.spec = needString(s, "spec");
-        shard.csv = needString(s, "csv");
-        shard.log = needString(s, "log");
-        shard.trialBegin = needInt(s, "trial_begin");
-        shard.trialCount = needInt(s, "trial_count");
-        const std::string status = needString(s, "status");
-        if (!shardStatusFromName(status, shard.status))
-            bad("shard \"" + shard.id + "\" has unknown status \"" +
-                status + "\"");
-        shard.attempts = needInt(s, "attempts");
-        shard.exitCode = needInt(s, "exit_code");
-        if (shard.trialBegin < 0 || shard.trialCount < 1)
-            bad("shard \"" + shard.id + "\" has a bad trial range");
-        m.shards.push_back(std::move(shard));
-    }
-    return m;
 }
 
 Manifest

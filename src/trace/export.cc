@@ -6,42 +6,6 @@ namespace c4::trace {
 
 namespace {
 
-Json
-makeInt(std::int64_t v)
-{
-    Json j;
-    j.kind = Json::Kind::Int;
-    j.integer = v;
-    return j;
-}
-
-Json
-makeDouble(double v)
-{
-    Json j;
-    j.kind = Json::Kind::Double;
-    j.number = v;
-    return j;
-}
-
-Json
-makeString(std::string s)
-{
-    Json j;
-    j.kind = Json::Kind::String;
-    j.string = std::move(s);
-    return j;
-}
-
-void
-addMember(Json &obj, const char *key, Json value)
-{
-    Json::Member m;
-    m.key = key;
-    m.value = std::move(value);
-    obj.object.push_back(std::move(m));
-}
-
 /** Bind the record under @p sc into the default-constructed @p ev.
  * @throws SpecError */
 void
@@ -154,27 +118,23 @@ writeChromeTrace(const std::vector<ChromeTrack> &tracks)
     };
 
     for (const ChromeTrack &track : tracks) {
-        Json pname;
-        pname.kind = Json::Kind::Object;
-        addMember(pname, "name", makeString("process_name"));
-        addMember(pname, "ph", makeString("M"));
-        addMember(pname, "pid", makeInt(track.pid));
-        Json pargs;
-        pargs.kind = Json::Kind::Object;
-        addMember(pargs, "name", makeString(track.processName));
-        addMember(pname, "args", std::move(pargs));
+        Json pname = Json::emptyObject();
+        pname.add("name", Json::fromString("process_name"));
+        pname.add("ph", Json::fromString("M"));
+        pname.add("pid", Json::fromInt(track.pid));
+        Json pargs = Json::emptyObject();
+        pargs.add("name", Json::fromString(track.processName));
+        pname.add("args", std::move(pargs));
         push(pname);
 
-        Json tname;
-        tname.kind = Json::Kind::Object;
-        addMember(tname, "name", makeString("thread_name"));
-        addMember(tname, "ph", makeString("M"));
-        addMember(tname, "pid", makeInt(track.pid));
-        addMember(tname, "tid", makeInt(track.tid));
-        Json targs;
-        targs.kind = Json::Kind::Object;
-        addMember(targs, "name", makeString(track.threadName));
-        addMember(tname, "args", std::move(targs));
+        Json tname = Json::emptyObject();
+        tname.add("name", Json::fromString("thread_name"));
+        tname.add("ph", Json::fromString("M"));
+        tname.add("pid", Json::fromInt(track.pid));
+        tname.add("tid", Json::fromInt(track.tid));
+        Json targs = Json::emptyObject();
+        targs.add("name", Json::fromString(track.threadName));
+        tname.add("args", std::move(targs));
         push(tname);
 
         if (track.events == nullptr)
@@ -190,43 +150,38 @@ writeChromeTrace(const std::vector<ChromeTrack> &tracks)
         }
         const bool paired = hasBegin && hasEnd;
         for (const Event &ev : *track.events) {
-            Json obj;
-            obj.kind = Json::Kind::Object;
+            Json obj = Json::emptyObject();
             const bool begin =
                 paired && ev.kind == EventKind::RecomputeBegin;
             const bool end =
                 paired && ev.kind == EventKind::RecomputeEnd;
-            addMember(obj, "name",
-                      makeString(begin || end
-                                     ? "recompute"
-                                     : eventKindName(ev.kind)));
-            addMember(obj, "ph",
-                      makeString(begin ? "B" : end ? "E" : "i"));
+            obj.add("name",
+                    Json::fromString(begin || end ? "recompute"
+                                                  : eventKindName(ev.kind)));
+            obj.add("ph", Json::fromString(begin ? "B" : end ? "E" : "i"));
             if (!begin && !end)
-                addMember(obj, "s", makeString("t"));
+                obj.add("s", Json::fromString("t"));
             // trace_event timestamps are microseconds; keep them
             // exact (ns/1000 may not be integral).
-            addMember(obj, "ts",
-                      makeDouble(static_cast<double>(ev.when) /
-                                 1000.0));
-            addMember(obj, "pid", makeInt(track.pid));
-            addMember(obj, "tid", makeInt(track.tid));
-            Json args;
-            args.kind = Json::Kind::Object;
+            obj.add("ts",
+                    Json::fromDouble(static_cast<double>(ev.when) / 1000.0));
+            obj.add("pid", Json::fromInt(track.pid));
+            obj.add("tid", Json::fromInt(track.tid));
+            Json args = Json::emptyObject();
             if (ev.job != kInvalidId)
-                addMember(args, "job", makeInt(ev.job));
+                args.add("job", Json::fromInt(ev.job));
             if (ev.node != kInvalidId)
-                addMember(args, "node", makeInt(ev.node));
+                args.add("node", Json::fromInt(ev.node));
             if (ev.a != 0)
-                addMember(args, "a", makeInt(ev.a));
+                args.add("a", Json::fromInt(ev.a));
             if (ev.b != 0)
-                addMember(args, "b", makeInt(ev.b));
+                args.add("b", Json::fromInt(ev.b));
             if (ev.value != 0.0)
-                addMember(args, "v", makeDouble(ev.value));
+                args.add("v", Json::fromDouble(ev.value));
             if (!ev.detail.empty())
-                addMember(args, "d", makeString(ev.detail));
+                args.add("d", Json::fromString(ev.detail));
             if (!args.object.empty())
-                addMember(obj, "args", std::move(args));
+                obj.add("args", std::move(args));
             push(obj);
         }
     }

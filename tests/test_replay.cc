@@ -84,6 +84,46 @@ TEST(ReplayCorpus, LabelValidationRejectsSchemaDrift)
     std::string extra = good;
     extra.insert(extra.rfind('}'), ",\n  \"bogus\": 1\n");
     EXPECT_THROW(labelFromJson(extra), SpecError);
+    // A culprit node outside NodeId's range would name another node
+    // if narrowed, so it is an error.
+    for (const char *node : {"4294967296", "-2147483649"}) {
+        std::string wide = good;
+        const std::size_t at = wide.find("\"culprit_node\": ") + 16;
+        wide.replace(at, wide.find(',', at) - at, node);
+        try {
+            labelFromJson(wide);
+            ADD_FAILURE() << "culprit_node " << node << " accepted";
+        } catch (const SpecError &e) {
+            EXPECT_GT(e.line(), 0) << e.what();
+            EXPECT_NE(std::string(e.what()).find("out of integer range"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(ReplayCorpus, EveryLabelPrefixParsesOrThrowsWithALineNumber)
+{
+    // A truncated label must be a located error, or — when the prefix
+    // is the whole document minus trailing whitespace — the same
+    // label back.
+    for (const Incident &inc : collectIncidents(kCorpusDir)) {
+        const std::string path =
+            kCorpusDir + "/" + inc.name + ".label.json";
+        const std::string full = readFileOrThrow(path);
+        for (std::size_t n = 0; n < full.size(); ++n) {
+            try {
+                EXPECT_EQ(writeLabelJson(labelFromJson(full.substr(0, n))),
+                          full)
+                    << path << ": prefix of " << n
+                    << " bytes parsed differently";
+            } catch (const SpecError &e) {
+                EXPECT_GT(e.line(), 0)
+                    << path << ": prefix of " << n
+                    << " bytes threw without a line number: " << e.what();
+            }
+        }
+    }
 }
 
 TEST(ReplayCorpus, TraceJsonlRoundTripsEveryCommittedTrace)

@@ -10,6 +10,7 @@
 
 #include <sstream>
 
+#include "common/json.h"
 #include "scenario/registry.h"
 #include "scenario/runner.h"
 #include "scenario/sink.h"
@@ -350,6 +351,33 @@ TEST(Sinks, JsonIsWellFormedEnough)
               std::string::npos);
     EXPECT_NE(text.find("\"variant\": \"ecmp\""), std::string::npos);
     EXPECT_NE(text.find("busbw_mean"), std::string::npos);
+
+    // A label needing every kind of escape survives a real parser.
+    const std::string label = "say \"hi\" \\ tab\there\x01";
+    Scenario odd = tinyScenario("test_json_escapes");
+    odd.variants = [label](const RunOptions &) {
+        return std::vector<ScenarioSpec>{
+            tinyAllreduce(label.c_str(), false)};
+    };
+    {
+        std::ostringstream out;
+        {
+            JsonSink sink(out);
+            ScenarioRunner runner(opt);
+            runner.addSink(sink);
+            ASSERT_EQ(runner.run(odd), 0);
+        }
+        text = out.str();
+    }
+    const Json doc = parseJson(text);
+    ASSERT_EQ(doc.kind, Json::Kind::Array);
+    ASSERT_EQ(doc.array.size(), 1u);
+    const Json::Member *results = doc.array[0].find("results");
+    ASSERT_NE(results, nullptr);
+    ASSERT_EQ(results->value.array.size(), 1u);
+    const Json::Member *variant = results->value.array[0].find("variant");
+    ASSERT_NE(variant, nullptr);
+    EXPECT_EQ(variant->value.string, label);
 }
 
 // --- workload interpreter --------------------------------------------

@@ -18,6 +18,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/csv.h"
 #include "scenario/registry.h"
@@ -217,6 +219,49 @@ TEST(Manifest, RejectsMalformedDocuments)
     std::string bad = writeManifest(sampleManifest());
     bad.replace(bad.find("pending"), 7, "paused!");
     EXPECT_THROW(parseManifest(bad), std::runtime_error);
+
+    // Unknown keys are rejected at every level, not ignored.
+    const std::string good = writeManifest(sampleManifest());
+    for (const char *anchor :
+         {"\"version\"", "\"name\"", "\"id\": \"t.s1\""}) {
+        std::string extra = good;
+        extra.insert(extra.find(anchor), "\"surprise\": 1, ");
+        try {
+            parseManifest(extra);
+            ADD_FAILURE() << "unknown key before " << anchor
+                          << " accepted";
+        } catch (const std::runtime_error &e) {
+            EXPECT_EQ(std::string(e.what()).rfind("manifest: ", 0), 0u)
+                << e.what();
+            EXPECT_NE(std::string(e.what()).find("unknown key "
+                                                 "\"surprise\""),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+
+    // Integers outside int32 are errors, not silent narrowings (2^32
+    // used to load as 0).
+    for (const auto &[from, to] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"\"trial_begin\": 2", "\"trial_begin\": 4294967298"},
+             {"\"trial_count\": 2", "\"trial_count\": -4294967294"},
+             {"\"trials\": 4", "\"trials\": 4294967300"},
+             {"\"attempts\": 0", "\"attempts\": 9223372036854775807"},
+             {"\"version\": 1", "\"version\": 4294967297"}}) {
+        std::string wide = good;
+        wide.replace(wide.find(from), from.size(), to);
+        try {
+            parseManifest(wide);
+            ADD_FAILURE() << to << " accepted";
+        } catch (const std::runtime_error &e) {
+            const std::string what = e.what();
+            EXPECT_EQ(what.rfind("manifest: line ", 0), 0u) << what;
+            EXPECT_NE(what.find("out of integer range"),
+                      std::string::npos)
+                << what;
+        }
+    }
 }
 
 TEST(Manifest, SaveIsAtomicAndLoadable)
@@ -621,29 +666,56 @@ TEST(Bundle, ParserIsStrict)
     mistyped.replace(mistyped.find("\"attempts\": 2"), 13,
                      "\"attempts\": \"2\"");
     EXPECT_THROW(parseBundleManifest(mistyped), std::runtime_error);
+
+    // Integers outside int32 are errors, not silent narrowings.
+    for (const auto &[from, to] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"\"trial_begin\": 2", "\"trial_begin\": 4294967298"},
+             {"\"exit_code\": 1", "\"exit_code\": 4294967297"},
+             {"\"forensic_exit\": 1",
+              "\"forensic_exit\": -2147483649"}}) {
+        std::string wide = good;
+        wide.replace(wide.find(from), from.size(), to);
+        try {
+            parseBundleManifest(wide);
+            ADD_FAILURE() << to << " accepted";
+        } catch (const std::runtime_error &e) {
+            const std::string what = e.what();
+            EXPECT_EQ(what.rfind("bundle: line ", 0), 0u) << what;
+            EXPECT_NE(what.find("out of integer range"),
+                      std::string::npos)
+                << what;
+        }
+    }
 }
 
 TEST(Bundle, EveryBytePrefixParsesOrThrowsWithALineNumber)
 {
-    // A truncated bundle.json (torn copy, dying disk) must always be
-    // a diagnosable error: for every proper byte prefix the parser
-    // either reports the malformed JSON with its line number, or — if
-    // the prefix happens to be complete JSON (the document minus
-    // trailing whitespace) — yields the same bundle back.
-    const std::string full = writeBundleManifest(sampleBundle());
-    for (std::size_t n = 0; n < full.size(); ++n) {
-        const std::string prefix = full.substr(0, n);
-        try {
-            const BundleManifest b = parseBundleManifest(prefix);
-            EXPECT_EQ(writeBundleManifest(b), full)
-                << "prefix of " << n << " bytes parsed differently";
-        } catch (const std::runtime_error &e) {
-            EXPECT_NE(std::string(e.what()).find("line"),
-                      std::string::npos)
-                << "prefix of " << n
-                << " bytes threw without a line number: " << e.what();
+    // A truncated bundle.json or manifest.json (torn copy, dying
+    // disk) must always be a diagnosable error: for every proper byte
+    // prefix the parser either reports the malformed JSON with its
+    // line number, or — if the prefix happens to be complete JSON
+    // (the document minus trailing whitespace) — yields the same
+    // document back.
+    const auto check = [](const std::string &full, auto parse,
+                          auto write) {
+        for (std::size_t n = 0; n < full.size(); ++n) {
+            const std::string prefix = full.substr(0, n);
+            try {
+                EXPECT_EQ(write(parse(prefix)), full)
+                    << "prefix of " << n << " bytes parsed differently";
+            } catch (const std::runtime_error &e) {
+                EXPECT_NE(std::string(e.what()).find("line"),
+                          std::string::npos)
+                    << "prefix of " << n
+                    << " bytes threw without a line number: "
+                    << e.what();
+            }
         }
-    }
+    };
+    check(writeBundleManifest(sampleBundle()), parseBundleManifest,
+          writeBundleManifest);
+    check(writeManifest(sampleManifest()), parseManifest, writeManifest);
 }
 
 TEST(Bundle, ExecutorCutsABundleWhenTheBudgetIsExhausted)
