@@ -8,7 +8,10 @@
 #      verdicts (replay-same-incident-twice, via --write-golden);
 #   3. a mutated golden makes `score --golden` fail (the gate can
 #      actually catch a detector change);
-#   4. `summary` and `run --label` work on the corpus.
+#   4. `summary` and `run --label` work on the corpus;
+#   5. `capture` on a copy of the corpus re-simulates every incident
+#      and reproduces each committed trace and label byte for byte,
+#      which pins the corpus to the kernel's (when, seq) event order.
 #
 # Inputs: REPLAY_TOOL (c4replay path), CORPUS (tests/incidents),
 # WORK_DIR (scratch).
@@ -87,3 +90,40 @@ run_or_die("c4replay run (labeled)"
     "${REPLAY_TOOL}" run
     "${CORPUS}/link_failure_single.trace.jsonl"
     --label "${CORPUS}/link_failure_single.label.json")
+
+# --- 5. re-capture the whole corpus ----------------------------------
+set(capture_dir "${WORK_DIR}/capture")
+file(COPY "${CORPUS}/" DESTINATION "${capture_dir}")
+execute_process(
+    COMMAND "${REPLAY_TOOL}" capture "${capture_dir}"
+    RESULT_VARIABLE rc OUTPUT_VARIABLE capture_out
+    ERROR_VARIABLE capture_err)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR
+        "c4replay capture failed (exit ${rc}):\n"
+        "${capture_out}${capture_err}")
+endif()
+file(GLOB corpus_files RELATIVE "${CORPUS}"
+    "${CORPUS}/*.trace.jsonl" "${CORPUS}/*.label.json")
+list(LENGTH corpus_files corpus_count)
+if(corpus_count EQUAL 0)
+    message(FATAL_ERROR "no incidents under ${CORPUS}")
+endif()
+foreach(name IN LISTS corpus_files)
+    # The copy already holds the committed file, so also require that
+    # capture re-simulated the incident rather than leaving it alone.
+    string(REGEX REPLACE "\\.(trace\\.jsonl|label\\.json)$" ""
+        incident "${name}")
+    if(NOT capture_out MATCHES "(^|\n)${incident} ")
+        message(FATAL_ERROR
+            "capture did not re-simulate ${incident}:\n${capture_out}")
+    endif()
+    execute_process(
+        COMMAND ${CMAKE_COMMAND} -E compare_files
+            "${CORPUS}/${name}" "${capture_dir}/${name}"
+        RESULT_VARIABLE same_rc)
+    if(NOT same_rc EQUAL 0)
+        message(FATAL_ERROR
+            "re-captured ${name} differs from the committed corpus")
+    endif()
+endforeach()

@@ -69,18 +69,9 @@ FaultInjector::startCampaign(const FaultRates &rates,
         static_cast<double>(nodes.size()) * gpusPerNode / 1000.0;
     const double months = toSeconds(duration) / toSeconds(days(30));
 
-    // All arrivals are known up front, so they go through the batch
-    // scheduler: one slot-reservation pass and one heapify instead of a
-    // sift-up per fault. Delays are collected in draw order and the
-    // batch assigns sequence numbers in array order, so fire order (and
-    // every downstream golden) is identical to per-event scheduleAt.
-    struct FireFn
-    {
-        FaultInjector *inj;
-        FaultEvent ev;
-        void operator()() const { inj->fire(ev); }
-    };
-    std::vector<std::pair<Duration, FireFn>> arrivals;
+    // Arrivals are scheduled in draw order, so equal-time faults fire
+    // in that order too (the kernel breaks ties by schedule sequence).
+    std::size_t scheduled = 0;
     for (int t = 0; t < kNumFaultTypes; ++t) {
         const auto type = static_cast<FaultType>(t);
         const double mean = rates[type] * gpu_k * months;
@@ -114,11 +105,10 @@ FaultInjector::startCampaign(const FaultRates &rates,
             const Duration delay = static_cast<Duration>(
                 rng_.uniform() * static_cast<double>(duration));
             ev.when = sim_.now() + delay;
-            arrivals.emplace_back(delay, FireFn{this, ev});
+            sim_.scheduleAfter(delay, [this, ev] { fire(ev); });
+            ++scheduled;
         }
     }
-    const std::size_t scheduled = arrivals.size();
-    sim_.scheduleBatchAfter(std::move(arrivals));
     return scheduled;
 }
 

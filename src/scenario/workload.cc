@@ -386,13 +386,6 @@ runSpecTrial(const ScenarioSpec &spec, TrialContext &ctx)
                          static_cast<double>(sim.pendingCount()));
             reg->setGauge("sim.pool_slots",
                           static_cast<double>(sim.poolSlotCount()));
-            reg->setGauge("sim.near_band",
-                          static_cast<double>(sim.nearBandSize()));
-            reg->setGauge("sim.far_band",
-                          static_cast<double>(sim.farBandSize()));
-            reg->setCounter("sim.promotes",
-                            static_cast<std::int64_t>(
-                                sim.promoteCount()));
             reg->setCounter("fabric.flows_started",
                             static_cast<std::int64_t>(
                                 clp->fabric().totalFlowsStarted()));

@@ -35,23 +35,6 @@ Simulator::allocSlot()
 }
 
 void
-Simulator::compactFar()
-{
-    Time minWhen = kTimeNever;
-    std::size_t w = 0;
-    for (const HeapEntry &e : far_) {
-        if (slotRef(e.slot).gen != e.gen)
-            continue;
-        if (e.when < minWhen)
-            minWhen = e.when;
-        far_[w++] = e;
-    }
-    far_.resize(w);
-    deadInFar_ = 0;
-    farMin_ = minWhen;
-}
-
-void
 Simulator::markDead(Slot &s)
 {
     s.ops = nullptr;
@@ -86,57 +69,10 @@ Simulator::finishSchedule(Time when, std::uint32_t slot)
 {
     if (when < now_)
         when = now_; // clamp: events cannot fire in the past
-    Slot &s = slotRef(slot);
-    s.when = when;
-    const HeapEntry e{when, nextSeq_++, slot, s.gen};
-    if (when <= horizon_) {
-        heapPush(e);
-    } else {
-        if (when < farMin_)
-            farMin_ = when;
-        far_.push_back(e);
-    }
+    const std::uint32_t gen = slotRef(slot).gen;
+    heapPush({when, nextSeq_++, slot, gen});
     ++liveCount_;
-    return makeId(slot, s.gen);
-}
-
-void
-Simulator::beginBatch(std::size_t n)
-{
-    // Worst case every entry lands in one band; reserving both keeps
-    // the batch loop itself allocation-free after this point.
-    heap_.reserve(heap_.size() + n);
-    far_.reserve(far_.size() + n);
-}
-
-EventId
-Simulator::batchSchedule(Time when, std::uint32_t slot, bool &nearAdded)
-{
-    if (when < now_)
-        when = now_; // clamp: events cannot fire in the past
-    Slot &s = slotRef(slot);
-    s.when = when;
-    const HeapEntry e{when, nextSeq_++, slot, s.gen};
-    if (when <= horizon_) {
-        heap_.push_back(e); // raw append; heapifyNear() restores order
-        nearAdded = true;
-    } else {
-        if (when < farMin_)
-            farMin_ = when;
-        far_.push_back(e);
-    }
-    ++liveCount_;
-    return makeId(slot, s.gen);
-}
-
-void
-Simulator::heapifyNear()
-{
-    // Same Floyd rebuild as compact()/promote(): pop order depends only
-    // on entryBefore's (when, seq) total order, not heap layout, so a
-    // batch is indistinguishable from n individual heapPush calls.
-    for (std::size_t i = (heap_.size() + 2) / 4; i-- > 0;)
-        siftDown(i);
+    return makeId(slot, gen);
 }
 
 void
@@ -192,20 +128,12 @@ Simulator::cancel(EventId id)
 {
     if (!pending(id))
         return false;
-    const std::uint32_t slot = slotOf(id);
     // The entry stays behind as a tombstone; compact once dead entries
-    // outnumber live ones (more than half the container). Far entries
-    // are always > horizon_ (promote() maintains this), so the slot's
-    // stored deadline tells us which container holds the tombstone.
-    const bool inFar = slotRef(slot).when > horizon_;
-    destroySlot(slot);
+    // outnumber live ones (more than half the heap).
+    destroySlot(slotOf(id));
     --liveCount_;
-    if (inFar) {
-        if (++deadInFar_ * 2 > far_.size())
-            compactFar();
-    } else if (++deadInHeap_ * 2 > heap_.size()) {
+    if (++deadInHeap_ * 2 > heap_.size())
         compact();
-    }
     return true;
 }
 
@@ -233,75 +161,10 @@ Simulator::compact()
     deadInHeap_ = 0;
 }
 
-void
-Simulator::promote()
-{
-    ++promotions_;
-    // Pass 1: earliest deadline in the far band, tombstones included —
-    // a pure sequential scan with no slot touches. A tombstone can
-    // only pull the horizon lower (promote fewer), never reorder
-    // anything; if the whole batch turns out stale, the partition pass
-    // below scrubs every tombstone and the caller retries once against
-    // a clean band.
-    Time minWhen = far_.front().when;
-    for (const HeapEntry &e : far_) {
-        if (e.when < minWhen)
-            minWhen = e.when;
-    }
-    horizon_ = minWhen >= kTimeNever - bandWidth_ ? kTimeNever
-                                                  : minWhen + bandWidth_;
-    // Pass 2: partition — drop stale entries, move the new band into
-    // the empty heap, keep the rest (tracking their exact minimum).
-    // Then Floyd-heapify (pop order is layout-independent, see
-    // entryBefore).
-    std::size_t w = 0;
-    Time keptMin = kTimeNever;
-    for (const HeapEntry &e : far_) {
-        if (slotRef(e.slot).gen != e.gen)
-            continue;
-        if (e.when <= horizon_) {
-            heap_.push_back(e);
-        } else {
-            if (e.when < keptMin)
-                keptMin = e.when;
-            far_[w++] = e;
-        }
-    }
-    far_.resize(w);
-    deadInFar_ = 0;
-    farMin_ = keptMin;
-    for (std::size_t i = (heap_.size() + 2) / 4; i-- > 0;)
-        siftDown(i);
-    // Adapt the horizon step toward a batch that is a fixed fraction
-    // of the band (so a burst of n far events drains in O(1) scans per
-    // event, never O(n) scans of n) with an absolute floor (so small
-    // simulations widen until the band never engages and pay nothing
-    // over a single heap) and an absolute ceiling on how small the
-    // batch may be forced (keeping the near heap, and its sift depth,
-    // shallow in steady state).
-    const std::size_t promoted = heap_.size();
-    const std::size_t total = promoted + w;
-    if ((promoted < 128 || promoted * 8 < total) &&
-        bandWidth_ < (kTimeNever >> 2))
-        bandWidth_ *= 2;
-    else if (promoted > 256 && promoted * 2 > total && bandWidth_ > 1)
-        bandWidth_ /= 2;
-}
-
 bool
 Simulator::fireNext(Time until)
 {
-    for (;;) {
-        if (heap_.empty()) {
-            // farMin_ is a conservative lower bound (cancellations can
-            // leave it low, never high), so this skip is always safe —
-            // it keeps sliced run(until) calls from rescanning a far
-            // band whose earliest deadline is beyond the slice.
-            if (far_.empty() || farMin_ > until)
-                return false;
-            promote();
-            continue; // all-stale band leaves both empty; recheck
-        }
+    while (!heap_.empty()) {
         const HeapEntry top = heap_.front();
         Slot &s = slotRef(top.slot);
         if (s.gen != top.gen) { // cancelled; drop the tombstone
@@ -344,6 +207,7 @@ Simulator::fireNext(Time until)
         ops->invoke(p);
         return true;
     }
+    return false;
 }
 
 bool
@@ -366,22 +230,15 @@ Simulator::run(Time until)
 void
 Simulator::clear()
 {
-    // Every live event has exactly one entry in one band; destroy
-    // those callables, then drop both bands wholesale. now_, executed_
-    // and nextSeq_ survive (see the header contract).
+    // Every live event has exactly one heap entry; destroy those
+    // callables, then drop the heap wholesale. now_, executed_ and
+    // nextSeq_ survive (see the header contract).
     for (const HeapEntry &e : heap_) {
-        if (slotRef(e.slot).gen == e.gen)
-            destroySlot(e.slot);
-    }
-    for (const HeapEntry &e : far_) {
         if (slotRef(e.slot).gen == e.gen)
             destroySlot(e.slot);
     }
     heap_.clear();
     deadInHeap_ = 0;
-    far_.clear();
-    deadInFar_ = 0;
-    farMin_ = kTimeNever;
     liveCount_ = 0;
 }
 
@@ -422,8 +279,11 @@ PeriodicTask::fire()
     if (!running_)
         return;
     ++invocations_;
+    const EventId firing = pendingEvent_;
     fn_();
-    if (running_)
+    // A callback that restarted the task (stop(); start();) has already
+    // scheduled the next tick; a second one would orphan an event.
+    if (running_ && pendingEvent_ == firing)
         pendingEvent_ = sim_.scheduleAfter(period_, [this] { fire(); });
 }
 

@@ -21,19 +21,13 @@
  *    bumps every time a slot is freed, so a stale handle for a reused
  *    slot can never cancel its successor (the 32-bit generation would
  *    have to wrap exactly 2^32 times between issue and use).
- *  - Ordering is two-banded. Events due soon (when <= horizon_) sit in
- *    a 4-ary min-heap; events beyond the horizon sit in an unsorted
- *    far band with O(1) append. When the heap drains, the horizon
- *    advances (by an adaptive step) and the next band is bulk-loaded
- *    with one Floyd heapify — so each event pays at most one heapify,
- *    on a heap that only ever holds the near band. Far-future timers
- *    that are cancelled before they come due (watchdogs, failure
- *    timeouts) never touch the heap at all.
- *  - Heap and band entries carry the slot index and its generation, so
+ *  - Every pending event sits in one 4-ary min-heap ordered by
+ *    (when, seq). The simulations here keep at most a few hundred
+ *    events pending, so the heap stays a handful of levels deep.
+ *  - Heap entries carry the slot index and its generation, so
  *    tombstone skipping is one integer compare. Cancelled events stay
- *    behind as tombstones; when dead entries exceed half of either
- *    container, it is compacted in one O(n) sweep (amortized O(1) per
- *    cancel) — the far band without any heap rebuild.
+ *    behind as tombstones; when dead entries exceed half the heap, it
+ *    is compacted in one O(n) sweep (amortized O(1) per cancel).
  *  - Callbacks fire in place: the slot is marked dead before the call
  *    (so pending()/cancel() on the firing event read false, and a
  *    clear() from inside the callback skips it) and recycled after,
@@ -120,42 +114,6 @@ class Simulator
     }
 
     /**
-     * Schedule a batch of (delay, callback) pairs in one pass: all
-     * slots are reserved up front, near-band entries are appended
-     * without per-event sift-up, and the near heap is rebuilt with a
-     * single Floyd heapify at the end (far-band entries stay O(1)
-     * appends as always). Sequence numbers are assigned in array
-     * order, so the fire order — including ties — is byte-identical
-     * to calling scheduleAfter() once per pair in the same order; the
-     * only difference is cost: one O(n) heapify instead of n
-     * O(log n) sift-ups. Built for collective fan-outs (one NVLink
-     * round scheduling every peer copy at once) and campaign
-     * pre-scheduling.
-     *
-     * @param items (delay, callable) pairs, consumed by move.
-     * @return one EventId per pair, in input order.
-     */
-    template <typename F>
-    std::vector<EventId>
-    scheduleBatchAfter(std::vector<std::pair<Duration, F>> items)
-    {
-        std::vector<EventId> ids;
-        ids.reserve(items.size());
-        beginBatch(items.size());
-        bool nearAdded = false;
-        for (auto &[delay, fn] : items) {
-            assert(delay >= 0);
-            const Time when =
-                delay >= kTimeNever - now_ ? kTimeNever : now_ + delay;
-            const std::uint32_t slot = storeCallback(std::move(fn));
-            ids.push_back(batchSchedule(when, slot, nearAdded));
-        }
-        if (nearAdded)
-            heapifyNear();
-        return ids;
-    }
-
-    /**
      * Cancel a pending event. Cancelling an already-fired, cleared, or
      * invalid handle is a harmless no-op (O(1) either way).
      * @return true if the event was pending and is now cancelled.
@@ -218,17 +176,14 @@ class Simulator
     /** @} */
 
     /** @name Event-kernel introspection
-     * Pure reads over the pooled two-band store, safe to pull from a
-     * metrics sampler at any point (no lazy recompute, no RNG).
+     * Pure reads over the pooled store, safe to pull from a metrics
+     * sampler at any point (no lazy recompute, no RNG).
      * @{ */
-    /** Far-band -> near-heap promotion scans performed so far. */
-    std::uint64_t promoteCount() const { return promotions_; }
+    /** Always 0 (there is one queue, so nothing is promoted); kept so
+     * that perfbench's `sim.promotes` column still builds. */
+    std::uint64_t promoteCount() const { return 0; }
     /** Event slots ever materialized in the pool slab. */
     std::uint32_t poolSlotCount() const { return slotCount_; }
-    /** Entries in the near heap (live + tombstones). */
-    std::size_t nearBandSize() const { return heap_.size(); }
-    /** Entries in the far band (live + tombstones). */
-    std::size_t farBandSize() const { return far_.size(); }
     /** @} */
 
   private:
@@ -251,7 +206,6 @@ class Simulator
     {
         const CallbackOps *ops = nullptr;
         void *heap = nullptr; ///< non-null: callable lives on the heap
-        Time when = 0;        ///< deadline; > horizon_ <=> entry in far_
         std::uint32_t gen = 1;
         std::uint32_t nextFree = kNoSlot;
         alignas(std::max_align_t)
@@ -359,15 +313,6 @@ class Simulator
     /** Destroy the callable in @p idx, then mark dead + free. */
     void destroySlot(std::uint32_t idx);
     EventId finishSchedule(Time when, std::uint32_t slot);
-    /** @name Batch scheduling (see scheduleBatchAfter) @{ */
-    /** Reserve container capacity for @p n upcoming batchSchedule calls. */
-    void beginBatch(std::size_t n);
-    /** finishSchedule minus the sift-up: near entries are appended raw
-     * and flagged via @p nearAdded for one deferred heapifyNear(). */
-    EventId batchSchedule(Time when, std::uint32_t slot, bool &nearAdded);
-    /** Floyd-heapify the near band after raw batch appends. */
-    void heapifyNear();
-    /** @} */
     /** @name 4-ary min-heap on entryBefore (half the depth of a binary
      * heap; pop order is layout-independent, see entryBefore) @{ */
     void heapPush(const HeapEntry &e);
@@ -379,39 +324,21 @@ class Simulator
     bool fireNext(Time until);
     /** Sweep stale entries out of the heap and re-heapify. */
     void compact();
-    /** Sweep stale entries out of the far band (no heap rebuild). */
-    void compactFar();
-    /** Advance horizon_ past the earliest far deadline and move the new
-     * band into the (empty) near heap. */
-    void promote();
 
     trace::TraceScope tracer_;
     obs::MetricsScope metrics_;
     Time now_ = 0;
     std::uint64_t nextSeq_ = 1;
     std::uint64_t executed_ = 0;
-    std::uint64_t promotions_ = 0; ///< far->near promotion scans
 
     std::vector<std::unique_ptr<Slot[]>> chunks_;
     std::uint32_t freeHead_ = kNoSlot;
     std::uint32_t slotCount_ = 0; ///< slots ever materialized
     std::size_t liveCount_ = 0;   ///< pending (schedulable) events
 
-    /** Near band: min-heap over entries with when <= horizon_. */
+    /** Min-heap over every pending event (live + tombstones). */
     std::vector<HeapEntry> heap_;
-    std::size_t deadInHeap_ = 0; ///< near tombstones awaiting compaction
-
-    /** Far band: unsorted entries with when > horizon_. Scheduling and
-     * cancelling here never touch the heap; promote() moves each entry
-     * into the heap at most once. horizon_ only ever advances. */
-    std::vector<HeapEntry> far_;
-    std::size_t deadInFar_ = 0; ///< far tombstones awaiting compaction
-    Time horizon_ = 0; ///< inclusive upper bound of the near band
-    Duration bandWidth_ = 1 << 20; ///< adaptive horizon step (see promote)
-    /** Conservative lower bound on the earliest far deadline (stale
-     * tombstones can hold it low, never high): lets sliced run(until)
-     * calls skip the band without scanning it. */
-    Time farMin_ = kTimeNever;
+    std::size_t deadInHeap_ = 0; ///< tombstones awaiting compaction
 };
 
 /**
