@@ -53,11 +53,30 @@ struct Accl::CommState
     std::unordered_set<Rank> crashed;
     std::unordered_map<std::uint64_t, Connection> conns;
     CollSeq nextSeq = 1;
-    /** FIFO of posted ops: queue[queueHead..] wait for the Exec. A
-     * vector rather than a deque, so steady posting reuses its slots
-     * instead of allocating a block every few ops. */
+    /** FIFO of posted ops: queue[queueHead, queueTail) wait for the
+     * Exec. The vector never shrinks; a slot outside that range is
+     * spare and holds the delay buffer of the op the Exec last handed
+     * back, so steady posting reuses slots and buffers alike. */
     std::vector<PendingOp> queue;
     std::size_t queueHead = 0;
+    std::size_t queueTail = 0;
+
+    /** Claim a queue slot for an op posted at @p now: every field
+     * reset except the capacity of its delay buffer. */
+    PendingOp &
+    push(Time now)
+    {
+        if (queueTail == queue.size())
+            queue.emplace_back();
+        PendingOp &p = queue[queueTail++];
+        std::vector<Duration> delays = std::move(p.delays);
+        delays.clear();
+        p = PendingOp{};
+        p.delays = std::move(delays);
+        p.seq = nextSeq++;
+        p.postedAt = now;
+        return p;
+    }
     /** Created with the first op and reused for every later one;
      * declared last so it is destroyed (aborting its op) first. */
     std::unique_ptr<Exec> exec;
@@ -87,11 +106,13 @@ class Accl::Exec
     /** True between begin() and the end of that op. */
     bool busy() const { return busy_; }
 
+    /** Start @p next, swapping it in: @p next gets the finished op's
+     * state back, so its delay buffer is reused by a later post. */
     void
-    begin(PendingOp op)
+    begin(PendingOp &next)
     {
         assert(!busy_);
-        op_ = std::move(op);
+        std::swap(op_, next);
         busy_ = true;
         activeChannels_ = 1;
         channelsFinished_ = 0;
@@ -894,22 +915,20 @@ Accl::releaseConnections(CommState &cs)
 CollSeq
 Accl::postCollective(CommId comm, CollOp op, Bytes bytesPerRank,
                      CollectiveCallback done,
-                     std::vector<Duration> rankPostDelays, AlgoKind algo)
+                     std::span<const Duration> rankPostDelays,
+                     AlgoKind algo)
 {
     assert(bytesPerRank > 0);
     assert(op != CollOp::SendRecv && "use sendRecv()");
     CommState &cs = state(comm);
 
-    PendingOp p;
-    p.seq = cs.nextSeq++;
+    PendingOp &p = cs.push(sim_.now());
     p.op = op;
     p.algo = algo;
     p.bytes = bytesPerRank;
-    p.delays = std::move(rankPostDelays);
+    p.delays.assign(rankPostDelays.begin(), rankPostDelays.end());
     p.done = std::move(done);
-    p.postedAt = sim_.now();
     const CollSeq seq = p.seq;
-    cs.queue.push_back(std::move(p));
     ++posted_;
 
     startNext(cs);
@@ -925,16 +944,13 @@ Accl::sendRecv(CommId comm, Rank src, Rank dst, Bytes bytes,
     assert(src >= 0 && src < cs.comm->size());
     assert(dst >= 0 && dst < cs.comm->size());
 
-    PendingOp p;
-    p.seq = cs.nextSeq++;
+    PendingOp &p = cs.push(sim_.now());
     p.op = CollOp::SendRecv;
     p.bytes = bytes;
     p.done = std::move(done);
-    p.postedAt = sim_.now();
     p.p2pSrc = src;
     p.p2pDst = dst;
     const CollSeq seq = p.seq;
-    cs.queue.push_back(std::move(p));
     ++posted_;
 
     startNext(cs);
@@ -958,22 +974,24 @@ Accl::rankCrashed(CommId comm, Rank rank) const
 void
 Accl::startNext(CommState &cs)
 {
-    if ((cs.exec && cs.exec->busy()) || cs.queueHead == cs.queue.size())
+    if ((cs.exec && cs.exec->busy()) || cs.queueHead == cs.queueTail)
         return;
-    PendingOp op = std::move(cs.queue[cs.queueHead++]);
-    if (cs.queueHead == cs.queue.size()) {
-        cs.queue.clear();
-        cs.queueHead = 0;
-    } else if (cs.queueHead > 32 && 2 * cs.queueHead > cs.queue.size()) {
-        // A queue that never drains: drop the consumed prefix.
-        cs.queue.erase(cs.queue.begin(),
-                       cs.queue.begin() +
-                           static_cast<std::ptrdiff_t>(cs.queueHead));
+    if (cs.queueHead > 32 && 2 * cs.queueHead > cs.queueTail) {
+        // A queue that never drains: rotate the consumed prefix to the
+        // back, where its slots are spare.
+        const auto head = static_cast<std::ptrdiff_t>(cs.queueHead);
+        const auto tail = static_cast<std::ptrdiff_t>(cs.queueTail);
+        std::rotate(cs.queue.begin(), cs.queue.begin() + head,
+                    cs.queue.begin() + tail);
+        cs.queueTail -= cs.queueHead;
         cs.queueHead = 0;
     }
+    PendingOp &next = cs.queue[cs.queueHead++];
+    if (cs.queueHead == cs.queueTail)
+        cs.queueHead = cs.queueTail = 0;
     if (!cs.exec)
         cs.exec = std::make_unique<Exec>(*this, cs);
-    cs.exec->begin(std::move(op));
+    cs.exec->begin(next);
 }
 
 void

@@ -20,6 +20,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -145,13 +146,15 @@ class Accl
 
     /**
      * Post a BSP collective: every rank enters at now + rankPostDelays[r]
-     * (all zero when empty). Ordered FIFO per communicator.
+     * (all zero when empty). Ordered FIFO per communicator. The delays
+     * are copied into a buffer the communicator reuses op after op, so
+     * the caller may refill its own buffer at once.
      *
      * @return the operation's sequence number on this communicator.
      */
     CollSeq postCollective(CommId comm, CollOp op, Bytes bytesPerRank,
                            CollectiveCallback done,
-                           std::vector<Duration> rankPostDelays = {},
+                           std::span<const Duration> rankPostDelays = {},
                            AlgoKind algo = AlgoKind::Ring);
 
     /** Point-to-point transfer between two ranks of a communicator. */

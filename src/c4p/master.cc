@@ -151,8 +151,9 @@ C4pMaster::rebalance(const std::vector<ConnContext> &ctxs,
 
     bool changed = false;
 
-    // Current per-QP rates (0 when unobserved).
-    std::vector<double> rates(ctxs.size(), 0.0);
+    // Current per-QP rates (0 when unobserved), in a reused buffer.
+    std::vector<double> &rates = rates_;
+    rates.assign(ctxs.size(), 0.0);
     double best_rate = 0.0;
     for (std::size_t i = 0; i < ctxs.size(); ++i) {
         auto it = qpState_.find(qpKey(ctxs[i]));

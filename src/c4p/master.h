@@ -108,6 +108,9 @@ class C4pMaster : public accl::PathPolicy
     // Per-QP feedback state, keyed by connection identity.
     std::unordered_map<std::uint64_t, QpState> qpState_;
 
+    // rebalance()'s per-QP rate scratch; keeps its capacity across calls.
+    std::vector<double> rates_;
+
     std::uint64_t allocations_ = 0;
     std::uint64_t releases_ = 0;
     std::uint64_t repins_ = 0;

@@ -42,43 +42,43 @@ MetricRegistry::MetricRegistry(std::size_t windowCapacity)
 }
 
 MetricRegistry::Metric &
-MetricRegistry::metricFor(const std::string &name, MetricKind kind)
+MetricRegistry::metricFor(std::string_view name, MetricKind kind)
 {
     auto it = index_.find(name);
     if (it != index_.end()) {
         Metric &m = metrics_[it->second];
         if (m.kind != kind) {
             throw std::logic_error(
-                "metric '" + name + "' registered as " +
+                "metric '" + std::string(name) + "' registered as " +
                 kindName(m.kind) + ", touched as " + kindName(kind));
         }
         return m;
     }
-    index_.emplace(name, metrics_.size());
-    metrics_.emplace_back(name, kind, windowCapacity_);
-    return metrics_.back();
+    Metric &m = metrics_.emplace_back(name, kind, windowCapacity_);
+    index_.emplace(m.name, metrics_.size() - 1);
+    return m;
 }
 
 void
-MetricRegistry::addCounter(const std::string &name, std::int64_t delta)
+MetricRegistry::addCounter(std::string_view name, std::int64_t delta)
 {
     metricFor(name, MetricKind::Counter).counter += delta;
 }
 
 void
-MetricRegistry::setCounter(const std::string &name, std::int64_t absolute)
+MetricRegistry::setCounter(std::string_view name, std::int64_t absolute)
 {
     metricFor(name, MetricKind::Counter).counter = absolute;
 }
 
 void
-MetricRegistry::setGauge(const std::string &name, double v)
+MetricRegistry::setGauge(std::string_view name, double v)
 {
     metricFor(name, MetricKind::Gauge).gauge = v;
 }
 
 void
-MetricRegistry::observe(const std::string &name, double v)
+MetricRegistry::observe(std::string_view name, double v)
 {
     metricFor(name, MetricKind::Window).window.add(v);
 }

@@ -10,6 +10,12 @@
  * per-trial sampler pulls gauge state and appends one Sample per metric
  * per tick. Everything is keyed on simulated time and plain data, so
  * snapshots are byte-identical across `--threads` values.
+ *
+ * Metric names are passed as `std::string_view` and looked up without
+ * building a string, so a metered hot path (every fabric recompute)
+ * allocates nothing once each of its names has been touched: a name is
+ * copied only when it first registers. Registration, and so snapshot
+ * order, stays first-touch order.
  */
 
 #ifndef C4_OBS_METRICS_H
@@ -17,6 +23,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -73,12 +80,12 @@ class MetricRegistry
     explicit MetricRegistry(std::size_t windowCapacity = 512);
 
     /** Bump a counter by @p delta (creating it at zero). */
-    void addCounter(const std::string &name, std::int64_t delta = 1);
+    void addCounter(std::string_view name, std::int64_t delta = 1);
     /** Overwrite a counter with an externally-tracked absolute total. */
-    void setCounter(const std::string &name, std::int64_t absolute);
-    void setGauge(const std::string &name, double v);
+    void setCounter(std::string_view name, std::int64_t absolute);
+    void setGauge(std::string_view name, double v);
     /** Feed one observation into a sliding-window histogram. */
-    void observe(const std::string &name, double v);
+    void observe(std::string_view name, double v);
 
     /** Append one Sample per registered metric, stamped @p now. */
     void snapshot(Time now);
@@ -94,20 +101,32 @@ class MetricRegistry
         double gauge = 0.0;
         WindowedQuantile window;
 
-        Metric(std::string n, MetricKind k, std::size_t windowCapacity)
-            : name(std::move(n)), kind(k), window(windowCapacity)
+        Metric(std::string_view n, MetricKind k,
+               std::size_t windowCapacity)
+            : name(n), kind(k), window(windowCapacity)
         {
+        }
+    };
+
+    /** Hashes a name the same whether it is a string or a view, so
+     * index_.find() takes a view without building a string. */
+    struct NameHash {
+        using is_transparent = void;
+        std::size_t operator()(std::string_view s) const
+        {
+            return std::hash<std::string_view>{}(s);
         }
     };
 
     // Deque for stable addresses + deterministic registration order;
     // the unordered_map is lookup-only and never iterated.
     std::deque<Metric> metrics_;
-    std::unordered_map<std::string, std::size_t> index_;
+    std::unordered_map<std::string, std::size_t, NameHash, std::equal_to<>>
+        index_;
     std::vector<Sample> samples_;
     std::size_t windowCapacity_;
 
-    Metric &metricFor(const std::string &name, MetricKind kind);
+    Metric &metricFor(std::string_view name, MetricKind kind);
 };
 
 /**
@@ -128,25 +147,25 @@ class MetricsScope
     bool attached() const { return registry_ != nullptr; }
     MetricRegistry *registry() const { return registry_; }
 
-    void count(const std::string &name, std::int64_t delta = 1)
+    void count(std::string_view name, std::int64_t delta = 1)
     {
         if (registry_ != nullptr)
             registry_->addCounter(name, delta);
     }
 
-    void set(const std::string &name, std::int64_t absolute)
+    void set(std::string_view name, std::int64_t absolute)
     {
         if (registry_ != nullptr)
             registry_->setCounter(name, absolute);
     }
 
-    void gauge(const std::string &name, double v)
+    void gauge(std::string_view name, double v)
     {
         if (registry_ != nullptr)
             registry_->setGauge(name, v);
     }
 
-    void observe(const std::string &name, double v)
+    void observe(std::string_view name, double v)
     {
         if (registry_ != nullptr)
             registry_->observe(name, v);

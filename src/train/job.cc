@@ -242,7 +242,8 @@ TrainingJob::runEpAllToAll(int remaining)
     // iteration, delaying its entry into the alltoall. The skew
     // re-rolls per iteration, so it is transient — C4D's windowed wait
     // analysis must not mistake it for a persistent straggler.
-    std::vector<Duration> delays(static_cast<std::size_t>(c.size()), 0);
+    std::vector<Duration> &delays = entryDelays_;
+    delays.assign(static_cast<std::size_t>(c.size()), 0);
     if (cfg_.epLoadImbalanceCv > 0.0) {
         const double base =
             static_cast<double>(iterCompute_) * 0.25;
@@ -253,15 +254,16 @@ TrainingJob::runEpAllToAll(int remaining)
         }
     }
 
+    epAllToAllsLeft_ = remaining;
     const std::uint64_t epoch = epoch_;
     accl_.postCollective(
         epComm_, accl::CollOp::AllToAll, bytes,
-        [this, epoch, remaining](const CollectiveResult &) {
+        [this, epoch](const CollectiveResult &) {
             if (epoch != epoch_)
                 return;
-            runEpAllToAll(remaining - 1);
+            runEpAllToAll(epAllToAllsLeft_ - 1);
         },
-        std::move(delays));
+        delays);
 }
 
 void
@@ -273,13 +275,14 @@ TrainingJob::runPpChain(int hopsLeft, Rank stage)
     }
     const int pp = cfg_.parallel.pp;
     const Rank next = static_cast<Rank>((stage + 1) % pp);
+    ppHopsLeft_ = hopsLeft;
+    ppStage_ = next;
     const std::uint64_t epoch = epoch_;
     accl_.sendRecv(ppComm_, stage, next, cfg_.model.activationBytes,
-                   [this, epoch, hopsLeft, next](
-                       const CollectiveResult &) {
+                   [this, epoch](const CollectiveResult &) {
                        if (epoch != epoch_)
                            return;
-                       runPpChain(hopsLeft - 1, next);
+                       runPpChain(ppHopsLeft_ - 1, ppStage_);
                    });
 }
 
@@ -301,8 +304,8 @@ TrainingJob::postDpAllReduces()
         // Per-rank entry skew: straggler nodes hold their rank back by
         // the extra compute they needed; small jitter for the rest.
         const auto &c = accl_.communicator(comm);
-        std::vector<Duration> delays(
-            static_cast<std::size_t>(c.size()), 0);
+        std::vector<Duration> &delays = entryDelays_;
+        delays.assign(static_cast<std::size_t>(c.size()), 0);
         for (Rank r = 0; r < c.size(); ++r) {
             const double scale = nodeScale(c.device(r).node);
             double d = (scale - 1.0) *
@@ -317,7 +320,7 @@ TrainingJob::postDpAllReduces()
             [this, epoch](const CollectiveResult &res) {
                 onDpGroupDone(epoch, res);
             },
-            std::move(delays));
+            delays);
     }
 }
 

@@ -220,6 +220,15 @@ class TrainingJob
     EventId watchdog_ = kInvalidEvent;
     EventId phaseEvent_ = kInvalidEvent;
     std::uint64_t epoch_ = 0; ///< invalidates stale callbacks
+    // Progress of the EP alltoall and PP send/recv chains, kept here so
+    // their completion callbacks capture only (this, epoch) and fit
+    // std::function's inline buffer.
+    int epAllToAllsLeft_ = 0;
+    int ppHopsLeft_ = 0;
+    Rank ppStage_ = 0;
+    /** Per-rank entry delays of the collective being posted; reused,
+     * since postCollective() copies them. */
+    std::vector<Duration> entryDelays_;
 
     void setupComms();
     void teardownComms();

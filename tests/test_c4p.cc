@@ -12,6 +12,7 @@
 #include "c4p/master.h"
 #include "c4p/prober.h"
 #include "net/fabric.h"
+#include "perf/perf.h"
 #include "testutil/testutil.h"
 
 namespace c4::c4p {
@@ -268,6 +269,48 @@ TEST(C4pMaster, CooldownThrottlesRepins)
                    false);
     master.rebalance(ctxs, decisions, weights);
     EXPECT_EQ(master.repins(), after_first);
+}
+
+TEST(C4pMaster, WarmRebalanceDoesNotAllocate)
+{
+    // A QP group re-weighted after every round of feedback, as ACCL
+    // does after each collective round: once every QP has feedback
+    // state, a rebalance allocates nothing.
+    Simulator sim;
+    net::Topology topo(podConfig());
+    C4pConfig cfg;
+    cfg.dynamicLoadBalance = true;
+    C4pMaster master(sim, topo, cfg);
+
+    std::vector<ConnContext> ctxs;
+    std::vector<PathDecision> decisions;
+    for (int qp = 0; qp < 8; ++qp) {
+        ctxs.push_back(makeConnContext(0, qp));
+        decisions.push_back(master.decide(ctxs.back()));
+    }
+    std::vector<double> weights(ctxs.size(), 1.0);
+
+    // Rates within rebalanceRatio of each other: no QP is slow, so
+    // every round re-weights and none re-pins.
+    auto round = [&](int r) {
+        for (std::size_t q = 0; q < ctxs.size(); ++q) {
+            accl::PathFeedback fb;
+            fb.achievedRate =
+                gbps(180 + static_cast<double>((r + q) % 4) * 5);
+            master.feedback(ctxs[q], decisions[q], fb);
+        }
+        return master.rebalance(ctxs, decisions, weights);
+    };
+    for (int r = 0; r < 4; ++r)
+        round(r);
+    const std::uint64_t before = perf::allocStatsNow().count;
+    int changed = 0;
+    for (int r = 0; r < 256; ++r)
+        changed += round(r) ? 1 : 0;
+    const std::uint64_t allocs = perf::allocStatsNow().count - before;
+    EXPECT_EQ(changed, 256);
+    EXPECT_EQ(master.repins(), 0u);
+    EXPECT_EQ(allocs, 0u);
 }
 
 } // namespace

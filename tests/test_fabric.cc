@@ -11,6 +11,7 @@
 #include "common/random.h"
 #include "net/fabric.h"
 #include "net/philox.h"
+#include "obs/metrics.h"
 #include "perf/perf.h"
 #include "testutil/testutil.h"
 
@@ -926,12 +927,18 @@ TEST(FabricOrder, AdmissionOrderDoesNotChangeDeterministicAllocation)
     }
 }
 
-TEST(Fabric, SteadyCapacityEventsDoNotAllocate)
+/**
+ * Allocations made by 256 capacity-scale events on a fixed flow set,
+ * each a fabric re-allocation, after 64 warm-up events have grown the
+ * scratch buffers, the completion heap, the kernel's event pool and
+ * (when @p registry is given, attached to the run) every metric the
+ * recompute emits.
+ */
+std::uint64_t
+steadyCapacityEventAllocs(obs::MetricRegistry *registry)
 {
-    // A fixed flow set under repeated capacity-scale events: after a
-    // warm-up grows the scratch buffers, the completion heap and the
-    // kernel's event pool, a re-allocation allocates nothing.
     Harness h(podConfig(), FabricConfig{}); // overlay draws on
+    h.sim.setMetrics(obs::MetricsScope(registry));
     std::uint32_t label = 0;
     FlowId first = kInvalidId;
     for (NodeId src = 0; src < 8; ++src) {
@@ -957,7 +964,26 @@ TEST(Fabric, SteadyCapacityEventsDoNotAllocate)
         cycle(r);
     const std::uint64_t allocs = perf::allocStatsNow().count - before;
     EXPECT_EQ(h.fabric.reallocationCount() - reallocsBefore, 256u);
-    EXPECT_EQ(allocs, 0u);
+    return allocs;
+}
+
+TEST(Fabric, SteadyCapacityEventsDoNotAllocate)
+{
+    EXPECT_EQ(steadyCapacityEventAllocs(nullptr), 0u);
+}
+
+TEST(Fabric, SteadyMeteredRecomputesDoNotAllocate)
+{
+    // Every recompute bumps two counters and feeds two windows, all by
+    // names longer than a short-string buffer; once registered, the
+    // names are looked up without building a string.
+    obs::MetricRegistry registry;
+    EXPECT_EQ(steadyCapacityEventAllocs(&registry), 0u);
+    registry.snapshot(0);
+    bool metered = false;
+    for (const obs::Sample &s : registry.samples())
+        metered |= s.name == "fabric.recompute_ops" && s.count > 0;
+    EXPECT_TRUE(metered);
 }
 
 } // namespace

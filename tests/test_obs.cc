@@ -110,6 +110,41 @@ TEST(Registry, ReusingANameWithADifferentKindThrows)
     reg.addCounter("x"); // same kind stays fine
 }
 
+TEST(Registry, NamesAreViewsCopiedOnlyAtFirstTouch)
+{
+    // Views that are not NUL-terminated: prefixes of one longer buffer.
+    const std::string buffer = "fabric.recompute_ops_and_more";
+    const std::string_view ops(buffer.data(), 20);  // fabric.recompute_ops
+    const std::string_view fab(buffer.data(), 6);   // fabric
+    MetricRegistry reg;
+    MetricsScope scope(&reg);
+    scope.count(ops, 2);
+    scope.gauge(fab, 0.5);
+    reg.addCounter(std::string("fabric.recompute_ops"), 3); // same metric
+    scope.observe("fabric.recompute", 1.0);
+    reg.snapshot(7);
+
+    ASSERT_EQ(reg.metricCount(), 3u);
+    const std::vector<Sample> &s = reg.samples();
+    ASSERT_EQ(s.size(), 3u);
+    EXPECT_EQ(s[0].name, "fabric.recompute_ops"); // first-touch order
+    EXPECT_EQ(s[0].count, 5);
+    EXPECT_EQ(s[1].name, "fabric");
+    EXPECT_DOUBLE_EQ(s[1].value, 0.5);
+    EXPECT_EQ(s[2].name, "fabric.recompute");
+    EXPECT_EQ(s[2].kind, MetricKind::Window);
+
+    // A kind mismatch through a view still names exactly the metric.
+    try {
+        scope.observe(ops, 1.0);
+        FAIL() << "kind mismatch did not throw";
+    } catch (const std::logic_error &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "metric 'fabric.recompute_ops' registered as counter, "
+                  "touched as window");
+    }
+}
+
 TEST(KindNames, RoundTrip)
 {
     for (MetricKind kind : {MetricKind::Counter, MetricKind::Gauge,

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "net/fabric.h"
+#include "perf/perf.h"
 #include "train/job.h"
 #include "train/model.h"
 #include "train/parallel.h"
@@ -332,6 +333,59 @@ TEST(TrainingJob, RejectsInvalidConfig)
     JobConfig jc = h.smallJob();
     jc.parallel.tp = 16; // > gpusPerNode
     EXPECT_THROW(TrainingJob(h.sim, h.lib, jc), std::invalid_argument);
+}
+
+/**
+ * Allocations made by 200 iterations of @p cfg after 8 warm-up ones,
+ * draining the monitor every 100 ms into reused vectors (what a C4
+ * agent does).
+ */
+std::uint64_t
+steadyIterationAllocs(JobHarness &h, const JobConfig &cfg)
+{
+    TrainingJob job(h.sim, h.lib, cfg);
+    std::vector<accl::CommRecord> comms;
+    std::vector<accl::CollRecord> colls;
+    std::vector<accl::RankWaitRecord> waits;
+    std::vector<accl::ConnRecord> conns;
+    auto runTo = [&](std::uint64_t iters) {
+        while (job.iterationsCompleted() < iters) {
+            h.sim.run(h.sim.now() + milliseconds(100));
+            h.lib.monitor().drainComm(comms);
+            h.lib.monitor().drainColl(colls);
+            h.lib.monitor().drainRankWait(waits);
+            h.lib.monitor().drainConn(conns);
+        }
+    };
+    job.start();
+    runTo(8);
+    const std::uint64_t before = perf::allocStatsNow().count;
+    runTo(208);
+    const std::uint64_t allocs = perf::allocStatsNow().count - before;
+    EXPECT_EQ(job.state(), TrainingJob::State::Running);
+    EXPECT_EQ(job.iterationsCompleted(), 208u);
+    return allocs;
+}
+
+TEST(TrainingJob, SteadyIterationsDoNotAllocate)
+{
+    // The only allocations left are the doubling growth of the job's
+    // two Summary sample vectors (iteration time, DP bus bandwidth).
+    JobHarness h;
+    EXPECT_LE(steadyIterationAllocs(h, h.smallJob()), 16u);
+}
+
+TEST(TrainingJob, SteadyMoePipelineIterationsDoNotAllocate)
+{
+    // Adds two skewed expert alltoalls and a pipeline send/recv chain
+    // per iteration, whose entry delays and completion callbacks must
+    // not allocate either.
+    JobHarness h;
+    JobConfig cfg = h.smallJob();
+    cfg.model.epBytesPerMicrobatch = mib(32);
+    cfg.parallel = {.tp = 8, .pp = 2, .dp = 2, .ep = 2};
+    cfg.nodes = {0, 1, 2, 3};
+    EXPECT_LE(steadyIterationAllocs(h, cfg), 16u);
 }
 
 } // namespace
