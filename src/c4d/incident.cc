@@ -40,22 +40,6 @@ IncidentAnalyzer::IncidentAnalyzer(IncidentAnalyzerConfig cfg)
 }
 
 void
-IncidentAnalyzer::onFault(const FaultRecord &rec)
-{
-    // The anti-cheating seam (see telemetry.h): injected faults model
-    // the out-of-band hardware monitors, so only classes that leave a
-    // hardware trace may enter the log the detectors consult.
-    if (!rec.knownType || !faultVisibleInHardwareLogs(rec.type))
-        return;
-    HardwareLogEntry entry;
-    entry.when = rec.when;
-    entry.node = rec.node;
-    entry.type = rec.type;
-    entry.detail = fault::faultTypeName(rec.type);
-    rca_.ingestHardwareEvent(entry);
-}
-
-void
 IncidentAnalyzer::addToGroups(std::vector<EventGroup> &groups,
                               Duration window, Time when,
                               std::int64_t link, std::int64_t flows,
@@ -81,33 +65,53 @@ IncidentAnalyzer::addToGroups(std::vector<EventGroup> &groups,
 }
 
 void
-IncidentAnalyzer::onLinkEvent(const LinkEventRecord &rec)
+IncidentAnalyzer::onEvent(const trace::Event &ev)
 {
-    if (rec.up)
-        return; // recoveries close an incident, they don't open one
-    addToGroups(downGroups_, cfg_.linkGroupWindow, rec.when, rec.link,
-                rec.flowsRerouted, 1.0);
-}
-
-void
-IncidentAnalyzer::onLinkScale(const LinkScaleRecord &rec)
-{
-    if (rec.scale >= 1.0)
-        return; // restoration to nominal
-    addToGroups(scaleGroups_, cfg_.linkGroupWindow, rec.when, rec.link,
-                rec.memberFlows, rec.scale);
-}
-
-void
-IncidentAnalyzer::onCnpSample(const CnpRecord &rec)
-{
-    cnp_.push_back(rec);
-}
-
-void
-IncidentAnalyzer::onSteering(const SteeringRecord &rec)
-{
-    steerings_.push_back(rec);
+    // Fields are read per trace.h's field table.
+    switch (ev.kind) {
+      case trace::EventKind::FaultInjected: {
+        // The anti-cheating seam (see telemetry.h): injected faults
+        // model the out-of-band hardware monitors, so only classes
+        // that leave a hardware trace may enter the log the detectors
+        // consult.
+        FaultType type;
+        if (!fault::faultTypeFromName(ev.detail, type) ||
+            !faultVisibleInHardwareLogs(type))
+            return;
+        HardwareLogEntry entry;
+        entry.when = ev.when;
+        entry.node = ev.node;
+        entry.type = type;
+        entry.detail = fault::faultTypeName(type);
+        rca_.ingestHardwareEvent(entry);
+        return;
+      }
+      case trace::EventKind::PathRealloc: {
+        trace::PathReallocKind sub;
+        if (!trace::pathReallocFromName(ev.detail, sub))
+            return;
+        // Link recoveries and restorations to nominal close an
+        // incident, they don't open one.
+        if (sub == trace::PathReallocKind::LinkDown) {
+            addToGroups(downGroups_, cfg_.linkGroupWindow, ev.when,
+                        static_cast<LinkId>(ev.a),
+                        static_cast<std::int64_t>(ev.value), 1.0);
+        } else if (sub == trace::PathReallocKind::LinkScale &&
+                   ev.value < 1.0) {
+            addToGroups(scaleGroups_, cfg_.linkGroupWindow, ev.when,
+                        static_cast<LinkId>(ev.a), ev.b, ev.value);
+        }
+        return;
+      }
+      case trace::EventKind::CnpSample:
+        cnp_.push_back({ev.when, ev.value});
+        return;
+      case trace::EventKind::SteeringDecision:
+        restarts_.push_back({ev.when, ev.job, ev.b != 0});
+        return;
+      default:
+        return;
+    }
 }
 
 bool
@@ -115,7 +119,7 @@ IncidentAnalyzer::cnpElevatedAround(Time onset) const
 {
     double beforeSum = 0.0, afterSum = 0.0;
     int beforeN = 0, afterN = 0;
-    for (const CnpRecord &s : cnp_) {
+    for (const CnpPoint &s : cnp_) {
         if (s.when < onset && onset - s.when <= cfg_.cnpWindow) {
             beforeSum += s.meanKps;
             ++beforeN;
@@ -222,7 +226,7 @@ IncidentAnalyzer::emitSyndromeVerdicts(
     std::vector<IncidentVerdict> &out) const
 {
     std::map<JobId, Time> lastForJob;
-    for (const SteeringRecord &s : steerings_) {
+    for (const Restart &s : restarts_) {
         const auto it = lastForJob.find(s.job);
         if (it != lastForJob.end() &&
             s.when - it->second < cfg_.syndromeCooldown)

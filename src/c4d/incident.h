@@ -4,19 +4,20 @@
  *
  * Where analyzer.h localizes one syndrome inside one collective and
  * rca.h explains one C4D event, this module works at the granularity
- * the replay corpus is labeled at: it consumes a whole run's telemetry
- * (live or replayed — see telemetry.h) and emits one verdict per
- * distinct incident it can defend. Verdicts are deterministic pure
- * functions of the record stream, so replaying a recorded trace yields
- * byte-identical output to the live run that produced it.
+ * the replay corpus is labeled at: it consumes a whole run's
+ * trace::Event stream (live or replayed — see telemetry.h) and emits
+ * one verdict per distinct incident it can defend. Verdicts are
+ * deterministic pure functions of the event stream, so replaying a
+ * recorded trace yields byte-identical output to the live run that
+ * produced it.
  *
  * Detection sources, per kind:
- *  - LinkFailure: switch telemetry (link-down reroute events), the two
- *    directions of a cable grouped into one incident by time.
+ *  - LinkFailure: switch telemetry (path_realloc link_down events),
+ *    the two directions of a cable grouped into one incident by time.
  *  - FaultStorm: >= stormMinLinks link-failure groups inside
  *    stormWindow collapse into one storm verdict (the fabric's
  *    coalescing case), detected when the Nth group arrives.
- *  - PortDegradation: link capacity-scale telemetry, localized to a
+ *  - PortDegradation: link_scale telemetry below 1.0, localized to a
  *    node via the RCA hardware log when a Slow* entry corroborates,
  *    with CNP elevation after onset as supporting evidence.
  *  - NodeCrash: a steering decision (job restart) whose RCA window
@@ -89,26 +90,23 @@ struct IncidentAnalyzerConfig
 };
 
 /**
- * Streaming incident detector: feed records via the TelemetrySink
- * interface in timestamp order, then call finish() once for the
- * run's verdicts (sorted by detection time, stream order on ties).
+ * Streaming incident detector: feed events via onEvent in timestamp
+ * order, then call finish() once for the run's verdicts (sorted by
+ * detection time, stream order on ties).
  */
 class IncidentAnalyzer final : public TelemetrySink
 {
   public:
     explicit IncidentAnalyzer(IncidentAnalyzerConfig cfg = {});
 
-    void onFault(const FaultRecord &rec) override;
-    void onLinkEvent(const LinkEventRecord &rec) override;
-    void onLinkScale(const LinkScaleRecord &rec) override;
-    void onCnpSample(const CnpRecord &rec) override;
-    void onSteering(const SteeringRecord &rec) override;
+    void onEvent(const trace::Event &ev) override;
 
     /** Close open groups, resolve syndromes against the now-complete
      * hardware log, and return the run's verdicts. Call once. */
     std::vector<IncidentVerdict> finish();
 
-    /** The hardware-log model fed by onFault (visible classes only). */
+    /** The hardware-log model fed by fault_injected events (visible
+     * classes only). */
     const RootCauseAnalyzer &rca() const { return rca_; }
 
   private:
@@ -127,8 +125,22 @@ class IncidentAnalyzer final : public TelemetrySink
     RootCauseAnalyzer rca_;
     std::vector<EventGroup> downGroups_;
     std::vector<EventGroup> scaleGroups_;
-    std::vector<CnpRecord> cnp_;
-    std::vector<SteeringRecord> steerings_;
+    /** A cnp_sample's time and mean kp/s. */
+    struct CnpPoint
+    {
+        Time when = 0;
+        double meanKps = 0.0;
+    };
+    /** A steering_decision's time, job and path. */
+    struct Restart
+    {
+        Time when = 0;
+        JobId job = kInvalidId;
+        bool viaC4d = false;
+    };
+
+    std::vector<CnpPoint> cnp_;
+    std::vector<Restart> restarts_;
     bool finished_ = false;
 
     static void addToGroups(std::vector<EventGroup> &groups,

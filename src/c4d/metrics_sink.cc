@@ -3,38 +3,26 @@
 namespace c4::c4d {
 
 void
-MetricsTelemetrySink::onFault(const FaultRecord &)
+MetricsTelemetrySink::onEvent(const trace::Event &ev)
 {
-    registry_.addCounter("c4d.faults_observed");
-}
-
-void
-MetricsTelemetrySink::onLinkEvent(const LinkEventRecord &rec)
-{
-    registry_.addCounter(rec.up ? "c4d.link_up_events"
-                                : "c4d.link_down_events");
-}
-
-void
-MetricsTelemetrySink::onCnpSample(const CnpRecord &rec)
-{
-    registry_.setGauge("c4d.cnp_mean_kps", rec.meanKps);
-    registry_.setGauge("c4d.cnp_hot_nics",
-                       static_cast<double>(rec.hotNics));
-    registry_.observe("c4d.cnp_kps", rec.meanKps);
-}
-
-void
-MetricsTelemetrySink::onSteering(const SteeringRecord &rec)
-{
-    registry_.addCounter("c4d.restarts");
-    if (rec.viaC4d)
-        registry_.addCounter("c4d.restarts_via_c4d");
-    // Detection latency: C4D event (or watchdog kill) to restart.
-    registry_.setGauge("c4d.recovery_latency_s",
-                       rec.recoveryLatencySeconds);
-    registry_.observe("c4d.recovery_latency_window_s",
-                      rec.recoveryLatencySeconds);
+    switch (ev.kind) {
+      case trace::EventKind::SteeringDecision:
+        registry_.addCounter("c4d.restarts");
+        if (ev.b != 0)
+            registry_.addCounter("c4d.restarts_via_c4d");
+        // Detection latency: C4D event (or watchdog kill) to restart.
+        registry_.setGauge("c4d.recovery_latency_s", ev.value);
+        registry_.observe("c4d.recovery_latency_window_s", ev.value);
+        return;
+      case trace::EventKind::CnpSample:
+        registry_.setGauge("c4d.cnp_mean_kps", ev.value);
+        registry_.setGauge("c4d.cnp_hot_nics",
+                           static_cast<double>(ev.a));
+        registry_.observe("c4d.cnp_kps", ev.value);
+        return;
+      default:
+        return;
+    }
 }
 
 } // namespace c4::c4d

@@ -1,10 +1,11 @@
 /**
  * @file
- * TelemetrySink that folds the C4D observable stream into a live
- * MetricRegistry — CNP-rate gauges, restart counters, and the
- * detection-to-restart recovery-latency window. Reuses the replay
- * seam (telemetry.h), so the detectors never learn that metrics
- * exist; anything that feeds a sink feeds the dashboard.
+ * TelemetrySink that folds C4D's restart and congestion events into a
+ * live MetricRegistry: restart counters, the detection-to-restart
+ * recovery-latency gauge and window, and CNP-rate gauges and window.
+ * Only steering_decision and cnp_sample events reach it, from the
+ * steering service and the spec trial's CNP sampler; every other kind
+ * is ignored. The detectors never learn that metrics exist.
  */
 
 #ifndef C4_C4D_METRICS_SINK_H
@@ -23,10 +24,7 @@ class MetricsTelemetrySink final : public TelemetrySink
     {
     }
 
-    void onFault(const FaultRecord &rec) override;
-    void onLinkEvent(const LinkEventRecord &rec) override;
-    void onCnpSample(const CnpRecord &rec) override;
-    void onSteering(const SteeringRecord &rec) override;
+    void onEvent(const trace::Event &ev) override;
 
   private:
     obs::MetricRegistry &registry_;

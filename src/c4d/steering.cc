@@ -96,7 +96,8 @@ JobSteeringService::scheduleRestart(train::TrainingJob &job,
         ++restarts_;
 
         trace::TraceScope &tr = sim_.tracer();
-        if (tr.wants(trace::EventKind::SteeringDecision)) {
+        if (telemetry_ != nullptr ||
+            tr.wants(trace::EventKind::SteeringDecision)) {
             trace::Event tev;
             tev.when = sim_.now();
             tev.kind = trace::EventKind::SteeringDecision;
@@ -105,19 +106,9 @@ JobSteeringService::scheduleRestart(train::TrainingJob &job,
             tev.b = viaC4d ? 1 : 0;
             tev.value = toSeconds(rec.recoveryLatency());
             tev.detail = "restart";
+            if (telemetry_ != nullptr)
+                telemetry_->onEvent(tev);
             tr.record(std::move(tev));
-        }
-
-        if (telemetry_ != nullptr) {
-            SteeringRecord srec;
-            srec.when = sim_.now();
-            srec.job = id;
-            srec.isolatedNodes =
-                static_cast<std::int64_t>(toIsolate.size());
-            srec.viaC4d = viaC4d;
-            srec.recoveryLatencySeconds =
-                toSeconds(rec.recoveryLatency());
-            telemetry_->onSteering(srec);
         }
 
         logInfo("steering", "restarting job %d (isolated %zu nodes, "

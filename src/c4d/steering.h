@@ -94,10 +94,9 @@ class JobSteeringService
     }
 
     /**
-     * Attach a telemetry sink notified of every completed restart
-     * (the same seam replay's trace adapter feeds, so metrics stay
-     * decoupled from the detectors). Nullable; must outlive the
-     * service or be detached first.
+     * Attach a telemetry sink handed each completed restart's
+     * steering_decision event, the same event the trace records.
+     * Nullable; must outlive the service or be detached first.
      */
     void setTelemetrySink(TelemetrySink *sink) { telemetry_ = sink; }
 

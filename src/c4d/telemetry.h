@@ -1,133 +1,42 @@
 /**
  * @file
- * Cluster-independent telemetry stream for offline diagnosis.
+ * The one interface C4D's stream consumers implement.
  *
- * The live C4D path is wired straight into the running Cluster; this
- * header is the decoupling seam: every observable the detectors need is
- * expressed as a typed record, and a TelemetrySink consumes them in
- * timestamp order with no Simulator or Cluster in sight. The records
- * map 1:1 onto what the PR-5 trace subsystem captures, so the same
- * analyzer runs identically on a live run (records synthesized as the
- * simulation emits trace events) and on a replayed JSONL file
- * (records decoded by replay::dispatch) — the property the
- * live-vs-replay byte-identity gate in test_replay.cc pins.
+ * C4D diagnoses from one stream of observations taken at the
+ * communication layer. The repo records that stream once, as
+ * trace::Event; trace/trace.h's field table is the only statement of
+ * what each field means. A TelemetrySink receives those events in
+ * timestamp order with no Simulator or Cluster in sight: live, from
+ * the steering service and the CNP sampler, and replayed, from
+ * replay::feedTrace over a parsed JSONL trace. Both paths hand the
+ * sink the same events, which is the property the live-vs-replay
+ * byte-identity gate in test_replay.cc pins.
  *
- * Anti-cheating contract: FaultRecord mirrors the out-of-band hardware
- * monitors of rca.h ("the simulator's fault injector doubles as these
- * monitors") and must only be surfaced to detectors for fault classes
- * where faultVisibleInHardwareLogs() is true. Everything else a
- * detector concludes has to come from the observable streams: link
- * events, CNP samples, steering decisions, job lifecycle.
+ * Anti-cheating contract: fault_injected events mirror the
+ * out-of-band hardware monitors of rca.h ("the simulator's fault
+ * injector doubles as these monitors"). A detector may only use them
+ * for fault classes where faultVisibleInHardwareLogs() is true.
+ * Everything else it concludes has to come from the observable
+ * events: link state, CNP samples, steering decisions, job lifecycle.
  */
 
 #ifndef C4_C4D_TELEMETRY_H
 #define C4_C4D_TELEMETRY_H
 
-#include <string>
-
-#include "common/types.h"
-#include "fault/fault_types.h"
+#include "trace/trace.h"
 
 namespace c4::c4d {
 
-/** Out-of-band monitor record of an injected fault (see contract
- * above: only hardware-visible classes may reach detectors). */
-struct FaultRecord
-{
-    Time when = 0;
-    NodeId node = kInvalidId;
-    std::int64_t device = -1; ///< NIC index, or trunk index for link-down
-    fault::FaultType type = fault::FaultType::CudaError;
-    bool knownType = true; ///< false: trace carried an unknown name
-    bool isLocal = true;
-    double severity = 1.0;
-};
-
-/** A fabric link changing operational state (switch telemetry). */
-struct LinkEventRecord
-{
-    Time when = 0;
-    LinkId link = kInvalidId;
-    bool up = false;
-    std::int64_t flowsRerouted = 0;
-};
-
-/** A link's capacity scaled (degradation / recovery), with the member
- * flows re-fair-shared. */
-struct LinkScaleRecord
-{
-    Time when = 0;
-    LinkId link = kInvalidId;
-    std::int64_t memberFlows = 0;
-    double scale = 1.0; ///< remaining fraction of nominal bandwidth
-};
-
-/** Periodic congestion sample (CNP rate across the cluster). */
-struct CnpRecord
-{
-    Time when = 0;
-    std::int64_t hotNics = 0;
-    double meanKps = 0.0;
-};
-
-/** A job restart decision taken by the steering service. */
-struct SteeringRecord
-{
-    Time when = 0;
-    JobId job = kInvalidId;
-    std::int64_t isolatedNodes = 0;
-    bool viaC4d = false;
-    double recoveryLatencySeconds = 0.0;
-};
-
-/** Job lifecycle edge. */
-struct JobLifecycleRecord
-{
-    Time when = 0;
-    JobId job = kInvalidId;
-    std::int64_t nodes = 0;
-    bool arrived = false; ///< false: departure
-};
-
-/** C4P placement action (alloc or repin) for one QP. */
-struct PlacementRecord
-{
-    Time when = 0;
-    JobId job = kInvalidId;
-    NodeId node = kInvalidId;
-    std::int64_t spine = -1;
-    bool repin = false;
-};
-
-/** Fabric fair-share recompute span. */
-struct RecomputeRecord
-{
-    Time when = 0;
-    bool begin = false;
-    std::int64_t a = 0; ///< kind-specific (see trace.h)
-    std::int64_t b = 0;
-    double value = 0.0;
-};
-
-/**
- * Consumer of the telemetry stream. Records arrive in nondecreasing
- * timestamp order (ties in stream order); unimplemented channels
- * default to no-ops so sinks override only what they diagnose with.
- */
+/** Consumer of the telemetry stream. The base class ignores every
+ * event, so it doubles as a null sink. */
 class TelemetrySink
 {
   public:
     virtual ~TelemetrySink() = default;
 
-    virtual void onFault(const FaultRecord &) {}
-    virtual void onFaultRecovered(Time /*when*/, NodeId /*node*/) {}
-    virtual void onLinkEvent(const LinkEventRecord &) {}
-    virtual void onLinkScale(const LinkScaleRecord &) {}
-    virtual void onCnpSample(const CnpRecord &) {}
-    virtual void onSteering(const SteeringRecord &) {}
-    virtual void onJobLifecycle(const JobLifecycleRecord &) {}
-    virtual void onPlacement(const PlacementRecord &) {}
-    virtual void onRecompute(const RecomputeRecord &) {}
+    /** One event; calls arrive in nondecreasing timestamp order (ties
+     * in stream order). */
+    virtual void onEvent(const trace::Event &) {}
 };
 
 } // namespace c4::c4d

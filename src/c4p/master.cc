@@ -122,7 +122,7 @@ C4pMaster::decide(const ConnContext &ctx)
         tev.job = ctx.job;
         tev.node = ctx.srcNode;
         tev.a = d.spine;
-        tev.detail = "alloc";
+        tev.detail = trace::pathReallocName(trace::PathReallocKind::Alloc);
         tr.record(std::move(tev));
     }
     return d;
@@ -212,7 +212,8 @@ C4pMaster::rebalance(const std::vector<ConnContext> &ctxs,
                 tev.node = ctx.srcNode;
                 tev.a = spine;
                 tev.b = 1; // re-pin, not an initial allocation
-                tev.detail = "repin";
+                tev.detail =
+                    trace::pathReallocName(trace::PathReallocKind::Repin);
                 tr.record(std::move(tev));
             }
         }

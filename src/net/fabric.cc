@@ -246,7 +246,9 @@ Fabric::setLinkUp(LinkId id, bool up)
         tev.a = id;
         tev.b = up ? 1 : 0;
         tev.value = static_cast<double>(touched);
-        tev.detail = up ? "link_up" : "link_down";
+        tev.detail = trace::pathReallocName(
+            up ? trace::PathReallocKind::LinkUp
+               : trace::PathReallocKind::LinkDown);
         tr.record(std::move(tev));
     }
     obs::MetricsScope &mx = sim_.metrics();
@@ -274,7 +276,8 @@ Fabric::setLinkCapacityScale(LinkId id, double scale)
         tev.a = id;
         tev.b = static_cast<std::int64_t>(membership_.memberCount(id));
         tev.value = scale;
-        tev.detail = "link_scale";
+        tev.detail =
+            trace::pathReallocName(trace::PathReallocKind::LinkScale);
         tr.record(std::move(tev));
     }
     markDirty(cfg_.coalesceWindow);

@@ -210,7 +210,6 @@ Topology::buildHostLinks()
     hostUp_.assign(host_slots, kInvalidId);
     hostDown_.assign(host_slots, kInvalidId);
 
-    char name[96];
     for (NodeId n = 0; n < config_.numNodes; ++n) {
         const int seg = segmentOf(n);
         for (NicId k = 0; k < config_.nicsPerNode; ++k) {
@@ -225,18 +224,10 @@ Topology::buildHostLinks()
                 up.nic = k;
                 up.plane = plane;
                 up.leaf = leaf;
-                std::snprintf(name, sizeof(name),
-                              "n%d.nic%d.%s->leaf%d", n, k,
-                              planeName(plane), leaf);
-                up.name = name;
                 hostUp_[hostLinkIndex(n, k, plane)] = addLink(up);
 
                 Link down = up;
                 down.kind = LinkKind::HostDown;
-                std::snprintf(name, sizeof(name),
-                              "leaf%d->n%d.nic%d.%s", leaf, n, k,
-                              planeName(plane));
-                down.name = name;
                 hostDown_[hostLinkIndex(n, k, plane)] = addLink(down);
             }
         }
@@ -263,7 +254,6 @@ Topology::buildTrunkLinks()
         static_cast<std::size_t>(config_.numSpines) * numLeaves(),
         kInvalidId);
 
-    char name[96];
     for (int leaf = 0; leaf < numLeaves(); ++leaf) {
         for (int s = 0; s < config_.numSpines; ++s) {
             Link up;
@@ -271,15 +261,11 @@ Topology::buildTrunkLinks()
             up.capacity = trunk_cap;
             up.leaf = leaf;
             up.spine = s;
-            std::snprintf(name, sizeof(name), "leaf%d->spine%d", leaf, s);
-            up.name = name;
             trunkUp_[static_cast<std::size_t>(leaf) * config_.numSpines +
                      s] = addLink(up);
 
             Link down = up;
             down.kind = LinkKind::TrunkDown;
-            std::snprintf(name, sizeof(name), "spine%d->leaf%d", s, leaf);
-            down.name = name;
             trunkDown_[static_cast<std::size_t>(s) * numLeaves() + leaf] =
                 addLink(down);
         }

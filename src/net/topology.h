@@ -63,7 +63,6 @@ struct Link
 {
     LinkId id = kInvalidId;
     LinkKind kind = LinkKind::HostUp;
-    std::string name;
 
     /** Nominal capacity in bits per second. */
     Bandwidth capacity = 0.0;

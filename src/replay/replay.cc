@@ -5,8 +5,6 @@
 
 namespace c4::replay {
 
-using trace::EventKind;
-
 void
 ReplayClock::advanceTo(Time when, std::size_t index)
 {
@@ -21,114 +19,13 @@ ReplayClock::advanceTo(Time when, std::size_t index)
 }
 
 void
-dispatchEvent(const trace::Event &ev, c4d::TelemetrySink &sink)
-{
-    switch (ev.kind) {
-      case EventKind::FaultInjected: {
-        c4d::FaultRecord rec;
-        rec.when = ev.when;
-        rec.node = ev.node;
-        rec.device = ev.a;
-        rec.knownType = fault::faultTypeFromName(ev.detail, rec.type);
-        rec.isLocal = ev.b != 0;
-        rec.severity = ev.value;
-        sink.onFault(rec);
-        return;
-      }
-      case EventKind::FaultRecovered:
-        sink.onFaultRecovered(ev.when, ev.node);
-        return;
-      case EventKind::SteeringDecision: {
-        c4d::SteeringRecord rec;
-        rec.when = ev.when;
-        rec.job = ev.job;
-        rec.isolatedNodes = ev.a;
-        rec.viaC4d = ev.b != 0;
-        rec.recoveryLatencySeconds = ev.value;
-        sink.onSteering(rec);
-        return;
-      }
-      case EventKind::PathRealloc: {
-        // Three sub-kinds share the wire kind, discriminated by the
-        // detail label (see trace.h).
-        if (ev.detail == "link_down" || ev.detail == "link_up") {
-            c4d::LinkEventRecord rec;
-            rec.when = ev.when;
-            rec.link = static_cast<LinkId>(ev.a);
-            rec.up = ev.detail == "link_up";
-            rec.flowsRerouted = static_cast<std::int64_t>(ev.value);
-            sink.onLinkEvent(rec);
-            return;
-        }
-        if (ev.detail == "link_scale") {
-            c4d::LinkScaleRecord rec;
-            rec.when = ev.when;
-            rec.link = static_cast<LinkId>(ev.a);
-            rec.memberFlows = ev.b;
-            rec.scale = ev.value;
-            sink.onLinkScale(rec);
-            return;
-        }
-        if (ev.detail == "alloc" || ev.detail == "repin") {
-            c4d::PlacementRecord rec;
-            rec.when = ev.when;
-            rec.job = ev.job;
-            rec.node = ev.node;
-            rec.spine = ev.a;
-            rec.repin = ev.detail == "repin";
-            sink.onPlacement(rec);
-            return;
-        }
-        throw std::runtime_error(
-            "unknown path_realloc detail \"" + ev.detail + "\"");
-      }
-      case EventKind::CnpSample: {
-        c4d::CnpRecord rec;
-        rec.when = ev.when;
-        rec.hotNics = ev.a;
-        rec.meanKps = ev.value;
-        sink.onCnpSample(rec);
-        return;
-      }
-      case EventKind::JobArrival:
-      case EventKind::JobDeparture: {
-        c4d::JobLifecycleRecord rec;
-        rec.when = ev.when;
-        rec.job = ev.job;
-        rec.nodes = ev.a;
-        rec.arrived = ev.kind == EventKind::JobArrival;
-        sink.onJobLifecycle(rec);
-        return;
-      }
-      case EventKind::RecomputeBegin:
-      case EventKind::RecomputeEnd: {
-        c4d::RecomputeRecord rec;
-        rec.when = ev.when;
-        rec.begin = ev.kind == EventKind::RecomputeBegin;
-        rec.a = ev.a;
-        rec.b = ev.b;
-        rec.value = ev.value;
-        sink.onRecompute(rec);
-        return;
-      }
-    }
-    throw std::runtime_error("unknown trace event kind " +
-                             std::to_string(static_cast<int>(ev.kind)));
-}
-
-void
 feedTrace(const std::vector<trace::Event> &events,
           c4d::TelemetrySink &sink)
 {
     ReplayClock clock;
     for (std::size_t i = 0; i < events.size(); ++i) {
         clock.advanceTo(events[i].when, i);
-        try {
-            dispatchEvent(events[i], sink);
-        } catch (const std::runtime_error &e) {
-            throw std::runtime_error("record #" + std::to_string(i + 1) +
-                                     ": " + e.what());
-        }
+        sink.onEvent(events[i]);
     }
 }
 

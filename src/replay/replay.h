@@ -3,19 +3,19 @@
  * Offline trace replay: recorded JSONL event traces fed back through
  * the incident analyzer with no live simulator.
  *
- * A replayed run is three layers:
+ * A replayed run is two steps:
  *
- *  - ReplayClock: the trace's own timestamps drive a monotonic clock;
- *    a regression in the record stream is a corrupted or hand-edited
- *    trace and aborts with the offending record index.
- *  - dispatchEvent: the adapter decoding each trace::Event (per the
- *    trace.h field-semantics table) into the typed telemetry records
- *    of c4d/telemetry.h.
- *  - replayTrace: clock + adapter + c4d::IncidentAnalyzer end to end,
- *    producing the run's incident verdicts.
+ *  - feedTrace: a ReplayClock driven by the trace's own timestamps
+ *    hands each parsed trace::Event to a c4d::TelemetrySink. A
+ *    regression in the record stream is a corrupted or hand-edited
+ *    trace and aborts with the offending record index. The events
+ *    need no decoding: the sink reads them per trace.h's field table,
+ *    and parseJsonl has already rejected unknown kinds and labels.
+ *  - replayTrace: feedTrace into a c4d::IncidentAnalyzer, producing
+ *    the run's incident verdicts.
  *
  * Because live traces are byte-deterministic and the analyzer is a
- * pure function of the record stream, replaying a file yields verdicts
+ * pure function of the event stream, replaying a file yields verdicts
  * byte-identical to analyzing the live run that wrote it.
  */
 
@@ -48,16 +48,9 @@ class ReplayClock
 };
 
 /**
- * Decode one recorded event into typed telemetry on @p sink.
- * Unknown PathRealloc detail labels (a newer writer) throw rather
- * than silently dropping telemetry the detectors may rely on.
- */
-void dispatchEvent(const trace::Event &ev, c4d::TelemetrySink &sink);
-
-/**
  * Stream a whole trace through @p sink under a ReplayClock.
- * @throws std::runtime_error on time regressions or undecodable
- *         records, naming the 1-based record number.
+ * @throws std::runtime_error on a time regression, naming the 1-based
+ *         record number.
  */
 void feedTrace(const std::vector<trace::Event> &events,
                c4d::TelemetrySink &sink);

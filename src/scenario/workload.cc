@@ -315,26 +315,21 @@ runSpecTrial(const ScenarioSpec &spec, TrialContext &ctx)
                 }
                 const double mean =
                     hot > 0 ? sum / static_cast<double>(hot) : 0.0;
+                // One event feeds the live metrics sink and the
+                // trace. The spec-driven sampler runs (and draws its
+                // lazy recomputes) whether or not either is attached,
+                // so attaching cannot perturb the simulation.
                 trace::TraceScope &tr = cl.sim().tracer();
-                if (tr.wants(trace::EventKind::CnpSample)) {
+                if (cnpSink != nullptr ||
+                    tr.wants(trace::EventKind::CnpSample)) {
                     trace::Event tev;
                     tev.when = cl.sim().now();
                     tev.kind = trace::EventKind::CnpSample;
                     tev.a = hot;
                     tev.value = mean;
+                    if (cnpSink != nullptr)
+                        cnpSink->onEvent(tev);
                     tr.record(std::move(tev));
-                }
-                // The same sample feeds the live metrics registry
-                // through the replay telemetry seam — the spec-driven
-                // sampler runs (and draws its lazy recomputes)
-                // whether or not metrics are attached, so attaching
-                // cannot perturb the simulation.
-                if (cnpSink != nullptr) {
-                    c4d::CnpRecord crec;
-                    crec.when = cl.sim().now();
-                    crec.hotNics = hot;
-                    crec.meanKps = mean;
-                    cnpSink->onCnpSample(crec);
                 }
             });
         cnpSampler->start();

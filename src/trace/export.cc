@@ -42,6 +42,10 @@ bindEvent(JsonRecordScanner &sc, Event &ev)
     }
     if (!haveWhen || !haveKind)
         sc.failRecord("trace record needs \"t\" and \"k\"");
+    PathReallocKind sub;
+    if (ev.kind == EventKind::PathRealloc &&
+        !pathReallocFromName(ev.detail, sub))
+        sc.failRecord("\"d\" must name a path_realloc sub-kind");
     sc.finish();
 }
 

@@ -36,8 +36,9 @@ std::string writeJsonl(const std::vector<Event> &events);
  * text with a JsonRecordScanner: no per-line copy and no JSON tree.
  *
  * Strict by design (the incident corpus depends on it): malformed
- * records, unknown kinds/keys, duplicate keys, mistyped values, ids
- * outside int32, and truncated input all throw — a final record
+ * records, unknown kinds/keys, a path_realloc whose "d" names no
+ * PathReallocKind, duplicate keys, mistyped values, ids outside
+ * int32, and truncated input all throw — a final record
  * without its terminating newline is rejected as a truncated write
  * even when the visible prefix parses, because writeJsonl always
  * newline-terminates and a mid-line EOF may have silently dropped

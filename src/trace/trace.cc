@@ -17,6 +17,14 @@ constexpr std::string_view kKindNames[kNumEventKinds] = {
     "recompute_end",     // RecomputeEnd
 };
 
+constexpr std::string_view kPathReallocNames[kNumPathReallocKinds] = {
+    "alloc",      // Alloc
+    "repin",      // Repin
+    "link_up",    // LinkUp
+    "link_down",  // LinkDown
+    "link_scale", // LinkScale
+};
+
 std::string
 knownKindList()
 {
@@ -44,6 +52,24 @@ eventKindFromName(std::string_view name, EventKind &out)
     for (int k = 0; k < kNumEventKinds; ++k) {
         if (name == kKindNames[k]) {
             out = static_cast<EventKind>(k);
+            return true;
+        }
+    }
+    return false;
+}
+
+const char *
+pathReallocName(PathReallocKind kind)
+{
+    return kPathReallocNames[static_cast<int>(kind)].data();
+}
+
+bool
+pathReallocFromName(std::string_view label, PathReallocKind &out)
+{
+    for (int k = 0; k < kNumPathReallocKinds; ++k) {
+        if (label == kPathReallocNames[k]) {
+            out = static_cast<PathReallocKind>(k);
             return true;
         }
     }

@@ -52,7 +52,8 @@ namespace c4::trace {
  *   SteeringDecision  job, a=#isolated nodes, b=via C4D (1) or the
  *                     manual/watchdog path (0), value=recovery
  *                     latency in seconds, detail="restart"
- *   PathRealloc       C4P QP placement: job, node=src node, a=spine,
+ *   PathRealloc       detail=a PathReallocKind label (below).
+ *                     C4P QP placement: job, node=src node, a=spine,
  *                     b=1 for a re-pin (0 initial), detail="alloc"/
  *                     "repin"; fabric link events: a=link id, b=up,
  *                     value=#flows rerouted, detail="link_up"/
@@ -88,6 +89,24 @@ const char *eventKindName(EventKind kind);
 
 /** @return false when @p name is not a known kind name. */
 bool eventKindFromName(std::string_view name, EventKind &out);
+
+/** PathRealloc's sub-kinds. An event carries pathReallocName(kind)
+ * as its detail; see the field table above. */
+enum class PathReallocKind : std::uint8_t {
+    Alloc = 0, ///< C4P's initial QP placement
+    Repin,     ///< C4P moved a QP to another spine
+    LinkUp,
+    LinkDown,
+    LinkScale, ///< a link's capacity was scaled
+};
+
+constexpr int kNumPathReallocKinds = 5;
+
+/** The sub-kind's wire label ("alloc", ...). */
+const char *pathReallocName(PathReallocKind kind);
+
+/** @return false when @p label names no PathRealloc sub-kind. */
+bool pathReallocFromName(std::string_view label, PathReallocKind &out);
 
 /** Bitmask over EventKind, for recording filters. */
 using KindMask = std::uint32_t;

@@ -213,6 +213,10 @@ eventFromJson(const Json &value)
     }
     if (!haveWhen || !haveKind)
         bindFail(value, "trace record needs \"t\" and \"k\"");
+    trace::PathReallocKind sub;
+    if (ev.kind == trace::EventKind::PathRealloc &&
+        !trace::pathReallocFromName(ev.detail, sub))
+        bindFail(value, "\"d\" must name a path_realloc sub-kind");
     return ev;
 }
 

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -25,6 +26,8 @@
 #include "obs/snapshot.h"
 #include "scenario/runner.h"
 #include "scenario/sink.h"
+#include "scenario/workload.h"
+#include "trace/trace.h"
 
 namespace c4::obs {
 namespace {
@@ -686,6 +689,78 @@ TEST(Runner, CsvOutputIsUnchangedByMetrics)
     const std::string without = runCsv(plain);
     EXPECT_EQ(runCsv(metered), without);
     EXPECT_FALSE(without.empty());
+}
+
+/**
+ * The C4D metrics sink and the trace are handed the same events: a
+ * crash that C4D restarts, a CNP sampler over an oversubscribed,
+ * loaded fabric, and both a trace recorder and a registry attached.
+ */
+TEST(MetricsSink, CountsTheEventsTheTraceRecords)
+{
+    scenario::ScenarioSpec spec;
+    spec.variant = "crash";
+    scenario::JobSpec job;
+    job.microbatchCompute = milliseconds(800);
+    job.parallel = {.tp = 8, .pp = 1, .dp = 4};
+    job.initTime = seconds(5);
+    job.dpGroupsSimulated = 1;
+    spec.jobs.push_back(job);
+    spec.horizon = seconds(20);
+    spec.features.c4d = true;
+    spec.features.evaluatePeriod = seconds(2);
+    spec.features.backupNodes = 2;
+    spec.features.hangThreshold = seconds(5);
+    spec.features.isolationDelay = seconds(2);
+    spec.metrics.cnpSamplePeriod = milliseconds(500);
+    spec.topology.oversubscription = 2.0;
+    scenario::AllreduceGroupSpec load;
+    load.tasks = 4;
+    load.iterations = 100000;
+    spec.allreduces.push_back(load);
+    scenario::FaultSpec crash;
+    crash.at = seconds(8);
+    crash.type = fault::FaultType::EccError;
+    crash.job = 1;
+    crash.jobNodeIndex = 1;
+    spec.faults.push_back(crash);
+
+    scenario::RunOptions opt;
+    scenario::TrialContext ctx(opt, 806, 0);
+    trace::TraceRecorder recorder;
+    MetricRegistry reg;
+    ctx.tracer = &recorder;
+    ctx.meter = &reg;
+    scenario::runSpecTrial(spec, ctx);
+    reg.snapshot(spec.horizon);
+
+    std::int64_t restarts = 0, viaC4d = 0, cnpSamples = 0;
+    double lastCnp = -1.0;
+    for (const trace::Event &ev : recorder.events()) {
+        if (ev.kind == trace::EventKind::SteeringDecision) {
+            ++restarts;
+            viaC4d += ev.b == 1 ? 1 : 0;
+        } else if (ev.kind == trace::EventKind::CnpSample) {
+            ++cnpSamples;
+            lastCnp = ev.value;
+        }
+    }
+    ASSERT_GT(restarts, 0);
+    ASSERT_GT(cnpSamples, 0);
+    ASSERT_GT(lastCnp, 0.0); // the load keeps the fabric marking
+
+    auto last = [&](const char *name) {
+        const std::vector<Sample> &s = reg.samples();
+        auto it = std::find_if(s.rbegin(), s.rend(), [&](const Sample &x) {
+            return x.name == name;
+        });
+        EXPECT_NE(it, s.rend()) << name;
+        return it == s.rend() ? Sample{} : *it;
+    };
+    EXPECT_EQ(last("c4d.restarts").count, restarts);
+    EXPECT_EQ(last("c4d.restarts_via_c4d").count, viaC4d);
+    EXPECT_EQ(last("c4d.cnp_kps").count, cnpSamples);
+    EXPECT_EQ(last("c4d.cnp_mean_kps").value, lastCnp);
 }
 
 // --- analyzers --------------------------------------------------------

@@ -63,7 +63,8 @@ TEST_P(FabricInvariants, FeasibilityAndWorkConservation)
     for (const auto &link : topo.links()) {
         EXPECT_LE(fabric.linkThroughput(link.id),
                   link.effectiveCapacity() * (1.0 + 1e-9))
-            << link.name;
+            << "link " << link.id << " (" << net::linkKindName(link.kind)
+            << ")";
     }
 
     // Invariant 2 (work conservation / max-min): every flow crosses at

@@ -1,6 +1,6 @@
 /**
  * @file
- * Offline-replay unit tests: corpus I/O, the replay adapter, scoring,
+ * Offline-replay unit tests: corpus I/O, the replay clock, scoring,
  * and the two byte-identity properties the subsystem is built around —
  * replaying one trace twice is byte-identical, and a fresh live
  * capture yields verdicts byte-identical to replaying the committed
@@ -135,7 +135,7 @@ TEST(ReplayCorpus, TraceJsonlRoundTripsEveryCommittedTrace)
     }
 }
 
-// --- the replay adapter ----------------------------------------------
+// --- the replay clock ------------------------------------------------
 
 TEST(ReplayAdapter, ClockRejectsTimeRegression)
 {
@@ -153,15 +153,6 @@ TEST(ReplayAdapter, ClockRejectsTimeRegression)
             << "error does not name the offending record: "
             << e.what();
     }
-}
-
-TEST(ReplayAdapter, RejectsUnknownPathReallocDetail)
-{
-    trace::Event ev;
-    ev.kind = trace::EventKind::PathRealloc;
-    ev.detail = "teleport";
-    c4d::TelemetrySink sink;
-    EXPECT_THROW(dispatchEvent(ev, sink), std::runtime_error);
 }
 
 // --- byte-identity properties ----------------------------------------
@@ -215,17 +206,24 @@ TEST(ReplayIdentity, CaptureRejectsUnknownIncident)
 
 // --- the incident analyzer on synthetic telemetry --------------------
 
+/** A fabric link_down event per trace.h's field table. */
+trace::Event
+linkDown(Time when, std::int64_t link, double flowsRerouted)
+{
+    trace::Event ev;
+    ev.when = when;
+    ev.kind = trace::EventKind::PathRealloc;
+    ev.a = link;
+    ev.value = flowsRerouted;
+    ev.detail = trace::pathReallocName(trace::PathReallocKind::LinkDown);
+    return ev;
+}
+
 TEST(ReplayAnalyzer, GroupsBothDirectionsOfOneCut)
 {
     c4d::IncidentAnalyzer an;
-    c4d::LinkEventRecord down;
-    down.when = seconds(10);
-    down.link = 518;
-    down.flowsRerouted = 2;
-    an.onLinkEvent(down);
-    down.link = 519;
-    down.flowsRerouted = 0;
-    an.onLinkEvent(down);
+    an.onEvent(linkDown(seconds(10), 518, 2));
+    an.onEvent(linkDown(seconds(10), 519, 0));
     const std::vector<c4d::IncidentVerdict> vs = an.finish();
     ASSERT_EQ(vs.size(), 1u);
     EXPECT_EQ(vs[0].kind, c4d::IncidentKind::LinkFailure);
@@ -236,18 +234,30 @@ TEST(ReplayAnalyzer, GroupsBothDirectionsOfOneCut)
 TEST(ReplayAnalyzer, StormCollapsesSpreadOutCuts)
 {
     c4d::IncidentAnalyzer an;
-    c4d::LinkEventRecord down;
-    down.flowsRerouted = 1;
-    for (int i = 0; i < 4; ++i) {
-        down.when = seconds(10 + 2 * i); // beyond linkGroupWindow
-        down.link = 100 + i;
-        an.onLinkEvent(down);
-    }
+    for (int i = 0; i < 4; ++i) // 2 s apart: beyond linkGroupWindow
+        an.onEvent(linkDown(seconds(10 + 2 * i), 100 + i, 1));
     const std::vector<c4d::IncidentVerdict> vs = an.finish();
     ASSERT_EQ(vs.size(), 1u);
     EXPECT_EQ(vs[0].kind, c4d::IncidentKind::FaultStorm);
     // Detected when the stormMinLinks-th group arrived, not at finish.
     EXPECT_EQ(vs[0].detectedAt, seconds(14));
+}
+
+TEST(ReplayAnalyzer, OnlyHardwareVisibleFaultsReachTheLog)
+{
+    c4d::IncidentAnalyzer an;
+    for (const char *type : {"ecc-error", "cuda-error", "teleport"}) {
+        trace::Event ev;
+        ev.when = seconds(30);
+        ev.kind = trace::EventKind::FaultInjected;
+        ev.node = 5;
+        ev.b = 1;
+        ev.value = 1.0;
+        ev.detail = type;
+        an.onEvent(ev);
+    }
+    // cuda-error leaves no hardware log; an unknown name is no class.
+    EXPECT_EQ(an.rca().logSize(), 1u);
 }
 
 // --- scoring ---------------------------------------------------------

@@ -143,6 +143,29 @@ TEST(Jsonl, RoundTripsEveryFieldByteStably)
     EXPECT_EQ(writeJsonl(reloaded), text);
 }
 
+TEST(Jsonl, RejectsUnknownPathReallocLabel)
+{
+    // Each sub-kind's label maps back to it and parses; any other
+    // label fails at its record's line. The message is pinned for
+    // both parsers in ScannerReportsTheDomReferenceMessages.
+    for (int k = 0; k < kNumPathReallocKinds; ++k) {
+        const auto sub = static_cast<PathReallocKind>(k);
+        PathReallocKind back;
+        ASSERT_TRUE(pathReallocFromName(pathReallocName(sub), back));
+        EXPECT_EQ(back, sub);
+        Event ev = makeEvent(EventKind::PathRealloc, k);
+        ev.detail = pathReallocName(sub);
+        EXPECT_EQ(parseJsonl(writeJsonl({ev})), std::vector<Event>{ev});
+    }
+    try {
+        parseJsonl("{\"t\":1,\"k\":\"path_realloc\",\"d\":\"teleport\"}\n");
+        FAIL() << "unknown path_realloc label accepted";
+    } catch (const SpecError &e) {
+        EXPECT_EQ(std::string(e.what()).rfind("record on line 1: ", 0), 0u)
+            << e.what();
+    }
+}
+
 TEST(Jsonl, DefaultFieldsAreOmittedFromTheRecord)
 {
     const std::string line =
@@ -290,6 +313,10 @@ randomEvent(std::mt19937_64 &rng)
     ev.b = reference::randomInt(rng);
     ev.value = reference::randomDouble(rng);
     ev.detail = rng() % 3 == 0 ? "" : reference::randomLabel(rng);
+    // The parsers accept path_realloc only with a sub-kind label.
+    if (ev.kind == EventKind::PathRealloc)
+        ev.detail = pathReallocName(
+            static_cast<PathReallocKind>(rng() % kNumPathReallocKinds));
     return ev;
 }
 
@@ -423,6 +450,10 @@ TEST(Jsonl, ScannerReportsTheDomReferenceMessages)
          "line 1, column 12: \"k\" must name a known event kind"},
         {"{\"t\":1,\"k\":\"job_arrival\",\"x\":2}\n",
          "line 1, column 26: unknown trace record key \"x\""},
+        {"{\"t\":1,\"k\":\"path_realloc\",\"d\":\"teleport\"}\n",
+         "line 1, column 1: \"d\" must name a path_realloc sub-kind"},
+        {"{\"t\":1,\"k\":\"path_realloc\"}\n",
+         "line 1, column 1: \"d\" must name a path_realloc sub-kind"},
         {"{\"t\":1,\"t\":2,\"k\":\"job_arrival\"}\n",
          "line 1, column 8: duplicate key \"t\""},
         {"{\"x\":1,\"x\":2}\n", "line 1, column 8: duplicate key \"x\""},
@@ -518,7 +549,8 @@ TEST(Jsonl, CodecAllocatesPerDocumentNotPerEvent)
         ev.job = i % 3 == 0 ? kInvalidId : i % 64;
         ev.a = i % 5;
         ev.value = i % 2 == 0 ? 0.0 : 12.478350929 * i;
-        ev.detail = kDetails[i % 4];
+        ev.detail = ev.kind == EventKind::PathRealloc ? "link_down"
+                                                      : kDetails[i % 4];
         events.push_back(std::move(ev));
     }
     const std::uint64_t before = perf::allocStatsNow().count;
