@@ -32,9 +32,11 @@
 #include <string>
 #include <vector>
 
+#include "common/jsonl_files.h"
 #include "replay/capture.h"
 #include "replay/replay.h"
 #include "replay/score.h"
+#include "trace/analyze.h"
 #include "trace/export.h"
 
 namespace {
@@ -70,16 +72,6 @@ incidentNameOf(const std::string &path)
     return std::filesystem::path(path).stem().string();
 }
 
-std::vector<trace::Event>
-loadTrace(const std::string &path)
-{
-    try {
-        return trace::parseJsonl(replay::readFileOrThrow(path));
-    } catch (const SpecError &e) {
-        throw std::runtime_error(path + ": " + e.what());
-    }
-}
-
 int
 mainRun(int argc, char **argv, const char *argv0)
 {
@@ -105,15 +97,14 @@ mainRun(int argc, char **argv, const char *argv0)
 
     const std::string name = incidentNameOf(tracePath);
     const std::vector<c4d::IncidentVerdict> verdicts =
-        replay::replayTrace(loadTrace(tracePath));
+        replay::replayTrace(trace::loadTraceFile(tracePath).events);
     std::fputs(replay::verdictsToJsonl(name, verdicts).c_str(), stdout);
 
     if (!labelPath.empty()) {
         replay::Incident inc;
         inc.name = name;
         inc.tracePath = tracePath;
-        inc.label =
-            replay::labelFromJson(replay::readFileOrThrow(labelPath));
+        inc.label = replay::labelFromJson(readJsonlFile(labelPath));
         const replay::IncidentScore s =
             replay::scoreIncident(inc, verdicts);
         std::printf("# outcome=%s", s.outcome.c_str());
@@ -135,7 +126,7 @@ mainSummary(const std::string &dir)
                 "verdicts");
     for (const replay::Incident &inc : incidents) {
         const std::vector<trace::Event> events =
-            loadTrace(inc.tracePath);
+            trace::loadTraceFile(inc.tracePath).events;
         const std::vector<c4d::IncidentVerdict> verdicts =
             replay::replayTrace(events);
         std::printf("%-32s %-18s %8zu %8zu\n", inc.name.c_str(),
@@ -190,7 +181,7 @@ mainScore(int argc, char **argv, const char *argv0)
     std::string goldenText;
     for (const replay::Incident &inc : incidents) {
         const std::vector<c4d::IncidentVerdict> verdicts =
-            replay::replayTrace(loadTrace(inc.tracePath));
+            replay::replayTrace(trace::loadTraceFile(inc.tracePath).events);
         goldenText += replay::verdictsToJsonl(inc.name, verdicts);
         scores.push_back(replay::scoreIncident(inc, verdicts));
     }
@@ -205,7 +196,7 @@ mainScore(int argc, char **argv, const char *argv0)
 
     int rc = 0;
     if (!goldenPath.empty()) {
-        const std::string want = replay::readFileOrThrow(goldenPath);
+        const std::string want = readJsonlFile(goldenPath);
         if (want != goldenText) {
             std::fprintf(stderr,
                          "FAIL: verdicts diverge from golden %s "

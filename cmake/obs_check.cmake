@@ -7,10 +7,13 @@
 #      trial-0 snapshot is byte-identical to the committed golden
 #      (regenerate with tests/golden/update.sh after an intentional
 #      instrumentation change);
-#   3. `c4stat summary`, `tail`, and `diff` all work on the output,
-#      and `diff` flags an injected divergence with exit 1.
+#   3. `c4trace summary`, `tail`, and `diff` all work on the output,
+#      and `diff` flags an injected divergence with exit 1;
+#   4. `c4trace summary` over a directory holding a trace and a
+#      snapshot prints both tables, and `timeline` refuses a snapshot
+#      and `tail` a trace with exit 2.
 #
-# Inputs: BENCH (c4bench path), STAT_TOOL (c4stat path), SCENARIO,
+# Inputs: BENCH (c4bench path), TRACE_TOOL (c4trace path), SCENARIO,
 # GOLDEN (committed CSV), GOLDEN_METRICS (committed snapshot),
 # WORK_DIR (scratch).
 
@@ -93,24 +96,24 @@ if(NOT snap_rc EQUAL 0)
         "intentional")
 endif()
 
-# --- 3. c4stat summary / tail / diff ---------------------------------
+# --- 3. c4trace summary / tail / diff --------------------------------
 execute_process(
-    COMMAND "${STAT_TOOL}" summary "${WORK_DIR}/m1"
+    COMMAND "${TRACE_TOOL}" summary "${WORK_DIR}/m1"
     RESULT_VARIABLE rc OUTPUT_VARIABLE summary_out)
 if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "c4stat summary: exited with ${rc}")
+    message(FATAL_ERROR "c4trace summary: exited with ${rc}")
 endif()
 if(NOT summary_out MATCHES "metric")
     message(FATAL_ERROR
-        "c4stat summary output looks empty:\n${summary_out}")
+        "c4trace summary output looks empty:\n${summary_out}")
 endif()
 
 list(GET m1_files 0 first_rel)
-run_or_die("c4stat tail"
-    "${STAT_TOOL}" tail "${WORK_DIR}/m1/${first_rel}" --ticks 3)
+run_or_die("c4trace tail"
+    "${TRACE_TOOL}" tail "${WORK_DIR}/m1/${first_rel}" --ticks 3)
 
-run_or_die("c4stat diff (identical)"
-    "${STAT_TOOL}" diff
+run_or_die("c4trace diff (identical)"
+    "${TRACE_TOOL}" diff
     "${WORK_DIR}/m1/${first_rel}" "${WORK_DIR}/m4/${first_rel}")
 
 # Mutate a copy; diff must exit 1 and nothing else.
@@ -119,11 +122,52 @@ configure_file("${WORK_DIR}/m1/${first_rel}"
 file(APPEND "${WORK_DIR}/mutated.jsonl"
     "{\"t\":1,\"n\":\"injected.metric\",\"k\":\"counter\",\"c\":1}\n")
 execute_process(
-    COMMAND "${STAT_TOOL}" diff
+    COMMAND "${TRACE_TOOL}" diff
         "${WORK_DIR}/m1/${first_rel}" "${WORK_DIR}/mutated.jsonl"
     RESULT_VARIABLE diff_rc OUTPUT_QUIET)
 if(NOT diff_rc EQUAL 1)
     message(FATAL_ERROR
-        "c4stat diff missed an injected divergence (exit "
+        "c4trace diff missed an injected divergence (exit "
         "${diff_rc}, expected 1)")
 endif()
+
+# --- 4. traces and snapshots side by side ----------------------------
+run_or_die("trace run"
+    "${BENCH}" "${SCENARIO}" --smoke --trials 1
+    --trace "${WORK_DIR}/mixed_trace")
+file(GLOB_RECURSE trace_files "${WORK_DIR}/mixed_trace/*.jsonl")
+list(SORT trace_files)
+list(GET trace_files 0 first_trace)
+file(MAKE_DIRECTORY "${WORK_DIR}/mixed")
+configure_file("${first_trace}" "${WORK_DIR}/mixed/trace.jsonl"
+    COPYONLY)
+configure_file("${first_snapshot}" "${WORK_DIR}/mixed/snapshot.jsonl"
+    COPYONLY)
+execute_process(
+    COMMAND "${TRACE_TOOL}" summary "${WORK_DIR}/mixed"
+    RESULT_VARIABLE rc OUTPUT_VARIABLE mixed_out)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "c4trace summary (mixed): exited with ${rc}")
+endif()
+if(NOT mixed_out MATCHES "1 trace file\\(s\\)" OR
+   NOT mixed_out MATCHES "1 snapshot file\\(s\\)" OR
+   NOT mixed_out MATCHES "metric")
+    message(FATAL_ERROR
+        "c4trace summary over a trace and a snapshot must print both "
+        "tables:\n${mixed_out}")
+endif()
+
+# Each format's own command refuses the other format's file and names
+# the command that reads it.
+function(expect_refusal command file reader)
+    execute_process(
+        COMMAND "${TRACE_TOOL}" ${command} "${WORK_DIR}/mixed/${file}"
+        RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+    if(NOT rc EQUAL 2 OR NOT err MATCHES "c4trace ${reader}")
+        message(FATAL_ERROR
+            "c4trace ${command} ${file}: exit ${rc}, expected 2 and a "
+            "pointer to `c4trace ${reader}`:\n${err}")
+    endif()
+endfunction()
+expect_refusal(timeline snapshot.jsonl tail)
+expect_refusal(tail trace.jsonl timeline)

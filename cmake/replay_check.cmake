@@ -8,7 +8,8 @@
 #      verdicts (replay-same-incident-twice, via --write-golden);
 #   3. a mutated golden makes `score --golden` fail (the gate can
 #      actually catch a detector change);
-#   4. `summary` and `run --label` work on the corpus;
+#   4. `summary` and `run --label` work on the corpus, and `run` on a
+#      directory fails with exit 2 instead of replaying it as empty;
 #   5. `capture` on a copy of the corpus re-simulates every incident
 #      and reproduces each committed trace and label byte for byte,
 #      which pins the corpus to the kernel's (when, seq) event order.
@@ -90,6 +91,15 @@ run_or_die("c4replay run (labeled)"
     "${REPLAY_TOOL}" run
     "${CORPUS}/link_failure_single.trace.jsonl"
     --label "${CORPUS}/link_failure_single.label.json")
+
+execute_process(
+    COMMAND "${REPLAY_TOOL}" run "${CORPUS}"
+    RESULT_VARIABLE dir_rc OUTPUT_VARIABLE dir_out ERROR_QUIET)
+if(NOT dir_rc EQUAL 2)
+    message(FATAL_ERROR
+        "c4replay run on a directory: exit ${dir_rc}, expected 2:\n"
+        "${dir_out}")
+endif()
 
 # --- 5. re-capture the whole corpus ----------------------------------
 set(capture_dir "${WORK_DIR}/capture")

@@ -7,6 +7,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace c4 {
 
@@ -14,34 +15,41 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::vector<std::string>
-splitLines(const std::string &text)
+/** Each line with its terminator; only the last may lack one. */
+std::vector<std::string_view>
+splitLines(std::string_view text)
 {
-    std::vector<std::string> lines;
-    std::size_t start = 0;
-    while (start < text.size()) {
-        const std::size_t nl = text.find('\n', start);
-        const std::size_t end =
-            nl == std::string::npos ? text.size() : nl;
-        lines.push_back(text.substr(start, end - start));
-        if (nl == std::string::npos)
-            break;
-        start = nl + 1;
+    std::vector<std::string_view> lines;
+    while (!text.empty()) {
+        const std::size_t nl = text.find('\n');
+        const std::size_t len =
+            nl == std::string_view::npos ? text.size() : nl + 1;
+        lines.push_back(text.substr(0, len));
+        text.remove_prefix(len);
     }
     return lines;
+}
+
+void
+printLine(std::ostream &out, const char *mark, std::size_t number,
+          std::string_view line)
+{
+    out << mark << number << "   " << line;
+    if (!line.ends_with('\n'))
+        out << "   <no newline at end of file>\n";
 }
 
 } // namespace
 
 std::string
-readJsonlFile(const std::string &path, const JsonlNoun &noun)
+readJsonlFile(const std::string &path)
 {
     // An ifstream on a directory opens fine but reads zero bytes,
     // which would make `diff <dir> <dir>` report "identical: 0
     // lines" instead of failing.
     if (!fs::is_regular_file(path)) {
-        throw std::runtime_error("'" + path + "' is not a " +
-                                 noun.file + " file");
+        throw std::runtime_error("'" + path +
+                                 "' is not a regular file");
     }
     std::ifstream in(path, std::ios::binary);
     if (!in)
@@ -72,7 +80,7 @@ sanitizeFileComponent(const std::string &label)
 }
 
 std::vector<std::string>
-collectJsonlFiles(const std::string &path, const JsonlNoun &noun)
+collectJsonlFiles(const std::string &path)
 {
     std::vector<std::string> files;
     std::error_code ec;
@@ -86,15 +94,13 @@ collectJsonlFiles(const std::string &path, const JsonlNoun &noun)
         }
         std::sort(files.begin(), files.end());
         if (files.empty()) {
-            throw std::runtime_error(std::string("no *.jsonl ") +
-                                     noun.file + " files under '" +
+            throw std::runtime_error("no *.jsonl files under '" +
                                      path + "'");
         }
     } else if (fs::is_regular_file(path, ec)) {
         files.push_back(path);
     } else {
-        throw std::runtime_error(std::string("no ") + noun.file +
-                                 " file or directory at '" + path +
+        throw std::runtime_error("no file or directory at '" + path +
                                  "'");
     }
     return files;
@@ -124,12 +130,12 @@ formatSimSeconds(Time when)
 
 int
 diffJsonlFiles(const std::string &pathA, const std::string &pathB,
-               const JsonlNoun &noun, std::ostream &out, int context)
+               std::ostream &out, int context)
 {
-    const std::vector<std::string> a =
-        splitLines(readJsonlFile(pathA, noun));
-    const std::vector<std::string> b =
-        splitLines(readJsonlFile(pathB, noun));
+    const std::string textA = readJsonlFile(pathA);
+    const std::string textB = readJsonlFile(pathB);
+    const std::vector<std::string_view> a = splitLines(textA);
+    const std::vector<std::string_view> b = splitLines(textB);
     const std::size_t n = std::min(a.size(), b.size());
     std::size_t div = n;
     for (std::size_t i = 0; i < n; ++i) {
@@ -139,24 +145,23 @@ diffJsonlFiles(const std::string &pathA, const std::string &pathB,
         }
     }
     if (div == n && a.size() == b.size()) {
-        out << "identical: " << a.size() << " " << noun.line
-            << " line(s)\n";
+        out << "identical: " << a.size() << " line(s)\n";
         return 0;
     }
 
-    out << noun.file << "s diverge at line " << div + 1 << "\n";
+    out << "files diverge at line " << div + 1 << "\n";
     const std::size_t from =
         div > static_cast<std::size_t>(context)
             ? div - static_cast<std::size_t>(context)
             : 0;
     for (std::size_t i = from; i < div; ++i)
-        out << "  " << i + 1 << "   " << a[i] << "\n";
+        printLine(out, "  ", i + 1, a[i]);
     if (div < a.size())
-        out << "< " << div + 1 << "   " << a[div] << "\n";
+        printLine(out, "< ", div + 1, a[div]);
     else
         out << "< " << div + 1 << "   <end of " << pathA << ">\n";
     if (div < b.size())
-        out << "> " << div + 1 << "   " << b[div] << "\n";
+        printLine(out, "> ", div + 1, b[div]);
     else
         out << "> " << div + 1 << "   <end of " << pathB << ">\n";
     return 1;

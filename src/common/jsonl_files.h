@@ -1,15 +1,11 @@
 /**
  * @file
  * The file side of the JSONL tools: safe file names for the runner's
- * `--trace`/`--metrics` output, and for the analyzers (`c4trace`,
- * `c4stat`) reading one file, expanding a CLI path into `*.jsonl`
- * files, short file tags and simulated-time stamps for listings, and
- * the first-divergence line diff that both tools' `diff` command
- * prints.
- *
- * The analyzers differ only in the nouns their messages use, so every
- * call takes a JsonlNoun: {"trace", "event"} for event traces,
- * {"snapshot", "snapshot"} for metric snapshots.
+ * `--trace`/`--metrics` output, and for `c4trace` (which reads both
+ * event traces and metric snapshots) and the replay corpus reading
+ * one file, expanding a CLI path into `*.jsonl` files, short file
+ * tags and simulated-time stamps for listings, and the
+ * first-divergence line diff behind `c4trace diff`.
  */
 
 #ifndef C4_COMMON_JSONL_FILES_H
@@ -23,19 +19,12 @@
 
 namespace c4 {
 
-/** What a file and one of its lines are called in messages. */
-struct JsonlNoun
-{
-    const char *file; ///< "trace" -> "no trace file ...", "traces diverge"
-    const char *line; ///< "event" -> "identical: N event line(s)"
-};
-
 /**
  * Read one whole file.
  * @throws std::runtime_error when @p path is not a regular file (a
  *         directory would otherwise read as empty) or cannot be read.
  */
-std::string readJsonlFile(const std::string &path, const JsonlNoun &noun);
+std::string readJsonlFile(const std::string &path);
 
 /**
  * Expand @p path: a file stands alone; a directory yields every
@@ -43,8 +32,7 @@ std::string readJsonlFile(const std::string &path, const JsonlNoun &noun);
  * @throws std::runtime_error when the path does not exist or yields
  *         no files.
  */
-std::vector<std::string> collectJsonlFiles(const std::string &path,
-                                           const JsonlNoun &noun);
+std::vector<std::string> collectJsonlFiles(const std::string &path);
 
 /**
  * Make a scenario/variant label safe as a file-name component:
@@ -61,14 +49,15 @@ std::string jsonlFileTag(const std::string &path);
 std::string formatSimSeconds(Time when);
 
 /**
- * Byte-compare two files line by line; on divergence print the first
- * differing line of each with @p context preceding lines.
+ * Byte-compare two files line by line, each line together with its
+ * terminator, so a missing final newline is a divergence; on
+ * divergence print the first differing line of each with @p context
+ * preceding lines.
  * @return 0 identical, 1 divergent.
  * @throws std::runtime_error as readJsonlFile.
  */
 int diffJsonlFiles(const std::string &pathA, const std::string &pathB,
-                   const JsonlNoun &noun, std::ostream &out,
-                   int context);
+                   std::ostream &out, int context = 3);
 
 } // namespace c4
 

@@ -11,8 +11,6 @@ namespace c4::obs {
 
 namespace {
 
-constexpr JsonlNoun kSnapshotNoun{"snapshot", "snapshot"};
-
 void
 describeSample(const Sample &s, std::ostream &out)
 {
@@ -35,19 +33,13 @@ describeSample(const Sample &s, std::ostream &out)
 
 } // namespace
 
-std::vector<std::string>
-collectSnapshotFiles(const std::string &path)
-{
-    return collectJsonlFiles(path, kSnapshotNoun);
-}
-
 SnapshotFile
 loadSnapshotFile(const std::string &path)
 {
     SnapshotFile sf;
     sf.path = path;
     try {
-        parseSnapshot(readJsonlFile(path, kSnapshotNoun), sf.meta,
+        parseSnapshot(readJsonlFile(path), sf.meta,
                       sf.samples);
     } catch (const SpecError &e) {
         throw std::runtime_error(path + ": " + e.what());
@@ -140,13 +132,6 @@ printTail(const std::vector<SnapshotFile> &files, int ticks,
             out << "\n";
         }
     }
-}
-
-int
-diffSnapshots(const std::string &pathA, const std::string &pathB,
-              std::ostream &out, int context)
-{
-    return diffJsonlFiles(pathA, pathB, kSnapshotNoun, out, context);
 }
 
 } // namespace c4::obs

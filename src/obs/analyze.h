@@ -1,8 +1,9 @@
 /**
  * @file
- * Offline analysis over recorded metric snapshots — the engine behind
- * the `c4stat` CLI (summary / tail / diff), the metrics twin of
- * trace/analyze.h.
+ * Offline analysis over recorded metric snapshots: the metric-snapshot
+ * half of the `c4trace` tool (summary / tail), next to trace/analyze.h's
+ * event-trace half. `c4trace diff` works on either format and lives in
+ * common/jsonl_files.h.
  */
 
 #ifndef C4_OBS_ANALYZE_H
@@ -23,13 +24,6 @@ struct SnapshotFile {
     std::vector<Sample> samples;
 };
 
-/**
- * Expand one CLI path argument into snapshot file paths: a directory
- * yields every `*.jsonl` under it (recursively, sorted); a file yields
- * itself. @throws std::runtime_error when nothing is found.
- */
-std::vector<std::string> collectSnapshotFiles(const std::string &path);
-
 /** Load and parse one file. @throws std::runtime_error on bad input. */
 SnapshotFile loadSnapshotFile(const std::string &path);
 
@@ -46,16 +40,6 @@ void printSummary(const std::vector<SnapshotFile> &files,
  */
 void printTail(const std::vector<SnapshotFile> &files, int ticks,
                std::ostream &out);
-
-/**
- * Line-by-line byte comparison of two snapshot files. Prints the first
- * divergence with @p context preceding lines.
- * @return 0 when identical, 1 when different (the determinism
- *         debugger's exit-code contract, like `c4trace diff`).
- * @throws std::runtime_error when either path is not a readable file.
- */
-int diffSnapshots(const std::string &pathA, const std::string &pathB,
-                  std::ostream &out, int context = 3);
 
 } // namespace c4::obs
 

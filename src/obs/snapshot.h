@@ -8,7 +8,7 @@
  * key order, default-valued fields omitted, timestamps as exact
  * integer nanoseconds, doubles in shortest round-trip form.
  * writeSnapshot(parseSnapshot(text)) == text for any text
- * writeSnapshot produced — the property `c4stat diff` and the
+ * writeSnapshot produced — the property `c4trace diff` and the
  * 1-vs-N-thread byte-equality gate rely on.
  */
 
@@ -16,6 +16,7 @@
 #define C4_OBS_SNAPSHOT_H
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.h"
@@ -25,6 +26,18 @@ namespace c4::obs {
 
 /** Current snapshot schema tag, the header line's `schema` value. */
 inline constexpr const char *kSnapshotSchema = "c4metrics/1";
+
+/**
+ * Whether @p text starts like a snapshot. writeSnapshot puts the
+ * header first and `schema` first in it, so every snapshot starts
+ * with `{"schema":` and no trace record does; `c4trace` tells the two
+ * JSONL formats apart by this test.
+ */
+inline bool
+isSnapshotText(std::string_view text)
+{
+    return text.starts_with(R"({"schema":)");
+}
 
 /** Identity of one snapshot stream (the header line's payload). */
 struct SnapshotMeta {

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/json.h"
+#include "common/jsonl_files.h"
 
 namespace c4::replay {
 
@@ -72,19 +72,6 @@ labelFromJson(const std::string &text)
     return label;
 }
 
-std::string
-readFileOrThrow(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw std::runtime_error("cannot open " + path);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    if (in.bad())
-        throw std::runtime_error("read error on " + path);
-    return ss.str();
-}
-
 void
 writeFileOrThrow(const std::string &path, const std::string &text)
 {
@@ -140,7 +127,7 @@ collectIncidents(const std::string &dir)
         const std::string labelPath =
             (fs::path(dir) / (name + kLabelSuffix)).string();
         try {
-            inc.label = labelFromJson(readFileOrThrow(labelPath));
+            inc.label = labelFromJson(readJsonlFile(labelPath));
         } catch (const SpecError &e) {
             throw std::runtime_error(labelPath + ": " + e.what());
         }

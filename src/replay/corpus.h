@@ -72,10 +72,8 @@ struct Incident
  */
 std::vector<Incident> collectIncidents(const std::string &dir);
 
-/** @name Small file I/O helpers (throw std::runtime_error) @{ */
-std::string readFileOrThrow(const std::string &path);
+/** Write @p text to @p path. @throws std::runtime_error on failure. */
 void writeFileOrThrow(const std::string &path, const std::string &text);
-/** @} */
 
 /**
  * Render one incident's verdicts as canonical JSONL: one line per

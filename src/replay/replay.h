@@ -55,7 +55,10 @@ class ReplayClock
 void feedTrace(const std::vector<trace::Event> &events,
                c4d::TelemetrySink &sink);
 
-/** Load (trace/analyze.h), feed, and diagnose one trace file. */
+/**
+ * feedTrace already-parsed @p events into a fresh analyzer and return
+ * its verdicts.
+ */
 std::vector<c4d::IncidentVerdict>
 replayTrace(const std::vector<trace::Event> &events,
             const c4d::IncidentAnalyzerConfig &cfg = {});

@@ -55,7 +55,7 @@ usage(const char *argv0)
         "                 record only these comma-separated event\n"
         "                 kinds (e.g. fault_injected,recompute_end)\n"
         "  --metrics DIR  write per-trial metric snapshots (c4metrics\n"
-        "                 JSONL) under DIR; inspect with c4stat\n"
+        "                 JSONL) under DIR; inspect with c4trace\n"
         "                 summary|tail|diff\n"
         "  --metrics-period S\n"
         "                 sampling cadence in simulated seconds\n"

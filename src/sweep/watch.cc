@@ -11,6 +11,7 @@
 
 #include <filesystem>
 
+#include "common/jsonl_files.h"
 #include "common/table.h"
 #include "obs/analyze.h"
 #include "sweep/forensics.h"
@@ -43,7 +44,7 @@ readPulse(const std::string &dir, const Shard &shard)
         campaignPath(dir, "metrics/" + shard.id);
     std::vector<std::string> files;
     try {
-        files = obs::collectSnapshotFiles(metricsDir);
+        files = collectJsonlFiles(metricsDir);
     } catch (const std::exception &) {
         return pulse; // nothing written yet
     }

@@ -16,8 +16,6 @@ namespace c4::trace {
 
 namespace {
 
-constexpr JsonlNoun kTraceNoun{"trace", "event"};
-
 void
 describeEvent(const Event &ev, std::ostream &out)
 {
@@ -38,19 +36,13 @@ describeEvent(const Event &ev, std::ostream &out)
 
 } // namespace
 
-std::vector<std::string>
-collectTraceFiles(const std::string &path)
-{
-    return collectJsonlFiles(path, kTraceNoun);
-}
-
 TraceFile
 loadTraceFile(const std::string &path)
 {
     TraceFile tf;
     tf.path = path;
     try {
-        tf.events = parseJsonl(readJsonlFile(path, kTraceNoun));
+        tf.events = parseJsonl(readJsonlFile(path));
     } catch (const SpecError &e) {
         throw std::runtime_error(path + ": " + e.what());
     }
@@ -166,13 +158,6 @@ printTimeline(const std::vector<TraceFile> &traces, std::ostream &out)
         describeEvent(ev, out);
         out << "\n";
     }
-}
-
-int
-diffTraces(const std::string &pathA, const std::string &pathB,
-           std::ostream &out, int context)
-{
-    return diffJsonlFiles(pathA, pathB, kTraceNoun, out, context);
 }
 
 } // namespace c4::trace

@@ -7,7 +7,7 @@
  * parser over the committed golden, snapshot byte-equality across
  * runner thread counts, CSV invariance with metrics enabled, and
  * divergence detection in the diff analyzer. The end-to-end gate over
- * the real c4bench/c4stat binaries lives in cmake/obs_check.cmake
+ * the real c4bench/c4trace binaries lives in cmake/obs_check.cmake
  * (ctest -L obs).
  */
 
@@ -20,6 +20,7 @@
 #include <random>
 #include <sstream>
 
+#include "common/jsonl_files.h"
 #include "jsonl_reference.h"
 #include "obs/analyze.h"
 #include "obs/metrics.h"
@@ -209,6 +210,18 @@ TEST(Jsonl, RoundTripsEveryFieldByteStably)
     EXPECT_EQ(samples2, mixedSamples());
     // Byte-stable: write -> parse -> write is the identity.
     EXPECT_EQ(writeSnapshot(meta2, samples2), text);
+}
+
+TEST(Jsonl, EverySnapshotStartsWithItsSchemaKey)
+{
+    // c4trace routes files by this test; a default-valued header and
+    // the committed golden both pass, a trace record and a header
+    // with its keys in another order do not.
+    EXPECT_TRUE(isSnapshotText(writeSnapshot(SnapshotMeta{}, {})));
+    EXPECT_TRUE(isSnapshotText(readFile(C4_METRICS_GOLDEN)));
+    EXPECT_FALSE(isSnapshotText("{\"t\":1,\"k\":\"fault_injected\"}\n"));
+    EXPECT_FALSE(isSnapshotText("{\"scenario\":\"s\",\"schema\":"));
+    EXPECT_FALSE(isSnapshotText(""));
 }
 
 TEST(Jsonl, ZeroFieldsAreOmittedFromTheRecord)
@@ -776,7 +789,7 @@ TEST(Analyze, SummaryAndTailRenderTheRollup)
         out << writeSnapshot(meta, mixedSamples());
     }
     const std::vector<std::string> files =
-        collectSnapshotFiles(dir.string());
+        collectJsonlFiles(dir.string());
     ASSERT_EQ(files.size(), 1u);
     std::vector<SnapshotFile> loaded;
     loaded.push_back(loadSnapshotFile(files[0]));
@@ -793,7 +806,7 @@ TEST(Analyze, SummaryAndTailRenderTheRollup)
     EXPECT_NE(tail.str().find("sim.depth"), std::string::npos);
     EXPECT_EQ(tail.str().find("sim.pending"), std::string::npos);
 
-    EXPECT_THROW(collectSnapshotFiles((dir / "missing").string()),
+    EXPECT_THROW(collectJsonlFiles((dir / "missing").string()),
                  std::runtime_error);
 }
 
@@ -818,11 +831,11 @@ TEST(Diff, ReportsIdenticalSnapshotsAndInjectedDivergences)
     const std::string pa2 = write("a_again.jsonl", a);
 
     std::ostringstream same;
-    EXPECT_EQ(diffSnapshots(pa, pa2, same), 0);
+    EXPECT_EQ(diffJsonlFiles(pa, pa2, same), 0);
     EXPECT_NE(same.str().find("identical"), std::string::npos);
 
     std::ostringstream diverged;
-    EXPECT_EQ(diffSnapshots(pa, pb, diverged), 1);
+    EXPECT_EQ(diffJsonlFiles(pa, pb, diverged), 1);
     EXPECT_NE(diverged.str().find("diverge at line 3"),
               std::string::npos);
 }

@@ -16,22 +16,18 @@
 
 #include "c4d/incident.h"
 #include "common/json.h"
+#include "common/jsonl_files.h"
 #include "replay/capture.h"
 #include "replay/corpus.h"
 #include "replay/replay.h"
 #include "replay/score.h"
+#include "trace/analyze.h"
 #include "trace/export.h"
 
 namespace c4::replay {
 namespace {
 
 const std::string kCorpusDir = C4_INCIDENT_CORPUS_DIR;
-
-std::vector<trace::Event>
-loadTrace(const std::string &path)
-{
-    return trace::parseJsonl(readFileOrThrow(path));
-}
 
 // --- corpus I/O ------------------------------------------------------
 
@@ -60,19 +56,27 @@ TEST(ReplayCorpus, CollectRejectsUnpairedFiles)
     fs::remove_all(dir);
 }
 
+TEST(ReplayCorpus, ReadingADirectoryThrows)
+{
+    // A directory opens like a file but reads as zero bytes, which
+    // would replay as an empty trace with no verdicts.
+    EXPECT_THROW(readJsonlFile(kCorpusDir), std::runtime_error);
+    EXPECT_THROW(trace::loadTraceFile(kCorpusDir), std::runtime_error);
+}
+
 TEST(ReplayCorpus, LabelJsonRoundTripsEveryCommittedLabel)
 {
     for (const Incident &inc : collectIncidents(kCorpusDir)) {
         const std::string path =
             kCorpusDir + "/" + inc.name + ".label.json";
-        const std::string text = readFileOrThrow(path);
+        const std::string text = readJsonlFile(path);
         EXPECT_EQ(writeLabelJson(labelFromJson(text)), text) << path;
     }
 }
 
 TEST(ReplayCorpus, LabelValidationRejectsSchemaDrift)
 {
-    const std::string good = readFileOrThrow(
+    const std::string good = readJsonlFile(
         kCorpusDir + "/link_failure_single.label.json");
     EXPECT_NO_THROW(labelFromJson(good));
     EXPECT_THROW(labelFromJson("{"), SpecError);
@@ -110,7 +114,7 @@ TEST(ReplayCorpus, EveryLabelPrefixParsesOrThrowsWithALineNumber)
     for (const Incident &inc : collectIncidents(kCorpusDir)) {
         const std::string path =
             kCorpusDir + "/" + inc.name + ".label.json";
-        const std::string full = readFileOrThrow(path);
+        const std::string full = readJsonlFile(path);
         for (std::size_t n = 0; n < full.size(); ++n) {
             try {
                 EXPECT_EQ(writeLabelJson(labelFromJson(full.substr(0, n))),
@@ -129,7 +133,7 @@ TEST(ReplayCorpus, EveryLabelPrefixParsesOrThrowsWithALineNumber)
 TEST(ReplayCorpus, TraceJsonlRoundTripsEveryCommittedTrace)
 {
     for (const Incident &inc : collectIncidents(kCorpusDir)) {
-        const std::string text = readFileOrThrow(inc.tracePath);
+        const std::string text = readJsonlFile(inc.tracePath);
         EXPECT_EQ(trace::writeJsonl(trace::parseJsonl(text)), text)
             << inc.tracePath;
     }
@@ -161,7 +165,7 @@ TEST(ReplayIdentity, ReplaySameIncidentTwiceIsByteIdentical)
 {
     for (const Incident &inc : collectIncidents(kCorpusDir)) {
         const std::vector<trace::Event> events =
-            loadTrace(inc.tracePath);
+            trace::loadTraceFile(inc.tracePath).events;
         const std::string first =
             verdictsToJsonl(inc.name, replayTrace(events));
         const std::string second =
@@ -186,14 +190,14 @@ TEST(ReplayIdentity, LiveCaptureMatchesCommittedReplay)
         const std::string labelPath =
             kCorpusDir + "/" + std::string(name) + ".label.json";
         EXPECT_EQ(trace::writeJsonl(live.events),
-                  readFileOrThrow(tracePath))
+                  readJsonlFile(tracePath))
             << name;
         EXPECT_EQ(writeLabelJson(live.label),
-                  readFileOrThrow(labelPath))
+                  readJsonlFile(labelPath))
             << name;
+        const trace::TraceFile committed = trace::loadTraceFile(tracePath);
         EXPECT_EQ(verdictsToJsonl(name, replayTrace(live.events)),
-                  verdictsToJsonl(name,
-                                  replayTrace(loadTrace(tracePath))))
+                  verdictsToJsonl(name, replayTrace(committed.events)))
             << name;
     }
 }
@@ -376,9 +380,10 @@ TEST(ReplayScore, EmptyCorpusScoresPerfect)
 TEST(ReplayScore, CommittedCorpusClearsTheGateFloors)
 {
     std::vector<IncidentScore> scores;
-    for (const Incident &inc : collectIncidents(kCorpusDir))
-        scores.push_back(
-            scoreIncident(inc, replayTrace(loadTrace(inc.tracePath))));
+    for (const Incident &inc : collectIncidents(kCorpusDir)) {
+        const trace::TraceFile tf = trace::loadTraceFile(inc.tracePath);
+        scores.push_back(scoreIncident(inc, replayTrace(tf.events)));
+    }
     const ScoreReport r = aggregateScores(std::move(scores));
     EXPECT_GE(r.precision, 0.9);
     EXPECT_GE(r.recall, 0.9);

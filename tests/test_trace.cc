@@ -275,7 +275,7 @@ corpusTraces()
 {
     std::vector<std::string> texts;
     for (const std::string &path :
-         collectJsonlFiles(C4_INCIDENT_CORPUS_DIR, {"trace", "event"})) {
+         collectJsonlFiles(C4_INCIDENT_CORPUS_DIR)) {
         if (path.size() >= 12 &&
             path.compare(path.size() - 12, 12, ".trace.jsonl") == 0)
             texts.push_back(readFile(path));
@@ -882,11 +882,11 @@ TEST(Diff, ReportsIdenticalTracesAndInjectedDivergences)
     const std::string pa2 = write("a_again.jsonl", a);
 
     std::ostringstream same;
-    EXPECT_EQ(diffTraces(pa, pa2, same), 0);
+    EXPECT_EQ(diffJsonlFiles(pa, pa2, same), 0);
     EXPECT_NE(same.str().find("identical"), std::string::npos);
 
     std::ostringstream diverged;
-    EXPECT_EQ(diffTraces(pa, pb, diverged), 1);
+    EXPECT_EQ(diffJsonlFiles(pa, pb, diverged), 1);
     EXPECT_NE(diverged.str().find("diverge at line 7"),
               std::string::npos);
     // Both sides of the divergence are shown.
@@ -897,8 +897,21 @@ TEST(Diff, ReportsIdenticalTracesAndInjectedDivergences)
     std::vector<Event> shorter(a.begin(), a.begin() + 4);
     const std::string ps = write("short.jsonl", shorter);
     std::ostringstream truncated;
-    EXPECT_EQ(diffTraces(pa, ps, truncated), 1);
+    EXPECT_EQ(diffJsonlFiles(pa, ps, truncated), 1);
     EXPECT_NE(truncated.str().find("diverge at line 5"),
+              std::string::npos);
+
+    // The same records without the final newline: `summary` rejects
+    // that as a truncated write, so diff must not call it identical.
+    const std::string text = writeJsonl(a);
+    const std::string pn = (dir / "no_newline.jsonl").string();
+    std::ofstream(pn, std::ios::binary)
+        << text.substr(0, text.size() - 1);
+    std::ostringstream unterminated;
+    EXPECT_EQ(diffJsonlFiles(pa, pn, unterminated), 1);
+    EXPECT_NE(unterminated.str().find("diverge at line 10"),
+              std::string::npos);
+    EXPECT_NE(unterminated.str().find("<no newline at end of file>"),
               std::string::npos);
 }
 
@@ -915,11 +928,11 @@ TEST(Diff, RejectsDirectories)
 
     std::ostringstream out;
     try {
-        diffTraces(a.string(), b.string(), out);
+        diffJsonlFiles(a.string(), b.string(), out);
         FAIL() << "diff of two directories returned: " << out.str();
     } catch (const std::runtime_error &e) {
         EXPECT_EQ(std::string(e.what()),
-                  "'" + a.string() + "' is not a trace file");
+                  "'" + a.string() + "' is not a regular file");
     }
     EXPECT_EQ(out.str(), "");
 }
