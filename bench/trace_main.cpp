@@ -125,11 +125,11 @@ parseArgs(int argc, char **argv, const char *flag, long lo, long hi,
 {
     for (int i = 0; i < argc; ++i) {
         if (flag && std::strcmp(argv[i], flag) == 0) {
+            // A missing or empty value parses no digit: end == arg.
+            const char *arg = i + 1 < argc ? argv[++i] : "";
             char *end = nullptr;
-            const long v = i + 1 < argc
-                               ? std::strtol(argv[++i], &end, 10)
-                               : -1;
-            if (!end || *end != '\0' || v < lo || v > hi)
+            const long v = std::strtol(arg, &end, 10);
+            if (end == arg || *end != '\0' || v < lo || v > hi)
                 return false;
             value = static_cast<int>(v);
         } else if (argv[i][0] == '-') {

@@ -8,7 +8,8 @@
 #      (regenerate with tests/golden/update.sh after an intentional
 #      instrumentation change);
 #   3. `c4trace summary`, `tail`, and `diff` all work on the output,
-#      and `diff` flags an injected divergence with exit 1;
+#      an empty `--context`/`--ticks` value exits 2, and `diff` flags
+#      an injected divergence with exit 1;
 #   4. `c4trace summary` over a directory holding a trace and a
 #      snapshot prints both tables, and `timeline` refuses a snapshot
 #      and `tail` a trace with exit 2.
@@ -115,6 +116,20 @@ run_or_die("c4trace tail"
 run_or_die("c4trace diff (identical)"
     "${TRACE_TOOL}" diff
     "${WORK_DIR}/m1/${first_rel}" "${WORK_DIR}/m4/${first_rel}")
+
+# An empty numeric option value is a usage error, not 0. The "" sits
+# in the function body: an empty element of ARGN would be dropped.
+function(expect_empty_value_refused command flag)
+    execute_process(COMMAND "${TRACE_TOOL}" ${command} ${ARGN} ${flag} ""
+        RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+    if(NOT rc EQUAL 2)
+        message(FATAL_ERROR
+            "c4trace ${command} ${flag} \"\": exit ${rc}, expected 2")
+    endif()
+endfunction()
+expect_empty_value_refused(diff --context
+    "${WORK_DIR}/m1/${first_rel}" "${WORK_DIR}/m4/${first_rel}")
+expect_empty_value_refused(tail --ticks "${WORK_DIR}/m1/${first_rel}")
 
 # Mutate a copy; diff must exit 1 and nothing else.
 configure_file("${WORK_DIR}/m1/${first_rel}"

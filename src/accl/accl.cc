@@ -52,6 +52,10 @@ struct Accl::CommState
     std::unique_ptr<Communicator> comm;
     std::unordered_set<Rank> crashed;
     std::unordered_map<std::uint64_t, Connection> conns;
+    /** The op the Exec last began (nothing posted: postTime never). */
+    OpProgress progress;
+    /** Last progress time per rank, kTimeNever until its first. */
+    std::vector<Time> heartbeats;
     CollSeq nextSeq = 1;
     /** FIFO of posted ops: queue[queueHead, queueTail) wait for the
      * Exec. The vector never shrinks; a slot outside that range is
@@ -122,8 +126,11 @@ class Accl::Exec
         const Communicator &comm = *cs_.comm;
         const int n = comm.size();
 
-        lib_.monitor_.opPosted(comm.id(), op_.seq, op_.op, op_.bytes,
-                               op_.postedAt);
+        cs_.progress = {.comm = comm.id(),
+                        .seq = op_.seq,
+                        .op = op_.op,
+                        .bytes = op_.bytes,
+                        .postTime = op_.postedAt};
 
         postTimes_.resize(static_cast<std::size_t>(n));
         Time t0 = lib_.sim_.now();
@@ -149,11 +156,9 @@ class Accl::Exec
             // block forever — the paper's non-communication hang. Record
             // that the living ranks did show up, then stall.
             schedule(t0, [this] {
-                const Communicator &c = *cs_.comm;
-                for (Rank r = 0; r < c.size(); ++r) {
+                for (Rank r = 0; r < cs_.comm->size(); ++r) {
                     if (!cs_.crashed.count(r))
-                        lib_.monitor_.heartbeat(c.id(), r,
-                                                lib_.sim_.now());
+                        beat(r, lib_.sim_.now());
                 }
             });
             return;
@@ -254,6 +259,13 @@ class Accl::Exec
     std::vector<std::uint32_t> freeFlows_; // recycled flows_ indices
     std::vector<EventId> events_; // every event the op scheduled
     std::vector<FlowId> abortIds_; // teardown scratch
+
+    /** Note forward progress of rank @p r. */
+    void
+    beat(Rank r, Time when)
+    {
+        cs_.heartbeats[static_cast<std::size_t>(r)] = when;
+    }
 
     template <typename F>
     void
@@ -482,7 +494,7 @@ class Accl::Exec
         const Communicator &comm = *cs_.comm;
         AcclMonitor &mon = lib_.monitor_;
 
-        mon.opStarted(comm.id(), op_.seq, startTime_);
+        cs_.progress.startTime = startTime_;
 
         for (Rank r = 0; r < comm.size(); ++r) {
             RankWaitRecord w;
@@ -492,7 +504,7 @@ class Accl::Exec
             w.recvWait =
                 startTime_ - postTimes_[static_cast<std::size_t>(r)];
             mon.record(w);
-            mon.heartbeat(comm.id(), r, startTime_);
+            beat(r, startTime_);
         }
 
         if (numCursors_ == 0 || numStages_ == 0) {
@@ -666,8 +678,8 @@ class Accl::Exec
         rec.startTime = end.startTime;
         rec.endTime = end.endTime;
         lib_.monitor_.record(rec);
-        lib_.monitor_.heartbeat(comm.id(), meta.hop.src, end.endTime);
-        lib_.monitor_.heartbeat(comm.id(), meta.hop.dst, end.endTime);
+        beat(meta.hop.src, end.endTime);
+        beat(meta.hop.dst, end.endTime);
 
         PathFeedback fb;
         fb.bytes = end.bytes;
@@ -681,9 +693,8 @@ class Accl::Exec
     void
     onNvlinkDone(int channel, NodeId node)
     {
-        const Communicator &comm = *cs_.comm;
-        for (Rank r : comm.ranksOnNode(node))
-            lib_.monitor_.heartbeat(comm.id(), r, lib_.sim_.now());
+        for (Rank r : cs_.comm->ranksOnNode(node))
+            beat(r, lib_.sim_.now());
         hopDone(channel);
     }
 
@@ -728,24 +739,11 @@ class Accl::Exec
     finish()
     {
         const Communicator &comm = *cs_.comm;
-        AcclMonitor &mon = lib_.monitor_;
         const Time end = lib_.sim_.now();
 
-        for (Rank r = 0; r < comm.size(); ++r) {
-            CollRecord rec;
-            rec.comm = comm.id();
-            rec.seq = op_.seq;
-            rec.op = op_.op;
-            rec.algo = op_.algo;
-            rec.rank = r;
-            rec.bytes = op_.bytes;
-            rec.postTime = postTimes_[static_cast<std::size_t>(r)];
-            rec.startTime = startTime_;
-            rec.endTime = end;
-            mon.record(rec);
-            mon.heartbeat(comm.id(), r, end);
-        }
-        mon.opFinished(comm.id(), op_.seq, end);
+        std::fill(cs_.heartbeats.begin(), cs_.heartbeats.end(), end);
+        cs_.progress.endTime = end;
+        lib_.monitor_.collectiveFinished(comm.size());
 
         CollectiveResult res;
         res.comm = comm.id();
@@ -770,7 +768,6 @@ class Accl::Exec
 Accl::Accl(Simulator &sim, net::Fabric &fabric, AcclConfig cfg,
            std::uint64_t seed)
     : sim_(sim), fabric_(fabric), cfg_(cfg), rng_(seed),
-      monitor_(cfg.monitoring, cfg.monitorCapacity),
       baselinePolicy_(rng_()), policy_(&baselinePolicy_)
 {
     if (cfg_.defaultChannels < 1 || cfg_.qpsPerConnection < 1 ||
@@ -790,6 +787,8 @@ Accl::createCommunicator(JobId job, std::vector<DeviceInfo> devices,
     auto cs = std::make_unique<CommState>();
     cs->comm = std::make_unique<Communicator>(id, job, std::move(devices),
                                               ch);
+    cs->heartbeats.assign(static_cast<std::size_t>(cs->comm->size()),
+                          kTimeNever);
 
     CommRecord rec;
     rec.when = sim_.now();
@@ -824,7 +823,6 @@ Accl::destroyCommunicator(CommId comm)
     monitor_.record(rec);
 
     releaseConnections(cs);
-    monitor_.commClosed(comm);
     comms_.erase(it); // Exec destructor aborts the in-flight op
 }
 
@@ -838,6 +836,24 @@ const Communicator &
 Accl::communicator(CommId comm) const
 {
     return *state(comm).comm;
+}
+
+const OpProgress *
+Accl::currentOp(CommId comm) const
+{
+    auto it = comms_.find(comm);
+    if (it == comms_.end() || !it->second->progress.posted())
+        return nullptr;
+    return &it->second->progress;
+}
+
+std::span<const Time>
+Accl::heartbeats(CommId comm) const
+{
+    auto it = comms_.find(comm);
+    if (it == comms_.end())
+        return {};
+    return it->second->heartbeats;
 }
 
 void

@@ -10,8 +10,10 @@
  * paper's observation that "any flow that is throttled can have a ripple
  * effect, hindering the entire communication group".
  *
- * Every layer is instrumented (AcclMonitor), mirroring the paper's
- * communicator/operation/transport telemetry that C4D consumes.
+ * Every layer is instrumented, mirroring the paper's communicator/
+ * operation/transport telemetry that C4D consumes: each communicator's
+ * state holds its current op's progress and per-rank heartbeats, and
+ * the AcclMonitor holds the record streams.
  */
 
 #ifndef C4_ACCL_ACCL_H
@@ -57,12 +59,6 @@ struct AcclConfig
      * resolution at which contention is sampled.
      */
     int maxSimRounds = 8;
-
-    /** Enable the AcclMonitor record streams. */
-    bool monitoring = true;
-
-    /** Retained records per monitor stream. */
-    std::size_t monitorCapacity = 1u << 20;
 };
 
 /** Completion summary delivered to the collective's callback. */
@@ -173,6 +169,22 @@ class Accl
     void crashRank(CommId comm, Rank rank);
 
     bool rankCrashed(CommId comm, Rank rank) const;
+    /** @} */
+
+    /** @name Progress (copied by C4 agents at each collection) @{ */
+
+    /**
+     * Progress of the communicator's most recent operation: nullptr
+     * until its first op begins, and for a communicator that does not
+     * exist (never created, or destroyed).
+     */
+    const OpProgress *currentOp(CommId comm) const;
+
+    /**
+     * Last progress time of each rank (kTimeNever: none yet), indexed by
+     * rank; empty for a communicator that does not exist.
+     */
+    std::span<const Time> heartbeats(CommId comm) const;
     /** @} */
 
     AcclMonitor &monitor() { return monitor_; }

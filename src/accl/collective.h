@@ -61,6 +61,27 @@ Bandwidth busBandwidth(CollOp op, int nranks, Bytes bytes,
 /** Identifier of one collective operation instance on a communicator. */
 using CollSeq = std::uint64_t;
 
+/**
+ * Progress of one collective operation, tracked from posting through
+ * start (all ranks entered) to completion. The paper's C4D relies on
+ * exactly this: "we track the startup and completion of specific
+ * collective operations and assign each operation a sequence".
+ */
+struct OpProgress
+{
+    CommId comm = kInvalidId;
+    CollSeq seq = 0;
+    CollOp op = CollOp::AllReduce;
+    Bytes bytes = 0;
+    Time postTime = kTimeNever;
+    Time startTime = kTimeNever;
+    Time endTime = kTimeNever;
+
+    bool posted() const { return postTime != kTimeNever; }
+    bool started() const { return startTime != kTimeNever; }
+    bool finished() const { return endTime != kTimeNever; }
+};
+
 } // namespace c4::accl
 
 #endif // C4_ACCL_COLLECTIVE_H

@@ -2,21 +2,19 @@
  * @file
  * ACCL's runtime monitoring enhancement (paper Fig. 5/6).
  *
- * The paper instruments the bottom three ACCL layers and emits four
- * time-series: communicator stats, collective stats, per-rank stats
- * (receiver wait times), and per-connection/QP stats (message completion
- * times). C4 agents (C4a) periodically drain these records and forward
- * them to the C4D master; the same records can be dumped as the CSV files
- * named in the paper (comm-stats.csv, coll-stats.csv, rank-stats.csv,
- * conn-stats.csv).
+ * The paper instruments the bottom three ACCL layers. This monitor keeps
+ * the three record streams C4D reads: communicator lifecycle, per-rank
+ * receiver wait times, and per-connection/QP message completions. C4
+ * agents (C4a) periodically drain them and forward them to the C4D
+ * master. Operation progress and per-rank heartbeats are not records:
+ * they live in each communicator's state in Accl (Accl::currentOp,
+ * Accl::heartbeats), and agents copy them at each collection.
  */
 
 #ifndef C4_ACCL_MONITOR_H
 #define C4_ACCL_MONITOR_H
 
 #include <cstdint>
-#include <ostream>
-#include <unordered_map>
 #include <vector>
 
 #include "accl/collective.h"
@@ -38,22 +36,6 @@ struct CommRecord
 
     /** Node hosting each rank (the "involved devices" of paper Fig. 6). */
     std::vector<NodeId> rankNodes;
-};
-
-/** Operation-layer record: one per (collective, rank). */
-struct CollRecord
-{
-    CommId comm = kInvalidId;
-    CollSeq seq = 0;
-    CollOp op = CollOp::AllReduce;
-    AlgoKind algo = AlgoKind::Ring;
-    Rank rank = kInvalidId;
-    Bytes bytes = 0;     ///< payload per rank
-    Time postTime = 0;   ///< when the rank entered the collective
-    Time startTime = 0;  ///< when the group's data movement began
-    Time endTime = 0;    ///< completion (kTimeNever while in flight)
-
-    bool finished() const { return endTime != kTimeNever; }
 };
 
 /**
@@ -102,121 +84,62 @@ struct ConnRecord
 };
 
 /**
- * Progress of one collective operation, tracked from posting through
- * start (all ranks entered) to completion. The paper's C4D relies on
- * exactly this: "we track the startup and completion of specific
- * collective operations and assign each operation a sequence".
- */
-struct OpProgress
-{
-    CommId comm = kInvalidId;
-    CollSeq seq = 0;
-    CollOp op = CollOp::AllReduce;
-    Bytes bytes = 0;
-    Time postTime = kTimeNever;
-    Time startTime = kTimeNever;
-    Time endTime = kTimeNever;
-
-    bool posted() const { return postTime != kTimeNever; }
-    bool started() const { return startTime != kTimeNever; }
-    bool finished() const { return endTime != kTimeNever; }
-};
-
-/**
- * In-memory sink for all four record streams plus per-rank progress
- * heartbeats (used by hang detection). Draining consumes records;
- * capacity is bounded so detached (unmonitored) runs don't accumulate.
+ * In-memory sink for the three record streams C4D reads. Draining
+ * consumes records; capacity is bounded so a run nobody drains doesn't
+ * accumulate.
  *
- * Every collective and connection is monitored, so this is on the hot
- * path: the streams are ring windows and the heartbeats one dense
- * vector per communicator, and draining into caller-owned vectors
+ * Every connection is monitored, so this is on the hot path: the
+ * streams are ring windows, and draining into caller-owned vectors
  * allocates nothing once the buffers have grown to their working size.
  */
 class AcclMonitor
 {
   public:
-    /**
-     * @param enabled when false, all record() calls are dropped (keeps
-     *        baseline runs cheap)
-     * @param capacityPerStream max retained records per stream; oldest
-     *        are discarded first
-     */
-    explicit AcclMonitor(bool enabled = true,
-                         std::size_t capacityPerStream = 1u << 20);
-
-    bool enabled() const { return enabled_; }
-    void setEnabled(bool enabled) { enabled_ = enabled; }
+    /** @param capacityPerStream max retained records per stream; oldest
+     *        are discarded first */
+    explicit AcclMonitor(std::size_t capacityPerStream = 1u << 20)
+        : comm_(capacityPerStream), rankWait_(capacityPerStream),
+          conn_(capacityPerStream)
+    {
+    }
 
     /** @name Recording (called by the library) @{ */
-    void record(const CommRecord &r);
-    void record(const CollRecord &r);
-    void record(const RankWaitRecord &r);
-    void record(const ConnRecord &r);
+    void record(const CommRecord &r) { push(comm_, r); }
+    void record(const RankWaitRecord &r) { push(rankWait_, r); }
 
-    /** Note forward progress of a rank (any message/round completion).
-     * Negative ranks are ignored. */
-    void heartbeat(CommId comm, Rank rank, Time when);
+    void
+    record(const ConnRecord &r)
+    {
+        ++totalConn_;
+        push(conn_, r);
+    }
 
-    /** @name Operation progress tracking @{ */
-    void opPosted(CommId comm, CollSeq seq, CollOp op, Bytes bytes,
-                  Time when);
-    void opStarted(CommId comm, CollSeq seq, Time when);
-    void opFinished(CommId comm, CollSeq seq, Time when);
-    void commClosed(CommId comm);
+    /** Count a collective's completion on each of its @p nranks ranks. */
+    void collectiveFinished(int nranks) { totalColl_ += nranks; }
     /** @} */
-    /** @} */
-
-    /**
-     * Progress of the most recent operation on a communicator, or
-     * nullptr if none was ever posted (or the comm was closed).
-     */
-    const OpProgress *currentOp(CommId comm) const;
 
     /** @name Draining (called by C4 agents); consumes the records
-     * The overloads taking @p out replace its contents and reuse its
-     * capacity.
+     * Each replaces the contents of @p out and reuses its capacity.
      * @{ */
-    std::vector<CommRecord> drainComm();
-    std::vector<CollRecord> drainColl();
-    std::vector<RankWaitRecord> drainRankWait();
-    std::vector<ConnRecord> drainConn();
-    void drainComm(std::vector<CommRecord> &out);
-    void drainColl(std::vector<CollRecord> &out);
-    void drainRankWait(std::vector<RankWaitRecord> &out);
-    void drainConn(std::vector<ConnRecord> &out);
+    void drainComm(std::vector<CommRecord> &out) { comm_.drainTo(out); }
+    void drainRankWait(std::vector<RankWaitRecord> &out)
+    {
+        rankWait_.drainTo(out);
+    }
+    void drainConn(std::vector<ConnRecord> &out) { conn_.drainTo(out); }
     /** @} */
-
-    /** Last observed progress time per (comm, rank); kTimeNever if none
-     * (unknown or closed comm, or a rank that never beat). */
-    Time lastHeartbeat(CommId comm, Rank rank) const;
 
     /** @name Lifetime counters (not consumed by draining) @{ */
     std::uint64_t totalConnRecords() const { return totalConn_; }
+    /** (collective, rank) completions. */
     std::uint64_t totalCollRecords() const { return totalColl_; }
     std::uint64_t droppedRecords() const { return dropped_; }
     /** @} */
 
-    /** @name CSV dumps in the paper's file shapes (Fig. 5) @{ */
-    void dumpCommCsv(std::ostream &out) const;
-    void dumpCollCsv(std::ostream &out) const;
-    void dumpRankCsv(std::ostream &out) const;
-    void dumpConnCsv(std::ostream &out) const;
-    /** @} */
-
   private:
-    bool enabled_;
-
     RingWindow<CommRecord> comm_;
-    RingWindow<CollRecord> coll_;
     RingWindow<RankWaitRecord> rankWait_;
     RingWindow<ConnRecord> conn_;
-
-    // comm -> last progress time per rank (kTimeNever: none yet),
-    // grown to the highest rank seen
-    std::unordered_map<CommId, std::vector<Time>> heartbeats_;
-
-    // comm -> progress of its most recent operation
-    std::unordered_map<CommId, OpProgress> currentOps_;
 
     std::uint64_t totalConn_ = 0;
     std::uint64_t totalColl_ = 0;
@@ -226,7 +149,7 @@ class AcclMonitor
     void
     push(RingWindow<T> &q, const T &r)
     {
-        if (enabled_ && !q.push(r))
+        if (!q.push(r))
             ++dropped_;
     }
 };

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "accl/accl.h"
 #include "common/log.h"
 
 namespace c4::c4d {
@@ -84,14 +85,16 @@ C4dMaster::ingest(const std::vector<accl::RankWaitRecord> &records)
 }
 
 void
-C4dMaster::updateProgress(CommId comm, const accl::OpProgress &op,
-                          std::span<const Time> heartbeats)
+C4dMaster::refreshProgress(const accl::Accl &lib)
 {
-    auto it = comms_.find(comm);
-    if (it == comms_.end())
-        return;
-    it->second.progress = op;
-    it->second.heartbeats.assign(heartbeats.begin(), heartbeats.end());
+    for (auto &[comm, health] : comms_) {
+        const accl::OpProgress *op = lib.currentOp(comm);
+        if (op == nullptr)
+            continue;
+        const std::span<const Time> beats = lib.heartbeats(comm);
+        health.progress = *op;
+        health.heartbeats.assign(beats.begin(), beats.end());
+    }
 }
 
 void

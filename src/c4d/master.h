@@ -11,7 +11,6 @@
 #define C4_C4D_MASTER_H
 
 #include <functional>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -21,6 +20,10 @@
 #include "common/ring.h"
 #include "common/types.h"
 #include "sim/simulator.h"
+
+namespace c4::accl {
+class Accl;
+}
 
 namespace c4::c4d {
 
@@ -90,9 +93,10 @@ class C4dMaster
     void ingest(const std::vector<accl::ConnRecord> &records);
     void ingest(const std::vector<accl::RankWaitRecord> &records);
 
-    /** Latest operation progress + per-rank heartbeats for a comm. */
-    void updateProgress(CommId comm, const accl::OpProgress &op,
-                        std::span<const Time> heartbeats);
+    /** Copy the current op's progress and per-rank heartbeats of every
+     * registered communicator from @p lib. Between refreshes,
+     * evaluation sees progress as of the last one. */
+    void refreshProgress(const accl::Accl &lib);
     /** @} */
 
     /** Begin periodic evaluation. */

@@ -14,7 +14,9 @@ using accl::PathFeedback;
 
 C4pMaster::C4pMaster(Simulator &sim, const net::Topology &topo,
                      C4pConfig cfg, std::uint64_t seed)
-    : sim_(sim), topo_(topo), cfg_(cfg), rng_(seed)
+    : sim_(sim), topo_(topo), cfg_(cfg), rng_(seed),
+      upLoad_(static_cast<std::size_t>(topo.numLeaves() * topo.numSpines())),
+      downLoad_(upLoad_.size())
 {
 }
 
@@ -61,13 +63,8 @@ C4pMaster::pickSpine(int tx_leaf, int rx_leaf, int exclude)
     int best = healthy.front();
     int best_load = std::numeric_limits<int>::max();
     for (int s : healthy) {
-        const auto up_it = upLoad_.find(
-            static_cast<std::int64_t>(tx_leaf) * topo_.numSpines() + s);
-        const auto down_it = downLoad_.find(
-            static_cast<std::int64_t>(s) * topo_.numLeaves() + rx_leaf);
         const int load =
-            (up_it != upLoad_.end() ? up_it->second : 0) +
-            (down_it != downLoad_.end() ? down_it->second : 0);
+            upLoad_[upIndex(tx_leaf, s)] + downLoad_[downIndex(s, rx_leaf)];
         if (load < best_load) {
             best_load = load;
             best = s;
@@ -81,10 +78,8 @@ C4pMaster::addLoad(int tx_leaf, int rx_leaf, int spine, int delta)
 {
     if (spine == kInvalidId)
         return;
-    upLoad_[static_cast<std::int64_t>(tx_leaf) * topo_.numSpines() +
-            spine] += delta;
-    downLoad_[static_cast<std::int64_t>(spine) * topo_.numLeaves() +
-              rx_leaf] += delta;
+    upLoad_[upIndex(tx_leaf, spine)] += delta;
+    downLoad_[downIndex(spine, rx_leaf)] += delta;
 }
 
 PathDecision
@@ -252,9 +247,7 @@ C4pMaster::release(const ConnContext &ctx, const PathDecision &decision)
 int
 C4pMaster::uplinkLoad(int leaf, int spine) const
 {
-    auto it = upLoad_.find(
-        static_cast<std::int64_t>(leaf) * topo_.numSpines() + spine);
-    return it == upLoad_.end() ? 0 : it->second;
+    return upLoad_[upIndex(leaf, spine)];
 }
 
 } // namespace c4::c4p

@@ -101,9 +101,9 @@ class C4pMaster : public accl::PathPolicy
     C4pConfig cfg_;
     Rng rng_;
 
-    // QP allocation counts per directed trunk.
-    std::unordered_map<std::int64_t, int> upLoad_;   // leaf*S + spine
-    std::unordered_map<std::int64_t, int> downLoad_; // spine*L + leaf
+    // QP allocation counts per directed trunk, sized leaves x spines.
+    std::vector<int> upLoad_;   // leaf*S + spine
+    std::vector<int> downLoad_; // spine*L + leaf
 
     // Per-QP feedback state, keyed by connection identity.
     std::unordered_map<std::uint64_t, QpState> qpState_;
@@ -127,6 +127,18 @@ class C4pMaster : public accl::PathPolicy
      */
     int pickSpine(int txLeaf, int rxLeaf, int exclude = kInvalidId);
     void addLoad(int txLeaf, int rxLeaf, int spine, int delta);
+
+    std::size_t
+    upIndex(int leaf, int spine) const
+    {
+        return static_cast<std::size_t>(leaf * topo_.numSpines() + spine);
+    }
+
+    std::size_t
+    downIndex(int spine, int leaf) const
+    {
+        return static_cast<std::size_t>(spine * topo_.numLeaves() + leaf);
+    }
 };
 
 } // namespace c4::c4p

@@ -1,7 +1,10 @@
 /**
  * @file
- * CSV emission, mirroring the per-layer time-series files ACCL produces in
- * the paper (comm-stats.csv, coll-stats.csv, rank-stats.csv, conn-stats.csv).
+ * CSV emission for the scenario runner's result tables (`--csv`) and the
+ * golden files they are compared against. The paper's ACCL also writes
+ * its per-layer telemetry as CSV files; here that telemetry stays in
+ * memory, in AcclMonitor's record streams and in each communicator's
+ * progress inside Accl, where C4D reads it.
  *
  * CsvWriter targets any std::ostream so tests can write to a stringstream
  * and benches to files next to their stdout tables.

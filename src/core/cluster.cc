@@ -28,8 +28,7 @@ Cluster::Cluster(ClusterConfig cfg)
     }
     if (cfg_.enableC4d) {
         c4dMaster_ = std::make_unique<c4d::C4dMaster>(sim_, cfg_.c4d);
-        agent_ = std::make_unique<c4d::C4Agent>(sim_, accl_->monitor(),
-                                                *c4dMaster_,
+        agent_ = std::make_unique<c4d::C4Agent>(sim_, *accl_, *c4dMaster_,
                                                 cfg_.agentPeriod);
         steering_ = std::make_unique<c4d::JobSteeringService>(
             sim_, cfg_.steering, seeds());

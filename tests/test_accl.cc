@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "accl/accl.h"
@@ -225,10 +226,17 @@ TEST(Accl, CrashBeforePostMeansOpNeverStarts)
     h.sim.run(minutes(10));
     EXPECT_FALSE(fired);
 
-    const OpProgress *op = h.lib.monitor().currentOp(comm);
+    const OpProgress *op = h.lib.currentOp(comm);
     ASSERT_NE(op, nullptr);
     EXPECT_TRUE(op->posted());
     EXPECT_FALSE(op->started());
+
+    // The survivors showed up at the synchronization point; the dead
+    // rank never beats.
+    const std::span<const Time> beats = h.lib.heartbeats(comm);
+    ASSERT_EQ(beats.size(), 16u);
+    for (std::size_t r = 0; r < beats.size(); ++r)
+        EXPECT_EQ(beats[r], r == 3 ? kTimeNever : op->postTime) << r;
 }
 
 TEST(Accl, CrashMidOperationStallsProgress)
@@ -241,13 +249,145 @@ TEST(Accl, CrashMidOperationStallsProgress)
     // Let a few rounds complete, then kill rank 0's node mid-flight.
     h.sim.run(milliseconds(50));
     h.lib.crashRank(comm, 0);
+    h.sim.run(minutes(5));
+    const std::span<const Time> beats = h.lib.heartbeats(comm);
+    const std::vector<Time> stalled(beats.begin(), beats.end());
     h.sim.run(minutes(10));
     EXPECT_FALSE(fired);
 
-    const OpProgress *op = h.lib.monitor().currentOp(comm);
+    const OpProgress *op = h.lib.currentOp(comm);
     ASSERT_NE(op, nullptr);
     EXPECT_TRUE(op->started());
     EXPECT_FALSE(op->finished());
+
+    // Work in flight at the crash may still land, then nothing moves.
+    EXPECT_TRUE(std::ranges::equal(h.lib.heartbeats(comm), stalled));
+    EXPECT_LT(*std::ranges::max_element(stalled), seconds(1));
+}
+
+TEST(Accl, HeartbeatsTrackLatest)
+{
+    Harness h(2);
+    const CommId comm = h.lib.createCommunicator(1, h.fullNodes({0, 1}));
+    for (Time t : h.lib.heartbeats(comm))
+        EXPECT_EQ(t, kTimeNever); // no op yet
+
+    std::vector<CollectiveResult> results;
+    for (std::size_t i = 0; i < 2; ++i) {
+        h.lib.postCollective(comm, CollOp::AllReduce, gib(1),
+                             [&](const CollectiveResult &r) {
+                                 results.push_back(r);
+                             });
+        // Mid-op, every rank has beaten since the op started, and some
+        // since then again.
+        h.sim.run(h.sim.now() + milliseconds(20));
+        ASSERT_EQ(results.size(), i);
+        const Time start = h.lib.currentOp(comm)->startTime;
+        for (Time t : h.lib.heartbeats(comm)) {
+            EXPECT_GE(t, start);
+            EXPECT_LE(t, h.sim.now());
+        }
+        EXPECT_GT(*std::ranges::max_element(h.lib.heartbeats(comm)),
+                  start);
+
+        // At completion, every rank beats.
+        h.sim.run();
+        ASSERT_EQ(results.size(), i + 1);
+        for (Time t : h.lib.heartbeats(comm))
+            EXPECT_EQ(t, results.back().endTime);
+    }
+    EXPECT_GT(results[1].endTime, results[0].endTime);
+}
+
+TEST(Accl, OpProgressLifecycle)
+{
+    Harness h(2);
+    const CommId comm = h.lib.createCommunicator(1, h.fullNodes({0, 1}));
+    EXPECT_EQ(h.lib.currentOp(comm), nullptr); // nothing posted yet
+
+    std::vector<Duration> delays(16, 0);
+    delays[5] = milliseconds(10); // rank 5 enters late
+    CollectiveResult res;
+    const CollSeq seq = h.lib.postCollective(
+        comm, CollOp::AllGather, gib(1),
+        [&](const CollectiveResult &r) { res = r; }, delays);
+    const OpProgress *op = h.lib.currentOp(comm);
+    ASSERT_NE(op, nullptr);
+    EXPECT_EQ(op->comm, comm);
+    EXPECT_EQ(op->seq, seq);
+    EXPECT_EQ(op->op, CollOp::AllGather);
+    EXPECT_EQ(op->bytes, gib(1));
+    EXPECT_TRUE(op->posted());
+    EXPECT_FALSE(op->started());
+
+    h.sim.run(milliseconds(11));
+    op = h.lib.currentOp(comm);
+    EXPECT_EQ(op->startTime, milliseconds(10));
+    EXPECT_FALSE(op->finished());
+
+    h.sim.run();
+    op = h.lib.currentOp(comm);
+    EXPECT_EQ(op->postTime, res.postTime);
+    EXPECT_EQ(op->startTime, res.startTime);
+    EXPECT_EQ(op->endTime, res.endTime);
+    EXPECT_TRUE(op->finished());
+
+    // The next op to begin replaces it.
+    const CollSeq next =
+        h.lib.postCollective(comm, CollOp::AllReduce, mib(1), nullptr);
+    op = h.lib.currentOp(comm);
+    EXPECT_EQ(next, seq + 1);
+    EXPECT_EQ(op->seq, next);
+    EXPECT_EQ(op->op, CollOp::AllReduce);
+    EXPECT_FALSE(op->started());
+    EXPECT_FALSE(op->finished());
+}
+
+TEST(Accl, DestroyedCommunicatorHasNoProgress)
+{
+    Harness h(2);
+    const CommId gone = h.lib.createCommunicator(1, h.fullNodes({0, 1}));
+    const CommId kept = h.lib.createCommunicator(2, h.fullNodes({0, 1}));
+    for (CommId c : {gone, kept})
+        h.lib.postCollective(c, CollOp::AllReduce, gib(1), nullptr);
+    h.sim.run(milliseconds(5));
+    ASSERT_NE(h.lib.currentOp(gone), nullptr);
+    const OpProgress before = *h.lib.currentOp(kept);
+    const std::span<const Time> kept_beats = h.lib.heartbeats(kept);
+    const std::vector<Time> beats(kept_beats.begin(), kept_beats.end());
+
+    h.lib.destroyCommunicator(gone); // mid-op
+    EXPECT_EQ(h.lib.currentOp(gone), nullptr);
+    EXPECT_TRUE(h.lib.heartbeats(gone).empty());
+
+    // The other communicator is untouched.
+    const OpProgress *op = h.lib.currentOp(kept);
+    ASSERT_NE(op, nullptr);
+    EXPECT_EQ(op->seq, before.seq);
+    EXPECT_EQ(op->startTime, before.startTime);
+    EXPECT_TRUE(std::ranges::equal(h.lib.heartbeats(kept), beats));
+}
+
+TEST(Accl, HeartbeatsHoldOneEntryPerRank)
+{
+    // Sized at creation: one entry per rank, none for an id that names
+    // no communicator.
+    Harness h(2);
+    const CommId one = h.lib.createCommunicator(1, h.fullNodes({0}));
+    const CommId two = h.lib.createCommunicator(1, h.fullNodes({0, 1}));
+    EXPECT_EQ(h.lib.heartbeats(one).size(), 8u);
+    EXPECT_EQ(h.lib.heartbeats(two).size(), 16u);
+    EXPECT_TRUE(h.lib.heartbeats(kInvalidId).empty());
+    EXPECT_TRUE(h.lib.heartbeats(two + 1).empty());
+    EXPECT_EQ(h.lib.currentOp(two + 1), nullptr);
+
+    h.lib.sendRecv(one, 0, 1, mib(1), nullptr);
+    h.sim.run();
+    EXPECT_EQ(h.lib.heartbeats(one).size(), 8u);
+    for (Time t : h.lib.heartbeats(one))
+        EXPECT_NE(t, kTimeNever);
+    for (Time t : h.lib.heartbeats(two))
+        EXPECT_EQ(t, kTimeNever); // another communicator's op
 }
 
 TEST(Accl, DestroyCommunicatorAbortsInFlight)
@@ -334,7 +474,9 @@ TEST(Accl, PolicyRebalanceWeightsRespected)
     // rebalance fires between rounds): 2 boundaries x 2 channels = 4
     // messages; QP 0 carries all 8 simulated rounds.
     int qp0_msgs = 0, qp1_msgs = 0;
-    for (const auto &rec : lib.monitor().drainConn()) {
+    std::vector<ConnRecord> conns;
+    lib.monitor().drainConn(conns);
+    for (const auto &rec : conns) {
         if (rec.qpIndex == 0)
             ++qp0_msgs;
         else
@@ -354,14 +496,12 @@ TEST(Accl, SteadyCollectivesDoNotAllocate)
     const CommId comm = h.fullComm(4);
     int done = 0;
     std::vector<ConnRecord> conns;
-    std::vector<CollRecord> colls;
     std::vector<RankWaitRecord> waits;
     auto one = [&] {
         h.lib.postCollective(comm, CollOp::AllReduce, mib(64),
                              [&done](const CollectiveResult &) { ++done; });
         h.sim.run();
         h.lib.monitor().drainConn(conns);
-        h.lib.monitor().drainColl(colls);
         h.lib.monitor().drainRankWait(waits);
     };
     for (int i = 0; i < 8; ++i)

@@ -38,6 +38,36 @@ TEST(C4dAgent, RegistersAndDeregistersComms)
     EXPECT_EQ(h.master.liveComms(), 0u);
 }
 
+TEST(C4dAgent, MasterSeesProgressAsOfTheLastCollection)
+{
+    // The master judges the progress the agent last copied, not the
+    // library's live state: a hang that begins after a collection stays
+    // invisible to evaluate() until the next one.
+    const C4dConfig cfg = testutil::fastC4dConfig();
+    testutil::AcclHarness h(2);
+    C4dMaster master(h.sim, cfg);
+    C4Agent agent(h.sim, h.lib, master);
+    const CommId comm = h.fullComm({0, 1});
+    h.lib.postCollective(comm, CollOp::AllReduce, mib(64), nullptr);
+    h.sim.run();
+    agent.collectOnce(); // registers the comm and its finished op
+
+    // A second later rank 3 dies, so the next op never starts.
+    h.sim.run(h.sim.now() + seconds(1));
+    h.lib.crashRank(comm, 3);
+    h.lib.postCollective(comm, CollOp::AllReduce, mib(64), nullptr);
+    h.sim.run(h.sim.now() + 2 * cfg.hangThreshold);
+    master.evaluate();
+    EXPECT_EQ(master.eventsEmitted(), 0u);
+
+    agent.collectOnce();
+    master.evaluate();
+    ASSERT_EQ(master.eventsEmitted(), 1u);
+    const C4dEvent &ev = master.eventLog().front();
+    EXPECT_EQ(ev.kind, C4dEventKind::NonCommHang);
+    EXPECT_EQ(ev.suspectRanks, std::vector<Rank>{3});
+}
+
 TEST(C4dMaster, HealthyTrafficEmitsNothing)
 {
     Harness h;
@@ -174,7 +204,7 @@ TEST(C4dMaster, SteadyCollectAndEvaluateDoNotAllocate)
     cfg.waitWindow = 128;
     testutil::AcclHarness h(4);
     C4dMaster master(h.sim, cfg);
-    C4Agent agent(h.sim, h.lib.monitor(), master);
+    C4Agent agent(h.sim, h.lib, master);
     const CommId comm = h.fullComm(4);
     const int n = h.lib.communicator(comm).size();
 

@@ -61,7 +61,9 @@ runScenario(std::uint64_t seed)
             .cell(r.endTime);
         csv.endRow();
     }
-    for (const accl::ConnRecord &rec : h.lib.monitor().drainConn()) {
+    std::vector<accl::ConnRecord> conns;
+    h.lib.monitor().drainConn(conns);
+    for (const accl::ConnRecord &rec : conns) {
         csv.cell(static_cast<std::int64_t>(rec.comm))
             .cell(static_cast<std::int64_t>(rec.seq))
             .cell(static_cast<std::int64_t>(rec.channel))

@@ -54,7 +54,9 @@ TEST(AllToAll, MovesTrafficBetweenEveryNodePair)
     ASSERT_TRUE(done);
 
     std::set<std::pair<NodeId, NodeId>> pairs;
-    for (const auto &rec : h.lib.monitor().drainConn())
+    std::vector<accl::ConnRecord> conns;
+    h.lib.monitor().drainConn(conns);
+    for (const auto &rec : conns)
         pairs.insert({rec.srcNode, rec.dstNode});
     // Every ordered cross-node pair must have carried messages.
     EXPECT_EQ(pairs.size(), 6u);
@@ -134,11 +136,14 @@ TEST(ExpertParallel, JobRunsAllToAllsPerIteration)
     EXPECT_GT(job.iterationsCompleted(), 5u);
     EXPECT_NE(job.epComm(), kInvalidId);
 
-    int alltoalls = 0;
-    for (const auto &rec : h.lib.monitor().drainColl()) {
-        if (rec.op == CollOp::AllToAll && rec.rank == 0)
-            ++alltoalls;
-    }
+    // The EP communicator posts only alltoalls, so its op sequence
+    // counts them: every op before the current one, and the current one
+    // once it has finished.
+    const accl::OpProgress *op = h.lib.currentOp(job.epComm());
+    ASSERT_NE(op, nullptr);
+    EXPECT_EQ(op->op, CollOp::AllToAll);
+    const int alltoalls =
+        static_cast<int>(op->seq) - (op->finished() ? 0 : 1);
     // Dispatch + combine per iteration.
     EXPECT_GE(alltoalls,
               2 * static_cast<int>(job.iterationsCompleted()) - 2);
@@ -155,7 +160,7 @@ TEST(ExpertParallel, TransientImbalanceDoesNotTriggerC4d)
     cfg.evaluatePeriod = seconds(2);
     cfg.analyzer.minWaitForSlow = milliseconds(20);
     c4d::C4dMaster master(h.sim, cfg);
-    c4d::C4Agent agent(h.sim, h.lib.monitor(), master, seconds(1));
+    c4d::C4Agent agent(h.sim, h.lib, master, seconds(1));
     master.start();
     agent.start();
 
@@ -177,7 +182,7 @@ TEST(ExpertParallel, PersistentStragglerStillDetected)
     cfg.evaluatePeriod = seconds(2);
     cfg.analyzer.minWaitForSlow = milliseconds(20);
     c4d::C4dMaster master(h.sim, cfg);
-    c4d::C4Agent agent(h.sim, h.lib.monitor(), master, seconds(1));
+    c4d::C4Agent agent(h.sim, h.lib, master, seconds(1));
     master.start();
     agent.start();
 
@@ -467,7 +472,9 @@ TEST(PacketSpray, ReRollsPathsPerMessage)
 
     // The same QP must have used more than one spine across rounds.
     std::map<int, std::set<std::int32_t>> spines_per_qp;
-    for (const auto &rec : h.lib.monitor().drainConn()) {
+    std::vector<accl::ConnRecord> conns;
+    h.lib.monitor().drainConn(conns);
+    for (const auto &rec : conns) {
         if (rec.spine != kInvalidId)
             spines_per_qp[rec.channel * 100 + rec.qpIndex +
                           1000 * rec.srcRank]

@@ -163,7 +163,9 @@ TEST_P(CollectiveAccounting, TransportBytesMatchAlgorithm)
     // per-boundary bytes ~= busFactor * payload (ring ops). AllToAll
     // moves payload*(n-1)/n total per rank pair group.
     Bytes transport = 0;
-    for (const auto &rec : lib.monitor().drainConn())
+    std::vector<accl::ConnRecord> conns;
+    lib.monitor().drainConn(conns);
+    for (const auto &rec : conns)
         transport += rec.bytes;
 
     const int n = nodes * 8;

@@ -345,14 +345,12 @@ steadyIterationAllocs(JobHarness &h, const JobConfig &cfg)
 {
     TrainingJob job(h.sim, h.lib, cfg);
     std::vector<accl::CommRecord> comms;
-    std::vector<accl::CollRecord> colls;
     std::vector<accl::RankWaitRecord> waits;
     std::vector<accl::ConnRecord> conns;
     auto runTo = [&](std::uint64_t iters) {
         while (job.iterationsCompleted() < iters) {
             h.sim.run(h.sim.now() + milliseconds(100));
             h.lib.monitor().drainComm(comms);
-            h.lib.monitor().drainColl(colls);
             h.lib.monitor().drainRankWait(waits);
             h.lib.monitor().drainConn(conns);
         }

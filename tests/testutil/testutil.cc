@@ -142,7 +142,7 @@ AcclHarness::fullComm(int nodes, JobId job)
 C4dHarness::C4dHarness(c4d::C4dConfig cfg, int nodes,
                        Duration collectPeriod)
     : AcclHarness(nodes), master(sim, cfg),
-      agent(sim, lib.monitor(), master, collectPeriod)
+      agent(sim, lib, master, collectPeriod)
 {
     master.start();
     agent.start();
