@@ -5,6 +5,7 @@
 #include <cmath>
 #include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "common/log.h"
 
@@ -25,13 +26,20 @@ connKey(int channel, Rank src, Rank dst)
 
 } // namespace
 
-/** One transport connection: a QP group between two ranks on a channel. */
-struct Accl::Connection
+/**
+ * The QPs of a communicator's transport connections (a QP group between
+ * two ranks on a channel), in four parallel arrays. A connection is
+ * qpsPerConnection consecutive entries starting at its first QP;
+ * connections are appended when first used and never move.
+ */
+struct QpArena
 {
     std::vector<ConnContext> ctxs;
     std::vector<PathDecision> decisions;
     std::vector<double> weights;
-    std::vector<QpId> qpIds;
+    std::vector<QpId> ids;
+    /** (connKey, first QP) of each connection, sorted by key. */
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> index;
 };
 
 struct PendingOp
@@ -50,8 +58,10 @@ struct PendingOp
 struct Accl::CommState
 {
     std::unique_ptr<Communicator> comm;
-    std::unordered_set<Rank> crashed;
-    std::unordered_map<std::uint64_t, Connection> conns;
+    /** Per rank: nonzero once crashRank() killed it. */
+    std::vector<char> crashed;
+    int numCrashed = 0;
+    QpArena qps;
     /** The op the Exec last began (nothing posted: postTime never). */
     OpProgress progress;
     /** Last progress time per rank, kTimeNever until its first. */
@@ -141,7 +151,7 @@ class Accl::Exec
                 d = op_.delays[static_cast<std::size_t>(r)];
             const Time p = op_.postedAt + d;
             postTimes_[static_cast<std::size_t>(r)] = p;
-            if (!cs_.crashed.count(r)) {
+            if (!crashed(r)) {
                 t0 = std::max(t0, p);
                 min_post = std::min(min_post, p);
             }
@@ -157,7 +167,7 @@ class Accl::Exec
             // that the living ranks did show up, then stall.
             schedule(t0, [this] {
                 for (Rank r = 0; r < cs_.comm->size(); ++r) {
-                    if (!cs_.crashed.count(r))
+                    if (!crashed(r))
                         beat(r, lib_.sim_.now());
                 }
             });
@@ -217,7 +227,8 @@ class Accl::Exec
         int round = 0;
         int pending = 0;
         bool finished = false;
-        std::vector<std::uint64_t> connsUsed; // for post-round rebalance
+        /** First QP of each connection used, for post-round rebalance. */
+        std::vector<std::uint32_t> connsUsed;
     };
 
     /** One fabric flow of the current op. Its completion callback
@@ -229,8 +240,7 @@ class Accl::Exec
         bool live = false;
         int channel = 0;
         Communicator::Boundary hop;
-        std::uint64_t key = 0;
-        std::size_t qp = 0;
+        std::uint32_t qp = 0; ///< index into cs_.qps
         // The realized path, for the telemetry record.
         net::Plane txPlane = net::Plane::Left;
         std::int32_t spine = kInvalidId;
@@ -541,8 +551,7 @@ class Accl::Exec
         }
 
         for (const auto &hop : st.hops) {
-            if (cs_.crashed.count(hop.src) ||
-                cs_.crashed.count(hop.dst)) {
+            if (crashed(hop.src) || crashed(hop.dst)) {
                 // RDMA sends to/from a dead worker never get an ACK:
                 // the hop stays pending forever while healthy peers
                 // keep making (one round of) progress — the exact
@@ -561,52 +570,56 @@ class Accl::Exec
     }
 
     bool
+    crashed(Rank r) const
+    {
+        return cs_.crashed[static_cast<std::size_t>(r)] != 0;
+    }
+
+    bool
     nodeCrashed(NodeId node) const
     {
         for (Rank r : cs_.comm->ranksOnNode(node)) {
-            if (cs_.crashed.count(r))
+            if (crashed(r))
                 return true;
         }
         return false;
     }
 
-    bool
-    anyCrash() const
-    {
-        return !cs_.crashed.empty();
-    }
+    bool anyCrash() const { return cs_.numCrashed > 0; }
 
     void
     launchHop(int channel, const Communicator::Boundary &hop, Bytes bytes)
     {
         ChannelCursor &cur = cursors_[static_cast<std::size_t>(channel)];
 
-        Connection &conn =
+        const std::uint32_t first =
             lib_.getConnection(cs_, channel, hop.src, hop.dst);
-        const std::uint64_t key = connKey(channel, hop.src, hop.dst);
-        cur.connsUsed.push_back(key);
+        cur.connsUsed.push_back(first);
+        const std::uint32_t last =
+            first + static_cast<std::uint32_t>(lib_.cfg_.qpsPerConnection);
+        QpArena &qps = cs_.qps;
 
         double wsum = 0.0;
-        for (double w : conn.weights)
-            wsum += std::max(0.0, w);
+        for (std::uint32_t q = first; q < last; ++q)
+            wsum += std::max(0.0, qps.weights[q]);
         if (wsum <= 0.0)
             wsum = 1.0;
 
-        for (std::size_t q = 0; q < conn.ctxs.size(); ++q) {
-            const double share = std::max(0.0, conn.weights[q]) / wsum;
+        for (std::uint32_t q = first; q < last; ++q) {
+            const double share = std::max(0.0, qps.weights[q]) / wsum;
             const auto qbytes =
                 static_cast<Bytes>(static_cast<double>(bytes) * share);
             if (qbytes <= 0)
                 continue;
             ++cur.pending;
 
-            const ConnContext &ctx = conn.ctxs[q];
+            const ConnContext &ctx = qps.ctxs[q];
             // Per-message routing policies (packet spraying) re-roll
             // the path for every chunk; everyone else keeps the QP's
             // long-lived decision.
             if (lib_.policy_->perMessageRouting())
-                conn.decisions[q] = lib_.policy_->decide(ctx);
-            const PathDecision &dec = conn.decisions[q];
+                qps.decisions[q] = lib_.policy_->decide(ctx);
+            const PathDecision &dec = qps.decisions[q];
             net::PathRequest req;
             req.srcNode = ctx.srcNode;
             req.srcNic = ctx.srcNic;
@@ -628,9 +641,8 @@ class Accl::Exec
             FlowRec &f = flows_[slot];
             f.channel = channel;
             f.hop = hop;
-            f.key = key;
             f.qp = q;
-            f.txPlane = dec.txPlane;
+            f.txPlane = req.txPlane;
             f.id = lib_.fabric_.startFlow(
                 req, qbytes, [this, slot](const net::FlowEnd &end) {
                     onFlowDone(slot, end);
@@ -656,16 +668,16 @@ class Accl::Exec
         const FlowRec meta = f;
         freeFlows_.push_back(slot);
 
-        Connection &conn = cs_.conns.at(meta.key);
-        const ConnContext &ctx = conn.ctxs[meta.qp];
-        const PathDecision &dec = conn.decisions[meta.qp];
+        const QpArena &qps = cs_.qps;
+        const ConnContext &ctx = qps.ctxs[meta.qp];
+        const PathDecision &dec = qps.decisions[meta.qp];
 
         ConnRecord rec;
         rec.comm = comm.id();
         rec.seq = op_.seq;
         rec.channel = meta.channel;
-        rec.qpIndex = static_cast<int>(meta.qp);
-        rec.qp = conn.qpIds[meta.qp];
+        rec.qpIndex = ctx.qpIndex;
+        rec.qp = qps.ids[meta.qp];
         rec.srcRank = meta.hop.src;
         rec.dstRank = meta.hop.dst;
         rec.srcNode = ctx.srcNode;
@@ -714,10 +726,14 @@ class Accl::Exec
 
         // Give the policy a chance to rebalance the QP groups this round
         // used (C4P's dynamic load balance hook).
-        for (std::uint64_t key : cur.connsUsed) {
-            Connection &conn = cs_.conns.at(key);
-            lib_.policy_->rebalance(conn.ctxs, conn.decisions,
-                                    conn.weights);
+        const auto qpn =
+            static_cast<std::size_t>(lib_.cfg_.qpsPerConnection);
+        QpArena &qps = cs_.qps;
+        for (std::uint32_t first : cur.connsUsed) {
+            lib_.policy_->rebalance(
+                std::span<const ConnContext>(qps.ctxs).subspan(first, qpn),
+                std::span<PathDecision>(qps.decisions).subspan(first, qpn),
+                std::span<double>(qps.weights).subspan(first, qpn));
         }
 
         ++cur.round;
@@ -787,8 +803,22 @@ Accl::createCommunicator(JobId job, std::vector<DeviceInfo> devices,
     auto cs = std::make_unique<CommState>();
     cs->comm = std::make_unique<Communicator>(id, job, std::move(devices),
                                               ch);
-    cs->heartbeats.assign(static_cast<std::size_t>(cs->comm->size()),
-                          kTimeNever);
+    const auto nranks = static_cast<std::size_t>(cs->comm->size());
+    cs->heartbeats.assign(nranks, kTimeNever);
+    cs->crashed.assign(nranks, 0);
+    // A ring collective uses one connection per boundary and channel;
+    // other plans grow the arena on first use.
+    const std::size_t conns = cs->comm->boundaries().size() *
+                              static_cast<std::size_t>(ch);
+    if (conns > 0) {
+        const std::size_t qps =
+            conns * static_cast<std::size_t>(cfg_.qpsPerConnection);
+        cs->qps.ctxs.reserve(qps);
+        cs->qps.decisions.reserve(qps);
+        cs->qps.weights.reserve(qps);
+        cs->qps.ids.reserve(qps);
+        cs->qps.index.reserve(conns);
+    }
 
     CommRecord rec;
     rec.when = sim_.now();
@@ -880,12 +910,15 @@ Accl::state(CommId comm) const
     return *it->second;
 }
 
-Accl::Connection &
+std::uint32_t
 Accl::getConnection(CommState &cs, int channel, Rank src, Rank dst)
 {
     const std::uint64_t key = connKey(channel, src, dst);
-    auto it = cs.conns.find(key);
-    if (it != cs.conns.end())
+    QpArena &qps = cs.qps;
+    auto it = std::lower_bound(
+        qps.index.begin(), qps.index.end(), key,
+        [](const auto &entry, std::uint64_t k) { return entry.first < k; });
+    if (it != qps.index.end() && it->first == key)
         return it->second;
 
     const Communicator &comm = *cs.comm;
@@ -899,7 +932,7 @@ Accl::getConnection(CommState &cs, int channel, Rank src, Rank dst)
     const NicId src_nic = sd.nic;
     const NicId dst_nic = dd.nic;
 
-    Connection conn;
+    const auto first = static_cast<std::uint32_t>(qps.ctxs.size());
     for (int q = 0; q < cfg_.qpsPerConnection; ++q) {
         ConnContext ctx;
         ctx.job = comm.job();
@@ -910,22 +943,22 @@ Accl::getConnection(CommState &cs, int channel, Rank src, Rank dst)
         ctx.srcNic = src_nic;
         ctx.dstNode = dd.node;
         ctx.dstNic = dst_nic;
-        conn.ctxs.push_back(ctx);
-        conn.decisions.push_back(policy_->decide(ctx));
-        conn.weights.push_back(1.0);
-        conn.qpIds.push_back(nextQpId_++);
+        qps.ctxs.push_back(ctx);
+        qps.decisions.push_back(policy_->decide(ctx));
+        qps.weights.push_back(1.0);
+        qps.ids.push_back(nextQpId_++);
     }
-    return cs.conns.emplace(key, std::move(conn)).first->second;
+    qps.index.insert(it, {key, first});
+    return first;
 }
 
 void
 Accl::releaseConnections(CommState &cs)
 {
-    for (auto &[key, conn] : cs.conns) {
-        for (std::size_t q = 0; q < conn.ctxs.size(); ++q)
-            policy_->release(conn.ctxs[q], conn.decisions[q]);
-    }
-    cs.conns.clear();
+    QpArena &qps = cs.qps;
+    for (std::size_t q = 0; q < qps.ctxs.size(); ++q)
+        policy_->release(qps.ctxs[q], qps.decisions[q]);
+    qps = {};
 }
 
 CollSeq
@@ -978,13 +1011,17 @@ Accl::crashRank(CommId comm, Rank rank)
 {
     CommState &cs = state(comm);
     assert(rank >= 0 && rank < cs.comm->size());
-    cs.crashed.insert(rank);
+    char &dead = cs.crashed[static_cast<std::size_t>(rank)];
+    cs.numCrashed += dead ? 0 : 1;
+    dead = 1;
 }
 
 bool
 Accl::rankCrashed(CommId comm, Rank rank) const
 {
-    return state(comm).crashed.count(rank) > 0;
+    const CommState &cs = state(comm);
+    return rank >= 0 && rank < cs.comm->size() &&
+           cs.crashed[static_cast<std::size_t>(rank)] != 0;
 }
 
 void

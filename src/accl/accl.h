@@ -24,7 +24,6 @@
 #include <memory>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "accl/collective.h"
@@ -198,7 +197,6 @@ class Accl
     std::uint64_t collectivesPosted() const { return posted_; }
 
   private:
-    struct Connection;
     struct CommState;
     class Exec;
 
@@ -221,8 +219,10 @@ class Accl
     CommState &state(CommId comm);
     const CommState &state(CommId comm) const;
 
-    Connection &getConnection(CommState &cs, int channel, Rank src,
-                              Rank dst);
+    /** First QP (in cs's arena) of the connection, created on first
+     * use. */
+    std::uint32_t getConnection(CommState &cs, int channel, Rank src,
+                                Rank dst);
     void releaseConnections(CommState &cs);
 
     void startNext(CommState &cs);

@@ -18,6 +18,7 @@
 #define C4_ACCL_PATH_POLICY_H
 
 #include <cstdint>
+#include <span>
 
 #include "common/random.h"
 #include "common/types.h"
@@ -94,17 +95,19 @@ class PathPolicy
     }
 
     /**
-     * Give the policy a chance to re-weight / re-pin a QP group.
-     * @param ctxs per-QP contexts (same connection, ascending qpIndex)
+     * Give the policy a chance to re-weight / re-pin a QP group. The
+     * three spans have one entry per QP of the connection, in ascending
+     * qpIndex. They view the transport's own per-communicator arrays, so
+     * the call copies nothing, and they stay valid only for the call.
+     * @param ctxs per-QP contexts (same connection)
      * @param decisions per-QP decisions; may be mutated (re-pinning)
      * @param weights per-QP traffic shares; may be mutated (must stay
      *        non-negative, sum > 0)
      * @return true if anything changed
      */
     virtual bool
-    rebalance(const std::vector<ConnContext> &ctxs,
-              std::vector<PathDecision> &decisions,
-              std::vector<double> &weights)
+    rebalance(std::span<const ConnContext> ctxs,
+              std::span<PathDecision> decisions, std::span<double> weights)
     {
         (void)ctxs;
         (void)decisions;

@@ -31,9 +31,7 @@ DelayMatrix::add(Rank src, Rank dst, Bytes bytes, Duration duration)
     assert(src >= 0 && src < n_ && dst >= 0 && dst < n_);
     if (bytes <= 0 || duration <= 0)
         return;
-    sumDelay_[idx(src, dst)] +=
-        toSeconds(duration) / static_cast<double>(bytes);
-    ++count_[idx(src, dst)];
+    add(DelaySample{src, dst, DelaySample::delay(bytes, duration)});
 }
 
 DelayMatrix

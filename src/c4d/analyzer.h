@@ -17,6 +17,7 @@
 #ifndef C4_C4D_ANALYZER_H
 #define C4_C4D_ANALYZER_H
 
+#include <cassert>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,40 @@
 #include "common/types.h"
 
 namespace c4::c4d {
+
+/**
+ * The part of a connection record the delay matrix reads: the rank pair
+ * and the transfer time per byte. C4D's per-communicator window keeps
+ * these 16 bytes instead of the 88-byte ConnRecord. A record the matrix
+ * would skip (a rank outside the communicator, no bytes, or a
+ * non-positive duration) still becomes a sample, with src == kInvalidId,
+ * so the window holds one entry per record either way.
+ */
+struct DelaySample
+{
+    Rank src = kInvalidId; ///< kInvalidId: the record carries no sample
+    Rank dst = kInvalidId;
+    double secPerByte = 0.0;
+
+    /** Seconds per byte of a transfer; the matrix sums exactly this. */
+    static double
+    delay(Bytes bytes, Duration duration)
+    {
+        return toSeconds(duration) / static_cast<double>(bytes);
+    }
+
+    /** The sample of @p r in a communicator of @p nranks ranks. */
+    static DelaySample
+    of(const accl::ConnRecord &r, int nranks)
+    {
+        const Duration d = r.duration();
+        if (r.srcRank < 0 || r.srcRank >= nranks || r.dstRank < 0 ||
+            r.dstRank >= nranks || r.bytes <= 0 || d <= 0) {
+            return {};
+        }
+        return {r.srcRank, r.dstRank, delay(r.bytes, d)};
+    }
+};
 
 /**
  * Normalized pairwise delay matrix: mean transfer time per byte between
@@ -40,16 +75,20 @@ class DelayMatrix
     /** Accumulate one message observation. */
     void add(Rank src, Rank dst, Bytes bytes, Duration duration);
 
+    /** Accumulate one sample (ignored when it carries none). */
+    void
+    add(const DelaySample &s)
+    {
+        if (s.src == kInvalidId)
+            return;
+        assert(s.src < n_ && s.dst >= 0 && s.dst < n_);
+        sumDelay_[idx(s.src, s.dst)] += s.secPerByte;
+        ++count_[idx(s.src, s.dst)];
+    }
+
     /** Accumulate one connection record (ignored when a rank is out of
      * range). */
-    void
-    add(const accl::ConnRecord &r)
-    {
-        if (r.srcRank >= 0 && r.srcRank < n_ && r.dstRank >= 0 &&
-            r.dstRank < n_) {
-            add(r.srcRank, r.dstRank, r.bytes, r.duration());
-        }
-    }
+    void add(const accl::ConnRecord &r) { add(DelaySample::of(r, n_)); }
 
     /** Build directly from a batch of connection records. */
     static DelayMatrix build(int nranks,

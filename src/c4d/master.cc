@@ -1,6 +1,7 @@
 #include "c4d/master.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <sstream>
 
@@ -49,28 +50,56 @@ C4dMaster::C4dMaster(Simulator &sim, C4dConfig cfg)
 void
 C4dMaster::registerComm(const accl::CommRecord &rec)
 {
-    CommHealth health(cfg_.connWindow, cfg_.waitWindow);
+    assert(rec.comm >= 0);
+    const auto id = static_cast<std::size_t>(rec.comm);
+    if (id >= comms_.size())
+        comms_.resize(id + 1);
+    std::unique_ptr<CommHealth> &slot = comms_[id];
+    if (!slot) {
+        if (retired_.empty()) {
+            slot = std::make_unique<CommHealth>(cfg_.connWindow,
+                                                cfg_.waitWindow);
+        } else {
+            slot = std::move(retired_.back());
+            retired_.pop_back();
+        }
+        ++live_;
+    }
+    CommHealth &health = *slot;
     health.job = rec.job;
     health.nranks = rec.nranks;
     health.rankNodes = rec.rankNodes;
+    health.conns.clear();
+    health.waits.clear();
+    health.progress = {};
     health.heartbeats.assign(static_cast<std::size_t>(rec.nranks),
                              kTimeNever);
-    comms_.insert_or_assign(rec.comm, std::move(health));
+    health.flaggedFatal = false;
+    health.lastFinding.fill(kTimeNever);
 }
 
 void
 C4dMaster::deregisterComm(CommId comm)
 {
-    comms_.erase(comm);
+    if (find(comm) == nullptr)
+        return;
+    retired_.push_back(std::move(comms_[static_cast<std::size_t>(comm)]));
+    --live_;
+}
+
+C4dMaster::CommHealth *
+C4dMaster::find(CommId comm)
+{
+    const auto id = static_cast<std::size_t>(comm);
+    return comm >= 0 && id < comms_.size() ? comms_[id].get() : nullptr;
 }
 
 void
 C4dMaster::ingest(const std::vector<accl::ConnRecord> &records)
 {
     for (const auto &r : records) {
-        auto it = comms_.find(r.comm);
-        if (it != comms_.end())
-            it->second.conns.push(r);
+        if (CommHealth *health = find(r.comm))
+            health->conns.push(DelaySample::of(r, health->nranks));
     }
 }
 
@@ -78,22 +107,24 @@ void
 C4dMaster::ingest(const std::vector<accl::RankWaitRecord> &records)
 {
     for (const auto &r : records) {
-        auto it = comms_.find(r.comm);
-        if (it != comms_.end())
-            it->second.waits.push(r);
+        if (CommHealth *health = find(r.comm))
+            health->waits.push(r);
     }
 }
 
 void
 C4dMaster::refreshProgress(const accl::Accl &lib)
 {
-    for (auto &[comm, health] : comms_) {
-        const accl::OpProgress *op = lib.currentOp(comm);
+    for (std::size_t id = 0; id < comms_.size(); ++id) {
+        CommHealth *health = comms_[id].get();
+        const auto comm = static_cast<CommId>(id);
+        const accl::OpProgress *op =
+            health != nullptr ? lib.currentOp(comm) : nullptr;
         if (op == nullptr)
             continue;
         const std::span<const Time> beats = lib.heartbeats(comm);
-        health.progress = *op;
-        health.heartbeats.assign(beats.begin(), beats.end());
+        health->progress = *op;
+        health->heartbeats.assign(beats.begin(), beats.end());
     }
 }
 
@@ -113,8 +144,12 @@ void
 C4dMaster::evaluate()
 {
     ++evaluations_;
-    for (auto &[comm, health] : comms_)
-        evaluateComm(comm, health);
+    // Ascending CommId. Index, not iterators: a callback may register a
+    // communicator and grow the table; each CommHealth stays put.
+    for (std::size_t id = 0; id < comms_.size(); ++id) {
+        if (CommHealth *health = comms_[id].get())
+            evaluateComm(static_cast<CommId>(id), *health);
+    }
 }
 
 std::vector<NodeId>
@@ -136,12 +171,10 @@ C4dMaster::nodesOf(const CommHealth &health,
 bool
 C4dMaster::cooldownOk(CommHealth &health, C4dEventKind kind)
 {
-    auto it = health.lastFinding.find(static_cast<int>(kind));
-    if (it != health.lastFinding.end() &&
-        sim_.now() - it->second < cfg_.findingCooldown) {
+    Time &last = health.lastFinding[static_cast<std::size_t>(kind)];
+    if (last != kTimeNever && sim_.now() - last < cfg_.findingCooldown)
         return false;
-    }
-    health.lastFinding[static_cast<int>(kind)] = sim_.now();
+    last = sim_.now();
     return true;
 }
 
@@ -188,8 +221,8 @@ C4dMaster::evaluateComm(CommId comm, CommHealth &health)
     // 2. Communication slow (delay-matrix localization, Fig. 7).
     if (!health.conns.empty()) {
         matrix_.reset(health.nranks);
-        for (const accl::ConnRecord &r : health.conns)
-            matrix_.add(r);
+        for (const DelaySample &d : health.conns)
+            matrix_.add(d);
         const CommSlowFinding slow =
             analyzeCommSlow(matrix_, cfg_.analyzer, commSlowScratch_);
         if (slow.found() && cooldownOk(health, C4dEventKind::CommSlow)) {

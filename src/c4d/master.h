@@ -10,9 +10,10 @@
 #ifndef C4_C4D_MASTER_H
 #define C4_C4D_MASTER_H
 
+#include <array>
 #include <functional>
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "accl/monitor.h"
@@ -107,7 +108,7 @@ class C4dMaster
     void evaluate();
 
     /** @name Introspection @{ */
-    std::size_t liveComms() const { return comms_.size(); }
+    std::size_t liveComms() const { return live_; }
     std::uint64_t evaluations() const { return evaluations_; }
     std::uint64_t eventsEmitted() const { return emitted_; }
     const std::vector<C4dEvent> &eventLog() const { return eventLog_; }
@@ -115,6 +116,8 @@ class C4dMaster
     /** @} */
 
   private:
+    /** Everything the master keeps about one registered communicator.
+     * Retired ones are recycled, so their windows keep their blocks. */
     struct CommHealth
     {
         CommHealth(std::size_t connWindow, std::size_t waitWindow)
@@ -125,18 +128,25 @@ class C4dMaster
         JobId job = kInvalidId;
         int nranks = 0;
         std::vector<NodeId> rankNodes;
-        RingWindow<accl::ConnRecord> conns;
+        RingWindow<DelaySample> conns;
         RingWindow<accl::RankWaitRecord> waits;
         accl::OpProgress progress;
         std::vector<Time> heartbeats;
         bool flaggedFatal = false;
-        std::unordered_map<int, Time> lastFinding; // kind -> time
+        /** Last finding of each C4dEventKind; kTimeNever: none yet. */
+        std::array<Time, 4> lastFinding{};
     };
 
     Simulator &sim_;
     C4dConfig cfg_;
     std::vector<C4dEventCallback> callbacks_;
-    std::unordered_map<CommId, CommHealth> comms_;
+    /** Registered communicators, indexed by CommId (null: none). Ids
+     * come sequentially from Accl, so the table stays dense; it grows
+     * with the largest id seen. */
+    std::vector<std::unique_ptr<CommHealth>> comms_;
+    /** Deregistered CommHealths, reused by the next registrations. */
+    std::vector<std::unique_ptr<CommHealth>> retired_;
+    std::size_t live_ = 0;
     PeriodicTask ticker_;
     std::uint64_t evaluations_ = 0;
     std::uint64_t emitted_ = 0;
@@ -147,6 +157,7 @@ class C4dMaster
     CommSlowScratch commSlowScratch_;
     WaitScan waitScan_;
 
+    CommHealth *find(CommId comm);
     void evaluateComm(CommId comm, CommHealth &health);
     bool cooldownOk(CommHealth &health, C4dEventKind kind);
     void emit(C4dEvent event, CommHealth &health);

@@ -49,23 +49,26 @@ C4pMaster::rxLeaf(const ConnContext &ctx, net::Plane plane) const
 }
 
 int
-C4pMaster::pickSpine(int tx_leaf, int rx_leaf, int exclude)
+C4pMaster::pickSpine(int tx_leaf, int rx_leaf, int exclude) const
 {
-    std::vector<int> healthy = topo_.healthySpines(tx_leaf, rx_leaf);
-    if (healthy.size() > 1 && exclude != kInvalidId) {
-        healthy.erase(
-            std::remove(healthy.begin(), healthy.end(), exclude),
-            healthy.end());
-    }
-    if (healthy.empty())
-        return kInvalidId;
+    auto healthy = [&](int s) {
+        return topo_.link(topo_.trunkUplink(tx_leaf, s)).up &&
+               topo_.link(topo_.trunkDownlink(s, rx_leaf)).up;
+    };
+    int count = 0;
+    for (int s = 0; s < topo_.numSpines(); ++s)
+        count += healthy(s) ? 1 : 0;
+    // The excluded spine is skipped only when another one is healthy.
+    const int skip = count > 1 ? exclude : kInvalidId;
 
-    int best = healthy.front();
+    int best = kInvalidId;
     int best_load = std::numeric_limits<int>::max();
-    for (int s : healthy) {
+    for (int s = 0; s < topo_.numSpines(); ++s) {
+        if (s == skip || !healthy(s))
+            continue;
         const int load =
             upLoad_[upIndex(tx_leaf, s)] + downLoad_[downIndex(s, rx_leaf)];
-        if (load < best_load) {
+        if (best == kInvalidId || load < best_load) {
             best_load = load;
             best = s;
         }
@@ -137,9 +140,9 @@ C4pMaster::feedback(const ConnContext &ctx, const PathDecision &decision,
 }
 
 bool
-C4pMaster::rebalance(const std::vector<ConnContext> &ctxs,
-                     std::vector<PathDecision> &decisions,
-                     std::vector<double> &weights)
+C4pMaster::rebalance(std::span<const ConnContext> ctxs,
+                     std::span<PathDecision> decisions,
+                     std::span<double> weights)
 {
     if (!cfg_.dynamicLoadBalance || ctxs.empty())
         return false;
@@ -248,6 +251,12 @@ int
 C4pMaster::uplinkLoad(int leaf, int spine) const
 {
     return upLoad_[upIndex(leaf, spine)];
+}
+
+int
+C4pMaster::downlinkLoad(int spine, int leaf) const
+{
+    return downLoad_[downIndex(spine, leaf)];
 }
 
 } // namespace c4::c4p

@@ -19,6 +19,7 @@
 #ifndef C4_C4P_MASTER_H
 #define C4_C4P_MASTER_H
 
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -68,9 +69,9 @@ class C4pMaster : public accl::PathPolicy
     void feedback(const accl::ConnContext &ctx,
                   const accl::PathDecision &decision,
                   const accl::PathFeedback &fb) override;
-    bool rebalance(const std::vector<accl::ConnContext> &ctxs,
-                   std::vector<accl::PathDecision> &decisions,
-                   std::vector<double> &weights) override;
+    bool rebalance(std::span<const accl::ConnContext> ctxs,
+                   std::span<accl::PathDecision> decisions,
+                   std::span<double> weights) override;
     void release(const accl::ConnContext &ctx,
                  const accl::PathDecision &decision) override;
     /** @} */
@@ -79,6 +80,17 @@ class C4pMaster : public accl::PathPolicy
 
     /** Allocated QP count on a trunk uplink. */
     int uplinkLoad(int leaf, int spine) const;
+
+    /** Allocated QP count on a trunk downlink. */
+    int downlinkLoad(int spine, int leaf) const;
+
+    /**
+     * Least-loaded healthy spine for the leaf pair (lowest index on a
+     * tie); kInvalidId if none. Counts and picks in place: no list.
+     * @param exclude spine to avoid if any alternative exists (used when
+     *        moving a QP off a slow path)
+     */
+    int pickSpine(int txLeaf, int rxLeaf, int exclude = kInvalidId) const;
 
     std::uint64_t allocations() const { return allocations_; }
     std::uint64_t releases() const { return releases_; }
@@ -120,12 +132,6 @@ class C4pMaster : public accl::PathPolicy
     int txLeaf(const accl::ConnContext &ctx, net::Plane plane) const;
     int rxLeaf(const accl::ConnContext &ctx, net::Plane plane) const;
 
-    /**
-     * Least-loaded healthy spine for the leaf pair; kInvalidId if none.
-     * @param exclude spine to avoid if any alternative exists (used when
-     *        moving a QP off a slow path)
-     */
-    int pickSpine(int txLeaf, int rxLeaf, int exclude = kInvalidId);
     void addLoad(int txLeaf, int rxLeaf, int spine, int delta);
 
     std::size_t

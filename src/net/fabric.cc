@@ -135,11 +135,7 @@ Fabric::release(std::uint32_t slot)
         });
         indexDead_ = 0;
     }
-    // Reset the slot but keep the route's link buffer for the next flow.
-    std::vector<LinkId> links = std::move(flow.route.links);
-    links.clear();
     flow = FlowState{};
-    flow.route.links = std::move(links);
     freeSlots_.push_back(slot);
     --live_;
 }

@@ -19,7 +19,12 @@
 #ifndef C4_NET_ROUTING_H
 #define C4_NET_ROUTING_H
 
+#include <algorithm>
+#include <array>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 #include "common/types.h"
@@ -59,11 +64,59 @@ struct PathRequest
  */
 std::uint32_t ecmpHash(const PathRequest &req, std::uint32_t salt = 0);
 
+/**
+ * A route's directed links, held inline: a route crosses at most four
+ * (host-up, trunk-up, trunk-down, host-down), so a flow slot never
+ * allocates for its route. Pushing a fifth asserts.
+ */
+class RouteLinks
+{
+  public:
+    static constexpr std::size_t kMaxLinks = 4;
+
+    using iterator = const LinkId *;
+    using const_iterator = const LinkId *;
+
+    RouteLinks() = default;
+    RouteLinks(std::initializer_list<LinkId> links)
+    {
+        for (LinkId l : links)
+            push_back(l);
+    }
+
+    void
+    push_back(LinkId l)
+    {
+        assert(size_ < kMaxLinks && "a route crosses at most 4 links");
+        links_[size_++] = l;
+    }
+
+    void clear() { size_ = 0; }
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    LinkId operator[](std::size_t i) const { return links_[i]; }
+    LinkId front() const { return links_[0]; }
+    LinkId back() const { return links_[size_ - 1]; }
+    const LinkId *begin() const { return links_.data(); }
+    const LinkId *end() const { return links_.data() + size_; }
+
+    bool
+    operator==(const RouteLinks &o) const
+    {
+        return std::equal(begin(), end(), o.begin(), o.end());
+    }
+
+  private:
+    std::array<LinkId, kMaxLinks> links_{};
+    std::size_t size_ = 0;
+};
+
 /** Result of routing a request. */
 struct Route
 {
     /** Directed links in traversal order; empty when unroutable. */
-    std::vector<LinkId> links;
+    RouteLinks links;
 
     /** Spine actually crossed, or kInvalidId for leaf-local routes. */
     std::int32_t spine = kInvalidId;
@@ -97,9 +150,8 @@ class PathSelector
     Route select(const PathRequest &req, std::uint32_t salt = 0) const;
 
     /**
-     * select() into a caller-owned route (reusing its link capacity), so
-     * resolving a request allocates nothing once @p out has held a
-     * route. Every field of @p out is overwritten.
+     * select() into a caller-owned route, such as a fabric flow slot's.
+     * Every field of @p out is overwritten.
      */
     void select(const PathRequest &req, Route &out,
                 std::uint32_t salt = 0) const;

@@ -440,9 +440,8 @@ TEST(Accl, PolicyRebalanceWeightsRespected)
             return d;
         }
         bool
-        rebalance(const std::vector<ConnContext> &,
-                  std::vector<PathDecision> &,
-                  std::vector<double> &weights) override
+        rebalance(std::span<const ConnContext>, std::span<PathDecision>,
+                  std::span<double> weights) override
         {
             if (weights.size() == 2) {
                 weights[0] = 1.0;

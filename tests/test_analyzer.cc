@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <random>
@@ -68,6 +70,75 @@ TEST(DelayMatrix, IgnoresDegenerateRecords)
     m.add(0, 1, mib(1), 0);       // zero duration
     EXPECT_EQ(m.samples(0, 1), 0);
     EXPECT_LT(m.medianDelay(), 0.0);
+}
+
+TEST(DelayMatrix, SamplesBuildTheRecordMatrixBitForBit)
+{
+    // C4D's window keeps DelaySamples, not ConnRecords. Random records,
+    // with ranks out of range, zero bytes and non-positive durations
+    // mixed in: the matrix summed from the samples equals, bit for bit,
+    // the one the records built by the original per-record rule.
+    std::mt19937_64 gen(7);
+    auto pick = [&gen](std::int64_t lo, std::int64_t hi) {
+        return std::uniform_int_distribution<std::int64_t>(lo, hi)(gen);
+    };
+    auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    for (int trial = 0; trial < 50; ++trial) {
+        const int n = static_cast<int>(pick(1, 9));
+        std::vector<ConnRecord> records;
+        for (int i = 0; i < 400; ++i) {
+            ConnRecord r;
+            r.srcRank = static_cast<Rank>(pick(-2, n + 1));
+            r.dstRank = static_cast<Rank>(pick(-2, n + 1));
+            r.bytes = pick(0, 9) == 0 ? 0 : pick(-3, mib(64));
+            r.startTime = pick(0, seconds(100));
+            r.endTime = r.startTime + pick(-milliseconds(1), seconds(2));
+            if (pick(0, 9) == 0)
+                r.endTime = r.startTime; // zero duration
+            records.push_back(r);
+        }
+
+        // The original rule: skip a rank out of range, then add the
+        // pair's toSeconds(duration) / bytes unless either is <= 0.
+        std::vector<double> sum(static_cast<std::size_t>(n * n), 0.0);
+        std::vector<int> count(sum.size(), 0);
+        for (const ConnRecord &r : records) {
+            if (r.srcRank < 0 || r.srcRank >= n || r.dstRank < 0 ||
+                r.dstRank >= n || r.bytes <= 0 || r.duration() <= 0) {
+                continue;
+            }
+            const auto cell = static_cast<std::size_t>(r.srcRank * n +
+                                                       r.dstRank);
+            sum[cell] += toSeconds(r.duration()) /
+                         static_cast<double>(r.bytes);
+            ++count[cell];
+        }
+
+        DelayMatrix from_samples(n);
+        int skipped = 0;
+        for (const ConnRecord &r : records) {
+            const DelaySample d = DelaySample::of(r, n);
+            skipped += d.src == kInvalidId ? 1 : 0;
+            from_samples.add(d);
+        }
+        const DelayMatrix from_records = DelayMatrix::build(n, records);
+        int kept = 0;
+        for (Rank s = 0; s < n; ++s) {
+            for (Rank d = 0; d < n; ++d) {
+                const auto cell = static_cast<std::size_t>(s * n + d);
+                kept += count[cell];
+                const double want =
+                    count[cell] > 0 ? sum[cell] / count[cell] : -1.0;
+                ASSERT_EQ(from_samples.samples(s, d), count[cell]);
+                ASSERT_EQ(from_records.samples(s, d), count[cell]);
+                ASSERT_EQ(bits(from_samples.at(s, d)), bits(want))
+                    << "trial " << trial << " cell " << s << "," << d;
+                ASSERT_EQ(bits(from_records.at(s, d)), bits(want));
+            }
+        }
+        // Every record became exactly one sample, valid or not.
+        EXPECT_EQ(kept + skipped, 400);
+    }
 }
 
 TEST(AnalyzeCommSlow, CleanMatrixIsQuiet)

@@ -235,6 +235,125 @@ TEST(C4dMaster, SteadyCollectAndEvaluateDoNotAllocate)
     EXPECT_EQ(master.eventsEmitted(), 1u); // cooldown holds the rest
 }
 
+/** A communicator of @p n ranks, one per node. */
+accl::CommRecord
+commRecord(CommId comm, int n)
+{
+    accl::CommRecord rec;
+    rec.comm = comm;
+    rec.job = 1;
+    rec.nranks = n;
+    for (NodeId node = 0; node < n; ++node)
+        rec.rankNodes.push_back(node);
+    return rec;
+}
+
+/**
+ * @p rounds of 8 MiB transfers between every ordered rank pair of an
+ * @p n-rank communicator, 1 ms each; those sent by @p slowSrc take
+ * 5 ms (kInvalidId: none is slow).
+ */
+std::vector<accl::ConnRecord>
+pairRecords(CommId comm, int n, int rounds, Rank slowSrc = kInvalidId)
+{
+    std::vector<accl::ConnRecord> records;
+    for (int round = 0; round < rounds; ++round) {
+        for (Rank s = 0; s < n; ++s) {
+            for (Rank d = 0; d < n; ++d) {
+                if (s == d)
+                    continue;
+                accl::ConnRecord r;
+                r.comm = comm;
+                r.seq = static_cast<accl::CollSeq>(round + 1);
+                r.srcRank = s;
+                r.dstRank = d;
+                r.bytes = mib(8);
+                r.startTime = seconds(round);
+                r.endTime = r.startTime + milliseconds(s == slowSrc ? 5 : 1);
+                records.push_back(r);
+            }
+        }
+    }
+    return records;
+}
+
+TEST(C4dMaster, RecycledCommunicatorsDoNotAllocate)
+{
+    // Jobs come and go, and every communicator gets a fresh id from
+    // Accl. Deregistered state is recycled with its windows' blocks, so
+    // once two communicators of a size have filled their windows, the
+    // next ones (registered, filled past both window depths, evaluated,
+    // deregistered, two live at a time) allocate nothing. The id table
+    // is sized by the largest id seen, so the warm-up uses the last two.
+    Simulator sim;
+    C4dMaster master(sim, testutil::fastC4dConfig());
+    constexpr int kRanks = 8;
+    constexpr CommId kLast = 40;
+    accl::CommRecord rec = commRecord(kLast, kRanks);
+    // 56 pairs x 150 rounds > connWindow; 8 ranks x 300 ops > waitWindow.
+    std::vector<accl::ConnRecord> conns = pairRecords(kLast, kRanks, 150);
+    ASSERT_GT(conns.size(), master.config().connWindow);
+    std::vector<accl::RankWaitRecord> waits;
+    for (int seq = 1; seq <= 300; ++seq) {
+        for (Rank r = 0; r < kRanks; ++r)
+            waits.push_back({kLast, static_cast<accl::CollSeq>(seq), r,
+                             milliseconds(1)});
+    }
+    ASSERT_GT(waits.size(), master.config().waitWindow);
+
+    auto fill = [&](CommId id) {
+        rec.comm = id;
+        for (accl::ConnRecord &r : conns)
+            r.comm = id;
+        for (accl::RankWaitRecord &w : waits)
+            w.comm = id;
+        master.registerComm(rec);
+        master.ingest(conns);
+        master.ingest(waits);
+    };
+    fill(kLast - 1);
+    fill(kLast);
+    master.evaluate();
+    master.deregisterComm(kLast - 1);
+    master.deregisterComm(kLast);
+
+    const std::uint64_t before = perf::allocStatsNow().count;
+    for (CommId id = 1; id < kLast - 1; ++id) {
+        fill(id);
+        master.evaluate();
+        if (id > 1)
+            master.deregisterComm(id - 1);
+        ASSERT_LE(master.liveComms(), 2u);
+    }
+    master.deregisterComm(kLast - 2);
+    const std::uint64_t allocs = perf::allocStatsNow().count - before;
+    EXPECT_EQ(allocs, 0u);
+    EXPECT_EQ(master.liveComms(), 0u);
+    EXPECT_EQ(master.evaluations(), static_cast<std::uint64_t>(kLast - 1));
+    EXPECT_EQ(master.eventsEmitted(), 0u);
+}
+
+TEST(C4dMaster, EvaluatesCommunicatorsInAscendingId)
+{
+    // Two communicators, each with a slow sender, registered in the
+    // order Accl creates them: one evaluation finds both, and the
+    // findings come out in ascending CommId.
+    Simulator sim;
+    C4dMaster master(sim, testutil::fastC4dConfig());
+    for (CommId comm : {1, 2}) {
+        master.registerComm(commRecord(comm, 4));
+        master.ingest(pairRecords(comm, 4, 4, /*slowSrc=*/comm));
+    }
+    master.evaluate();
+    ASSERT_EQ(master.eventsEmitted(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        const C4dEvent &ev = master.eventLog()[i];
+        EXPECT_EQ(ev.kind, C4dEventKind::CommSlow);
+        EXPECT_EQ(ev.comm, static_cast<CommId>(i + 1));
+        EXPECT_EQ(ev.suspectRanks, std::vector<Rank>{ev.comm});
+    }
+}
+
 TEST(Steering, IsolatesAndRestartsOnFatalEvent)
 {
     testutil::AcclHarness h;

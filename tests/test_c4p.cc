@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <map>
+#include <random>
+#include <vector>
 
 #include "c4p/master.h"
 #include "c4p/prober.h"
@@ -269,6 +273,101 @@ TEST(C4pMaster, CooldownThrottlesRepins)
                    false);
     master.rebalance(ctxs, decisions, weights);
     EXPECT_EQ(master.repins(), after_first);
+}
+
+/** C4pMaster::pickSpine as it was, building the healthy-spine list:
+ * the reference the in-place count-and-pick must match. */
+int
+referencePickSpine(const net::Topology &topo, const C4pMaster &master,
+                   int tx_leaf, int rx_leaf, int exclude)
+{
+    std::vector<int> healthy = topo.healthySpines(tx_leaf, rx_leaf);
+    if (healthy.size() > 1 && exclude != kInvalidId) {
+        healthy.erase(
+            std::remove(healthy.begin(), healthy.end(), exclude),
+            healthy.end());
+    }
+    if (healthy.empty())
+        return kInvalidId;
+
+    int best = healthy.front();
+    int best_load = std::numeric_limits<int>::max();
+    for (int s : healthy) {
+        const int load = master.uplinkLoad(tx_leaf, s) +
+                         master.downlinkLoad(s, rx_leaf);
+        if (load < best_load) {
+            best_load = load;
+            best = s;
+        }
+    }
+    return best;
+}
+
+TEST(C4pMaster, PickSpineMatchesTheListReference)
+{
+    // Random trunk failures and random allocations: for every leaf
+    // pair and every exclude (none, each spine, one past the last),
+    // the master picks what the list-building version picks. Some
+    // rounds leave a pair a single healthy spine, others a leaf none.
+    Simulator sim;
+    net::Topology topo(podConfig());
+    C4pMaster master(sim, topo);
+    std::mt19937_64 rng(23);
+    auto uniform = [&rng](int lo, int hi) {
+        return std::uniform_int_distribution<int>(lo, hi)(rng);
+    };
+    const int leaves = topo.numLeaves();
+    const int spines = topo.numSpines();
+    int single = 0;
+    int none = 0;
+    for (int round = 0; round < 60; ++round) {
+        for (int leaf = 0; leaf < leaves; ++leaf) {
+            for (int s = 0; s < spines; ++s) {
+                topo.setLinkUp(topo.trunkUplink(leaf, s),
+                               uniform(0, 3) != 0);
+                topo.setLinkUp(topo.trunkDownlink(s, leaf),
+                               uniform(0, 3) != 0);
+            }
+        }
+        if (round % 3 == 0) {
+            // Leave leaf 0 -> leaf 3 exactly one healthy spine.
+            const int keep = uniform(0, spines - 1);
+            for (int s = 0; s < spines; ++s) {
+                topo.setLinkUp(topo.trunkUplink(0, s), s == keep);
+                topo.setLinkUp(topo.trunkDownlink(s, 3), true);
+            }
+        } else if (round % 3 == 1) {
+            // Cut leaf 1 off from every spine.
+            for (int s = 0; s < spines; ++s)
+                topo.setLinkUp(topo.trunkUplink(1, s), false);
+        }
+        for (int i = 0; i < 8; ++i) {
+            ConnContext ctx = makeConnContext(0, uniform(0, 1),
+                                              /*src=*/uniform(0, 3),
+                                              /*dst=*/uniform(4, 15));
+            ctx.comm = round * 8 + i;
+            master.decide(ctx);
+        }
+        for (int tx = 0; tx < leaves; ++tx) {
+            for (int rx = 0; rx < leaves; ++rx) {
+                const std::size_t healthy =
+                    topo.healthySpines(tx, rx).size();
+                single += healthy == 1 ? 1 : 0;
+                none += healthy == 0 ? 1 : 0;
+                for (int exclude = kInvalidId; exclude <= spines;
+                     ++exclude) {
+                    ASSERT_EQ(master.pickSpine(tx, rx, exclude),
+                              referencePickSpine(topo, master, tx, rx,
+                                                 exclude))
+                        << "round " << round << " leaves " << tx << "->"
+                        << rx << " exclude " << exclude;
+                }
+            }
+        }
+    }
+    EXPECT_GE(single, 20);
+    EXPECT_GE(none, 20 * leaves);
+    EXPECT_GT(master.allocations(), 0u);
 }
 
 TEST(C4pMaster, WarmRebalanceDoesNotAllocate)

@@ -6,9 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <deque>
 #include <sstream>
+#include <type_traits>
+#include <vector>
 
 #include "common/csv.h"
 #include "common/log.h"
@@ -17,6 +22,7 @@
 #include "common/stats.h"
 #include "common/table.h"
 #include "common/types.h"
+#include "perf/perf.h"
 
 namespace c4 {
 namespace {
@@ -408,33 +414,149 @@ TEST(RingWindow, KeepsTheNewestOldestFirst)
               (std::vector<int>{7}));
 }
 
-TEST(RingWindow, MatchesABoundedDequeAcrossBlocks)
+/** An element the size of an ACCL connection record (88 bytes). */
+struct Wide
 {
-    // Capacities spanning several (doubling, last one trimmed) blocks,
-    // random pushes and clears: the window always reads as a deque
-    // that drops its front past the capacity.
-    Rng rng(11);
-    for (std::size_t cap : {1u, 127u, 128u, 129u, 1000u, 5000u}) {
-        RingWindow<int> ring(cap);
-        std::deque<int> model;
-        for (int i = 0; i < 20000; ++i) {
-            if (rng.uniformInt(0, 999) == 0) {
-                ring.clear();
-                model.clear();
-            }
-            const bool kept = ring.push(i);
-            model.push_back(i);
-            EXPECT_EQ(kept, model.size() <= cap);
-            if (model.size() > cap)
-                model.pop_front();
-            if (i % 97 == 0) {
-                ASSERT_EQ(ring.size(), model.size());
-                ASSERT_TRUE(std::equal(ring.begin(), ring.end(),
-                                       model.begin(), model.end()))
-                    << "cap " << cap << " step " << i;
-            }
+    std::int64_t v = 0;
+    char pad[80] = {};
+
+    bool operator==(const Wide &o) const { return v == o.v; }
+};
+
+template <typename T>
+T
+element(int i)
+{
+    if constexpr (std::is_same_v<T, int>)
+        return i;
+    else
+        return T{i, {}};
+}
+
+/** Random pushes and clears against a deque that drops its front past
+ * the capacity, over @p pushes steps. */
+template <typename T>
+void
+checkAgainstDeque(std::size_t cap, int pushes, std::uint64_t seed)
+{
+    Rng rng(seed);
+    RingWindow<T> ring(cap);
+    std::deque<T> model;
+    for (int i = 0; i < pushes; ++i) {
+        // About one clear per four fills, so windows fill and wrap.
+        if (rng.uniformInt(0, 4 * static_cast<std::int64_t>(cap)) == 0) {
+            ring.clear();
+            model.clear();
+        }
+        const bool kept = ring.push(element<T>(i));
+        model.push_back(element<T>(i));
+        EXPECT_EQ(kept, model.size() <= cap);
+        if (model.size() > cap)
+            model.pop_front();
+        ASSERT_LE(ring.storage(), cap);
+        const auto every = static_cast<int>(97 + cap / 4);
+        if (i % every == 0 || i + 1 == pushes) {
+            ASSERT_EQ(ring.size(), model.size());
+            ASSERT_TRUE(std::equal(ring.begin(), ring.end(),
+                                   model.begin(), model.end()))
+                << "cap " << cap << " step " << i;
+            for (std::size_t j = 0; j < model.size(); j += 1 + j / 3)
+                ASSERT_TRUE(ring[j] == model[j])
+                    << "cap " << cap << " step " << i << " index " << j;
         }
     }
+}
+
+/** Blocks a full window of @p cap elements needs: block k holds
+ * kBase << min(k, 5) elements, the last one clamped. */
+template <typename T>
+std::size_t
+expectedBlocks(std::size_t cap)
+{
+    std::size_t blocks = 0;
+    for (std::size_t held = 0; held < cap; ++blocks)
+        held += RingWindow<T>::kBase << std::min<std::size_t>(blocks, 5);
+    return blocks;
+}
+
+// Capacities, in kBase units (kBase = 128 ints or 5 Wides): inside the
+// doubling region (blocks 0-4 hold 31 units), at its end, one element
+// past it, then in the fixed 32-unit blocks, on and off a block edge
+// (off an edge the last block is clamped).
+template <typename T>
+std::vector<std::size_t>
+ringCapacities()
+{
+    const std::size_t b = RingWindow<T>::kBase;
+    return {1,          b - 1,           b,           b + 1,
+            7 * b + 3,  31 * b - 1,      31 * b,      31 * b + 1,
+            63 * b,     63 * b + 7,      95 * b,      200 * b + 11};
+}
+
+int
+pushesFor(std::size_t cap)
+{
+    return static_cast<int>(std::max<std::size_t>(20000, 12 * cap));
+}
+
+TEST(RingWindow, MatchesABoundedDequeAcrossBlocks)
+{
+    // Capacities spanning doubling, fixed and clamped blocks, random
+    // pushes and clears: the window always reads as a deque that drops
+    // its front past the capacity, whether walked or indexed.
+    std::uint64_t seed = 11;
+    for (std::size_t cap : ringCapacities<int>())
+        checkAgainstDeque<int>(cap, pushesFor(cap), ++seed);
+    for (std::size_t cap : ringCapacities<Wide>())
+        checkAgainstDeque<Wide>(cap, pushesFor(cap), ++seed);
+}
+
+template <typename T>
+void
+checkFullWindowBlocks(std::size_t cap)
+{
+    RingWindow<T> ring(cap);
+    const std::uint64_t before = perf::allocStatsNow().count;
+    for (std::size_t i = 0; i < 2 * cap; ++i) {
+        ring.push(element<T>(static_cast<int>(i)));
+        // Slack is at most one block, and nothing past the capacity.
+        ASSERT_LE(ring.storage(), cap);
+        ASSERT_LT(ring.storage() - ring.size(),
+                  RingWindow<T>::kBase << 5);
+    }
+    const std::uint64_t allocs = perf::allocStatsNow().count - before;
+    const std::size_t blocks = expectedBlocks<T>(cap);
+    EXPECT_EQ(ring.blocks(), blocks) << "cap " << cap;
+    EXPECT_EQ(ring.storage(), cap);
+    // One allocation per block, plus the block list's own geometric
+    // growth (at most one per doubling of the block count).
+    EXPECT_LE(allocs, blocks + std::bit_width(blocks) + 1) << "cap " << cap;
+
+    // Refilled after a clear, or slid further: no allocation at all.
+    const std::uint64_t warm = perf::allocStatsNow().count;
+    ring.clear();
+    for (std::size_t i = 0; i < 3 * cap; ++i)
+        ring.push(element<T>(static_cast<int>(i)));
+    EXPECT_EQ(perf::allocStatsNow().count - warm, 0u) << "cap " << cap;
+    EXPECT_EQ(ring.blocks(), blocks);
+}
+
+TEST(RingWindow, FullWindowAllocatesItsBlocksOnce)
+{
+    for (std::size_t cap : ringCapacities<int>())
+        checkFullWindowBlocks<int>(cap);
+    for (std::size_t cap : ringCapacities<Wide>())
+        checkFullWindowBlocks<Wide>(cap);
+    // A C4D delay window: 8192 samples of 16 bytes fill 13 blocks, and
+    // 8192 88-byte records 56 (at a fixed 512 B it was 1,639).
+    RingWindow<std::array<double, 2>> samples(8192);
+    RingWindow<Wide> records(8192);
+    for (int i = 0; i < 8192; ++i) {
+        samples.push({});
+        records.push(element<Wide>(i));
+    }
+    EXPECT_EQ(samples.blocks(), 13u);
+    EXPECT_EQ(records.blocks(), 56u);
 }
 
 } // namespace

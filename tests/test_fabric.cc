@@ -574,7 +574,7 @@ TEST(Fabric, LinkRestoreRebalancesFlowsReroutedDuringOutage)
         flows.push_back(h.fabric.startFlow(req, gib(100), nullptr));
     }
     (void)h.fabric.flowRate(flows.front());
-    std::vector<std::vector<LinkId>> before;
+    std::vector<net::RouteLinks> before;
     for (FlowId f : flows)
         before.push_back(h.fabric.flowRoute(f)->links);
 
@@ -965,6 +965,48 @@ steadyCapacityEventAllocs(obs::MetricRegistry *registry)
     const std::uint64_t allocs = perf::allocStatsNow().count - before;
     EXPECT_EQ(h.fabric.reallocationCount() - reallocsBefore, 256u);
     return allocs;
+}
+
+TEST(Fabric, FreshFlowSlotsDoNotAllocateForTheirRoutes)
+{
+    // A route holds its (at most four) links inline: resolving requests
+    // into fresh Route objects allocates nothing, leaf-local or not.
+    Harness h;
+    PathSelector sel(h.topo);
+    std::uint64_t before = perf::allocStatsNow().count;
+    int links = 0;
+    for (int i = 0; i < 64; ++i) {
+        Route route;
+        sel.select(h.request(0, 1 + i % 15, static_cast<std::uint32_t>(i)),
+                   route);
+        ASSERT_TRUE(route.valid());
+        links += static_cast<int>(route.links.size());
+    }
+    EXPECT_EQ(perf::allocStatsNow().count - before, 0u);
+    EXPECT_GT(links, 2 * 64); // some crossed a spine
+
+    // On a fresh fabric every flow takes a fresh slot, and its route's
+    // links sit inside that slot. 256 flows over one spine path make
+    // fewer allocations than flows: only the fabric's tables grow, each
+    // geometrically (a heap buffer per route cost three apiece).
+    Harness fresh;
+    std::vector<FlowId> ids;
+    ids.reserve(256);
+    before = perf::allocStatsNow().count;
+    for (int i = 0; i < 256; ++i) {
+        ids.push_back(fresh.fabric.startFlow(
+            fresh.request(0, 4, 1, /*spine=*/2), gib(1), nullptr));
+    }
+    const std::uint64_t allocs = perf::allocStatsNow().count - before;
+    EXPECT_LT(allocs, 256u);
+    for (FlowId id : ids) {
+        const Route *route = fresh.fabric.flowRoute(id);
+        ASSERT_NE(route, nullptr);
+        ASSERT_EQ(route->links.size(), 4u);
+        const auto *lo = reinterpret_cast<const char *>(route);
+        const auto *at = reinterpret_cast<const char *>(route->links.begin());
+        EXPECT_TRUE(at >= lo && at < lo + sizeof(Route));
+    }
 }
 
 TEST(Fabric, SteadyCapacityEventsDoNotAllocate)

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "accl/monitor.h"
+#include "perf/perf.h"
 
 namespace c4::accl {
 namespace {
@@ -69,6 +70,32 @@ TEST(Monitor, DrainIntoReusedVectorKeepsOrderAndCapacity)
         EXPECT_TRUE(out.empty()); // draining consumes
     }
     EXPECT_EQ(mon.droppedRecords(), 6u);
+}
+
+TEST(Monitor, UndrainedStreamGrowsInFewBlocks)
+{
+    // With C4D off nothing drains the streams, so every record stays
+    // until the monitor goes away. 100k records of 88 bytes fill 630
+    // ring blocks (440 B doubling to 14 KiB), where fixed 512 B blocks
+    // took 20,000.
+    AcclMonitor mon;
+    const ConnRecord rec = makeConn(1, 0, 1, mib(1), milliseconds(1));
+    const std::uint64_t before = perf::allocStatsNow().count;
+    for (int i = 0; i < 100000; ++i)
+        mon.record(rec);
+    const std::uint64_t allocs = perf::allocStatsNow().count - before;
+
+    constexpr std::size_t kFullBlock = RingWindow<ConnRecord>::kBase
+                                       << RingWindow<ConnRecord>::kDoublings;
+    // Six doubling blocks, then full ones; the block list itself grows
+    // geometrically (at most ~10 more).
+    const std::size_t blocks =
+        6 + (100000 - kFullBlock * 63 / 32 + kFullBlock - 1) / kFullBlock;
+    EXPECT_GE(allocs, blocks);
+    EXPECT_LE(allocs, blocks + 12);
+    EXPECT_LT(allocs, 1000u);
+    EXPECT_EQ(mon.totalConnRecords(), 100000u);
+    EXPECT_EQ(mon.droppedRecords(), 0u);
 }
 
 TEST(Monitor, ConnRecordDerivedMetrics)
