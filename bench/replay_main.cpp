@@ -36,6 +36,7 @@
 #include "replay/capture.h"
 #include "replay/replay.h"
 #include "replay/score.h"
+#include "scenario/cli.h"
 #include "trace/analyze.h"
 #include "trace/export.h"
 
@@ -104,7 +105,7 @@ mainRun(int argc, char **argv, const char *argv0)
         replay::Incident inc;
         inc.name = name;
         inc.tracePath = tracePath;
-        inc.label = replay::labelFromJson(readJsonlFile(labelPath));
+        inc.label = replay::labelFromJson(readFile(labelPath));
         const replay::IncidentScore s =
             replay::scoreIncident(inc, verdicts);
         std::printf("# outcome=%s", s.outcome.c_str());
@@ -136,6 +137,24 @@ mainSummary(const std::string &dir)
     return 0;
 }
 
+/**
+ * A precision/recall floor: the whole of @p text is a number in
+ * [0, 1]; anything else is reported against @p flag.
+ */
+bool
+parseFloor(const char *flag, const std::string &text, double &out)
+{
+    char *end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    if (end == text.c_str() || *end != '\0' || !(v >= 0.0 && v <= 1.0)) {
+        std::fprintf(stderr, "%s needs a number in [0, 1], not '%s'\n",
+                     flag, text.c_str());
+        return false;
+    }
+    out = v;
+    return true;
+}
+
 int
 mainScore(int argc, char **argv, const char *argv0)
 {
@@ -156,9 +175,15 @@ mainScore(int argc, char **argv, const char *argv0)
             continue;
         }
         if (optValue("--min-precision", num)) {
-            minPrecision = std::atof(num.c_str());
+            if (!parseFloor("--min-precision", num, minPrecision)) {
+                usage(argv0);
+                return 2;
+            }
         } else if (optValue("--min-recall", num)) {
-            minRecall = std::atof(num.c_str());
+            if (!parseFloor("--min-recall", num, minRecall)) {
+                usage(argv0);
+                return 2;
+            }
         } else if (argv[i][0] == '-') {
             std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
             usage(argv0);
@@ -190,13 +215,13 @@ mainScore(int argc, char **argv, const char *argv0)
     const std::string table = replay::formatScoreReport(report);
     std::fputs(table.c_str(), stdout);
     if (!reportPath.empty())
-        replay::writeFileOrThrow(reportPath, table);
+        writeFile(reportPath, table);
     if (!writeGoldenPath.empty())
-        replay::writeFileOrThrow(writeGoldenPath, goldenText);
+        writeFile(writeGoldenPath, goldenText);
 
     int rc = 0;
     if (!goldenPath.empty()) {
-        const std::string want = readJsonlFile(goldenPath);
+        const std::string want = readFile(goldenPath);
         if (want != goldenText) {
             std::fprintf(stderr,
                          "FAIL: verdicts diverge from golden %s "
@@ -245,20 +270,10 @@ mainCapture(int argc, char **argv, const char *argv0)
     }
 
     std::vector<std::string> names;
-    if (only.empty()) {
+    if (only.empty())
         names = replay::captureIncidentNames();
-    } else {
-        std::string token;
-        for (const char c : only + ",") {
-            if (c == ',') {
-                if (!token.empty())
-                    names.push_back(token);
-                token.clear();
-            } else {
-                token.push_back(c);
-            }
-        }
-    }
+    else
+        scenario::splitCommaList(only, names);
 
     std::filesystem::create_directories(outDir);
     std::string goldenText;
@@ -266,12 +281,10 @@ mainCapture(int argc, char **argv, const char *argv0)
         const replay::CaptureResult cap =
             replay::captureIncident(name);
         const std::filesystem::path base(outDir);
-        replay::writeFileOrThrow((base / (name + ".trace.jsonl"))
-                                     .string(),
-                                 trace::writeJsonl(cap.events));
-        replay::writeFileOrThrow((base / (name + ".label.json"))
-                                     .string(),
-                                 replay::writeLabelJson(cap.label));
+        writeFile((base / (name + ".trace.jsonl")).string(),
+                  trace::writeJsonl(cap.events));
+        writeFile((base / (name + ".label.json")).string(),
+                  replay::writeLabelJson(cap.label));
         const std::vector<c4d::IncidentVerdict> verdicts =
             replay::replayTrace(cap.events);
         goldenText += replay::verdictsToJsonl(name, verdicts);
@@ -281,9 +294,8 @@ mainCapture(int argc, char **argv, const char *argv0)
     // Goldens only make sense for the complete corpus: a partial
     // capture would byte-diff against a truncated file.
     if (only.empty()) {
-        replay::writeFileOrThrow(
-            (std::filesystem::path(outDir) / kGoldenName).string(),
-            goldenText);
+        writeFile((std::filesystem::path(outDir) / kGoldenName).string(),
+                  goldenText);
     }
     return 0;
 }

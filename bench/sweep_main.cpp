@@ -12,10 +12,10 @@
  *       stitch the shard CSVs into output byte-identical to a
  *       single-process `c4bench --threads 1 --csv` run
  *   c4sweep status DIR [--watch]
- *       show the campaign journal, or keep polling it as a live
- *       dashboard (shard states, retry budget burned, forensics
- *       bundles, and — for `run --metrics` campaigns — per-scenario
- *       throughput pulled from the shard metric snapshots)
+ *       render the campaign dashboard once (shard states, retry
+ *       budget burned, forensics bundles, the next step, and — for
+ *       `run --metrics` campaigns — per-scenario throughput pulled
+ *       from the shard metric snapshots), or keep re-rendering it
  *   c4sweep collect DIR HOST_DIR... [--report]
  *       pull shard results back from per-host campaign copies and
  *       reconcile the journals (`done` beats `pending`/`failed`;
@@ -314,17 +314,11 @@ mainStatus(int argc, char **argv, const char *argv0)
         usage(argv0);
         return 2;
     }
-    if (watch)
-        return c4::sweep::watchCampaign(dir, opt, std::cout);
-    try {
-        const c4::sweep::Manifest manifest =
-            c4::sweep::loadManifest(dir);
-        c4::sweep::printStatus(manifest, std::cout);
-        return c4::sweep::campaignComplete(manifest) ? 0 : 1;
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 2;
+    if (!watch) {
+        opt.intervalSeconds = 0;
+        opt.maxTicks = 1;
     }
+    return c4::sweep::watchCampaign(dir, opt, std::cout, std::cerr);
 }
 
 int

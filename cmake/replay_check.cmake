@@ -8,8 +8,10 @@
 #      verdicts (replay-same-incident-twice, via --write-golden);
 #   3. a mutated golden makes `score --golden` fail (the gate can
 #      actually catch a detector change);
-#   4. `summary` and `run --label` work on the corpus, and `run` on a
-#      directory fails with exit 2 instead of replaying it as empty;
+#   4. `summary` and `run --label` work on the corpus, `run` on a
+#      directory fails with exit 2 instead of replaying it as empty,
+#      and a floor that is not a number in [0, 1] is a usage error
+#      (exit 2), not a floor switched off;
 #   5. `capture` on a copy of the corpus re-simulates every incident
 #      and reproduces each committed trace and label byte for byte,
 #      which pins the corpus to the kernel's (when, seq) event order.
@@ -99,6 +101,22 @@ if(NOT dir_rc EQUAL 2)
     message(FATAL_ERROR
         "c4replay run on a directory: exit ${dir_rc}, expected 2:\n"
         "${dir_out}")
+endif()
+
+execute_process(
+    COMMAND "${REPLAY_TOOL}" score "${CORPUS}" --min-precision abc
+    RESULT_VARIABLE floor_rc OUTPUT_QUIET ERROR_QUIET)
+if(NOT floor_rc EQUAL 2)
+    message(FATAL_ERROR
+        "c4replay score --min-precision abc: exit ${floor_rc}, "
+        "expected 2")
+endif()
+execute_process(
+    COMMAND "${REPLAY_TOOL}" score "${CORPUS}" --min-recall ""
+    RESULT_VARIABLE floor_rc OUTPUT_QUIET ERROR_QUIET)
+if(NOT floor_rc EQUAL 2)
+    message(FATAL_ERROR
+        "c4replay score --min-recall '': exit ${floor_rc}, expected 2")
 endif()
 
 # --- 5. re-capture the whole corpus ----------------------------------

@@ -8,7 +8,7 @@
 # criterion). Both runs pass `--metrics`, and `status --watch` must
 # render the dashboard against the interrupted and the resumed
 # campaign with the matching exit codes (1 = incomplete, 0 =
-# complete).
+# complete), and plain `status` must render the same dashboard.
 #
 # Inputs: BENCH (c4bench path), SWEEP (c4sweep path), SPEC (spec file
 # to include in the campaign), WORK_DIR (scratch dir).
@@ -75,6 +75,22 @@ if(NOT watch_out MATCHES "samp/s")
     message(FATAL_ERROR
         "status --watch shows no per-shard metric highlights even "
         "though the run passed --metrics:\n${watch_out}")
+endif()
+
+# Plain `status` is one frame of the same dashboard, with the same
+# exit code.
+execute_process(
+    COMMAND "${SWEEP}" status "${campaign}"
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE status_out)
+if(NOT rc EQUAL 1)
+    message(FATAL_ERROR
+        "status on an interrupted campaign should exit 1, got "
+        "${rc}:\n${status_out}")
+endif()
+if(NOT status_out MATCHES "retry budget burned")
+    message(FATAL_ERROR
+        "status did not render the dashboard:\n${status_out}")
 endif()
 
 # Resume: completes the campaign, re-executing nothing.

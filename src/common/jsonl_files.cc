@@ -42,7 +42,7 @@ printLine(std::ostream &out, const char *mark, std::size_t number,
 } // namespace
 
 std::string
-readJsonlFile(const std::string &path)
+readFile(const std::string &path)
 {
     // An ifstream on a directory opens fine but reads zero bytes,
     // which would make `diff <dir> <dir>` report "identical: 0
@@ -57,6 +57,30 @@ readJsonlFile(const std::string &path)
     std::ostringstream buf;
     buf << in.rdbuf();
     return buf.str();
+}
+
+void
+writeFile(const std::string &path, std::string_view text)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    if (out) {
+        out.write(text.data(),
+                  static_cast<std::streamsize>(text.size()));
+        out.flush();
+    }
+    if (!out)
+        throw std::runtime_error("cannot write '" + path + "'");
+}
+
+void
+writeFileAtomic(const std::string &path, std::string_view text)
+{
+    const std::string tmp = path + ".tmp";
+    writeFile(tmp, text);
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+        throw std::runtime_error("cannot rename '" + tmp + "' over '" +
+                                 path + "'");
+    }
 }
 
 std::string
@@ -132,8 +156,8 @@ int
 diffJsonlFiles(const std::string &pathA, const std::string &pathB,
                std::ostream &out, int context)
 {
-    const std::string textA = readJsonlFile(pathA);
-    const std::string textB = readJsonlFile(pathB);
+    const std::string textA = readFile(pathA);
+    const std::string textB = readFile(pathB);
     const std::vector<std::string_view> a = splitLines(textA);
     const std::vector<std::string_view> b = splitLines(textB);
     const std::size_t n = std::min(a.size(), b.size());

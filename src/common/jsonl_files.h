@@ -1,11 +1,11 @@
 /**
  * @file
- * The file side of the JSONL tools: safe file names for the runner's
- * `--trace`/`--metrics` output, and for `c4trace` (which reads both
- * event traces and metric snapshots) and the replay corpus reading
- * one file, expanding a CLI path into `*.jsonl` files, short file
- * tags and simulated-time stamps for listings, and the
- * first-divergence line diff behind `c4trace diff`.
+ * The file side of every tool: reading and writing one whole file
+ * (plain, or atomically via tmp + rename for journals a watcher may
+ * poll), safe file names for the runner's `--trace`/`--metrics`
+ * output, expanding a CLI path into `*.jsonl` files, short file tags
+ * and simulated-time stamps for listings, and the first-divergence
+ * line diff behind `c4trace diff`. Every error names the path.
  */
 
 #ifndef C4_COMMON_JSONL_FILES_H
@@ -13,6 +13,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.h"
@@ -24,7 +25,22 @@ namespace c4 {
  * @throws std::runtime_error when @p path is not a regular file (a
  *         directory would otherwise read as empty) or cannot be read.
  */
-std::string readJsonlFile(const std::string &path);
+std::string readFile(const std::string &path);
+
+/**
+ * Write @p text to @p path, truncating it, and flush.
+ * @throws std::runtime_error naming @p path when it cannot be opened
+ *         or the write fails.
+ */
+void writeFile(const std::string &path, std::string_view text);
+
+/**
+ * writeFile into `<path>.tmp`, then rename it over @p path, so a
+ * crash mid-write never truncates @p path and a concurrent reader
+ * sees the old bytes or the new ones, never a torn file.
+ * @throws std::runtime_error as writeFile, or when the rename fails.
+ */
+void writeFileAtomic(const std::string &path, std::string_view text);
 
 /**
  * Expand @p path: a file stands alone; a directory yields every
@@ -54,7 +70,7 @@ std::string formatSimSeconds(Time when);
  * divergence print the first differing line of each with @p context
  * preceding lines.
  * @return 0 identical, 1 divergent.
- * @throws std::runtime_error as readJsonlFile.
+ * @throws std::runtime_error as readFile.
  */
 int diffJsonlFiles(const std::string &pathA, const std::string &pathB,
                    std::ostream &out, int context = 3);

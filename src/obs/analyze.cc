@@ -39,7 +39,7 @@ loadSnapshotFile(const std::string &path)
     SnapshotFile sf;
     sf.path = path;
     try {
-        parseSnapshot(readJsonlFile(path), sf.meta,
+        parseSnapshot(readFile(path), sf.meta,
                       sf.samples);
     } catch (const SpecError &e) {
         throw std::runtime_error(path + ": " + e.what());

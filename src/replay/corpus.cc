@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 
 #include "common/json.h"
@@ -72,18 +71,6 @@ labelFromJson(const std::string &text)
     return label;
 }
 
-void
-writeFileOrThrow(const std::string &path, const std::string &text)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        throw std::runtime_error("cannot write " + path);
-    out << text;
-    out.flush();
-    if (!out)
-        throw std::runtime_error("write error on " + path);
-}
-
 std::vector<Incident>
 collectIncidents(const std::string &dir)
 {
@@ -127,7 +114,7 @@ collectIncidents(const std::string &dir)
         const std::string labelPath =
             (fs::path(dir) / (name + kLabelSuffix)).string();
         try {
-            inc.label = labelFromJson(readJsonlFile(labelPath));
+            inc.label = labelFromJson(readFile(labelPath));
         } catch (const SpecError &e) {
             throw std::runtime_error(labelPath + ": " + e.what());
         }

@@ -72,9 +72,6 @@ struct Incident
  */
 std::vector<Incident> collectIncidents(const std::string &dir);
 
-/** Write @p text to @p path. @throws std::runtime_error on failure. */
-void writeFileOrThrow(const std::string &path, const std::string &text);
-
 /**
  * Render one incident's verdicts as canonical JSONL: one line per
  * verdict with fixed keys (incident, kind, node, link, t_detect,

@@ -5,8 +5,8 @@
 #include <cstdio>
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 
 #include "common/jsonl_files.h"
@@ -20,33 +20,29 @@ namespace c4::scenario {
 namespace {
 
 /**
- * Write the per-trial JSONL traces plus one combined Chrome trace for
- * the scenario. File naming is index-prefixed (`v<K>_<label>.t<N>`)
- * so sanitized variant labels cannot collide. Recorder slot order is
- * the runner's work-item order (variant-major, then trial) — the same
- * deterministic order the sinks see.
- * @return "" on success, else an error message.
+ * Write one file per work item, `<root>/<scenario>/v<K>_<label>.t<N>.jsonl`,
+ * holding @p render(v, trial, i) for variant v, absolute trial N and
+ * work item i. File naming is index-prefixed so sanitized variant
+ * labels cannot collide, and the walk is the runner's work-item order
+ * (variant-major, then trial) — the same deterministic order the sinks
+ * see, so the bytes are independent of the thread schedule.
+ * @throws std::runtime_error naming the path on I/O failure.
  */
-std::string
-writeTraces(const RunOptions &opt, const Scenario &scenario,
-            const std::vector<ScenarioSpec> &variants, int trialBegin,
-            int trialCount,
-            const std::vector<std::unique_ptr<trace::TraceRecorder>>
-                &recorders)
+template <typename Render>
+void
+writeTrialFiles(const std::string &root, const Scenario &scenario,
+                const std::vector<ScenarioSpec> &variants,
+                int trialBegin, int trialCount, Render render)
 {
     namespace fs = std::filesystem;
     const fs::path dir =
-        fs::path(opt.traceDir) / sanitizeFileComponent(
-                                     scenario.name);
+        fs::path(root) / sanitizeFileComponent(scenario.name);
     std::error_code ec;
     fs::create_directories(dir, ec);
     if (ec) {
-        return "cannot create trace directory '" + dir.string() +
-               "': " + ec.message();
+        throw std::runtime_error("cannot create directory '" +
+                                 dir.string() + "': " + ec.message());
     }
-
-    std::vector<trace::ChromeTrack> tracks;
-    tracks.reserve(recorders.size());
     for (std::size_t v = 0; v < variants.size(); ++v) {
         const std::string stem =
             "v" + std::to_string(v) + "_" +
@@ -56,19 +52,31 @@ writeTraces(const RunOptions &opt, const Scenario &scenario,
             const std::size_t i =
                 v * static_cast<std::size_t>(trialCount) +
                 static_cast<std::size_t>(t);
-            const fs::path path =
-                dir / (stem + ".t" + std::to_string(trial) +
-                       ".jsonl");
-            std::ofstream out(path, std::ios::binary);
-            if (!out)
-                return "cannot write '" + path.string() + "'";
-            const std::string text =
-                trace::writeJsonl(recorders[i]->events());
-            out.write(text.data(),
-                      static_cast<std::streamsize>(text.size()));
-            if (!out)
-                return "cannot write '" + path.string() + "'";
+            writeFile((dir / (stem + ".t" + std::to_string(trial) +
+                              ".jsonl"))
+                          .string(),
+                      render(v, trial, i));
+        }
+    }
+}
 
+/**
+ * The per-trial JSONL traces plus one combined Chrome trace for the
+ * scenario, one track per trial in work-item order.
+ * @throws std::runtime_error naming the path on I/O failure.
+ */
+void
+writeTraces(const RunOptions &opt, const Scenario &scenario,
+            const std::vector<ScenarioSpec> &variants, int trialBegin,
+            int trialCount,
+            const std::vector<std::unique_ptr<trace::TraceRecorder>>
+                &recorders)
+{
+    std::vector<trace::ChromeTrack> tracks;
+    tracks.reserve(recorders.size());
+    writeTrialFiles(
+        opt.traceDir, scenario, variants, trialBegin, trialCount,
+        [&](std::size_t v, int trial, std::size_t i) {
             trace::ChromeTrack track;
             track.processName = variants[v].variant;
             track.threadName = "trial " + std::to_string(trial);
@@ -76,32 +84,19 @@ writeTraces(const RunOptions &opt, const Scenario &scenario,
             track.tid = trial;
             track.events = &recorders[i]->events();
             tracks.push_back(std::move(track));
-        }
-    }
-
-    const fs::path chrome =
-        fs::path(opt.traceDir) /
-        (sanitizeFileComponent(scenario.name) + ".trace.json");
-    std::ofstream out(chrome, std::ios::binary);
-    if (!out)
-        return "cannot write '" + chrome.string() + "'";
-    const std::string text = trace::writeChromeTrace(tracks);
-    out.write(text.data(),
-              static_cast<std::streamsize>(text.size()));
-    if (!out)
-        return "cannot write '" + chrome.string() + "'";
-    return "";
+            return trace::writeJsonl(recorders[i]->events());
+        });
+    writeFile((std::filesystem::path(opt.traceDir) /
+               (sanitizeFileComponent(scenario.name) + ".trace.json"))
+                  .string(),
+              trace::writeChromeTrace(tracks));
 }
 
 /**
- * Write the per-trial c4metrics/1 snapshots. File naming mirrors
- * writeTraces (`v<K>_<label>.t<N>.jsonl` under a sanitized scenario
- * directory) and registry slot order is the same variant-major work-
- * item order, so snapshot bytes are independent of the thread
- * schedule.
- * @return "" on success, else an error message.
+ * The per-trial c4metrics/1 snapshots.
+ * @throws std::runtime_error naming the path on I/O failure.
  */
-std::string
+void
 writeMetricSnapshots(
     const RunOptions &opt, const Scenario &scenario,
     const std::vector<ScenarioSpec> &variants, int trialBegin,
@@ -109,46 +104,16 @@ writeMetricSnapshots(
     const std::vector<std::unique_ptr<obs::MetricRegistry>>
         &registries)
 {
-    namespace fs = std::filesystem;
-    const fs::path dir =
-        fs::path(opt.metricsDir) /
-        sanitizeFileComponent(scenario.name);
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    if (ec) {
-        return "cannot create metrics directory '" + dir.string() +
-               "': " + ec.message();
-    }
-
-    for (std::size_t v = 0; v < variants.size(); ++v) {
-        const std::string stem =
-            "v" + std::to_string(v) + "_" +
-            sanitizeFileComponent(variants[v].variant);
-        for (int t = 0; t < trialCount; ++t) {
-            const int trial = trialBegin + t;
-            const std::size_t i =
-                v * static_cast<std::size_t>(trialCount) +
-                static_cast<std::size_t>(t);
-            const fs::path path =
-                dir / (stem + ".t" + std::to_string(trial) +
-                       ".jsonl");
+    writeTrialFiles(
+        opt.metricsDir, scenario, variants, trialBegin, trialCount,
+        [&](std::size_t v, int trial, std::size_t i) {
             obs::SnapshotMeta meta;
             meta.scenario = scenario.name;
             meta.variant = variants[v].variant;
             meta.trial = trial;
             meta.periodNs = opt.metricsPeriod;
-            std::ofstream out(path, std::ios::binary);
-            if (!out)
-                return "cannot write '" + path.string() + "'";
-            const std::string text =
-                obs::writeSnapshot(meta, registries[i]->samples());
-            out.write(text.data(),
-                      static_cast<std::streamsize>(text.size()));
-            if (!out)
-                return "cannot write '" + path.string() + "'";
-        }
-    }
-    return "";
+            return obs::writeSnapshot(meta, registries[i]->samples());
+        });
 }
 
 } // namespace
@@ -296,26 +261,20 @@ ScenarioRunner::run(const Scenario &scenario)
     // reported: a failed trial's recorder holds every event up to the
     // exception, and shipping that partial trace with the failure is
     // the whole point of the sweep executor's forensics bundles.
-    if (tracing) {
-        const std::string traceError =
+    try {
+        if (tracing) {
             writeTraces(opt, scenario, variants, scenario.trialBegin,
                         trialCount, recorders);
-        if (!traceError.empty()) {
-            std::fprintf(stderr, "scenario '%s': %s\n",
-                         scenario.name.c_str(), traceError.c_str());
-            return 1;
         }
-    }
-
-    if (metricsOn) {
-        const std::string metricsError = writeMetricSnapshots(
-            opt, scenario, variants, scenario.trialBegin, trialCount,
-            registries);
-        if (!metricsError.empty()) {
-            std::fprintf(stderr, "scenario '%s': %s\n",
-                         scenario.name.c_str(), metricsError.c_str());
-            return 1;
+        if (metricsOn) {
+            writeMetricSnapshots(opt, scenario, variants,
+                                 scenario.trialBegin, trialCount,
+                                 registries);
         }
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "scenario '%s': %s\n",
+                     scenario.name.c_str(), e.what());
+        return 1;
     }
 
     for (std::size_t i = 0; i < items; ++i) {

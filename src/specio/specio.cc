@@ -3,15 +3,15 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <type_traits>
 #include <vector>
 
+#include "common/jsonl_files.h"
 #include "scenario/cli.h"
 #include "scenario/runner.h"
 
@@ -161,8 +161,14 @@ secondsTokenToNanos(const std::string &token, Duration &out)
     }
     int exponent = 0;
     if (i < token.size()) { // at 'e' / 'E'
-        exponent = std::atoi(token.c_str() + i + 1);
-        if (exponent > 40 || exponent < -40)
+        const char *first = token.data() + i + 1;
+        const char *last = token.data() + token.size();
+        if (first != last && *first == '+')
+            ++first; // from_chars takes no '+'
+        // An exponent that overflows int is out of the bound too.
+        const auto [end, ec] = std::from_chars(first, last, exponent);
+        if (ec != std::errc() || end != last || exponent > 40 ||
+            exponent < -40)
             return false;
     }
     exponent += pointExponent + 9; // seconds -> nanoseconds
@@ -802,13 +808,14 @@ parseSpecFile(const std::string &text)
 SpecFile
 loadSpecFile(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw SpecError(path + ": cannot open spec file", 0, 0);
-    std::ostringstream text;
-    text << in.rdbuf();
+    std::string text;
     try {
-        return parseSpecFile(text.str());
+        text = readFile(path);
+    } catch (const std::runtime_error &e) {
+        throw SpecError(e.what(), 0, 0);
+    }
+    try {
+        return parseSpecFile(text);
     } catch (const SpecError &e) {
         throw SpecError(path + ": " + e.what(), 0, 0);
     }

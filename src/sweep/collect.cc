@@ -1,12 +1,11 @@
 #include "sweep/collect.h"
 
 #include <filesystem>
-#include <fstream>
 #include <ostream>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
+#include "common/jsonl_files.h"
 #include "sweep/forensics.h"
 #include "sweep/manifest.h"
 
@@ -20,18 +19,6 @@ struct Winner
     const Shard *shard = nullptr; ///< the journal entry to adopt
     std::string dir;              ///< campaign dir holding its files
 };
-
-std::string
-readFileFully(const std::string &path, std::string &out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return "cannot open " + path;
-    std::ostringstream text;
-    text << in.rdbuf();
-    out = text.str();
-    return "";
-}
 
 /**
  * The host manifest must be the same planned campaign: identical
@@ -190,15 +177,15 @@ collectCampaign(const CollectRequest &request, CollectStats &stats,
                     // `done` runs are byte-identical. Anything else
                     // means the hosts ran different inputs, and
                     // picking one silently would poison the merge.
-                    std::string a, b, ioErr;
-                    ioErr = readFileFully(
-                        campaignPath(w.dir, w.shard->csv), a);
-                    if (ioErr.empty())
-                        ioErr = readFileFully(
-                            campaignPath(hostDir, c.csv), b);
-                    if (!ioErr.empty())
-                        return c.id + ": " + ioErr;
-                    if (a != b) {
+                    bool same = false;
+                    try {
+                        same = readFile(campaignPath(w.dir,
+                                                     w.shard->csv)) ==
+                               readFile(campaignPath(hostDir, c.csv));
+                    } catch (const std::exception &e) {
+                        return c.id + ": " + e.what();
+                    }
+                    if (!same) {
                         return c.id +
                                ": divergent `done` CSVs between " +
                                w.dir + " and " + hostDir +

@@ -26,20 +26,24 @@ struct Child
     std::size_t shard = 0;
 };
 
-/**
- * fork/exec one shard worker: `bench --spec <spec> --csv -` with
- * stdout redirected into the shard CSV and stderr into the shard log
- * (both truncated — a retry starts clean). A non-empty @p metricsDir
- * adds `--metrics <metricsDir>`; the string is built by the caller
- * because the child may only use async-signal-safe calls before exec.
- * @return child pid, or -1 with @p error set.
- */
+} // namespace
+
 pid_t
-spawnShard(const std::string &bench, const std::string &spec,
-           const std::string &csv, const std::string &log,
-           const std::string &metricsDir, bool smoke,
-           std::string &error)
+launchBench(const std::string &bench, const std::string &spec,
+            const std::vector<std::string> &args, bool smoke,
+            const std::string &csv, const std::string &log,
+            std::string &error)
 {
+    // argv is built before fork(): the child may only make
+    // async-signal-safe calls until exec, and allocating is not one.
+    std::vector<const char *> argv = {bench.c_str(), "--spec",
+                                      spec.c_str(), "--csv", "-"};
+    for (const std::string &arg : args)
+        argv.push_back(arg.c_str());
+    if (smoke)
+        argv.push_back("--smoke");
+    argv.push_back(nullptr);
+
     const pid_t pid = fork();
     if (pid < 0) {
         error = std::string("fork: ") + std::strerror(errno);
@@ -48,7 +52,7 @@ spawnShard(const std::string &bench, const std::string &spec,
     if (pid > 0)
         return pid;
 
-    // Child. Only async-signal-safe calls until exec.
+    // Child.
     const int csvFd =
         open(csv.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     const int logFd =
@@ -66,25 +70,16 @@ spawnShard(const std::string &bench, const std::string &spec,
     }
     close(csvFd);
     close(logFd);
-
-    std::vector<const char *> argv;
-    argv.push_back(bench.c_str());
-    argv.push_back("--spec");
-    argv.push_back(spec.c_str());
-    argv.push_back("--csv");
-    argv.push_back("-");
-    if (!metricsDir.empty()) {
-        argv.push_back("--metrics");
-        argv.push_back(metricsDir.c_str());
-    }
-    if (smoke)
-        argv.push_back("--smoke");
-    argv.push_back(nullptr);
     execv(bench.c_str(), const_cast<char *const *>(argv.data()));
     _exit(127);
 }
 
-} // namespace
+int
+exitCodeOf(int status)
+{
+    return WIFEXITED(status) ? WEXITSTATUS(status)
+                             : 128 + WTERMSIG(status);
+}
 
 std::string
 siblingBenchPath()
@@ -190,9 +185,7 @@ runCampaign(const ExecRequest &request, ExecStats &stats,
         Shard &shard = manifest.shards[it->shard];
         running.erase(it);
 
-        const int code = WIFEXITED(status)
-                             ? WEXITSTATUS(status)
-                             : 128 + WTERMSIG(status);
+        const int code = exitCodeOf(status);
         // The child reserves 126 for "setup failed before exec"
         // (could not open/redirect the CSV or log) and 127 for "could
         // not exec the bench" — distinct from the bench itself
@@ -282,18 +275,17 @@ runCampaign(const ExecRequest &request, ExecStats &stats,
             shard.status = ShardStatus::Running;
             saveManifest(request.dir, manifest);
             std::string spawnError;
-            // Per-shard snapshot directory, built pre-fork (the child
-            // is restricted to async-signal-safe calls). c4bench
-            // creates the directory tree itself.
-            const std::string metricsDir =
-                request.metrics
-                    ? campaignPath(request.dir, "metrics/" + shard.id)
-                    : std::string();
-            const pid_t pid = spawnShard(
-                bench, campaignPath(request.dir, shard.spec),
-                campaignPath(request.dir, shard.csv),
-                campaignPath(request.dir, shard.log), metricsDir,
-                manifest.smoke, spawnError);
+            // Per-shard snapshot directory; c4bench creates the
+            // directory tree itself.
+            std::vector<std::string> args;
+            if (request.metrics) {
+                args = {"--metrics",
+                        campaignPath(request.dir, "metrics/" + shard.id)};
+            }
+            const pid_t pid = launchBench(
+                bench, campaignPath(request.dir, shard.spec), args,
+                manifest.smoke, campaignPath(request.dir, shard.csv),
+                campaignPath(request.dir, shard.log), spawnError);
             if (pid < 0) {
                 shard.status = ShardStatus::Pending;
                 saveManifest(request.dir, manifest);

@@ -3,7 +3,9 @@
  * The campaign executor: runs the pending shards of a planned
  * campaign as child `c4bench --spec shard.json --csv -` processes
  * (stdout redirected into the shard CSV, stderr into the shard log)
- * under a fixed-size worker pool.
+ * under a fixed-size worker pool. launchBench is the sweep's one
+ * fork/exec; the forensics re-run (sweep/forensics.h) starts its
+ * traced child through it too.
  *
  * Every state transition is journaled to the manifest before and
  * after the child runs, so killing the executor mid-campaign loses at
@@ -19,6 +21,8 @@
 #include <iosfwd>
 #include <string>
 #include <vector>
+
+#include <sys/types.h>
 
 namespace c4::sweep {
 
@@ -86,6 +90,22 @@ struct ExecStats
  */
 std::string runCampaign(const ExecRequest &request, ExecStats &stats,
                         std::ostream &diag);
+
+/**
+ * Start `bench --spec SPEC --csv - ARGS... [--smoke]` with stdout
+ * truncated into @p csv and stderr into @p log (a retry starts clean).
+ * The child exits 126 when it cannot open or redirect either file and
+ * 127 when exec fails, so neither reads as the bench's own exit.
+ * @return the child's pid, or -1 with @p error set.
+ */
+pid_t launchBench(const std::string &bench, const std::string &spec,
+                  const std::vector<std::string> &args, bool smoke,
+                  const std::string &csv, const std::string &log,
+                  std::string &error);
+
+/** A waitpid status as an exit code: the exit status, or 128 + the
+ * signal that ended the child. */
+int exitCodeOf(int status);
 
 /** `<dir-of-this-executable>/c4bench` — the build-tree default. */
 std::string siblingBenchPath();

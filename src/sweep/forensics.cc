@@ -2,24 +2,20 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
-#include <fcntl.h>
-#include <sys/types.h>
 #include <sys/wait.h>
-#include <unistd.h>
 
 #include "c4d/incident.h"
 #include "common/json.h"
+#include "common/jsonl_files.h"
 #include "replay/corpus.h"
 #include "replay/replay.h"
+#include "sweep/exec.h"
 #include "sweep/manifest.h"
 #include "trace/analyze.h"
 
@@ -138,12 +134,13 @@ parseBundleManifest(const std::string &text)
 BundleManifest
 loadBundleManifest(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        bad("cannot open " + path);
-    std::ostringstream text;
-    text << in.rdbuf();
-    return parseBundleManifest(text.str());
+    std::string text;
+    try {
+        text = readFile(path);
+    } catch (const std::exception &e) {
+        bad(e.what());
+    }
+    return parseBundleManifest(text);
 }
 
 bool
@@ -170,53 +167,20 @@ captureBundle(const std::string &dir, const Shard &shard,
                "': " + ec.message();
     }
 
-    // Strings the child needs, built pre-fork: after fork() only
-    // async-signal-safe calls are allowed until exec.
     const std::string spec = campaignPath(dir, shard.spec);
-    const std::string csv = (root / "stdout.csv").string();
-    const std::string log = (root / "stderr.log").string();
-    const std::string traceDir = (root / "trace").string();
-    const std::string metricsDir = (root / "metrics").string();
-
     diag << shard.id
          << ": cutting failure bundle (traced re-run) under "
          << root.string() << "\n";
 
-    const pid_t pid = fork();
+    std::string error;
+    const pid_t pid = launchBench(
+        bench, spec,
+        {"--trace", (root / "trace").string(), "--metrics",
+         (root / "metrics").string()},
+        smoke, (root / "stdout.csv").string(),
+        (root / "stderr.log").string(), error);
     if (pid < 0)
-        return std::string("fork: ") + std::strerror(errno);
-    if (pid == 0) {
-        // Child. Only async-signal-safe calls until exec.
-        const int csvFd =
-            open(csv.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-        const int logFd =
-            open(log.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-        if (csvFd < 0 || logFd < 0 ||
-            dup2(csvFd, STDOUT_FILENO) < 0 ||
-            dup2(logFd, STDERR_FILENO) < 0) {
-            if (csvFd >= 0)
-                close(csvFd);
-            if (logFd >= 0)
-                close(logFd);
-            _exit(126);
-        }
-        close(csvFd);
-        close(logFd);
-        const char *argv[] = {bench.c_str(),
-                              "--spec",
-                              spec.c_str(),
-                              "--csv",
-                              "-",
-                              "--trace",
-                              traceDir.c_str(),
-                              "--metrics",
-                              metricsDir.c_str(),
-                              smoke ? "--smoke" : nullptr,
-                              nullptr};
-        execv(bench.c_str(), const_cast<char *const *>(argv));
-        _exit(127);
-    }
-
+        return error;
     int status = 0;
     for (;;) {
         if (waitpid(pid, &status, 0) >= 0)
@@ -225,8 +189,7 @@ captureBundle(const std::string &dir, const Shard &shard,
             continue;
         return std::string("waitpid: ") + std::strerror(errno);
     }
-    const int code = WIFEXITED(status) ? WEXITSTATUS(status)
-                                       : 128 + WTERMSIG(status);
+    const int code = exitCodeOf(status);
     if (code == 126 || code == 127) {
         return "forensic re-run of " + shard.id +
                " could not start (exit " + std::to_string(code) +
@@ -250,22 +213,14 @@ captureBundle(const std::string &dir, const Shard &shard,
     bundle.traces = scanJsonl(root, "trace");
     bundle.metrics = scanJsonl(root, "metrics");
 
-    // tmp + rename, like the campaign manifest: a watcher polling the
+    // Atomic, like the campaign manifest: a watcher polling the
     // bundle never reads a torn bundle.json.
-    const fs::path path = root / "bundle.json";
-    const fs::path tmp = root / "bundle.json.tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            return "cannot write " + tmp.string();
-        out << writeBundleManifest(bundle);
-        out.flush();
-        if (!out)
-            return "short write to " + tmp.string();
+    try {
+        writeFileAtomic((root / "bundle.json").string(),
+                        writeBundleManifest(bundle));
+    } catch (const std::exception &e) {
+        return e.what();
     }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        return "cannot rename " + tmp.string() + " over " +
-               path.string();
 
     if (code == 0) {
         diag << shard.id

@@ -80,11 +80,12 @@ bool bundleExists(const std::string &dir, const std::string &shardId);
 
 /**
  * Cut the failure bundle for @p shard: re-run it once through
- * @p bench with `--trace`/`--metrics` pointed into the bundle dir,
- * copy the shard spec in, and write the c4bundle/1 manifest (tmp +
- * rename, so a watching dashboard never reads a torn manifest). An
- * existing bundle for the shard is replaced — the latest failure
- * wins.
+ * @p bench — started by launchBench (sweep/exec.h), the same launcher
+ * as the shard children — with `--trace`/`--metrics` pointed into the
+ * bundle dir, copy the shard spec in, and write the c4bundle/1
+ * manifest with writeFileAtomic, so a watching dashboard never reads
+ * a torn manifest. An existing bundle for the shard is replaced — the
+ * latest failure wins.
  * @return "" on success, otherwise the error; progress to @p diag.
  */
 std::string captureBundle(const std::string &dir, const Shard &shard,

@@ -1,13 +1,9 @@
 #include "sweep/manifest.h"
 
-#include <cstdio>
-#include <fstream>
-#include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/json.h"
-#include "common/table.h"
+#include "common/jsonl_files.h"
 
 namespace c4::sweep {
 
@@ -152,33 +148,24 @@ parseManifest(const std::string &text)
 Manifest
 loadManifest(const std::string &dir)
 {
-    const std::string path = manifestPath(dir);
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        bad("cannot open " + path +
+    std::string text;
+    try {
+        text = readFile(manifestPath(dir));
+    } catch (const std::exception &e) {
+        bad(std::string(e.what()) +
             " (not a planned campaign directory?)");
     }
-    std::ostringstream text;
-    text << in.rdbuf();
-    return parseManifest(text.str());
+    return parseManifest(text);
 }
 
 void
 saveManifest(const std::string &dir, const Manifest &manifest)
 {
-    const std::string path = manifestPath(dir);
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            bad("cannot write " + tmp);
-        out << writeManifest(manifest);
-        out.flush();
-        if (!out)
-            bad("short write to " + tmp);
+    try {
+        writeFileAtomic(manifestPath(dir), writeManifest(manifest));
+    } catch (const std::exception &e) {
+        bad(e.what());
     }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        bad("cannot rename " + tmp + " over " + path);
 }
 
 bool
@@ -189,51 +176,6 @@ campaignComplete(const Manifest &manifest)
             return false;
     }
     return true;
-}
-
-void
-printStatus(const Manifest &manifest, std::ostream &out)
-{
-    AsciiTable table(
-        {"shard", "trials", "status", "attempts", "exit"});
-    int done = 0, failed = 0, pending = 0;
-    for (const Shard &s : manifest.shards) {
-        switch (s.status) {
-        case ShardStatus::Done:
-            ++done;
-            break;
-        case ShardStatus::Failed:
-            ++failed;
-            break;
-        default:
-            ++pending;
-            break;
-        }
-        table.addRow({s.id,
-                      "[" + std::to_string(s.trialBegin) + ", " +
-                          std::to_string(s.trialBegin + s.trialCount) +
-                          ")",
-                      shardStatusName(s.status),
-                      std::to_string(s.attempts),
-                      s.attempts > 0 ? std::to_string(s.exitCode)
-                                     : "-"});
-    }
-    out << table.str("campaign: " +
-                     std::to_string(manifest.scenarios.size()) +
-                     " scenario(s), " +
-                     std::to_string(manifest.shards.size()) +
-                     " shard(s)" +
-                     (manifest.smoke ? ", smoke mode" : ""));
-    out << done << " done, " << failed << " failed, " << pending
-        << " pending";
-    if (failed > 0)
-        out << " — see the shard logs, then `c4sweep run --retries "
-               "N` (N higher than the attempts used) to re-try";
-    else if (pending > 0)
-        out << " — `c4sweep run` to execute";
-    else
-        out << " — ready to `c4sweep merge`";
-    out << "\n";
 }
 
 } // namespace c4::sweep

@@ -18,7 +18,6 @@
 #define C4_SWEEP_MANIFEST_H
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -91,9 +90,6 @@ Manifest loadManifest(const std::string &dir);
  * campaign state. @throws std::runtime_error on I/O failure.
  */
 void saveManifest(const std::string &dir, const Manifest &manifest);
-
-/** Human-readable campaign state (the `c4sweep status` output). */
-void printStatus(const Manifest &manifest, std::ostream &out);
 
 /** True when every shard is Done. */
 bool campaignComplete(const Manifest &manifest);

@@ -2,33 +2,19 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <ostream>
-#include <sstream>
 #include <vector>
 
 #include "common/csv.h"
+#include "common/jsonl_files.h"
 #include "specio/specio.h"
 #include "sweep/manifest.h"
 
 namespace c4::sweep {
 
 namespace {
-
-std::string
-readFile(const std::string &path, std::string &error)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        error = "cannot open " + path;
-        return "";
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    return text.str();
-}
 
 /** Split into physical lines, each keeping its trailing newline. */
 std::vector<std::string>
@@ -124,12 +110,12 @@ mergeCampaign(const std::string &dir, const std::string &outCsv,
             shards.size());
         for (std::size_t i = 0; i < shards.size(); ++i) {
             const Shard &s = *shards[i];
-            std::string error;
-            const std::string text =
-                readFile(campaignPath(dir, s.csv), error);
-            if (!error.empty())
-                return error + " (shard " + s.id + ")";
-            const std::vector<std::string> lines = splitLines(text);
+            std::vector<std::string> lines;
+            try {
+                lines = splitLines(readFile(campaignPath(dir, s.csv)));
+            } catch (const std::exception &e) {
+                return std::string(e.what()) + " (shard " + s.id + ")";
+            }
             if (lines.empty())
                 return "shard " + s.id + " CSV is empty";
             if (header.empty())
@@ -206,13 +192,11 @@ mergeCampaign(const std::string &dir, const std::string &outCsv,
         std::cout << output;
         std::cout.flush();
     } else {
-        std::ofstream out(outCsv, std::ios::binary | std::ios::trunc);
-        if (!out)
-            return "cannot write " + outCsv;
-        out << output;
-        out.flush();
-        if (!out)
-            return "short write to " + outCsv;
+        try {
+            writeFile(outCsv, output);
+        } catch (const std::exception &e) {
+            return e.what();
+        }
     }
     diag << "merged " << totalRows << " row(s) from "
          << manifest.shards.size() << " shard(s)";

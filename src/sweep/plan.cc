@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <ostream>
 
+#include "common/jsonl_files.h"
 #include "scenario/cli.h"
 #include "scenario/registry.h"
 #include "scenario/runner.h"
@@ -12,23 +12,6 @@
 #include "sweep/manifest.h"
 
 namespace c4::sweep {
-
-namespace {
-
-std::string
-writeFileOrError(const std::string &path, const std::string &text)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        return "cannot write " + path;
-    out << text;
-    out.flush();
-    if (!out)
-        return "short write to " + path;
-    return "";
-}
-
-} // namespace
 
 std::string
 planCampaign(const PlanRequest &request, std::ostream &diag)
@@ -166,11 +149,12 @@ planCampaign(const PlanRequest &request, std::ostream &diag)
             shard.trialBegin = begin;
             shard.trialCount = count;
 
-            const std::string err = writeFileOrError(
-                campaignPath(request.dir, shard.spec),
-                specio::writeSpecFile(file));
-            if (!err.empty())
-                return err;
+            try {
+                writeFile(campaignPath(request.dir, shard.spec),
+                          specio::writeSpecFile(file));
+            } catch (const std::exception &e) {
+                return e.what();
+            }
             manifest.shards.push_back(std::move(shard));
             ++shardIndex;
             begin += count;

@@ -101,7 +101,8 @@ describePulse(const ShardPulse &pulse)
     return buf;
 }
 
-/** Render one dashboard frame. @return true when complete. */
+/** Render one dashboard frame, ending in the next-step hint.
+ * @return true when complete. */
 bool
 renderFrame(const std::string &dir, const Manifest &manifest,
             int tick, std::ostream &out)
@@ -175,8 +176,14 @@ renderFrame(const std::string &dir, const Manifest &manifest,
     }
 
     const bool complete = campaignComplete(manifest);
-    if (complete)
-        out << "campaign complete\n";
+    if (failed > 0) {
+        out << "next: see the shard logs, then `c4sweep run --retries "
+               "N` (N higher than the attempts used) to re-try\n";
+    } else if (complete) {
+        out << "campaign complete — ready to `c4sweep merge`\n";
+    } else {
+        out << "next: `c4sweep run` to execute or resume\n";
+    }
     out << "\n";
     out.flush();
     return complete;
@@ -186,14 +193,14 @@ renderFrame(const std::string &dir, const Manifest &manifest,
 
 int
 watchCampaign(const std::string &dir, const WatchOptions &opt,
-              std::ostream &out)
+              std::ostream &out, std::ostream &err)
 {
     for (int tick = 1;; ++tick) {
         Manifest manifest;
         try {
             manifest = loadManifest(dir);
         } catch (const std::exception &e) {
-            out << e.what() << "\n";
+            err << e.what() << "\n";
             return 2;
         }
         if (renderFrame(dir, manifest, tick, out))

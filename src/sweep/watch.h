@@ -1,10 +1,12 @@
 /**
  * @file
- * `c4sweep status --watch`: a polling campaign dashboard. Re-reads
- * the journaled manifest on a fixed cadence and renders a live view —
- * shards done/running/failed, retry budget burned, and (when the
- * campaign runs with `--metrics`) per-scenario throughput highlights
- * pulled from each shard's latest c4metrics/1 snapshot.
+ * `c4sweep status`: the one campaign view. Reads the journaled
+ * manifest and renders a dashboard frame — shards done/running/failed,
+ * retry budget burned, forensics bundles, (when the campaign runs with
+ * `--metrics`) per-scenario throughput highlights pulled from each
+ * shard's latest c4metrics/1 snapshot, and the next step to take.
+ * Plain `status` renders one frame; `--watch` re-reads the manifest on
+ * a fixed cadence and renders a frame per poll.
  *
  * The watcher is a pure reader: it never writes the manifest, so it
  * is safe to run alongside an executor (even one on another host over
@@ -20,7 +22,7 @@
 
 namespace c4::sweep {
 
-/** What `c4sweep status --watch` collected from its command line. */
+/** How often `c4sweep status` polls; plain `status` is one tick. */
 struct WatchOptions
 {
     /** Seconds between manifest polls (0 = poll back-to-back, for
@@ -36,10 +38,11 @@ struct WatchOptions
  * Poll `<dir>/manifest.json` and render the dashboard to @p out after
  * every poll.
  * @return 0 once the campaign completes, 1 when the tick budget runs
- *         out with the campaign incomplete, 2 on a load error.
+ *         out with the campaign incomplete, 2 on a load error (its
+ *         message goes to @p err).
  */
 int watchCampaign(const std::string &dir, const WatchOptions &opt,
-                  std::ostream &out);
+                  std::ostream &out, std::ostream &err);
 
 } // namespace c4::sweep
 

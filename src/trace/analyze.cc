@@ -42,7 +42,7 @@ loadTraceFile(const std::string &path)
     TraceFile tf;
     tf.path = path;
     try {
-        tf.events = parseJsonl(readJsonlFile(path));
+        tf.events = parseJsonl(readFile(path));
     } catch (const SpecError &e) {
         throw std::runtime_error(path + ": " + e.what());
     }

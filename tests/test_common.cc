@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for src/common: typed units, RNG, statistics, CSV, tables.
+ * Unit tests for src/common: typed units, RNG, statistics, CSV, tables,
+ * ring windows, and the whole-file read/write seam.
  */
 
 #include <gtest/gtest.h>
@@ -11,11 +12,14 @@
 #include <cmath>
 #include <cstdint>
 #include <deque>
+#include <filesystem>
 #include <sstream>
+#include <stdexcept>
 #include <type_traits>
 #include <vector>
 
 #include "common/csv.h"
+#include "common/jsonl_files.h"
 #include "common/log.h"
 #include "common/random.h"
 #include "common/ring.h"
@@ -557,6 +561,52 @@ TEST(RingWindow, FullWindowAllocatesItsBlocksOnce)
     }
     EXPECT_EQ(samples.blocks(), 13u);
     EXPECT_EQ(records.blocks(), 56u);
+}
+
+TEST(Files, WriteFileAtomicReplacesAndLeavesNoTmp)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() / "c4_common_files";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const std::string path = (dir / "journal.json").string();
+
+    writeFile(path, "old bytes, longer than the new ones\n");
+    writeFileAtomic(path, "new\n");
+    EXPECT_EQ(readFile(path), "new\n");
+    EXPECT_FALSE(fs::exists(path + ".tmp"));
+    // Plain writeFile truncates too.
+    writeFile(path, "x");
+    EXPECT_EQ(readFile(path), "x");
+    fs::remove_all(dir);
+}
+
+TEST(Files, ErrorsNameThePath)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() / "c4_common_nofile";
+    fs::remove_all(dir);
+    const std::string missing = (dir / "sub" / "f.txt").string();
+    auto messageOf = [](auto &&call) {
+        try {
+            call();
+        } catch (const std::runtime_error &e) {
+            return std::string(e.what());
+        }
+        return std::string("no error");
+    };
+    for (const std::string &what :
+         {messageOf([&] { readFile(missing); }),
+          messageOf([&] { writeFile(missing, "x"); }),
+          messageOf([&] { writeFileAtomic(missing, "x"); })}) {
+        EXPECT_NE(what.find(missing), std::string::npos) << what;
+    }
+    // A directory is not a file to read, even though it opens.
+    EXPECT_EQ(messageOf([&] {
+                  readFile(fs::temp_directory_path().string());
+              }),
+              "'" + fs::temp_directory_path().string() +
+                  "' is not a regular file");
 }
 
 } // namespace

@@ -46,15 +46,6 @@ scratchDir(const std::string &name)
     return dir;
 }
 
-std::string
-readFile(const fs::path &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream text;
-    text << in.rdbuf();
-    return text.str();
-}
-
 // --- registry / scope -------------------------------------------------
 
 TEST(Scope, DetachedScopeIsANoOp)

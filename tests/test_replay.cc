@@ -51,7 +51,7 @@ TEST(ReplayCorpus, CollectRejectsUnpairedFiles)
         fs::temp_directory_path() / "c4_replay_unpaired_corpus";
     fs::remove_all(dir);
     fs::create_directories(dir);
-    writeFileOrThrow((dir / "orphan.trace.jsonl").string(), "");
+    writeFile((dir / "orphan.trace.jsonl").string(), "");
     EXPECT_THROW(collectIncidents(dir.string()), std::runtime_error);
     fs::remove_all(dir);
 }
@@ -60,7 +60,7 @@ TEST(ReplayCorpus, ReadingADirectoryThrows)
 {
     // A directory opens like a file but reads as zero bytes, which
     // would replay as an empty trace with no verdicts.
-    EXPECT_THROW(readJsonlFile(kCorpusDir), std::runtime_error);
+    EXPECT_THROW(readFile(kCorpusDir), std::runtime_error);
     EXPECT_THROW(trace::loadTraceFile(kCorpusDir), std::runtime_error);
 }
 
@@ -69,14 +69,14 @@ TEST(ReplayCorpus, LabelJsonRoundTripsEveryCommittedLabel)
     for (const Incident &inc : collectIncidents(kCorpusDir)) {
         const std::string path =
             kCorpusDir + "/" + inc.name + ".label.json";
-        const std::string text = readJsonlFile(path);
+        const std::string text = readFile(path);
         EXPECT_EQ(writeLabelJson(labelFromJson(text)), text) << path;
     }
 }
 
 TEST(ReplayCorpus, LabelValidationRejectsSchemaDrift)
 {
-    const std::string good = readJsonlFile(
+    const std::string good = readFile(
         kCorpusDir + "/link_failure_single.label.json");
     EXPECT_NO_THROW(labelFromJson(good));
     EXPECT_THROW(labelFromJson("{"), SpecError);
@@ -114,7 +114,7 @@ TEST(ReplayCorpus, EveryLabelPrefixParsesOrThrowsWithALineNumber)
     for (const Incident &inc : collectIncidents(kCorpusDir)) {
         const std::string path =
             kCorpusDir + "/" + inc.name + ".label.json";
-        const std::string full = readJsonlFile(path);
+        const std::string full = readFile(path);
         for (std::size_t n = 0; n < full.size(); ++n) {
             try {
                 EXPECT_EQ(writeLabelJson(labelFromJson(full.substr(0, n))),
@@ -133,7 +133,7 @@ TEST(ReplayCorpus, EveryLabelPrefixParsesOrThrowsWithALineNumber)
 TEST(ReplayCorpus, TraceJsonlRoundTripsEveryCommittedTrace)
 {
     for (const Incident &inc : collectIncidents(kCorpusDir)) {
-        const std::string text = readJsonlFile(inc.tracePath);
+        const std::string text = readFile(inc.tracePath);
         EXPECT_EQ(trace::writeJsonl(trace::parseJsonl(text)), text)
             << inc.tracePath;
     }
@@ -190,10 +190,10 @@ TEST(ReplayIdentity, LiveCaptureMatchesCommittedReplay)
         const std::string labelPath =
             kCorpusDir + "/" + std::string(name) + ".label.json";
         EXPECT_EQ(trace::writeJsonl(live.events),
-                  readJsonlFile(tracePath))
+                  readFile(tracePath))
             << name;
         EXPECT_EQ(writeLabelJson(live.label),
-                  readJsonlFile(labelPath))
+                  readFile(labelPath))
             << name;
         const trace::TraceFile committed = trace::loadTraceFile(tracePath);
         EXPECT_EQ(verdictsToJsonl(name, replayTrace(live.events)),

@@ -328,6 +328,31 @@ TEST(SpecParse, ExactSecondsSurviveTheDecimalEncoding)
     EXPECT_EQ(file.variants[0].metrics.splitAt, milliseconds(1));
 }
 
+TEST(SpecParse, DurationExponentsOutsideTheBoundAreRejected)
+{
+    EXPECT_EQ(parseSpecFile(minimalSpec("\"variant\": \"v\", "
+                                        "\"horizon_s\": 1e+1"))
+                  .variants[0]
+                  .horizon,
+              seconds(10));
+    // Exponents that wrap int used to load as 1e9 s and 1 s.
+    for (const char *value :
+         {"1e41", "1e-41", "1e-4294967287", "1e-4294967296",
+          "1e-99999999999999999999"}) {
+        try {
+            parseSpecFile(minimalSpec(
+                std::string("\"variant\": \"v\", \"horizon_s\": ") +
+                value));
+            ADD_FAILURE() << value << " accepted";
+        } catch (const SpecError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "does not fit an integer-nanosecond duration"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(SpecParse, TruncatedDocumentsAlwaysErrorCleanly)
 {
     // A document exercising every section of the schema.

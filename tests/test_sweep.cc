@@ -5,8 +5,9 @@
  * round-trips, the planner's balanced partitions, the process
  * executor's retry/resume state machine (driven through a fake bench
  * script), the merger's determinism and refusal paths, the c4bundle/1
- * failure-bundle manifest (round-trip, strictness, prefix fuzz), and
- * multi-host journal reconciliation (`c4sweep collect`). The
+ * failure-bundle manifest (round-trip, strictness, prefix fuzz), the
+ * `c4sweep status` dashboard's exit codes, and multi-host journal
+ * reconciliation (`c4sweep collect`). The
  * end-to-end gates over the real c4bench binary live in
  * cmake/sweep_check.cmake (ctest -L sweep) and
  * cmake/collect_check.cmake (ctest -L collect).
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "common/csv.h"
+#include "common/jsonl_files.h"
 #include "scenario/registry.h"
 #include "scenario/runner.h"
 #include "scenario/sink.h"
@@ -32,6 +34,7 @@
 #include "sweep/manifest.h"
 #include "sweep/merge.h"
 #include "sweep/plan.h"
+#include "sweep/watch.h"
 
 namespace c4::sweep {
 namespace {
@@ -52,22 +55,6 @@ scratchDir(const std::string &name)
     fs::remove_all(dir);
     fs::create_directories(dir);
     return dir;
-}
-
-void
-writeFile(const fs::path &path, const std::string &text)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << text;
-}
-
-std::string
-readFile(const fs::path &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream text;
-    text << in.rdbuf();
-    return text.str();
 }
 
 /** A cheap two-variant allreduce scenario (same shape as the one in
@@ -273,6 +260,68 @@ TEST(Manifest, SaveIsAtomicAndLoadable)
     EXPECT_EQ(loaded.shards.size(), 2u);
     EXPECT_THROW(loadManifest((dir / "nope").string()),
                  std::runtime_error);
+}
+
+// --- the status view --------------------------------------------------
+
+TEST(Status, OneTickRendersTheDashboardWithTheCampaignsExitCode)
+{
+    const fs::path dir = scratchDir("status");
+    WatchOptions once;
+    once.intervalSeconds = 0;
+    once.maxTicks = 1;
+    std::string frame, error;
+    auto status = [&]() {
+        std::ostringstream out, err;
+        const int rc = watchCampaign(dir.string(), once, out, err);
+        frame = out.str();
+        error = err.str();
+        return rc;
+    };
+    auto rowOf = [&](const std::string &id) {
+        const std::size_t at = frame.find(id + " ");
+        if (at == std::string::npos)
+            return std::string();
+        return frame.substr(at, frame.find('\n', at) - at);
+    };
+
+    Manifest m = sampleManifest();
+    saveManifest(dir.string(), m);
+    EXPECT_EQ(status(), 1);
+    EXPECT_NE(frame.find("0 done, 0 running, 0 failed, 2 pending"),
+              std::string::npos)
+        << frame;
+    EXPECT_NE(frame.find("`c4sweep run` to execute"), std::string::npos)
+        << frame;
+
+    m.shards[0].status = ShardStatus::Done;
+    m.shards[0].attempts = 1;
+    m.shards[1].status = ShardStatus::Failed;
+    m.shards[1].attempts = 2;
+    m.shards[1].exitCode = 3;
+    saveManifest(dir.string(), m);
+    EXPECT_EQ(status(), 1);
+    const std::string failedRow = rowOf("t.s1");
+    EXPECT_NE(failedRow.find("failed"), std::string::npos) << frame;
+    EXPECT_NE(failedRow.find(" 3 "), std::string::npos) << failedRow;
+    EXPECT_NE(frame.find("retry budget burned: 1"), std::string::npos)
+        << frame;
+    EXPECT_NE(frame.find("--retries"), std::string::npos) << frame;
+
+    m.shards[1].status = ShardStatus::Done;
+    m.shards[1].attempts = 3;
+    m.shards[1].exitCode = 0;
+    saveManifest(dir.string(), m);
+    EXPECT_EQ(status(), 0);
+    EXPECT_NE(frame.find("campaign complete"), std::string::npos)
+        << frame;
+    EXPECT_EQ(error, "");
+
+    fs::remove(manifestPath(dir.string()));
+    EXPECT_EQ(status(), 2);
+    EXPECT_EQ(frame, "");
+    EXPECT_NE(error.find(manifestPath(dir.string())), std::string::npos)
+        << error;
 }
 
 // --- planner ----------------------------------------------------------

@@ -50,15 +50,6 @@ scratchDir(const std::string &name)
     return dir;
 }
 
-std::string
-readFile(const fs::path &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream text;
-    text << in.rdbuf();
-    return text.str();
-}
-
 Event
 makeEvent(EventKind kind, Time when)
 {
@@ -944,12 +935,9 @@ TEST(Jsonl, EveryPrefixOfARealIncidentTraceParsesOrThrows)
     // either parse cleanly (prefix ends on a record boundary) or throw
     // a line-numbered SpecError — never crash, never silently return a
     // short-read record.
-    std::ifstream in(std::string(C4_INCIDENT_CORPUS_DIR) +
-                     "/port_degradation_tx.trace.jsonl");
-    ASSERT_TRUE(in.good());
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string text = buf.str();
+    const std::string text =
+        readFile(std::string(C4_INCIDENT_CORPUS_DIR) +
+                 "/port_degradation_tx.trace.jsonl");
     ASSERT_GT(text.size(), 1000u);
 
     const std::size_t fullCount = parseJsonl(text).size();
