@@ -62,7 +62,7 @@ const Register reg{{
                 atInterval("30s", seconds(30)),
             };
         },
-    .summarize = {},
+    .claims = {},
 }};
 
 } // namespace

@@ -184,7 +184,7 @@ const Register reg{{
             spec.custom = runTrial;
             return std::vector<ScenarioSpec>{spec};
         },
-    .summarize = {},
+    .claims = {},
 }};
 
 } // namespace

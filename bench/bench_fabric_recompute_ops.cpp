@@ -19,7 +19,6 @@
  *    full rebuild would scan ~10k flows per event.
  */
 
-#include <cstdio>
 #include <vector>
 
 #include "fault/injector.h"
@@ -206,38 +205,24 @@ const Register reg{{
                 toggle("incr_pod512", 512, 4096, true),
             };
         },
-    .summarize =
-        [](const std::vector<TrialResult> &results) {
-            const auto perRealloc = variantMetricMeans(
-                results, "filling_ops_per_realloc");
-            const auto reallocs =
-                variantMetricMeans(results, "reallocs");
-            std::string out;
-            const auto full = perRealloc.find("full_64n");
-            const auto incr = perRealloc.find("incr_64n");
-            if (full != perRealloc.end() &&
-                incr != perRealloc.end() && incr->second > 0.0) {
-                char buf[128];
-                std::snprintf(
-                    buf, sizeof(buf),
-                    "incremental re-fill: %.1fx fewer filling ops "
-                    "per re-allocation than a full rebuild\n",
-                    full->second / incr->second);
-                out += buf;
-            }
-            const auto imm = reallocs.find("storm_64n");
-            const auto coal = reallocs.find("storm_coalesce_64n");
-            if (imm != reallocs.end() && coal != reallocs.end() &&
-                coal->second > 0.0) {
-                char buf[128];
-                std::snprintf(
-                    buf, sizeof(buf),
-                    "1 ms coalesce window: %.0f -> %.0f "
-                    "re-allocations across the fault storms\n",
-                    imm->second, coal->second);
-                out += buf;
-            }
-            return out;
+    .claims =
+        {
+            {
+                .label = "full rebuild / incremental filling ops per "
+                         "re-allocation",
+                .metric = "filling_ops_per_realloc",
+                .variant = "full_64n",
+                .baseline = "incr_64n",
+                .expect = Claim::Expect::Above,
+            },
+            {
+                .label = "fault-storm re-allocations, immediate / 1 ms "
+                         "coalesce window",
+                .metric = "reallocs",
+                .variant = "storm_64n",
+                .baseline = "storm_coalesce_64n",
+                .expect = Claim::Expect::Above,
+            },
         },
 }};
 

@@ -118,7 +118,7 @@ const Register reg{{
             spec.custom = runTrial;
             return std::vector<ScenarioSpec>{spec};
         },
-    .summarize = {},
+    .claims = {},
 }};
 
 } // namespace

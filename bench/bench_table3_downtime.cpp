@@ -8,8 +8,6 @@
  */
 
 #include <cctype>
-#include <cstdio>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -85,23 +83,14 @@ const Register reg{{
             };
             return std::vector<ScenarioSpec>{june, dec};
         },
-    .summarize =
-        [](const std::vector<TrialResult> &results) {
-            const auto totals = variantMetricMeans(results, "total");
-            auto mean = [&](const char *v) {
-                auto it = totals.find(v);
-                return it == totals.end() ? 0.0 : it->second;
-            };
-            const double june = mean("june2023");
-            const double dec = mean("december2023");
-            if (dec <= 0.0)
-                return std::string();
-            char buf[96];
-            std::snprintf(buf, sizeof(buf),
-                          "downtime reduction: %.1fx (paper: %.1fx)",
-                          june / dec, 0.3119 / 0.0116);
-            return std::string(buf);
-        },
+    .claims = {{
+        .label = "June 2023 / December 2023 downtime",
+        .metric = "total",
+        .variant = "june2023",
+        .baseline = "december2023",
+        .paper = 0.3119 / 0.0116,
+        .expect = Claim::Expect::Above,
+    }},
 }};
 
 } // namespace

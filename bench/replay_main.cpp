@@ -249,10 +249,16 @@ mainScore(int argc, char **argv, const char *argv0)
 int
 mainCapture(int argc, char **argv, const char *argv0)
 {
-    std::string outDir, only;
+    std::string outDir;
+    std::vector<std::string> only; // empty: the whole corpus
     for (int i = 0; i < argc; ++i) {
         if (std::strcmp(argv[i], "--only") == 0 && i + 1 < argc) {
-            only = argv[++i];
+            const std::size_t given = only.size();
+            scenario::splitCommaList(argv[++i], only);
+            if (only.size() == given) {
+                std::fprintf(stderr, "--only needs incident names\n");
+                return 2;
+            }
         } else if (argv[i][0] == '-') {
             std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
             usage(argv0);
@@ -269,11 +275,8 @@ mainCapture(int argc, char **argv, const char *argv0)
         return 2;
     }
 
-    std::vector<std::string> names;
-    if (only.empty())
-        names = replay::captureIncidentNames();
-    else
-        scenario::splitCommaList(only, names);
+    const std::vector<std::string> names =
+        only.empty() ? replay::captureIncidentNames() : only;
 
     std::filesystem::create_directories(outDir);
     std::string goldenText;

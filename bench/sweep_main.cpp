@@ -61,7 +61,7 @@ usage(const char *argv0)
         "               unknown ids are an error — hand each host a\n"
         "               disjoint --only set for multi-host campaigns)\n"
         "       %s merge DIR [--csv FILE]   (FILE '-' = stdout)\n"
-        "       %s status DIR [--watch] [--interval S] [--max-ticks N]\n"
+        "       %s status DIR [--watch [--interval S] [--max-ticks N]]\n"
         "       %s collect DIR HOST_DIR... [--only id1,id2] [--report]\n"
         "       %s forensics DIR\n"
         "\n"
@@ -273,6 +273,7 @@ mainStatus(int argc, char **argv, const char *argv0)
 {
     std::string dir;
     bool watch = false;
+    bool pacingGiven = false;
     c4::sweep::WatchOptions opt;
     for (int i = 0; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -291,12 +292,14 @@ mainStatus(int argc, char **argv, const char *argv0)
                 return 2;
             }
             opt.intervalSeconds = sec;
+            pacingGiven = true;
         } else if (arg == "--max-ticks") {
             const char *v = value();
             if (!v || !parseCliInt(v, opt.maxTicks)) {
                 usage(argv0);
                 return 2;
             }
+            pacingGiven = true;
         } else if (arg.size() > 1 && arg[0] == '-') {
             std::fprintf(stderr, "unknown option '%s'\n",
                          arg.c_str());
@@ -315,6 +318,11 @@ mainStatus(int argc, char **argv, const char *argv0)
         return 2;
     }
     if (!watch) {
+        if (pacingGiven) {
+            std::fprintf(stderr,
+                         "--interval and --max-ticks need --watch\n");
+            return 2;
+        }
         opt.intervalSeconds = 0;
         opt.maxTicks = 1;
     }

@@ -10,8 +10,10 @@
 #      actually catch a detector change);
 #   4. `summary` and `run --label` work on the corpus, `run` on a
 #      directory fails with exit 2 instead of replaying it as empty,
-#      and a floor that is not a number in [0, 1] is a usage error
-#      (exit 2), not a floor switched off;
+#      a floor that is not a number in [0, 1] is a usage error
+#      (exit 2), not a floor switched off, and so is a `capture
+#      --only` list that names no incident (not a silent no-op or a
+#      whole-corpus capture);
 #   5. `capture` on a copy of the corpus re-simulates every incident
 #      and reproduces each committed trace and label byte for byte,
 #      which pins the corpus to the kernel's (when, seq) event order.
@@ -117,6 +119,21 @@ execute_process(
 if(NOT floor_rc EQUAL 2)
     message(FATAL_ERROR
         "c4replay score --min-recall '': exit ${floor_rc}, expected 2")
+endif()
+foreach(only IN ITEMS "," "")
+    execute_process(
+        COMMAND "${REPLAY_TOOL}" capture "${WORK_DIR}/empty_only"
+                --only "${only}"
+        RESULT_VARIABLE only_rc OUTPUT_QUIET ERROR_QUIET)
+    if(NOT only_rc EQUAL 2)
+        message(FATAL_ERROR
+            "c4replay capture --only '${only}': exit ${only_rc}, "
+            "expected 2")
+    endif()
+endforeach()
+if(EXISTS "${WORK_DIR}/empty_only")
+    message(FATAL_ERROR
+        "c4replay capture with an empty --only list wrote output")
 endif()
 
 # --- 5. re-capture the whole corpus ----------------------------------

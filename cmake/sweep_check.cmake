@@ -8,7 +8,8 @@
 # criterion). Both runs pass `--metrics`, and `status --watch` must
 # render the dashboard against the interrupted and the resumed
 # campaign with the matching exit codes (1 = incomplete, 0 =
-# complete), and plain `status` must render the same dashboard.
+# complete), and plain `status` must render the same dashboard and
+# reject the --watch pacing options (exit 2).
 #
 # Inputs: BENCH (c4bench path), SWEEP (c4sweep path), SPEC (spec file
 # to include in the campaign), WORK_DIR (scratch dir).
@@ -92,6 +93,17 @@ if(NOT status_out MATCHES "retry budget burned")
     message(FATAL_ERROR
         "status did not render the dashboard:\n${status_out}")
 endif()
+
+# Pacing options only pace --watch; without it they are a usage error.
+foreach(pacing IN ITEMS "--interval;5" "--max-ticks;3")
+    execute_process(
+        COMMAND "${SWEEP}" status "${campaign}" ${pacing}
+        RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+    if(NOT rc EQUAL 2)
+        message(FATAL_ERROR
+            "status ${pacing} without --watch should exit 2, got ${rc}")
+    endif()
+endforeach()
 
 # Resume: completes the campaign, re-executing nothing.
 execute_process(

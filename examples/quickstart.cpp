@@ -4,15 +4,14 @@
  * nccl-test-style allreduce benchmark twice — once with stock ECMP
  * routing and once with C4P traffic engineering — through the scenario
  * engine. Shows the engine used as a library: declare two variant
- * specs, run them with a table sink, and read the busbw gap.
+ * specs and a claim on their busbw ratio, and run them with a table
+ * sink.
  *
  *   $ ./examples/quickstart
  */
 
 #include <cstdio>
 #include <iostream>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "net/topology.h"
@@ -60,13 +59,13 @@ main()
         return std::vector<ScenarioSpec>{allreduce(false),
                                          allreduce(true)};
     };
-    sc.summarize = [](const std::vector<TrialResult> &results) {
-        auto busbw = variantMetricMeans(results, "busbw_mean");
-        char buf[96];
-        std::snprintf(buf, sizeof(buf), "improvement: %+.1f%%",
-                      (busbw["c4p_te"] / busbw["ecmp"] - 1.0) * 100.0);
-        return std::string(buf);
-    };
+    sc.claims = {{
+        .label = "C4P / ECMP busbw",
+        .metric = "busbw_mean",
+        .variant = "c4p_te",
+        .baseline = "ecmp",
+        .expect = Claim::Expect::Above,
+    }};
 
     TableSink table(std::cout);
     ScenarioRunner runner;

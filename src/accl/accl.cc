@@ -799,7 +799,7 @@ Accl::createCommunicator(JobId job, std::vector<DeviceInfo> devices,
                          int channels)
 {
     const int ch = channels > 0 ? channels : cfg_.defaultChannels;
-    const CommId id = nextCommId_++;
+    const auto id = static_cast<CommId>(comms_.size() + 1);
     auto cs = std::make_unique<CommState>();
     cs->comm = std::make_unique<Communicator>(id, job, std::move(devices),
                                               ch);
@@ -831,35 +831,35 @@ Accl::createCommunicator(JobId job, std::vector<DeviceInfo> devices,
         rec.rankNodes.push_back(d.node);
     monitor_.record(rec);
 
-    comms_.emplace(id, std::move(cs));
+    comms_.push_back(std::move(cs));
     return id;
 }
 
 void
 Accl::destroyCommunicator(CommId comm)
 {
-    auto it = comms_.find(comm);
-    if (it == comms_.end())
+    CommState *cs = find(comm);
+    if (!cs)
         return;
-    CommState &cs = *it->second;
 
     CommRecord rec;
     rec.when = sim_.now();
     rec.comm = comm;
-    rec.job = cs.comm->job();
-    rec.nranks = cs.comm->size();
-    rec.channels = cs.comm->channels();
+    rec.job = cs->comm->job();
+    rec.nranks = cs->comm->size();
+    rec.channels = cs->comm->channels();
     rec.created = false;
     monitor_.record(rec);
 
-    releaseConnections(cs);
-    comms_.erase(it); // Exec destructor aborts the in-flight op
+    releaseConnections(*cs);
+    // Exec destructor aborts the in-flight op.
+    comms_[static_cast<std::size_t>(comm) - 1].reset();
 }
 
 bool
 Accl::hasCommunicator(CommId comm) const
 {
-    return comms_.count(comm) > 0;
+    return find(comm) != nullptr;
 }
 
 const Communicator &
@@ -871,19 +871,17 @@ Accl::communicator(CommId comm) const
 const OpProgress *
 Accl::currentOp(CommId comm) const
 {
-    auto it = comms_.find(comm);
-    if (it == comms_.end() || !it->second->progress.posted())
-        return nullptr;
-    return &it->second->progress;
+    const CommState *cs = find(comm);
+    return cs && cs->progress.posted() ? &cs->progress : nullptr;
 }
 
 std::span<const Time>
 Accl::heartbeats(CommId comm) const
 {
-    auto it = comms_.find(comm);
-    if (it == comms_.end())
+    const CommState *cs = find(comm);
+    if (!cs)
         return {};
-    return it->second->heartbeats;
+    return cs->heartbeats;
 }
 
 void
@@ -892,22 +890,21 @@ Accl::setPathPolicy(PathPolicy *policy)
     policy_ = policy != nullptr ? policy : &baselinePolicy_;
 }
 
-Accl::CommState &
-Accl::state(CommId comm)
+Accl::CommState *
+Accl::find(CommId comm) const
 {
-    auto it = comms_.find(comm);
-    if (it == comms_.end())
-        throw std::out_of_range("unknown communicator");
-    return *it->second;
+    const auto slot = static_cast<std::size_t>(comm) - 1;
+    return comm > 0 && slot < comms_.size() ? comms_[slot].get()
+                                            : nullptr;
 }
 
-const Accl::CommState &
+Accl::CommState &
 Accl::state(CommId comm) const
 {
-    auto it = comms_.find(comm);
-    if (it == comms_.end())
+    CommState *cs = find(comm);
+    if (!cs)
         throw std::out_of_range("unknown communicator");
-    return *it->second;
+    return *cs;
 }
 
 std::uint32_t

@@ -23,7 +23,6 @@
 #include <map>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "accl/collective.h"
@@ -209,15 +208,18 @@ class Accl
     EcmpPathPolicy baselinePolicy_;
     PathPolicy *policy_; // never null; defaults to &baselinePolicy_
 
-    CommId nextCommId_ = 1;
     QpId nextQpId_ = 1;
     std::uint64_t posted_ = 0;
     std::uint64_t completed_ = 0;
 
-    std::unordered_map<CommId, std::unique_ptr<CommState>> comms_;
+    /** Indexed by CommId - 1: ids are handed out densely from 1, and
+     * a destroyed communicator leaves a null slot. */
+    std::vector<std::unique_ptr<CommState>> comms_;
 
-    CommState &state(CommId comm);
-    const CommState &state(CommId comm) const;
+    /** The live communicator @p comm, or nullptr. */
+    CommState *find(CommId comm) const;
+    /** @throws std::out_of_range for an unknown communicator. */
+    CommState &state(CommId comm) const;
 
     /** First QP (in cs's arena) of the connection, created on first
      * use. */

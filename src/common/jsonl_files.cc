@@ -44,6 +44,8 @@ printLine(std::ostream &out, const char *mark, std::size_t number,
 std::string
 readFile(const std::string &path)
 {
+    if (!fs::exists(path))
+        throw std::runtime_error("'" + path + "' does not exist");
     // An ifstream on a directory opens fine but reads zero bytes,
     // which would make `diff <dir> <dir>` report "identical: 0
     // lines" instead of failing.

@@ -22,8 +22,9 @@ namespace c4 {
 
 /**
  * Read one whole file.
- * @throws std::runtime_error when @p path is not a regular file (a
- *         directory would otherwise read as empty) or cannot be read.
+ * @throws std::runtime_error when @p path does not exist, is not a
+ *         regular file (a directory would otherwise read as empty) or
+ *         cannot be read.
  */
 std::string readFile(const std::string &path);
 

@@ -10,7 +10,6 @@
 #define C4_SCENARIO_OPTIONS_H
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -61,14 +60,6 @@ struct RunOptions
 
     /** Sampling cadence in simulated time (`--metrics-period S`). */
     Duration metricsPeriod = seconds(1);
-
-    /** The full-fidelity value, or the slashed one in smoke mode. */
-    template <typename T>
-    T
-    pick(T full, T tiny) const
-    {
-        return smoke ? tiny : full;
-    }
 };
 
 /** One named measurement produced by a trial. */
@@ -134,11 +125,13 @@ class TrialContext
 
     const std::vector<Metric> &metrics() const { return metrics_; }
 
+    /** The full-fidelity value, or the slashed one in smoke mode
+     * (custom executors; spec files say it in their `smoke` key). */
     template <typename T>
     T
     pick(T full, T tiny) const
     {
-        return opt.pick(std::move(full), std::move(tiny));
+        return opt.smoke ? std::move(tiny) : std::move(full);
     }
 
   private:
@@ -147,15 +140,6 @@ class TrialContext
 
 /** splitmix64-derived per-trial seed; independent of thread schedule. */
 std::uint64_t trialSeed(std::uint64_t base, int trial);
-
-/**
- * variant -> mean of @p metric over that variant's trials. The shared
- * aggregation behind summarize() hooks; variants without the metric
- * are absent from the map.
- */
-std::map<std::string, double>
-variantMetricMeans(const std::vector<TrialResult> &results,
-                   const std::string &metric);
 
 } // namespace c4::scenario
 

@@ -1,10 +1,12 @@
 /**
  * @file
  * The named-scenario registry. A scenario is a name, a variant-spec
- * factory, and optional presentation hooks; registering one makes it
- * runnable from the unified bench CLI (`c4bench <name>`), listable
- * (`--list`), and sweepable by the ScenarioRunner. Bench drivers are
- * thin translation units holding one `Register` object each.
+ * factory, presentation strings and the paper claims it checks;
+ * registering one makes it runnable from the unified bench CLI
+ * (`c4bench <name>`), listable (`--list`), and sweepable by the
+ * ScenarioRunner. Most paper scenarios are spec files embedded into
+ * c4bench; the few with custom executors are translation units
+ * holding one `Register` object each.
  */
 
 #ifndef C4_SCENARIO_REGISTRY_H
@@ -18,6 +20,30 @@
 #include "scenario/spec.h"
 
 namespace c4::scenario {
+
+/**
+ * A ratio the paper reports, checked against a finished run. Its value
+ * is `scale * mean(metric @ variant) / mean(metric @ baseline)`, with
+ * means over each variant's trials, and it prints under the results
+ * table when both variants ran and the baseline mean is > 0.
+ */
+struct Claim
+{
+    /** Which side of the baseline the variant should land on. */
+    enum class Expect {
+        None,  ///< no direction claimed; the value only
+        Above, ///< mean(variant) > mean(baseline)
+        Below, ///< mean(variant) < mean(baseline)
+    };
+
+    std::string label;    ///< what the ratio means
+    std::string metric;   ///< the metric both means are taken over
+    std::string variant;  ///< numerator variant
+    std::string baseline; ///< denominator variant
+    double scale = 1.0;   ///< multiplies the ratio (percent, per node)
+    double paper = 0.0;   ///< the paper's value; 0 when it gives none
+    Expect expect = Expect::None;
+};
 
 /** A registered, runnable scenario. */
 struct Scenario
@@ -52,13 +78,8 @@ struct Scenario
      */
     std::function<std::vector<ScenarioSpec>(const RunOptions &)> variants;
 
-    /**
-     * Optional: derive cross-variant commentary (ratios, paper deltas)
-     * from the finished trial results; returned text is printed after
-     * the table.
-     */
-    std::function<std::string(const std::vector<TrialResult> &)>
-        summarize;
+    /** Paper ratios printed under the table (see Claim). */
+    std::vector<Claim> claims;
 };
 
 /** Global name -> Scenario registry. */

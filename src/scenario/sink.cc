@@ -32,8 +32,8 @@ jsonQuoted(std::string_view s)
     return out;
 }
 
-} // namespace
-
+/** variant -> mean of @p metric over that variant's trials;
+ * variants without the metric are absent. */
 std::map<std::string, double>
 variantMetricMeans(const std::vector<TrialResult> &results,
                    const std::string &metric)
@@ -51,6 +51,41 @@ variantMetricMeans(const std::vector<TrialResult> &results,
     for (const auto &[variant, sum] : acc)
         means[variant] = sum.first / sum.second;
     return means;
+}
+
+} // namespace
+
+std::string
+renderClaims(const std::vector<Claim> &claims,
+             const std::vector<TrialResult> &results)
+{
+    std::string out;
+    for (const Claim &c : claims) {
+        const auto means = variantMetricMeans(results, c.metric);
+        const auto variant = means.find(c.variant);
+        const auto baseline = means.find(c.baseline);
+        if (variant == means.end() || baseline == means.end() ||
+            !(baseline->second > 0.0)) {
+            continue;
+        }
+        out += "claim: " + c.label + " = " +
+               TableSink::formatValue(c.scale * variant->second /
+                                      baseline->second);
+        if (c.paper != 0.0) {
+            char buf[40];
+            std::snprintf(buf, sizeof(buf), " (paper %g)", c.paper);
+            out += buf;
+        }
+        if (c.expect != Claim::Expect::None) {
+            const bool above = c.expect == Claim::Expect::Above;
+            const bool holds = above ? variant->second > baseline->second
+                                     : variant->second < baseline->second;
+            out += "; " + c.variant + (above ? " above " : " below ") +
+                   c.baseline + (holds ? ": holds" : ": fails");
+        }
+        out += "\n";
+    }
+    return out;
 }
 
 // --- TableSink --------------------------------------------------------
@@ -135,11 +170,7 @@ TableSink::end(const Scenario &scenario)
     out_ << table.str(title) << "\n";
     if (!scenario.notes.empty())
         out_ << scenario.notes << "\n";
-    if (scenario.summarize) {
-        const std::string extra = scenario.summarize(results_);
-        if (!extra.empty())
-            out_ << extra << "\n";
-    }
+    out_ << renderClaims(scenario.claims, results_);
     out_.flush();
 }
 

@@ -17,7 +17,17 @@
 
 namespace c4::scenario {
 
+struct Claim;
 struct Scenario;
+
+/**
+ * One line per claim whose variant and baseline both appear in
+ * @p results with a baseline mean > 0, in claim order:
+ * `claim: <label> = <value>[ (paper <value>)]` plus, for a claim
+ * with a direction, `; <variant> above|below <baseline>: holds|fails`.
+ */
+std::string renderClaims(const std::vector<Claim> &claims,
+                         const std::vector<TrialResult> &results);
 
 /** Receives one scenario run's results. */
 class ResultSink
@@ -40,7 +50,7 @@ class ResultSink
 /**
  * Human-readable aggregate table: one column per variant, one row per
  * metric, cells are means over trials. Prints the scenario notes and
- * summarize() output underneath.
+ * its claims (renderClaims) underneath.
  */
 class TableSink : public ResultSink
 {

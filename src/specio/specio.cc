@@ -19,6 +19,7 @@ namespace c4::specio {
 
 using scenario::AllreduceGroupSpec;
 using scenario::CampaignSpec;
+using scenario::Claim;
 using scenario::FaultSpec;
 using scenario::FeatureSpec;
 using scenario::JobSpec;
@@ -86,6 +87,11 @@ constexpr EnumName<c4d::C4dEventKind> kEventKinds[] = {
     {c4d::C4dEventKind::NonCommHang, "non_comm_hang"},
     {c4d::C4dEventKind::CommSlow, "comm_slow"},
     {c4d::C4dEventKind::NonCommSlow, "non_comm_slow"},
+};
+
+constexpr EnumName<Claim::Expect> kExpects[] = {
+    {Claim::Expect::Above, "above"},
+    {Claim::Expect::Below, "below"},
 };
 
 template <typename E, std::size_t N>
@@ -399,6 +405,39 @@ fields(V &v, std::type_identity<SpecFile>)
     v.field("trial_count", &T::trialCount);
 }
 
+template <typename V>
+void
+fields(V &v, std::type_identity<SmokeSpec>)
+{
+    using T = SmokeSpec;
+    v.field("variants", &T::variants);
+    v.seconds("horizon_s", &T::horizon);
+    v.field("iterations", &T::iterations);
+}
+
+template <typename V>
+void
+fields(V &v, std::type_identity<Claim>)
+{
+    using T = Claim;
+    v.field("label", &T::label);
+    v.field("metric", &T::metric);
+    v.field("variant", &T::variant);
+    v.field("baseline", &T::baseline);
+    v.field("scale", &T::scale);
+    v.field("paper", &T::paper);
+    v.field("expect", &T::expect, kExpects);
+}
+
+/** The document keys after "variants". */
+template <typename V>
+void
+trailingFields(V &v)
+{
+    v.field("smoke", &SpecFile::smoke);
+    v.field("claims", &SpecFile::claims);
+}
+
 /** The structs with a field list above. */
 template <typename T>
 concept HasFields =
@@ -654,6 +693,41 @@ jsonOf(const T &value)
     return o;
 }
 
+/** @p variants as --smoke runs them under @p smoke. */
+std::vector<ScenarioSpec>
+smokeVariants(const std::vector<ScenarioSpec> &variants,
+              const SmokeSpec &smoke)
+{
+    std::vector<ScenarioSpec> out;
+    for (const ScenarioSpec &full : variants) {
+        if (!smoke.variants.empty() &&
+            std::find(smoke.variants.begin(), smoke.variants.end(),
+                      full.variant) == smoke.variants.end()) {
+            continue;
+        }
+        ScenarioSpec &spec = out.emplace_back(full);
+        if (smoke.horizon > 0)
+            spec.horizon = smoke.horizon;
+        if (smoke.iterations > 0) {
+            for (AllreduceGroupSpec &g : spec.allreduces)
+                g.iterations = smoke.iterations;
+        }
+    }
+    return out;
+}
+
+/** Index of the variant labelled @p label, or -1. */
+int
+variantIndex(const std::vector<ScenarioSpec> &variants,
+             const std::string &label)
+{
+    for (std::size_t i = 0; i < variants.size(); ++i) {
+        if (variants[i].variant == label)
+            return static_cast<int>(i);
+    }
+    return -1;
+}
+
 bool
 validName(const std::string &name)
 {
@@ -690,6 +764,12 @@ specFromScenario(const Scenario &scenario, const RunOptions &opt)
     file.trialBegin = scenario.trialBegin;
     file.trialCount = scenario.trialCount;
     file.variants = scenario.variants(opt);
+    for (const Claim &c : scenario.claims) {
+        if (variantIndex(file.variants, c.variant) >= 0 &&
+            variantIndex(file.variants, c.baseline) >= 0) {
+            file.claims.push_back(c);
+        }
+    }
     return file;
 }
 
@@ -706,9 +786,11 @@ scenarioFromSpec(const SpecFile &file)
     s.trialBegin = file.trialBegin;
     s.trialCount = file.trialCount;
     s.seed = file.seed;
-    s.variants = [variants = file.variants](const RunOptions &) {
-        return variants;
+    s.variants = [variants = file.variants,
+                  smoke = file.smoke](const RunOptions &opt) {
+        return opt.smoke ? smokeVariants(variants, smoke) : variants;
     };
+    s.claims = file.claims;
     return s;
 }
 
@@ -729,6 +811,8 @@ writeSpecFile(const SpecFile &file)
         variants.array.push_back(std::move(o));
     }
     doc.add("variants", std::move(variants));
+    Writer<SpecFile> trailing(file, doc);
+    trailingFields(trailing);
     return writeJson(doc);
 }
 
@@ -801,7 +885,56 @@ parseSpecFile(const std::string &text)
         }
         file.variants.push_back(std::move(spec));
     }
+    Reader<SpecFile> trailing(b, file);
+    trailingFields(trailing);
     b.finish();
+    if (const Json *smoke = b.member("smoke")) {
+        // A subsequence, so smoke runs a subset of the full columns
+        // in the same order.
+        int last = -1;
+        for (const std::string &label : file.smoke.variants) {
+            const int i = variantIndex(file.variants, label);
+            if (i < 0) {
+                throw SpecError("smoke variant \"" + label +
+                                    "\" is not in \"variants\"",
+                                smoke->line, smoke->column);
+            }
+            if (i <= last) {
+                throw SpecError("smoke variant \"" + label +
+                                    "\" is out of order or repeated; "
+                                    "list them as \"variants\" does",
+                                smoke->line, smoke->column);
+            }
+            last = i;
+        }
+        if (file.smoke.horizon < 0 || file.smoke.iterations < 0) {
+            throw SpecError("smoke horizon_s and iterations must not "
+                            "be negative",
+                            smoke->line, smoke->column);
+        }
+    }
+    for (std::size_t i = 0; i < file.claims.size(); ++i) {
+        const Claim &c = file.claims[i];
+        const Json &at = b.member("claims")->array[i];
+        if (c.label.empty() || c.metric.empty()) {
+            throw SpecError("a claim needs a \"label\" and a "
+                            "\"metric\"",
+                            at.line, at.column);
+        }
+        for (const std::string *label : {&c.variant, &c.baseline}) {
+            if (variantIndex(file.variants, *label) < 0) {
+                throw SpecError("claim \"" + c.label +
+                                    "\" names variant \"" + *label +
+                                    "\", which is not in \"variants\"",
+                                at.line, at.column);
+            }
+        }
+        if (!(c.scale > 0.0)) {
+            throw SpecError("claim \"" + c.label +
+                                "\" needs a scale > 0",
+                            at.line, at.column);
+        }
+    }
     return file;
 }
 

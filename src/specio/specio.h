@@ -4,11 +4,13 @@
  *
  * A spec file is a JSON-subset document holding everything a Scenario
  * registration holds except code — name, presentation strings, trial
- * counts, seed, and the full variant list as ScenarioSpec data. Loading
- * one registers a scenario at runtime (`c4bench --spec file.json`), so
- * authoring a new workload is editing a text file, not recompiling;
- * dumping one (`c4bench --dump-spec NAME`) turns any built-in scenario
- * into a copy-editable starting point.
+ * counts, seed, the full variant list as ScenarioSpec data, the smoke
+ * overrides, and the paper claims. Loading one registers a scenario
+ * at runtime (`c4bench --spec file.json`), so authoring a new workload
+ * is editing a text file, not recompiling; c4bench embeds the paper
+ * scenarios in `specs/paper/` the same way at build time. Dumping one
+ * (`c4bench --dump-spec NAME`) freezes any registered scenario at one
+ * fidelity into a copy-editable starting point.
  *
  * The mapping is byte-stable: writeSpecFile(parseSpecFile(text)) ==
  * text for any text writeSpecFile produced. The binder reports unknown
@@ -35,6 +37,19 @@
 
 namespace c4::specio {
 
+/**
+ * The `smoke` key: how `--smoke` shrinks the file's variants. Smoke
+ * runs the named variants, in file order (every variant when empty),
+ * with each variant's horizon and each allreduce group's iteration
+ * count replaced when set. Nothing else differs between fidelities.
+ */
+struct SmokeSpec
+{
+    std::vector<std::string> variants;
+    Duration horizon = 0; ///< 0 keeps each variant's own
+    int iterations = 0;   ///< 0 keeps each group's own
+};
+
 /** A Scenario as pure data: what a spec file stores. */
 struct SpecFile
 {
@@ -52,20 +67,26 @@ struct SpecFile
 
     std::uint64_t seed = 0xC4C10C4Dull;
     std::vector<scenario::ScenarioSpec> variants;
+
+    /** Written after "variants", and only when non-empty. */
+    SmokeSpec smoke;
+    std::vector<scenario::Claim> claims;
 };
 
 /**
  * Capture a registered scenario as data. The variant factory is
  * evaluated under @p opt, so the dump freezes whatever --smoke /
  * --trials / --seed shape was in effect (dump with and without --smoke
- * to capture both shapes).
+ * to capture both shapes) and has no smoke overrides; it keeps the
+ * claims whose two variants are in it.
  */
 SpecFile specFromScenario(const scenario::Scenario &scenario,
                           const scenario::RunOptions &opt);
 
 /**
  * Turn loaded spec data back into a runnable Scenario whose variant
- * factory returns the stored specs regardless of options.
+ * factory returns the stored specs, shrunk by the smoke overrides
+ * under --smoke.
  */
 scenario::Scenario scenarioFromSpec(const SpecFile &file);
 
@@ -74,7 +95,8 @@ std::string writeSpecFile(const SpecFile &file);
 
 /**
  * Parse and bind a spec document; every variant is validated with
- * validateSpec.
+ * validateSpec, the smoke variants must be a subsequence of the
+ * variant list, and every claim must name two of its variants.
  * @throws SpecError with line/column on malformed or mistyped input.
  */
 SpecFile parseSpecFile(const std::string &text);

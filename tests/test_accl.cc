@@ -390,6 +390,26 @@ TEST(Accl, HeartbeatsHoldOneEntryPerRank)
         EXPECT_EQ(t, kTimeNever); // another communicator's op
 }
 
+TEST(Accl, IdsNamingNoCommunicatorAreUnknownEverywhere)
+{
+    Harness h(2);
+    const CommId gone = h.lib.createCommunicator(1, h.fullNodes({0, 1}));
+    const CommId kept = h.lib.createCommunicator(2, h.fullNodes({0, 1}));
+    h.lib.postCollective(gone, CollOp::AllReduce, gib(1), nullptr);
+    h.sim.run(milliseconds(5));
+    h.lib.destroyCommunicator(gone);
+    for (CommId unknown : {kInvalidId, CommId{0}, gone, kept + 1}) {
+        EXPECT_FALSE(h.lib.hasCommunicator(unknown)) << unknown;
+        EXPECT_EQ(h.lib.currentOp(unknown), nullptr) << unknown;
+        EXPECT_TRUE(h.lib.heartbeats(unknown).empty()) << unknown;
+        EXPECT_THROW(h.lib.communicator(unknown), std::out_of_range)
+            << unknown;
+    }
+    // Ids stay dense: a destroyed id is not handed out again.
+    EXPECT_TRUE(h.lib.hasCommunicator(kept));
+    EXPECT_EQ(h.lib.createCommunicator(3, h.fullNodes({0})), kept + 1);
+}
+
 TEST(Accl, DestroyCommunicatorAbortsInFlight)
 {
     Harness h(2);

@@ -601,6 +601,10 @@ TEST(Files, ErrorsNameThePath)
           messageOf([&] { writeFileAtomic(missing, "x"); })}) {
         EXPECT_NE(what.find(missing), std::string::npos) << what;
     }
+    // A missing path is named as missing, not as some other kind of
+    // file.
+    EXPECT_EQ(messageOf([&] { readFile(missing); }),
+              "'" + missing + "' does not exist");
     // A directory is not a file to read, even though it opens.
     EXPECT_EQ(messageOf([&] {
                   readFile(fs::temp_directory_path().string());

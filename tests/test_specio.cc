@@ -2,10 +2,13 @@
  * @file
  * Tests for the spec-file subsystem: JSON parsing errors carry
  * line/column and survive fuzz-ish inputs, the binder catches typos
- * and type mistakes, dump -> parse -> re-dump is byte-identical for
- * every registered scenario (this binary links the full c4bench
- * registration set), and a file-loaded spec produces CSV output
- * byte-identical to its built-in twin.
+ * and type mistakes, the smoke overrides select and override exactly,
+ * claims are checked against the variants and render only when both
+ * of theirs ran, dump -> parse -> re-dump is byte-identical for every
+ * registered scenario (this binary links the full c4bench
+ * registration set), every embedded paper spec is canonical, and a
+ * reloaded dump produces CSV output byte-identical to the scenario it
+ * was dumped from.
  */
 
 #include <gtest/gtest.h>
@@ -22,13 +25,20 @@
 #include "scenario/sink.h"
 #include "specio/specio.h"
 
+#ifdef C4_HAVE_BENCH_SCENARIOS
+#include "paper_specs.h"
+#endif
+
 namespace c4::specio {
 namespace {
 
+using scenario::Claim;
 using scenario::Registry;
 using scenario::RunOptions;
 using scenario::Scenario;
 using scenario::ScenarioRunner;
+using scenario::ScenarioSpec;
+using scenario::TrialResult;
 
 /** Smallest document the binder accepts. */
 std::string
@@ -372,13 +382,224 @@ TEST(SpecParse, TruncatedDocumentsAlwaysErrorCleanly)
         "\"node\": 5, \"severity\": 4.0}], "
         "\"campaign\": {\"enabled\": true, \"span_s\": 60}, "
         "\"metrics\": {\"steering_counters\": true}, "
-        "\"horizon_s\": 120}]}"));
+        "\"horizon_s\": 120}], "
+        "\"smoke\": {\"variants\": [\"v\"], \"horizon_s\": 0.5, "
+        "\"iterations\": 2}, "
+        "\"claims\": [{\"label\": \"l\", \"metric\": \"m\", "
+        "\"variant\": \"v\", \"baseline\": \"v\", \"scale\": 2.0, "
+        "\"paper\": 1.5, \"expect\": \"below\"}]}"));
     // Every proper prefix (up to the final '}') must throw SpecError —
     // never crash, never silently succeed.
-    for (std::size_t len = 0; len + 1 < text.size(); ++len) {
-        EXPECT_THROW(parseSpecFile(text.substr(0, len)), SpecError)
-            << "prefix length " << len;
+    auto expectEveryPrefixThrows = [](const std::string &doc,
+                                      std::string_view name) {
+        for (std::size_t len = 0; len + 1 < doc.size(); ++len) {
+            EXPECT_THROW(parseSpecFile(doc.substr(0, len)), SpecError)
+                << name << " prefix length " << len;
+        }
+    };
+    expectEveryPrefixThrows(text, "fuzz");
+#ifdef C4_HAVE_BENCH_SCENARIOS
+    for (const bench::PaperSpec &spec : bench::paperSpecs())
+        expectEveryPrefixThrows(std::string(spec.text), spec.name);
+#endif
+}
+
+// --- smoke overrides and claims ---------------------------------------
+
+/** Three variants: a with two allreduce groups, b with a job, c with
+ * one of each. */
+std::string
+smokeSpec(const std::string &smoke, const std::string &claims = "")
+{
+    return "{\"scenario\": \"t\", \"variants\": ["
+           "{\"variant\": \"a\", \"allreduces\": [{\"iterations\": 9}, "
+           "{\"tasks\": 2}], \"horizon_s\": 7}, "
+           "{\"variant\": \"b\", \"jobs\": [{}], \"horizon_s\": 60}, "
+           "{\"variant\": \"c\", \"allreduces\": [{}], "
+           "\"jobs\": [{}], \"horizon_s\": 30}]" +
+           (smoke.empty() ? "" : ", \"smoke\": " + smoke) +
+           (claims.empty() ? "" : ", \"claims\": " + claims) + "}";
+}
+
+std::vector<ScenarioSpec>
+variantsAt(const SpecFile &file, bool smoke)
+{
+    RunOptions opt;
+    opt.smoke = smoke;
+    return scenarioFromSpec(file).variants(opt);
+}
+
+TEST(SpecParse, SmokeSectionSelectsAndOverridesExactly)
+{
+    const SpecFile file = parseSpecFile(smokeSpec(
+        "{\"variants\": [\"a\", \"c\"], \"horizon_s\": 1.5, "
+        "\"iterations\": 2}"));
+    EXPECT_EQ(file.smoke.variants, (std::vector<std::string>{"a", "c"}));
+    EXPECT_EQ(file.smoke.horizon, milliseconds(1500));
+    EXPECT_EQ(file.smoke.iterations, 2);
+
+    // Full fidelity: the variants as written.
+    const std::vector<ScenarioSpec> full = variantsAt(file, false);
+    ASSERT_EQ(full.size(), 3u);
+    EXPECT_EQ(full[0].allreduces[0].iterations, 9);
+    EXPECT_EQ(full[0].horizon, seconds(7));
+
+    // Smoke: the listed variants in order, horizon and every group's
+    // iterations replaced, and nothing else touched.
+    const std::vector<ScenarioSpec> smoke = variantsAt(file, true);
+    ASSERT_EQ(smoke.size(), 2u);
+    for (std::size_t i = 0; i < smoke.size(); ++i) {
+        ScenarioSpec expected = full[i == 0 ? 0 : 2];
+        expected.horizon = milliseconds(1500);
+        for (auto &g : expected.allreduces)
+            g.iterations = 2;
+        SpecFile one, other;
+        one.variants = {expected};
+        other.variants = {smoke[i]};
+        EXPECT_EQ(writeSpecFile(one), writeSpecFile(other)) << i;
     }
+
+    // Each override is optional: a horizon alone keeps every variant
+    // and every iteration count.
+    const std::vector<ScenarioSpec> horizonOnly =
+        variantsAt(parseSpecFile(smokeSpec("{\"horizon_s\": 3}")), true);
+    ASSERT_EQ(horizonOnly.size(), 3u);
+    for (const ScenarioSpec &spec : horizonOnly)
+        EXPECT_EQ(spec.horizon, seconds(3)) << spec.variant;
+    EXPECT_EQ(horizonOnly[0].allreduces[0].iterations, 9);
+    EXPECT_EQ(horizonOnly[0].allreduces[1].iterations, 25);
+
+    // No smoke section: smoke runs the variants as written.
+    const SpecFile plain = parseSpecFile(smokeSpec(""));
+    EXPECT_EQ(variantsAt(plain, true).size(), 3u);
+    EXPECT_EQ(variantsAt(plain, true)[1].horizon, seconds(60));
+    EXPECT_EQ(writeSpecFile(plain).find("smoke"), std::string::npos);
+}
+
+TEST(SpecParse, SmokeVariantsMustBeASubsequence)
+{
+    const std::pair<const char *, const char *> cases[] = {
+        {"{\"variants\": [\"a\", \"x\"]}", "\"x\" is not in"},
+        {"{\"variants\": [\"c\", \"a\"]}", "out of order"},
+        {"{\"variants\": [\"a\", \"a\"]}", "out of order or repeated"},
+        {"{\"horizon_s\": -1}", "must not be negative"},
+        {"{\"iterations\": -3}", "must not be negative"},
+        {"{\"horizon\": 3}", "did you mean \"horizon_s\""},
+    };
+    for (const auto &[smoke, message] : cases) {
+        try {
+            parseSpecFile(smokeSpec(smoke));
+            ADD_FAILURE() << smoke << " loaded";
+        } catch (const SpecError &e) {
+            EXPECT_NE(std::string(e.what()).find(message),
+                      std::string::npos)
+                << smoke << ": " << e.what();
+        }
+    }
+}
+
+TEST(SpecParse, ClaimsMustNameKnownVariants)
+{
+    const std::string good = "{\"label\": \"l\", \"metric\": \"m\", "
+                             "\"variant\": \"c\", \"baseline\": \"a\"";
+    const SpecFile file = parseSpecFile(smokeSpec("", "[" + good + "}]"));
+    ASSERT_EQ(file.claims.size(), 1u);
+    EXPECT_EQ(file.claims[0].variant, "c");
+    EXPECT_EQ(file.claims[0].scale, 1.0);
+    EXPECT_EQ(file.claims[0].expect, Claim::Expect::None);
+    EXPECT_EQ(scenarioFromSpec(file).claims.size(), 1u);
+
+    const std::pair<std::string, const char *> cases[] = {
+        {"{\"label\": \"l\", \"metric\": \"m\", \"variant\": \"x\", "
+         "\"baseline\": \"a\"}",
+         "names variant \"x\", which is not in"},
+        {"{\"label\": \"l\", \"metric\": \"m\", \"variant\": \"a\", "
+         "\"baseline\": \"y\"}",
+         "names variant \"y\", which is not in"},
+        {"{\"metric\": \"m\", \"variant\": \"a\", \"baseline\": \"c\"}",
+         "needs a \"label\""},
+        {good + ", \"scale\": 0.0}", "needs a scale > 0"},
+        {good + ", \"expect\": \"up\"}", "is not one of \"above\""},
+    };
+    for (const auto &[claim, message] : cases) {
+        try {
+            parseSpecFile(smokeSpec("", "[" + claim + "]"));
+            ADD_FAILURE() << claim << " loaded";
+        } catch (const SpecError &e) {
+            EXPECT_NE(std::string(e.what()).find(message),
+                      std::string::npos)
+                << claim << ": " << e.what();
+        }
+    }
+}
+
+TEST(SpecParse, DumpsKeepOnlyClaimsWhoseVariantsRun)
+{
+    const SpecFile file = parseSpecFile(smokeSpec(
+        "{\"variants\": [\"a\", \"b\"]}",
+        "[{\"label\": \"ab\", \"metric\": \"m\", \"variant\": \"a\", "
+        "\"baseline\": \"b\"}, {\"label\": \"ac\", \"metric\": \"m\", "
+        "\"variant\": \"a\", \"baseline\": \"c\"}]"));
+    RunOptions opt;
+    opt.smoke = true;
+    const SpecFile dumped = specFromScenario(scenarioFromSpec(file), opt);
+    EXPECT_TRUE(dumped.smoke.variants.empty());
+    ASSERT_EQ(dumped.claims.size(), 1u);
+    EXPECT_EQ(dumped.claims[0].label, "ab");
+    // So the dump reloads.
+    EXPECT_NO_THROW(parseSpecFile(writeSpecFile(dumped)));
+}
+
+TrialResult
+trial(const std::string &variant, double value)
+{
+    TrialResult r;
+    r.variant = variant;
+    r.metrics = {{"m", value}, {"other", 1.0}};
+    return r;
+}
+
+TEST(Claims, RenderOnlyWhenBothVariantsRanWithAPositiveBaseline)
+{
+    // Means: a = 3, b = 2, z = 0.
+    const std::vector<TrialResult> results = {
+        trial("a", 2.0), trial("a", 4.0), trial("b", 2.0),
+        trial("z", 0.0)};
+    auto claim = [](const char *variant, const char *baseline,
+                    Claim::Expect expect = Claim::Expect::None) {
+        Claim c;
+        c.label = std::string(variant) + "/" + baseline;
+        c.metric = "m";
+        c.variant = variant;
+        c.baseline = baseline;
+        c.expect = expect;
+        return c;
+    };
+    Claim scaled = claim("a", "b");
+    scaled.scale = 100.0;
+    scaled.paper = 1.703;
+    EXPECT_EQ(scenario::renderClaims(
+                  {claim("a", "missing"), claim("missing", "a"),
+                   claim("a", "z"), scaled},
+                  results),
+              "claim: a/b = 150.0 (paper 1.703)\n");
+
+    using E = Claim::Expect;
+    EXPECT_EQ(scenario::renderClaims(
+                  {claim("a", "b", E::Above), claim("a", "b", E::Below),
+                   claim("b", "a", E::Above), claim("b", "a", E::Below),
+                   claim("z", "b", E::Below)},
+                  results),
+              "claim: a/b = 1.50; a above b: holds\n"
+              "claim: a/b = 1.50; a below b: fails\n"
+              "claim: b/a = 0.6667; b above a: fails\n"
+              "claim: b/a = 0.6667; b below a: holds\n"
+              "claim: z/b = 0.0000; z below b: holds\n");
+
+    // A metric no trial recorded prints nothing.
+    Claim unknownMetric = claim("a", "b");
+    unknownMetric.metric = "absent";
+    EXPECT_EQ(scenario::renderClaims({unknownMetric}, results), "");
 }
 
 // --- shard trial-range keys (trial_begin / trial_count) ---------------
@@ -539,6 +760,21 @@ TEST(SpecRoundTrip, LoadedSpecCsvMatchesBuiltinByteForByte)
     const std::string loadedCsv = runCsv(loaded);
     EXPECT_FALSE(builtinCsv.empty());
     EXPECT_EQ(builtinCsv, loadedCsv);
+}
+
+// --- the embedded paper specs ----------------------------------------
+
+TEST(PaperSpecs, CommittedFilesAreCanonical)
+{
+    ASSERT_FALSE(bench::paperSpecs().empty());
+    for (const bench::PaperSpec &spec : bench::paperSpecs()) {
+        const std::string text(spec.text);
+        const SpecFile file = parseSpecFile(text);
+        EXPECT_EQ(file.name, spec.name);
+        EXPECT_EQ(writeSpecFile(file), text) << spec.name;
+        EXPECT_NE(Registry::instance().find(file.name), nullptr)
+            << spec.name;
+    }
 }
 
 #endif // C4_HAVE_BENCH_SCENARIOS
