@@ -26,15 +26,15 @@ Fabric::Fabric(Simulator &sim, Topology &topo, FabricConfig cfg,
       nicCnp_(static_cast<std::size_t>(topo.numNodes()) *
                   static_cast<std::size_t>(topo.nicsPerNode()),
               0.0),
-      nicFlows_(nicCnp_.size()),
+      nicHead_(nicCnp_.size(), kNoSlot),
+      nicTail_(nicCnp_.size(), kNoSlot),
       nicDirtyFlag_(nicCnp_.size(), 0),
       linkAlloc_(topo.numLinks(), 0.0),
       linkDemand_(topo.numLinks(), 0.0),
       linkCongested_(topo.numLinks(), false),
-      membership_(topo.numLinks()),
+      linkHead_(topo.numLinks(), kNoSlot),
       linkDirtyFlag_(topo.numLinks(), 0),
       linkEpoch_(topo.numLinks(), 0),
-      scratchMembers_(topo.numLinks()),
       scratchCap_(topo.numLinks(), 0.0),
       scratchUnfixed_(topo.numLinks(), 0)
 {
@@ -95,14 +95,10 @@ Fabric::admit(std::uint32_t slot)
         if (flow.req.srcNode >= 0 && flow.req.srcNode < topo_.numNodes() &&
             flow.req.srcNic >= 0 && flow.req.srcNic < nics) {
             flow.nic = flow.req.srcNode * nics + flow.req.srcNic;
-            // The newest id goes last, keeping the list in id order.
-            nicFlows_[static_cast<std::size_t>(flow.nic)].push_back(slot);
+            linkNic(slot);
         }
     }
-    for (LinkId l : flow.route.links) {
-        membership_.add(l, slot);
-        markLinkDirty(l);
-    }
+    linkRoute(slot);
     ++started_;
     markDirty();
     return flow.id;
@@ -112,14 +108,10 @@ void
 Fabric::release(std::uint32_t slot)
 {
     FlowState &flow = slots_[slot];
-    for (LinkId l : flow.route.links) {
-        membership_.remove(l, slot);
-        markLinkDirty(l);
-    }
+    unlinkRoute(slot);
     heapErase(slot);
     if (flow.nic >= 0) {
-        auto &list = nicFlows_[static_cast<std::size_t>(flow.nic)];
-        list.erase(std::find(list.begin(), list.end(), slot));
+        unlinkNic(slot);
         if (flow.cnpRate > 0.0)
             markNicDirty(flow);
     }
@@ -138,6 +130,71 @@ Fabric::release(std::uint32_t slot)
     flow = FlowState{};
     freeSlots_.push_back(slot);
     --live_;
+}
+
+void
+Fabric::linkRoute(std::uint32_t slot)
+{
+    FlowState &flow = slots_[slot];
+    for (std::uint32_t hop = 0; hop < flow.route.links.size(); ++hop) {
+        const LinkId l = flow.route.links[hop];
+        std::uint32_t &head = linkHead_[static_cast<std::size_t>(l)];
+        const std::uint32_t node = slot * kHops + hop;
+        flow.linkPrev[hop] = kNoSlot;
+        flow.linkNext[hop] = head;
+        if (head != kNoSlot)
+            slots_[head / kHops].linkPrev[head % kHops] = node;
+        head = node;
+        markLinkDirty(l);
+    }
+}
+
+void
+Fabric::unlinkRoute(std::uint32_t slot)
+{
+    FlowState &flow = slots_[slot];
+    for (std::uint32_t hop = 0; hop < flow.route.links.size(); ++hop) {
+        const LinkId l = flow.route.links[hop];
+        const std::uint32_t prev = flow.linkPrev[hop];
+        const std::uint32_t next = flow.linkNext[hop];
+        if (prev == kNoSlot)
+            linkHead_[static_cast<std::size_t>(l)] = next;
+        else
+            slots_[prev / kHops].linkNext[prev % kHops] = next;
+        if (next != kNoSlot)
+            slots_[next / kHops].linkPrev[next % kHops] = prev;
+        markLinkDirty(l);
+    }
+}
+
+void
+Fabric::linkNic(std::uint32_t slot)
+{
+    // The newest id goes last, keeping the list in id order.
+    FlowState &flow = slots_[slot];
+    const auto ni = static_cast<std::size_t>(flow.nic);
+    flow.nicPrev = nicTail_[ni];
+    flow.nicNext = kNoSlot;
+    if (nicTail_[ni] == kNoSlot)
+        nicHead_[ni] = slot;
+    else
+        slots_[nicTail_[ni]].nicNext = slot;
+    nicTail_[ni] = slot;
+}
+
+void
+Fabric::unlinkNic(std::uint32_t slot)
+{
+    const FlowState &flow = slots_[slot];
+    const auto ni = static_cast<std::size_t>(flow.nic);
+    if (flow.nicPrev == kNoSlot)
+        nicHead_[ni] = flow.nicNext;
+    else
+        slots_[flow.nicPrev].nicNext = flow.nicNext;
+    if (flow.nicNext == kNoSlot)
+        nicTail_[ni] = flow.nicPrev;
+    else
+        slots_[flow.nicNext].nicPrev = flow.nicPrev;
 }
 
 FlowId
@@ -270,7 +327,11 @@ Fabric::setLinkCapacityScale(LinkId id, double scale)
         tev.when = sim_.now();
         tev.kind = trace::EventKind::PathRealloc;
         tev.a = id;
-        tev.b = static_cast<std::int64_t>(membership_.memberCount(id));
+        std::int64_t members = 0;
+        for (std::uint32_t n = linkHead_[static_cast<std::size_t>(id)];
+             n != kNoSlot; n = nextOnLink(n))
+            ++members;
+        tev.b = members;
         tev.value = scale;
         tev.detail =
             trace::pathReallocName(trace::PathReallocKind::LinkScale);
@@ -283,15 +344,9 @@ void
 Fabric::setFlowRoute(FlowState &flow, Route route)
 {
     const auto slot = static_cast<std::uint32_t>(&flow - slots_.data());
-    for (LinkId l : flow.route.links) {
-        membership_.remove(l, slot);
-        markLinkDirty(l);
-    }
+    unlinkRoute(slot);
     flow.route = std::move(route);
-    for (LinkId l : flow.route.links) {
-        membership_.add(l, slot);
-        markLinkDirty(l);
-    }
+    linkRoute(slot);
     if (!flow.route.valid()) {
         // A routeless flow has no link membership, so no component
         // search can reach it: silence it here. setRate banks the
@@ -307,11 +362,12 @@ Fabric::setFlowRoute(FlowState &flow, Route route)
 std::size_t
 Fabric::rerouteFlowsTouching(LinkId id)
 {
-    // Copy: rerouting edits this link's membership as it goes.
+    // Copy: rerouting unlinks this link's nodes as it goes.
     std::vector<std::uint32_t> &touched = scratchSlots_;
     touched.clear();
-    for (std::int64_t slot : membership_.members(id))
-        touched.push_back(static_cast<std::uint32_t>(slot));
+    for (std::uint32_t n = linkHead_[static_cast<std::size_t>(id)];
+         n != kNoSlot; n = nextOnLink(n))
+        touched.push_back(n / kHops);
     sortById(touched);
     for (std::uint32_t slot : touched) {
         FlowState &flow = slots_[slot];
@@ -595,9 +651,10 @@ Fabric::recompute()
         // componentLinks_ doubles as the queue.
         for (std::size_t head = 0; head < componentLinks_.size();
              ++head) {
-            for (std::int64_t member :
-                 membership_.members(componentLinks_[head])) {
-                const auto slot = static_cast<std::uint32_t>(member);
+            for (std::uint32_t n = linkHead_[static_cast<std::size_t>(
+                     componentLinks_[head])];
+                 n != kNoSlot; n = nextOnLink(n)) {
+                const std::uint32_t slot = n / kHops;
                 FlowState &flow = slots_[slot];
                 if (flow.visitEpoch == epoch_)
                     continue;
@@ -629,7 +686,6 @@ Fabric::recompute()
     // Clear only the scratch the previous filling touched.
     for (int l : scratchActiveLinks_) {
         const auto li = static_cast<std::size_t>(l);
-        scratchMembers_[li].clear();
         scratchCap_[li] = 0.0;
         scratchUnfixed_[li] = 0;
     }
@@ -656,7 +712,6 @@ Fabric::recompute()
             runnable.push_back(&flow);
     }
 
-    std::vector<std::vector<FlowState *>> &members = scratchMembers_;
     std::vector<double> &cap = scratchCap_;
     std::vector<int> &unfixed = scratchUnfixed_;
     std::vector<int> &activeLinks = scratchActiveLinks_;
@@ -670,12 +725,10 @@ Fabric::recompute()
             topo_.link(f->route.links.front()).effectiveCapacity();
         for (LinkId l : f->route.links) {
             auto li = static_cast<std::size_t>(l);
-            if (members[li].empty()) {
+            if (unfixed[li]++ == 0) { // first runnable flow on l
                 activeLinks.push_back(l);
                 cap[li] = topo_.link(l).effectiveCapacity();
             }
-            members[li].push_back(f);
-            ++unfixed[li];
             linkDemand_[li] += desired;
         }
     }
@@ -718,9 +771,17 @@ Fabric::recompute()
             break;
         }
 
-        for (FlowState *f : members[static_cast<std::size_t>(best_link)]) {
+        // Every flow on a component link is in the component (it is
+        // a closure), so its fillRate was set above: -1 while unfixed,
+        // >= 0 once fixed, stalled or routeless. Each cap subtraction
+        // of a round is the same best_fair, so list order cannot
+        // change a bit of the result.
+        for (std::uint32_t n =
+                 linkHead_[static_cast<std::size_t>(best_link)];
+             n != kNoSlot; n = nextOnLink(n)) {
+            FlowState *f = &slots_[n / kHops];
             if (f->fillRate >= 0.0)
-                continue; // already fixed
+                continue;
             ++fixed_count;
             f->fillRate = best_fair;
             work += f->route.links.size();
@@ -755,7 +816,8 @@ Fabric::recompute()
     for (int nic : dirtyNics_) {
         const auto ni = static_cast<std::size_t>(nic);
         double sum = 0.0;
-        for (std::uint32_t slot : nicFlows_[ni]) {
+        for (std::uint32_t slot = nicHead_[ni]; slot != kNoSlot;
+             slot = slots_[slot].nicNext) {
             if (slots_[slot].cnpRate > 0.0)
                 sum += slots_[slot].cnpRate;
         }

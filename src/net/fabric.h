@@ -36,6 +36,15 @@
  *    with one kernel event for its top;
  *  - per-NIC CNP sums are re-summed, over the NIC's flows in id order,
  *    only for NICs whose flows changed.
+ * The edges of the sharing graph are intrusive incidence lists
+ * threaded through the flow table: hop h of the flow in slot s is node
+ * s * RouteLinks::kMaxLinks + h of its link's doubly linked list, and
+ * every request flow is a node of its sender NIC's list, appended in
+ * admission (= id) order. Admitting, releasing or rerouting a flow
+ * links and unlinks O(route length) nodes and allocates nothing per
+ * link; the component search, reroutes and the fill read the lists
+ * directly, the fill walking the saturated link's list in place of a
+ * member list rebuilt per recompute.
  * Anything that follows flow order (the fill's runnable set,
  * completion callbacks, reroutes) goes in ascending FlowId order, and
  * the fill breaks ties between equally constrained links by link id,
@@ -48,6 +57,7 @@
 #ifndef C4_NET_FABRIC_H
 #define C4_NET_FABRIC_H
 
+#include <array>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -242,6 +252,8 @@ class Fabric
   private:
     /** Slot of a free table entry / flow not in the completion heap. */
     static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+    /** Incidence nodes per slot: node = slot * kHops + hop. */
+    static constexpr std::uint32_t kHops = RouteLinks::kMaxLinks;
 
     struct FlowState
     {
@@ -272,6 +284,14 @@ class Fabric
         Time due = kTimeNever; // completion time, if finite
         std::uint32_t heapPos = kNoSlot;
         std::int32_t nic = -1; // dense sender-NIC index (request flows)
+        // Incidence-list links (slot or node numbers; kNoSlot ends a
+        // list): linkNext/linkPrev[h] chain hop h's node through the
+        // list of route.links[h], nicNext/nicPrev this slot through
+        // its NIC's list.
+        std::array<std::uint32_t, kHops> linkNext{};
+        std::array<std::uint32_t, kHops> linkPrev{};
+        std::uint32_t nicNext = kNoSlot;
+        std::uint32_t nicPrev = kNoSlot;
         FlowCallback done;
     };
 
@@ -292,9 +312,10 @@ class Fabric
     FlowId nextFlowId_ = 1;
 
     // Aggregate CNP rate per sender (node * nicsPerNode + nic) and the
-    // request flows sending from each NIC, in id order.
+    // ends of each NIC's list of request flows, in id order.
     std::vector<double> nicCnp_;
-    std::vector<std::vector<std::uint32_t>> nicFlows_;
+    std::vector<std::uint32_t> nicHead_;
+    std::vector<std::uint32_t> nicTail_;
     std::vector<int> dirtyNics_;
     std::vector<char> nicDirtyFlag_;
 
@@ -314,9 +335,9 @@ class Fabric
     std::vector<double> linkDemand_; // demand ratio
     std::vector<bool> linkCongested_;
 
-    // Persistent link -> flow-slot membership mirror of every admitted
-    // flow's current route; the edge set of the component search.
-    LinkMembershipIndex membership_;
+    // First incidence node of each link's list (kNoSlot when no
+    // flow's route crosses it); the edge set of the component search.
+    std::vector<std::uint32_t> linkHead_;
 
     // Dirty-link accumulator between recomputes.
     std::vector<LinkId> dirtyLinks_;
@@ -330,7 +351,6 @@ class Fabric
     // Reused scratch: recompute runs on every flow event, so nothing
     // on its path allocates once these have grown.
     std::vector<std::uint32_t> scratchComponent_;
-    std::vector<std::vector<FlowState *>> scratchMembers_;
     std::vector<double> scratchCap_;
     std::vector<int> scratchUnfixed_;
     std::vector<int> scratchActiveLinks_;
@@ -344,9 +364,7 @@ class Fabric
     std::uint64_t recomputeOps_ = 0;
     std::uint64_t lastRecomputeOps_ = 0;
 
-    /** A free slot (recycled or appended). A recycled slot is reset
-     * but keeps its route's link capacity, so steady flow churn does
-     * not allocate routes. */
+    /** A free slot, recycled or appended, in its default state. */
     std::uint32_t acquireSlot();
     /** Admit the flow filled into @p slot (request, route, bytes,
      * callback): assign its id and link it into every structure. */
@@ -358,6 +376,23 @@ class Fabric
 
     /** Remove a departing flow from every structure; frees its slot. */
     void release(std::uint32_t slot);
+
+    /** @name Incidence lists @{ */
+    /** Node after @p node in its link's list, or kNoSlot. */
+    std::uint32_t
+    nextOnLink(std::uint32_t node) const
+    {
+        return slots_[node / kHops].linkNext[node % kHops];
+    }
+    /** Push every hop of @p slot's route onto its link's list and mark
+     * the link dirty. */
+    void linkRoute(std::uint32_t slot);
+    /** Undo linkRoute (the route must be the one linked). */
+    void unlinkRoute(std::uint32_t slot);
+    /** Append @p slot to its NIC's list / take it out again. */
+    void linkNic(std::uint32_t slot);
+    void unlinkNic(std::uint32_t slot);
+    /** @} */
 
     /** Sort @p slots by ascending flow id. */
     void sortById(std::vector<std::uint32_t> &slots) const;
@@ -393,7 +428,7 @@ class Fabric
     /** Flag one link as needing re-fill at the next recompute. */
     void markLinkDirty(LinkId id);
 
-    /** Point @p flow at @p route, maintaining membership + dirt. */
+    /** Point @p flow at @p route, relinking its hops + dirt. */
     void setFlowRoute(FlowState &flow, Route route);
 
     /** Recompute fair-share rates over the dirty component. */

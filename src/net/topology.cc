@@ -24,29 +24,6 @@ linkKindName(LinkKind kind)
     return "?";
 }
 
-void
-LinkMembershipIndex::add(LinkId link, std::int64_t member)
-{
-    assert(link >= 0 &&
-           static_cast<std::size_t>(link) < members_.size());
-    members_[static_cast<std::size_t>(link)].push_back(member);
-}
-
-void
-LinkMembershipIndex::remove(LinkId link, std::int64_t member)
-{
-    assert(link >= 0 &&
-           static_cast<std::size_t>(link) < members_.size());
-    auto &v = members_[static_cast<std::size_t>(link)];
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        if (v[i] == member) {
-            v[i] = v.back();
-            v.pop_back();
-            return;
-        }
-    }
-}
-
 std::string
 TopologyConfig::validate() const
 {

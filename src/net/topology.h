@@ -115,56 +115,6 @@ struct TopologyConfig
 };
 
 /**
- * Persistent link -> member index over a fixed link population.
- *
- * Maps every LinkId to the set of member ids (in practice: the flow
- * table slots of the flows routed over the link) so that "who shares
- * this link" is an O(degree) lookup instead of an O(all members) scan.
- * The Fabric maintains one of these alongside its flow table and uses
- * it to scope incremental re-allocation and reroutes to the flows
- * reachable from a dirty link.
- *
- * Membership order is not meaningful: removal swap-pops, so callers
- * that need a deterministic order must impose their own (the fabric
- * sorts by flow id, never trusting this index's order).
- */
-class LinkMembershipIndex
-{
-  public:
-    explicit LinkMembershipIndex(std::size_t numLinks)
-        : members_(numLinks)
-    {
-    }
-
-    /** Register @p member on @p link. Must not already be present. */
-    void add(LinkId link, std::int64_t member);
-
-    /**
-     * Unregister @p member from @p link (O(link degree)).
-     * A harmless no-op when the pair was never registered.
-     */
-    void remove(LinkId link, std::int64_t member);
-
-    /** Members currently registered on @p link (unordered). */
-    const std::vector<std::int64_t> &
-    members(LinkId link) const
-    {
-        return members_[static_cast<std::size_t>(link)];
-    }
-
-    std::size_t
-    memberCount(LinkId link) const
-    {
-        return members_[static_cast<std::size_t>(link)].size();
-    }
-
-    std::size_t numLinks() const { return members_.size(); }
-
-  private:
-    std::vector<std::vector<std::int64_t>> members_;
-};
-
-/**
  * Immutable wiring of the cluster plus mutable per-link state.
  *
  * Construction lays out all links; the only mutations afterwards are link

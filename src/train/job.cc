@@ -101,28 +101,28 @@ TrainingJob::setupComms()
 {
     ParallelLayout layout(cfg_.parallel, cfg_.nodes, cfg_.gpusPerNode);
 
-    const auto dp_groups = layout.dpGroups();
-    const int simulated = std::min<int>(
-        cfg_.dpGroupsSimulated, static_cast<int>(dp_groups.size()));
+    // Build only the groups that get a communicator: one DP group per
+    // (tp, pp) pair exists, but dpGroupsSimulated of them are run.
+    const int simulated = std::min(cfg_.dpGroupsSimulated,
+                                   cfg_.parallel.tp * cfg_.parallel.pp);
     for (int g = 0; g < simulated; ++g) {
         dpComms_.push_back(accl_.createCommunicator(
-            cfg_.id, layout.devicesFor(dp_groups[
-                static_cast<std::size_t>(g)])));
+            cfg_.id, layout.devicesFor(layout.dpGroup(g))));
     }
 
     if (cfg_.simulateTp && cfg_.parallel.tp > 1) {
         tpComm_ = accl_.createCommunicator(
-            cfg_.id, layout.devicesFor(layout.tpGroups().front()));
+            cfg_.id, layout.devicesFor(layout.tpGroup(0)));
     }
     if (cfg_.simulatePp && cfg_.parallel.pp > 1) {
         ppComm_ = accl_.createCommunicator(
-            cfg_.id, layout.devicesFor(layout.ppGroups().front()));
+            cfg_.id, layout.devicesFor(layout.ppGroup(0)));
     }
     if (cfg_.parallel.ep > 1 && cfg_.model.epBytesPerMicrobatch > 0) {
         // Experts are sharded across the DP group: the alltoall runs
         // over the same ranks as the representative DP ring.
         epComm_ = accl_.createCommunicator(
-            cfg_.id, layout.devicesFor(layout.dpGroups().front()));
+            cfg_.id, layout.devicesFor(layout.dpGroup(0)));
     }
 }
 

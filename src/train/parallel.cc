@@ -68,49 +68,74 @@ ParallelLayout::dpIndex(int globalRank) const
     return globalRank / (spec_.tp * spec_.pp);
 }
 
+std::vector<int>
+ParallelLayout::tpGroup(int i) const
+{
+    assert(i >= 0 && i < spec_.dp * spec_.pp);
+    std::vector<int> g;
+    g.reserve(static_cast<std::size_t>(spec_.tp));
+    for (int tp = 0; tp < spec_.tp; ++tp)
+        g.push_back(i * spec_.tp + tp);
+    return g;
+}
+
+std::vector<int>
+ParallelLayout::dpGroup(int i) const
+{
+    assert(i >= 0 && i < spec_.pp * spec_.tp);
+    const int pp = i / spec_.tp;
+    const int tp = i % spec_.tp;
+    std::vector<int> g;
+    g.reserve(static_cast<std::size_t>(spec_.dp));
+    for (int dp = 0; dp < spec_.dp; ++dp)
+        g.push_back((dp * spec_.pp + pp) * spec_.tp + tp);
+    return g;
+}
+
+std::vector<int>
+ParallelLayout::ppGroup(int i) const
+{
+    assert(i >= 0 && i < spec_.dp * spec_.tp);
+    const int dp = i / spec_.tp;
+    const int tp = i % spec_.tp;
+    std::vector<int> g;
+    g.reserve(static_cast<std::size_t>(spec_.pp));
+    for (int pp = 0; pp < spec_.pp; ++pp)
+        g.push_back((dp * spec_.pp + pp) * spec_.tp + tp);
+    return g;
+}
+
+namespace {
+
+std::vector<std::vector<int>>
+allGroups(int count, std::vector<int> (ParallelLayout::*group)(int) const,
+          const ParallelLayout &layout)
+{
+    std::vector<std::vector<int>> groups;
+    groups.reserve(static_cast<std::size_t>(count));
+    for (int i = 0; i < count; ++i)
+        groups.push_back((layout.*group)(i));
+    return groups;
+}
+
+} // namespace
+
 std::vector<std::vector<int>>
 ParallelLayout::tpGroups() const
 {
-    std::vector<std::vector<int>> groups;
-    for (int dp = 0; dp < spec_.dp; ++dp) {
-        for (int pp = 0; pp < spec_.pp; ++pp) {
-            std::vector<int> g;
-            for (int tp = 0; tp < spec_.tp; ++tp)
-                g.push_back((dp * spec_.pp + pp) * spec_.tp + tp);
-            groups.push_back(std::move(g));
-        }
-    }
-    return groups;
+    return allGroups(spec_.dp * spec_.pp, &ParallelLayout::tpGroup, *this);
 }
 
 std::vector<std::vector<int>>
 ParallelLayout::dpGroups() const
 {
-    std::vector<std::vector<int>> groups;
-    for (int pp = 0; pp < spec_.pp; ++pp) {
-        for (int tp = 0; tp < spec_.tp; ++tp) {
-            std::vector<int> g;
-            for (int dp = 0; dp < spec_.dp; ++dp)
-                g.push_back((dp * spec_.pp + pp) * spec_.tp + tp);
-            groups.push_back(std::move(g));
-        }
-    }
-    return groups;
+    return allGroups(spec_.pp * spec_.tp, &ParallelLayout::dpGroup, *this);
 }
 
 std::vector<std::vector<int>>
 ParallelLayout::ppGroups() const
 {
-    std::vector<std::vector<int>> groups;
-    for (int dp = 0; dp < spec_.dp; ++dp) {
-        for (int tp = 0; tp < spec_.tp; ++tp) {
-            std::vector<int> g;
-            for (int pp = 0; pp < spec_.pp; ++pp)
-                g.push_back((dp * spec_.pp + pp) * spec_.tp + tp);
-            groups.push_back(std::move(g));
-        }
-    }
-    return groups;
+    return allGroups(spec_.dp * spec_.tp, &ParallelLayout::ppGroup, *this);
 }
 
 std::vector<accl::DeviceInfo>

@@ -71,15 +71,24 @@ class ParallelLayout
     /** @} */
 
     /**
-     * All TP groups: one per (dp, pp) pair, each a list of global ranks.
+     * TP group @p i, a list of global ranks. There is one per
+     * (DP index d, PP index p), at i = d * spec().pp + p.
      */
+    std::vector<int> tpGroup(int i) const;
+
+    /** DP group @p i: one per (PP index p, TP index t), at
+     * i = p * spec().tp + t. */
+    std::vector<int> dpGroup(int i) const;
+
+    /** PP group @p i: one per (DP index d, TP index t), at
+     * i = d * spec().tp + t. */
+    std::vector<int> ppGroup(int i) const;
+
+    /** @name Every group of a kind, by index @{ */
     std::vector<std::vector<int>> tpGroups() const;
-
-    /** All DP groups: one per (tp, pp) pair. */
     std::vector<std::vector<int>> dpGroups() const;
-
-    /** All PP groups: one per (tp, dp) pair. */
     std::vector<std::vector<int>> ppGroups() const;
+    /** @} */
 
     /** Devices (ring order) for a list of global ranks. */
     std::vector<accl::DeviceInfo>

@@ -5,6 +5,7 @@
  */
 
 #include <algorithm>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -297,6 +298,7 @@ struct ShadowPair
     Topology topoA, topoB;
     Fabric incr, full;
     std::vector<FlowId> ids; // admission order; identical in both
+    std::vector<char> stalled; // by FlowId
     Time now = 0;
 
     explicit ShadowPair(FabricConfig fc = testutil::quietFabricConfig(),
@@ -321,6 +323,7 @@ struct ShadowPair
         const FlowId b = full.startFlow(req, bytes, nullptr);
         EXPECT_EQ(a, b);
         ids.push_back(a);
+        stalled.resize(static_cast<std::size_t>(a) + 1, 0);
         return a;
     }
 
@@ -334,6 +337,20 @@ struct ShadowPair
             full.startFlowOnRoute(std::move(copy), bytes, nullptr);
         EXPECT_EQ(a, b);
         ids.push_back(a);
+        stalled.resize(static_cast<std::size_t>(a) + 1, 0);
+    }
+
+    void
+    setStalled(FlowId id, bool on)
+    {
+        if (on) {
+            incr.stallFlow(id);
+            full.stallFlow(id);
+        } else {
+            incr.resumeFlow(id);
+            full.resumeFlow(id);
+        }
+        stalled[static_cast<std::size_t>(id)] = on ? 1 : 0;
     }
 
     void
@@ -379,9 +396,123 @@ struct ShadowPair
     }
 };
 
-/** Randomized event soup driving both allocators in lockstep. */
+/** What the reference fill assigns. */
+struct ReferenceFill
+{
+    std::vector<double> flowRate;  // by FlowId; 0 for inactive ids
+    std::vector<double> linkAlloc; // by LinkId
+};
+
+/**
+ * Progressive filling as a self-contained reference, read only through
+ * the public surface (flowRoute, effectiveCapacity) plus the caller's
+ * record of stalled flows: one global fill over member lists rebuilt
+ * per call in id order, ties between equally constrained links going
+ * to the lowest link id. The fabric's incidence lists are shared by
+ * its incremental and full modes, so a bug in them could keep the two
+ * in agreement; it cannot hide from this copy. With the jitter off,
+ * rates and link totals must match it exactly.
+ */
+ReferenceFill
+referenceFill(const Fabric &fabric, const Topology &topo,
+              const std::vector<FlowId> &ids,
+              const std::vector<char> &stalled)
+{
+    const std::size_t numLinks = topo.numLinks();
+    ReferenceFill out;
+    out.flowRate.assign(stalled.size(), 0.0);
+    out.linkAlloc.assign(numLinks, 0.0);
+    std::vector<FlowId> runnable; // ids are admitted in ascending order
+    std::vector<const Route *> routes;
+    for (FlowId id : ids) {
+        const Route *route = fabric.flowRoute(id);
+        if (route == nullptr || !route->valid() ||
+            stalled[static_cast<std::size_t>(id)])
+            continue;
+        runnable.push_back(id);
+        routes.push_back(route);
+    }
+    std::vector<std::vector<std::size_t>> members(numLinks);
+    std::vector<double> cap(numLinks, 0.0);
+    std::vector<int> unfixed(numLinks, 0);
+    std::vector<LinkId> active;
+    for (std::size_t i = 0; i < runnable.size(); ++i) {
+        for (LinkId l : routes[i]->links) {
+            const auto li = static_cast<std::size_t>(l);
+            if (members[li].empty()) {
+                active.push_back(l);
+                cap[li] = topo.link(l).effectiveCapacity();
+            }
+            members[li].push_back(i);
+            ++unfixed[li];
+        }
+    }
+    std::vector<double> fill(runnable.size(), -1.0);
+    std::size_t fixed = 0;
+    while (fixed < runnable.size()) {
+        double bestFair = std::numeric_limits<double>::infinity();
+        LinkId best = kInvalidId;
+        for (LinkId l : active) {
+            const auto li = static_cast<std::size_t>(l);
+            if (unfixed[li] <= 0)
+                continue;
+            const double fair =
+                std::max(0.0, cap[li]) / static_cast<double>(unfixed[li]);
+            if (fair < bestFair || (fair == bestFair && l < best)) {
+                bestFair = fair;
+                best = l;
+            }
+        }
+        if (best == kInvalidId)
+            break; // every runnable flow crosses a link: unreachable
+        for (std::size_t i : members[static_cast<std::size_t>(best)]) {
+            if (fill[i] >= 0.0)
+                continue;
+            fill[i] = bestFair;
+            ++fixed;
+            for (LinkId l : routes[i]->links) {
+                cap[static_cast<std::size_t>(l)] -= bestFair;
+                --unfixed[static_cast<std::size_t>(l)];
+            }
+        }
+    }
+    for (std::size_t i = 0; i < runnable.size(); ++i) {
+        out.flowRate[static_cast<std::size_t>(runnable[i])] = fill[i];
+        for (LinkId l : routes[i]->links)
+            out.linkAlloc[static_cast<std::size_t>(l)] += fill[i];
+    }
+    return out;
+}
+
+/** @p fabric's rates and link totals equal referenceFill's, bit for
+ * bit. */
 void
-runShadowEquivalence(std::uint64_t seed, FabricConfig fc)
+expectReferenceFill(Fabric &fabric, const Topology &topo,
+                    const std::vector<FlowId> &ids,
+                    const std::vector<char> &stalled)
+{
+    const ReferenceFill ref = referenceFill(fabric, topo, ids, stalled);
+    for (FlowId id : ids) {
+        EXPECT_EQ(fabric.flowRate(id),
+                  ref.flowRate[static_cast<std::size_t>(id)])
+            << "flow " << id;
+    }
+    for (std::size_t l = 0; l < topo.numLinks(); ++l) {
+        EXPECT_EQ(fabric.linkThroughput(static_cast<LinkId>(l)),
+                  ref.linkAlloc[l])
+            << "link " << l;
+    }
+}
+
+/**
+ * Randomized event soup driving both allocators in lockstep. With the
+ * jitter off, both are also held to referenceFill after every step.
+ * @p tieScales scales trunks to 1/4, 1/2 or 1 only, so equally
+ * constrained links tie often.
+ */
+void
+runShadowEquivalence(std::uint64_t seed, FabricConfig fc,
+                     bool tieScales = false)
 {
     ShadowPair p(fc);
     Rng ev(seed);
@@ -421,13 +552,7 @@ runShadowEquivalence(std::uint64_t seed, FabricConfig fc)
             const FlowId id = p.ids[static_cast<std::size_t>(
                 ev.uniformInt(0, static_cast<std::int64_t>(
                                      p.ids.size() - 1)))];
-            if (ev.chance(0.5)) {
-                p.incr.stallFlow(id);
-                p.full.stallFlow(id);
-            } else {
-                p.incr.resumeFlow(id);
-                p.full.resumeFlow(id);
-            }
+            p.setStalled(id, ev.chance(0.5));
         } else if (roll < 0.7) {
             const LinkId id = randomTrunk();
             const bool up = !p.topoA.link(id).up;
@@ -435,7 +560,10 @@ runShadowEquivalence(std::uint64_t seed, FabricConfig fc)
             p.full.setLinkUp(id, up);
         } else if (roll < 0.8) {
             const LinkId id = randomTrunk();
-            const double scale = ev.uniform(0.3, 1.0);
+            const double scale =
+                tieScales ? 0.25 * static_cast<double>(
+                                       1 << ev.uniformInt(0, 2))
+                          : ev.uniform(0.3, 1.0);
             p.incr.setLinkCapacityScale(id, scale);
             p.full.setLinkCapacityScale(id, scale);
         } else if (roll < 0.87) {
@@ -458,6 +586,10 @@ runShadowEquivalence(std::uint64_t seed, FabricConfig fc)
             p.advance(microseconds(ev.uniformInt(10, 2000)));
         }
         p.equal();
+        if (!fc.congestionJitter) {
+            expectReferenceFill(p.incr, p.topoA, p.ids, p.stalled);
+            expectReferenceFill(p.full, p.topoB, p.ids, p.stalled);
+        }
     }
     // Drain: restore all trunks and let the survivors finish.
     for (int leaf = 0; leaf < p.topoA.numLeaves(); ++leaf)
@@ -470,6 +602,8 @@ runShadowEquivalence(std::uint64_t seed, FabricConfig fc)
         }
     p.advance(seconds(60));
     p.equal();
+    if (!fc.congestionJitter)
+        expectReferenceFill(p.incr, p.topoA, p.ids, p.stalled);
     EXPECT_EQ(p.incr.totalFlowsCompleted(),
               p.full.totalFlowsCompleted());
 }
@@ -482,6 +616,15 @@ TEST(FabricIncremental, MatchesFullRebuildQuietSeed1)
 TEST(FabricIncremental, MatchesFullRebuildQuietSeed2)
 {
     runShadowEquivalence(0xA11CE002, testutil::quietFabricConfig());
+}
+
+TEST(FabricIncremental, MatchesReferenceFillWithTiedCapacities)
+{
+    for (std::uint64_t seed :
+         {0xA11CE006ull, 0xA11CE007ull, 0xA11CE008ull, 0xA11CE009ull}) {
+        SCOPED_TRACE(seed);
+        runShadowEquivalence(seed, testutil::quietFabricConfig(), true);
+    }
 }
 
 TEST(FabricIncremental, MatchesFullRebuildWithJitterAndCnpNoise)
@@ -986,8 +1129,9 @@ TEST(Fabric, FreshFlowSlotsDoNotAllocateForTheirRoutes)
     EXPECT_GT(links, 2 * 64); // some crossed a spine
 
     // On a fresh fabric every flow takes a fresh slot, and its route's
-    // links sit inside that slot. 256 flows over one spine path make
-    // fewer allocations than flows: only the fabric's tables grow, each
+    // links sit inside that slot, as do its nodes in the links' and the
+    // NIC's incidence lists. 256 flows over one spine path make fewer
+    // allocations than flows: only the fabric's tables grow, each
     // geometrically (a heap buffer per route cost three apiece).
     Harness fresh;
     std::vector<FlowId> ids;
@@ -1007,6 +1151,60 @@ TEST(Fabric, FreshFlowSlotsDoNotAllocateForTheirRoutes)
         const auto *at = reinterpret_cast<const char *>(route->links.begin());
         EXPECT_TRUE(at >= lo && at < lo + sizeof(Route));
     }
+}
+
+/**
+ * Allocations made by admitting 512 flows into a fresh fabric on a
+ * 64-node pod and settling their rates; @p spread sends them between
+ * many (node, NIC) pairs, otherwise all take one path. Stores the
+ * number of distinct links the flows cross in @p links.
+ */
+std::uint64_t
+admissionAllocs(bool spread, std::size_t &links)
+{
+    Harness h(podConfig(64));
+    std::vector<FlowId> ids;
+    ids.reserve(512);
+    const std::uint64_t before = perf::allocStatsNow().count;
+    for (int i = 0; i < 512; ++i) {
+        PathRequest req = spread ? h.request(i % 64, (i + 32) % 64,
+                                             static_cast<std::uint32_t>(i))
+                                 : h.request(0, 4, 1, /*spine=*/2);
+        if (spread)
+            req.srcNic = req.dstNic = static_cast<NicId>(i / 64);
+        ids.push_back(h.fabric.startFlow(req, gib(1), nullptr));
+    }
+    (void)h.fabric.flowRate(ids.front()); // runs the recompute
+    const std::uint64_t allocs = perf::allocStatsNow().count - before;
+    std::vector<char> seen(h.topo.numLinks(), 0);
+    links = 0;
+    for (FlowId id : ids) {
+        for (LinkId l : h.fabric.flowRoute(id)->links) {
+            links += seen[static_cast<std::size_t>(l)] ? 0 : 1;
+            seen[static_cast<std::size_t>(l)] = 1;
+        }
+    }
+    return allocs;
+}
+
+TEST(Fabric, AdmissionAllocationsDoNotScaleWithLinksTouched)
+{
+    // A flow joins its links' and its NIC's incidence lists through
+    // nodes inside its own slot, and the fill walks those lists: no
+    // per-link or per-NIC container grows, so touching a thousand links
+    // costs what touching four does, bar the extra doublings of the
+    // three link-id vectors a recompute fills (dirty, component and
+    // active links: about a dozen each at 1,000+ links). A container
+    // per link would cost thousands more.
+    std::size_t onePathLinks = 0;
+    std::size_t spreadLinks = 0;
+    const std::uint64_t onePath = admissionAllocs(false, onePathLinks);
+    const std::uint64_t spread = admissionAllocs(true, spreadLinks);
+    EXPECT_EQ(onePathLinks, 4u);
+    ASSERT_GT(spreadLinks, 1000u);
+    EXPECT_LE(spread, onePath + 48)
+        << "spread=" << spread << " onePath=" << onePath
+        << " links=" << spreadLinks;
 }
 
 TEST(Fabric, SteadyCapacityEventsDoNotAllocate)

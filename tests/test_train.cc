@@ -89,6 +89,57 @@ TEST(Parallel, GroupShapes)
         ASSERT_EQ(g.size(), 2u);
 }
 
+TEST(Parallel, SingleGroupsMatchTheFullLists)
+{
+    // Reference lists built straight from the rank formula
+    // global = (dp * pp + pp) * tp + tp, in each kind's group order.
+    for (const ParallelismSpec spec :
+         {ParallelismSpec{.tp = 4, .pp = 2, .dp = 2},
+          ParallelismSpec{.tp = 8, .pp = 1, .dp = 4},
+          ParallelismSpec{.tp = 2, .pp = 4, .dp = 3},
+          ParallelismSpec{.tp = 1, .pp = 1, .dp = 16},
+          ParallelismSpec{.tp = 8, .pp = 2, .dp = 2, .ep = 2}}) {
+        std::vector<NodeId> nodes;
+        for (int n = 0; n < spec.worldSize() / 8; ++n)
+            nodes.push_back(n);
+        ParallelLayout layout(spec, nodes, 8);
+        auto rank = [&](int dp, int pp, int tp) {
+            return (dp * spec.pp + pp) * spec.tp + tp;
+        };
+        std::vector<std::vector<int>> tp, dp, pp;
+        for (int d = 0; d < spec.dp; ++d)
+            for (int p = 0; p < spec.pp; ++p) {
+                tp.emplace_back();
+                for (int t = 0; t < spec.tp; ++t)
+                    tp.back().push_back(rank(d, p, t));
+            }
+        for (int p = 0; p < spec.pp; ++p)
+            for (int t = 0; t < spec.tp; ++t) {
+                dp.emplace_back();
+                for (int d = 0; d < spec.dp; ++d)
+                    dp.back().push_back(rank(d, p, t));
+            }
+        for (int d = 0; d < spec.dp; ++d)
+            for (int t = 0; t < spec.tp; ++t) {
+                pp.emplace_back();
+                for (int p = 0; p < spec.pp; ++p)
+                    pp.back().push_back(rank(d, p, t));
+            }
+        ASSERT_EQ(layout.tpGroups(), tp);
+        ASSERT_EQ(layout.dpGroups(), dp);
+        ASSERT_EQ(layout.ppGroups(), pp);
+        for (std::size_t i = 0; i < tp.size(); ++i)
+            EXPECT_EQ(layout.tpGroup(static_cast<int>(i)),
+                      layout.tpGroups()[i]);
+        for (std::size_t i = 0; i < dp.size(); ++i)
+            EXPECT_EQ(layout.dpGroup(static_cast<int>(i)),
+                      layout.dpGroups()[i]);
+        for (std::size_t i = 0; i < pp.size(); ++i)
+            EXPECT_EQ(layout.ppGroup(static_cast<int>(i)),
+                      layout.ppGroups()[i]);
+    }
+}
+
 TEST(Parallel, IndexDecompositionRoundTrips)
 {
     ParallelismSpec spec{.tp = 2, .pp = 2, .dp = 4};
