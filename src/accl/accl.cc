@@ -46,7 +46,6 @@ struct PendingOp
 {
     CollSeq seq = 0;
     CollOp op = CollOp::AllReduce;
-    AlgoKind algo = AlgoKind::Ring;
     Bytes bytes = 0;
     std::vector<Duration> delays;
     CollectiveCallback done;
@@ -326,7 +325,10 @@ class Accl::Exec
         numCursors_ = count;
     }
 
-    /** Derive the hop structure for the requested op/algo. */
+    /**
+     * Derive the hop structure for the requested op: a ring, except
+     * for alltoall and point-to-point.
+     */
     void
     buildPlan()
     {
@@ -365,13 +367,6 @@ class Accl::Exec
 
         if (op_.op == CollOp::AllToAll && n > 1) {
             buildAllToAllPlan();
-        } else if (op_.algo == AlgoKind::Tree &&
-                   op_.op == CollOp::AllReduce && n > 1) {
-            buildTreePlan(per_round, k);
-        } else if (op_.algo == AlgoKind::HalvingDoubling &&
-                   op_.op == CollOp::AllReduce && n > 1 &&
-                   (n & (n - 1)) == 0) {
-            buildHalvingDoublingPlan();
         } else {
             resetStages(1);
             Stage &st = stages_[0];
@@ -414,88 +409,6 @@ class Accl::Exec
             st.hops = st.ownHops;
             st.nvlinkNodes = comm.nodes();
         }
-    }
-
-    /**
-     * Recursive halving (reduce-scatter) then doubling (allgather):
-     * log2(n) pairwise-exchange stages each way, with the payload
-     * halving per step. Power-of-2 rank counts only.
-     */
-    void
-    buildHalvingDoublingPlan()
-    {
-        const Communicator &comm = *cs_.comm;
-        const int n = comm.size();
-
-        int steps = 0;
-        for (int mask = 1; mask < n; mask <<= 1)
-            ++steps;
-        resetStages(2 * static_cast<std::size_t>(steps));
-
-        auto fill_stage = [&](Stage &st, int mask, Bytes bytes_per_hop) {
-            st.rounds = 1;
-            st.bytesPerHopPerRound = std::max<Bytes>(1, bytes_per_hop);
-            for (Rank i = 0; i < n; ++i) {
-                const Rank j = static_cast<Rank>(i ^ mask);
-                if (comm.device(i).node != comm.device(j).node)
-                    st.ownHops.push_back({i, j});
-            }
-            st.hops = st.ownHops;
-            st.nvlinkNodes = comm.nodes();
-        };
-
-        // Halving: exchanged payload shrinks by half each step. Stage i
-        // exchanges over mask 1 << i.
-        Bytes step_bytes = static_cast<Bytes>(
-            static_cast<double>(op_.bytes) / (2.0 * activeChannels_));
-        std::size_t idx = 0;
-        for (int mask = 1; mask < n; mask <<= 1, ++idx) {
-            fill_stage(stages_[idx], mask, step_bytes);
-            step_bytes = std::max<Bytes>(1, step_bytes / 2);
-        }
-        // Doubling: mirror order, each step moving what the halving
-        // step over the same mask moved.
-        std::size_t halving = idx;
-        for (int mask = n >> 1; mask >= 1; mask >>= 1, ++idx)
-            fill_stage(stages_[idx], mask,
-                       stages_[--halving].bytesPerHopPerRound);
-    }
-
-    /** Reduce-then-broadcast binary tree (two pipelined stages). */
-    void
-    buildTreePlan(Bytes per_round, int k)
-    {
-        const Communicator &comm = *cs_.comm;
-        const int n = comm.size();
-
-        // The tree moves the full payload on each edge per direction,
-        // i.e. 2x bytes per rank vs the ring's 2(n-1)/n; rescale per-hop
-        // bytes so total traffic matches the tree's cost model.
-        const double ring_factor = busFactor(CollOp::AllReduce, n);
-        const auto tree_per_round = static_cast<Bytes>(std::max(
-            1.0, static_cast<double>(per_round) * 1.0 / ring_factor));
-
-        resetStages(2);
-        Stage &up = stages_[0];
-        Stage &down = stages_[1];
-        for (Stage *st : {&up, &down}) {
-            st->rounds = k;
-            st->bytesPerHopPerRound = tree_per_round;
-            // As with the ring, every node's HBM/NVLink plane is in the
-            // path.
-            st->nvlinkNodes = comm.nodes();
-        }
-        for (Rank r = 1; r < n; ++r) {
-            const Rank parent = (r - 1) / 2;
-            const auto &cd = comm.device(r);
-            const auto &pd = comm.device(parent);
-            if (cd.node != pd.node) {
-                up.ownHops.push_back({r, parent});
-                down.ownHops.push_back({parent, r});
-            }
-        }
-        up.hops = up.ownHops;
-        down.hops = down.ownHops;
     }
 
     void
@@ -765,7 +678,6 @@ class Accl::Exec
         res.comm = comm.id();
         res.seq = op_.seq;
         res.op = op_.op;
-        res.algo = op_.algo;
         res.bytes = op_.bytes;
         res.nranks = comm.size();
         res.postTime = minPost_;
@@ -961,8 +873,7 @@ Accl::releaseConnections(CommState &cs)
 CollSeq
 Accl::postCollective(CommId comm, CollOp op, Bytes bytesPerRank,
                      CollectiveCallback done,
-                     std::span<const Duration> rankPostDelays,
-                     AlgoKind algo)
+                     std::span<const Duration> rankPostDelays)
 {
     assert(bytesPerRank > 0);
     assert(op != CollOp::SendRecv && "use sendRecv()");
@@ -970,12 +881,10 @@ Accl::postCollective(CommId comm, CollOp op, Bytes bytesPerRank,
 
     PendingOp &p = cs.push(sim_.now());
     p.op = op;
-    p.algo = algo;
     p.bytes = bytesPerRank;
     p.delays.assign(rankPostDelays.begin(), rankPostDelays.end());
     p.done = std::move(done);
     const CollSeq seq = p.seq;
-    ++posted_;
 
     startNext(cs);
     return seq;
@@ -997,7 +906,6 @@ Accl::sendRecv(CommId comm, Rank src, Rank dst, Bytes bytes,
     p.p2pSrc = src;
     p.p2pDst = dst;
     const CollSeq seq = p.seq;
-    ++posted_;
 
     startNext(cs);
     return seq;

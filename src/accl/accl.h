@@ -3,10 +3,10 @@
  * The simulated collective communication library (ACCL).
  *
  * Collectives are executed as pipelined rounds of point-to-point hops over
- * the communicator's ring (or tree): intra-node hops ride the NVLink plane
- * at the per-GPU NVLink budget, inter-node hops become fabric flows through
- * QPs whose paths come from the pluggable PathPolicy (baseline ECMP or
- * C4P). A round completes when its slowest hop completes — reproducing the
+ * the communicator's ring (alltoall as shifted exchanges, sendRecv as
+ * one hop): intra-node hops ride the NVLink plane at the per-GPU NVLink
+ * budget, inter-node hops become fabric flows through QPs whose paths
+ * come from the pluggable PathPolicy (baseline ECMP or C4P). A round completes when its slowest hop completes — reproducing the
  * paper's observation that "any flow that is throttled can have a ripple
  * effect, hindering the entire communication group".
  *
@@ -65,7 +65,6 @@ struct CollectiveResult
     CommId comm = kInvalidId;
     CollSeq seq = 0;
     CollOp op = CollOp::AllReduce;
-    AlgoKind algo = AlgoKind::Ring;
     Bytes bytes = 0;
     int nranks = 0;
     Time postTime = 0;  ///< earliest rank entry
@@ -148,8 +147,7 @@ class Accl
      */
     CollSeq postCollective(CommId comm, CollOp op, Bytes bytesPerRank,
                            CollectiveCallback done,
-                           std::span<const Duration> rankPostDelays = {},
-                           AlgoKind algo = AlgoKind::Ring);
+                           std::span<const Duration> rankPostDelays = {});
 
     /** Point-to-point transfer between two ranks of a communicator. */
     CollSeq sendRecv(CommId comm, Rank src, Rank dst, Bytes bytes,
@@ -193,7 +191,6 @@ class Accl
     const AcclConfig &config() const { return cfg_; }
 
     std::uint64_t collectivesCompleted() const { return completed_; }
-    std::uint64_t collectivesPosted() const { return posted_; }
 
   private:
     struct CommState;
@@ -209,7 +206,6 @@ class Accl
     PathPolicy *policy_; // never null; defaults to &baselinePolicy_
 
     QpId nextQpId_ = 1;
-    std::uint64_t posted_ = 0;
     std::uint64_t completed_ = 0;
 
     /** Indexed by CommId - 1: ids are handed out densely from 1, and

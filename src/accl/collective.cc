@@ -18,17 +18,6 @@ collOpName(CollOp op)
     return "?";
 }
 
-const char *
-algoKindName(AlgoKind algo)
-{
-    switch (algo) {
-      case AlgoKind::Ring:            return "ring";
-      case AlgoKind::Tree:            return "tree";
-      case AlgoKind::HalvingDoubling: return "halving-doubling";
-    }
-    return "?";
-}
-
 double
 busFactor(CollOp op, int nranks)
 {

@@ -30,15 +30,6 @@ enum class CollOp : std::int8_t {
 
 const char *collOpName(CollOp op);
 
-/** Algorithm family used to realize a collective. */
-enum class AlgoKind : std::int8_t {
-    Ring,            ///< ring pipeline; bandwidth optimal, large msgs
-    Tree,            ///< binary reduce+broadcast tree; latency optimal
-    HalvingDoubling, ///< recursive halving/doubling; power-of-2 ranks
-};
-
-const char *algoKindName(AlgoKind algo);
-
 /**
  * Traffic each rank must move through its slowest serial resource,
  * as a multiple of the payload size S (the nccl-tests "bus factor").

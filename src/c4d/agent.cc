@@ -24,7 +24,6 @@ C4Agent::stop()
 void
 C4Agent::collectOnce()
 {
-    ++collections_;
     accl::AcclMonitor &monitor = lib_.monitor();
 
     // Communicator lifecycle first so record routing finds the comms.

@@ -43,13 +43,10 @@ class C4Agent
     /** One collection pass (also usable directly from tests). */
     void collectOnce();
 
-    std::uint64_t collections() const { return collections_; }
-
   private:
     accl::Accl &lib_;
     C4dMaster &master_;
     PeriodicTask ticker_;
-    std::uint64_t collections_ = 0;
 
     // Drain buffers, reused by every pass.
     std::vector<accl::CommRecord> commRecs_;

@@ -152,16 +152,6 @@ RootCauseAnalyzer::analyze(const C4dEvent &event) const
     return syndromePrior(event);
 }
 
-std::vector<RootCauseReport>
-RootCauseAnalyzer::analyzeAll(const std::vector<C4dEvent> &events) const
-{
-    std::vector<RootCauseReport> reports;
-    reports.reserve(events.size());
-    for (const auto &ev : events)
-        reports.push_back(analyze(ev));
-    return reports;
-}
-
 std::map<FaultType, int>
 RootCauseAnalyzer::histogram(const std::vector<RootCauseReport> &reports)
 {

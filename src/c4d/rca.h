@@ -96,10 +96,6 @@ class RootCauseAnalyzer
     /** Analyze a single C4D event against the log + priors. */
     RootCauseReport analyze(const C4dEvent &event) const;
 
-    /** Batch analysis (the nightly offline pass). */
-    std::vector<RootCauseReport>
-    analyzeAll(const std::vector<C4dEvent> &events) const;
-
     /** Cause histogram over reports (the Table-I style rollup). */
     static std::map<fault::FaultType, int>
     histogram(const std::vector<RootCauseReport> &reports);

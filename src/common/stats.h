@@ -81,7 +81,6 @@ class Histogram
     void add(double v);
 
     bool empty() const { return total_ == 0; }
-    std::size_t bucketCount() const { return counts_.size(); }
     std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
     std::uint64_t underflow() const { return underflow_; }
     std::uint64_t overflow() const { return overflow_; }

@@ -84,12 +84,6 @@ toMilliseconds(Duration d)
 }
 
 constexpr double
-toMicroseconds(Duration d)
-{
-    return static_cast<double>(d) * 1e-3;
-}
-
-constexpr double
 toHours(Duration d)
 {
     return toSeconds(d) / 3600.0;
@@ -100,12 +94,6 @@ toHours(Duration d)
 using Bandwidth = double;
 
 /** @name Bandwidth constructors @{ */
-constexpr Bandwidth
-bitsPerSec(double bps)
-{
-    return bps;
-}
-
 constexpr Bandwidth
 gbps(double g)
 {

@@ -47,19 +47,6 @@ Cluster::Cluster(ClusterConfig cfg)
             }
             return culprits;
         });
-        // The background RCA system watches the hardware monitors: any
-        // fault class with an out-of-band trace lands in its log.
-        rca_ = std::make_unique<c4d::RootCauseAnalyzer>();
-        injector_->addObserver([this](const fault::FaultEvent &ev) {
-            if (!c4d::faultVisibleInHardwareLogs(ev.type))
-                return;
-            c4d::HardwareLogEntry entry;
-            entry.when = ev.when;
-            entry.node = ev.node;
-            entry.type = ev.type;
-            entry.detail = ev.str();
-            rca_->ingestHardwareEvent(entry);
-        });
     }
 
     nodeUsed_.assign(static_cast<std::size_t>(topo_.numNodes()), false);

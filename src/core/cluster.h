@@ -20,11 +20,9 @@
 #include "c4d/agent.h"
 #include "c4d/downtime.h"
 #include "c4d/master.h"
-#include "c4d/rca.h"
 #include "c4d/steering.h"
 #include "core/placement.h"
 #include "c4p/master.h"
-#include "c4p/prober.h"
 #include "common/types.h"
 #include "fault/injector.h"
 #include "net/fabric.h"
@@ -74,7 +72,6 @@ class Cluster
     c4d::C4dMaster *c4dMaster() { return c4dMaster_.get(); }
     c4d::JobSteeringService *steering() { return steering_.get(); }
     c4d::C4Agent *agent() { return agent_.get(); }
-    c4d::RootCauseAnalyzer *rca() { return rca_.get(); }
 
     /** Non-null only when enableC4p. */
     c4p::C4pMaster *c4pMaster() { return c4pMaster_.get(); }
@@ -169,7 +166,6 @@ class Cluster
     std::unique_ptr<c4d::C4dMaster> c4dMaster_;
     std::unique_ptr<c4d::C4Agent> agent_;
     std::unique_ptr<c4d::JobSteeringService> steering_;
-    std::unique_ptr<c4d::RootCauseAnalyzer> rca_;
 
     std::unordered_map<JobId, std::unique_ptr<train::TrainingJob>> jobs_;
     std::vector<bool> nodeUsed_;

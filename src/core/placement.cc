@@ -5,12 +5,6 @@
 
 namespace c4::core {
 
-const char *
-placementStrategyName(PlacementStrategy s)
-{
-    return s == PlacementStrategy::Packed ? "packed" : "scattered";
-}
-
 std::vector<NodeId>
 choosePlacement(const net::Topology &topo, const std::vector<bool> &used,
                 int count, PlacementStrategy strategy)

@@ -24,8 +24,6 @@ enum class PlacementStrategy {
     Scattered,
 };
 
-const char *placementStrategyName(PlacementStrategy s);
-
 /**
  * Choose @p count free nodes under the given strategy.
  *

@@ -90,13 +90,11 @@ Fabric::admit(std::uint32_t slot)
     flow.anchor = sim_.now();
     index_.emplace_back(flow.id, slot); // ids ascend: stays sorted
     ++live_;
-    if (flow.hasReq) {
-        const int nics = topo_.nicsPerNode();
-        if (flow.req.srcNode >= 0 && flow.req.srcNode < topo_.numNodes() &&
-            flow.req.srcNic >= 0 && flow.req.srcNic < nics) {
-            flow.nic = flow.req.srcNode * nics + flow.req.srcNic;
-            linkNic(slot);
-        }
+    const int nics = topo_.nicsPerNode();
+    if (flow.req.srcNode >= 0 && flow.req.srcNode < topo_.numNodes() &&
+        flow.req.srcNic >= 0 && flow.req.srcNic < nics) {
+        flow.nic = flow.req.srcNode * nics + flow.req.srcNic;
+        linkNic(slot);
     }
     linkRoute(slot);
     ++started_;
@@ -204,28 +202,14 @@ Fabric::startFlow(const PathRequest &req, Bytes bytes, FlowCallback done)
     const std::uint32_t slot = acquireSlot();
     FlowState &st = slots_[slot];
     st.req = req;
-    st.hasReq = true;
     selector_.select(req, st.route);
     st.remaining = static_cast<double>(bytes);
     st.total = bytes;
     st.done = std::move(done);
     if (!st.route.valid()) {
-        logDebug("fabric", "flow admitted stalled (no healthy path) "
+        logDebug("fabric", "flow admitted routeless (no healthy path) "
                  "src=n%d dst=n%d", req.srcNode, req.dstNode);
     }
-    return admit(slot);
-}
-
-FlowId
-Fabric::startFlowOnRoute(Route route, Bytes bytes, FlowCallback done)
-{
-    assert(bytes > 0);
-    const std::uint32_t slot = acquireSlot();
-    FlowState &st = slots_[slot];
-    st.route = std::move(route);
-    st.remaining = static_cast<double>(bytes);
-    st.total = bytes;
-    st.done = std::move(done);
     return admit(slot);
 }
 
@@ -248,32 +232,6 @@ Fabric::abortFlow(FlowId id)
     return true;
 }
 
-void
-Fabric::stallFlow(FlowId id)
-{
-    flush();
-    FlowState *flow = find(id);
-    if (flow == nullptr)
-        return;
-    flow->stalled = true;
-    for (LinkId l : flow->route.links)
-        markLinkDirty(l);
-    markDirty();
-}
-
-void
-Fabric::resumeFlow(FlowId id)
-{
-    flush();
-    FlowState *flow = find(id);
-    if (flow == nullptr)
-        return;
-    flow->stalled = false;
-    for (LinkId l : flow->route.links)
-        markLinkDirty(l);
-    markDirty();
-}
-
 // ---------------------------------------------------------------------
 // Links and routes
 // ---------------------------------------------------------------------
@@ -290,7 +248,7 @@ Fabric::setLinkUp(LinkId id, bool up)
     topo_.setLinkUp(id, up);
     markLinkDirty(id);
     const std::size_t touched =
-        up ? reresolveRequestFlows() : rerouteFlowsTouching(id);
+        up ? reresolveFlows() : rerouteFlowsTouching(id);
     trace::TraceScope &tr = sim_.tracer();
     if (tr.wants(trace::EventKind::PathRealloc)) {
         trace::Event tev;
@@ -369,29 +327,25 @@ Fabric::rerouteFlowsTouching(LinkId id)
          n != kNoSlot; n = nextOnLink(n))
         touched.push_back(n / kHops);
     sortById(touched);
+    // ECMP rehash among the surviving next hops: deterministic per
+    // flow, so rerouted flows can concentrate (Fig. 13a).
     for (std::uint32_t slot : touched) {
         FlowState &flow = slots_[slot];
-        if (flow.hasReq) {
-            // ECMP rehash among the surviving next hops: deterministic
-            // per flow, so rerouted flows can concentrate (Fig. 13a).
-            setFlowRoute(flow, selector_.select(flow.req));
-        } else {
-            setFlowRoute(flow, Route{}); // explicit route died with it
-        }
+        setFlowRoute(flow, selector_.select(flow.req));
     }
     return touched.size();
 }
 
 std::size_t
-Fabric::reresolveRequestFlows()
+Fabric::reresolveFlows()
 {
-    // Re-resolve every request-backed flow, not just the stalled ones:
-    // a restored link re-enters the ECMP hash, so flows rehashed onto
-    // survivors during the outage rebalance back to their pre-fault
-    // paths (selection is deterministic per request).
+    // Re-resolve every flow, not just the routeless ones: a restored
+    // link re-enters the ECMP hash, so flows rehashed onto survivors
+    // during the outage rebalance back to their pre-fault paths
+    // (selection is deterministic per request).
     std::size_t touched = 0;
     for (const auto &[id, slot] : index_) {
-        if (slot == kNoSlot || !slots_[slot].hasReq)
+        if (slot == kNoSlot)
             continue;
         FlowState &flow = slots_[slot];
         Route fresh = selector_.select(flow.req);
@@ -432,7 +386,7 @@ Fabric::setRate(FlowState &flow, double rate)
         const double delay_ns = flow.remaining * 8.0 / rate * 1e9;
         // A flow squeezed to a near-zero fair share finishes beyond
         // the representable horizon; casting that to Duration would
-        // overflow int64 (UB). It is effectively stalled: schedule
+        // overflow int64 (UB). It is effectively idle: schedule
         // nothing and let the next rate change revisit it.
         if (delay_ns < static_cast<double>(kTimeNever - now)) {
             // Round up: at `due` the last byte has been sent.
@@ -706,7 +660,7 @@ Fabric::recompute()
     std::vector<FlowState *> &runnable = scratchRunnable_;
     for (std::uint32_t slot : component) {
         FlowState &flow = slots_[slot];
-        const bool live = !flow.stalled && flow.route.valid();
+        const bool live = flow.route.valid();
         flow.fillRate = live ? -1.0 : 0.0; // -1: not yet fixed
         if (live)
             runnable.push_back(&flow);
@@ -773,9 +727,8 @@ Fabric::recompute()
 
         // Every flow on a component link is in the component (it is
         // a closure), so its fillRate was set above: -1 while unfixed,
-        // >= 0 once fixed, stalled or routeless. Each cap subtraction
-        // of a round is the same best_fair, so list order cannot
-        // change a bit of the result.
+        // >= 0 once fixed. Each cap subtraction of a round is the same
+        // best_fair, so list order cannot change a bit of the result.
         for (std::uint32_t n =
                  linkHead_[static_cast<std::size_t>(best_link)];
              n != kNoSlot; n = nextOnLink(n)) {
@@ -859,13 +812,11 @@ Fabric::applyOverlay(FlowState &flow)
     // component's fresh fair shares.
     double overload = 0.0;
     bool congested = false;
-    if (!flow.stalled) { // a stalled flow sends nothing to mark
-        for (LinkId l : flow.route.links) {
-            auto li = static_cast<std::size_t>(l);
-            if (linkCongested_[li]) {
-                congested = true;
-                overload = std::max(overload, linkDemand_[li] - 1.0);
-            }
+    for (LinkId l : flow.route.links) {
+        auto li = static_cast<std::size_t>(l);
+        if (linkCongested_[li]) {
+            congested = true;
+            overload = std::max(overload, linkDemand_[li] - 1.0);
         }
     }
     if (flow.fillRate == flow.baseRate && congested == flow.congested &&
@@ -890,17 +841,8 @@ Fabric::applyOverlay(FlowState &flow)
             // DCQCN rate reduction has a per-QP persistent bias
             // (each sender's CNP cadence differs) plus temporal
             // noise; the bias is what spreads task averages apart
-            // in the paper's Fig. 10b. Explicit-route flows (C4P
-            // probers) have no request, so their bias derives
-            // from the flow id — a shared flowLabel of 0 would
-            // give every prober the identical persistent bias.
-            const std::uint32_t ident =
-                flow.hasReq ? flow.req.flowLabel
-                            : static_cast<std::uint32_t>(
-                                  static_cast<std::uint64_t>(flow.id) *
-                                      0x9E3779B97F4A7C15ull >>
-                                  32);
-            std::uint32_t h = ident * 0x9E3779B9u + 0x7F;
+            // in the paper's Fig. 10b.
+            std::uint32_t h = flow.req.flowLabel * 0x9E3779B9u + 0x7F;
             h ^= h >> 15;
             h *= 0x85EBCA6Bu;
             h ^= h >> 13;

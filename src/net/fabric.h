@@ -17,13 +17,13 @@
  *
  * Every flow event costs work in proportion to its *dirty component*,
  * never the flow table. The fabric tracks dirty links (link up/down,
- * capacity scaling, membership changes from flow start/end/abort/
- * stall) and re-runs progressive filling only over the connected
- * component of flows reachable from dirty links through shared-link
- * membership. Progressive filling couples flows only through shared
- * links, so components fill independently and the component-scoped
- * result is exactly the global one. The rest of the bookkeeping is
- * scoped the same way:
+ * capacity scaling, membership changes from flow start/end/abort) and
+ * re-runs progressive filling only over the connected component of
+ * flows reachable from dirty links through shared-link membership.
+ * Progressive filling couples flows only through shared links, so
+ * components fill independently and the component-scoped result is
+ * exactly the global one. The rest of the bookkeeping is scoped the
+ * same way:
  *  - the DCQCN overlay visits component flows only. Its two uniforms
  *    come from a counter-based generator (net/philox.h) keyed by
  *    (fabric seed, flow id, per-flow draw count), and a flow draws
@@ -39,12 +39,14 @@
  * The edges of the sharing graph are intrusive incidence lists
  * threaded through the flow table: hop h of the flow in slot s is node
  * s * RouteLinks::kMaxLinks + h of its link's doubly linked list, and
- * every request flow is a node of its sender NIC's list, appended in
- * admission (= id) order. Admitting, releasing or rerouting a flow
- * links and unlinks O(route length) nodes and allocates nothing per
- * link; the component search, reroutes and the fill read the lists
- * directly, the fill walking the saturated link's list in place of a
- * member list rebuilt per recompute.
+ * every flow is a node of its sender NIC's list, appended in admission
+ * (= id) order. Admitting, releasing or rerouting a flow links and
+ * unlinks O(route length) nodes and allocates nothing per link; the
+ * component search, reroutes and the fill read the lists directly, the
+ * fill walking the saturated link's list in place of a member list
+ * rebuilt per recompute. Every flow is request-backed: one whose
+ * request has no healthy path is routeless, sends at rate 0 and is on
+ * no link list until a link change re-resolves it.
  * Anything that follows flow order (the fill's runnable set,
  * completion callbacks, reroutes) goes in ascending FlowId order, and
  * the fill breaks ties between equally constrained links by link id,
@@ -106,8 +108,8 @@ struct FabricConfig
      * deferred by this much so a storm of link events inside the
      * window costs a single re-fill. 0 (the default) re-allocates
      * immediately, exactly as before. Flow events (start/completion/
-     * abort/stall) always recompute immediately; a query (flush)
-     * forces consistency regardless. With a nonzero window, flows keep
+     * abort) always recompute immediately; a query (flush) forces
+     * consistency regardless. With a nonzero window, flows keep
      * progressing at their pre-event rates until the deferred
      * recompute fires — an explicit modelling tradeoff for fault
      * storms, not a default.
@@ -160,17 +162,14 @@ class Fabric
 
     /**
      * Start a flow described by a routing request. The route is resolved
-     * immediately; if no healthy path exists the flow is admitted in a
-     * stalled state (rate 0) and will be re-resolved when link state
+     * immediately; if no healthy path exists the flow is admitted
+     * routeless (rate 0) and will be re-resolved when link state
      * changes — mirroring an RDMA QP retrying on a black-holed path.
      *
      * @return the flow id (always valid).
      */
     FlowId startFlow(const PathRequest &req, Bytes bytes,
                      FlowCallback done);
-
-    /** Start a flow on an explicit route (used by the C4P path prober). */
-    FlowId startFlowOnRoute(Route route, Bytes bytes, FlowCallback done);
 
     /**
      * Abort a flow; its callback is not invoked — also when the flow
@@ -181,16 +180,10 @@ class Fabric
      */
     bool abortFlow(FlowId id);
 
-    /** Force a flow's rate to zero (fault injection: ACK timeout). */
-    void stallFlow(FlowId id);
-
-    /** Undo stallFlow. */
-    void resumeFlow(FlowId id);
-
     /**
      * Bring a link up/down. Downing reroutes affected flows via ECMP
-     * rehash among survivors (or stalls them when no path remains);
-     * restoring re-resolves all request-backed flows, so flows that
+     * rehash among survivors (or leaves them routeless when no path
+     * remains); restoring re-resolves every flow, so flows that
      * were rehashed onto survivors during the outage rebalance back
      * once the link heals (the paper's Fig. 12/13 recovery).
      */
@@ -259,7 +252,6 @@ class Fabric
     {
         FlowId id = kInvalidId; // kInvalidId marks a free slot
         PathRequest req;
-        bool hasReq = false;
         Route route;
         // Lazy progress: bytes left as of `anchor`; the flow has been
         // sending at `rate` since then.
@@ -275,7 +267,6 @@ class Fabric
         bool congested = false;
         double overload = 0.0;
         std::uint64_t draws = 0; // counter of the flow's noise stream
-        bool stalled = false;
         // Progressive-filling scratch; -1 while not yet fixed.
         double fillRate = 0.0;
         // Component-closure visit stamp; flows whose stamp matches the
@@ -283,7 +274,7 @@ class Fabric
         std::uint64_t visitEpoch = 0;
         Time due = kTimeNever; // completion time, if finite
         std::uint32_t heapPos = kNoSlot;
-        std::int32_t nic = -1; // dense sender-NIC index (request flows)
+        std::int32_t nic = -1; // dense sender-NIC index
         // Incidence-list links (slot or node numbers; kNoSlot ends a
         // list): linkNext/linkPrev[h] chain hop h's node through the
         // list of route.links[h], nicNext/nicPrev this slot through
@@ -312,7 +303,7 @@ class Fabric
     FlowId nextFlowId_ = 1;
 
     // Aggregate CNP rate per sender (node * nicsPerNode + nic) and the
-    // ends of each NIC's list of request flows, in id order.
+    // ends of each NIC's list of flows, in id order.
     std::vector<double> nicCnp_;
     std::vector<std::uint32_t> nicHead_;
     std::vector<std::uint32_t> nicTail_;
@@ -445,7 +436,7 @@ class Fabric
 
     /** @return the number of flows whose routes were touched. */
     std::size_t rerouteFlowsTouching(LinkId id);
-    std::size_t reresolveRequestFlows();
+    std::size_t reresolveFlows();
 };
 
 } // namespace c4::net

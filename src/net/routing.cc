@@ -40,12 +40,6 @@ PathSelector::PathSelector(const Topology &topo) : topo_(topo)
 {
 }
 
-std::vector<int>
-PathSelector::candidateSpines(int txLeaf, int rxLeaf) const
-{
-    return topo_.healthySpines(txLeaf, rxLeaf);
-}
-
 Route
 PathSelector::select(const PathRequest &req, std::uint32_t salt) const
 {

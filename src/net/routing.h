@@ -156,12 +156,6 @@ class PathSelector
     void select(const PathRequest &req, Route &out,
                 std::uint32_t salt = 0) const;
 
-    /**
-     * Enumerate the distinct spine choices currently healthy for a
-     * (txLeaf, rxLeaf) pair. Used by the C4P path prober.
-     */
-    std::vector<int> candidateSpines(int txLeaf, int rxLeaf) const;
-
   private:
     const Topology &topo_;
 };

@@ -7,12 +7,6 @@
 namespace c4::net {
 
 const char *
-planeName(Plane p)
-{
-    return p == Plane::Left ? "left" : "right";
-}
-
-const char *
 linkKindName(LinkKind kind)
 {
     switch (kind) {

@@ -42,8 +42,6 @@ planeFromIndex(int i)
     return i == 0 ? Plane::Left : Plane::Right;
 }
 
-const char *planeName(Plane p);
-
 /** Classification of a directed link within the fabric. */
 enum class LinkKind : std::int8_t {
     HostUp,   ///< NIC port -> leaf switch
@@ -173,13 +171,6 @@ class Topology
      * the uplink and the downlink trunks are up.
      */
     std::vector<int> healthySpines(int txLeaf, int rxLeaf) const;
-
-    /** True if the two GPUs' ranks live on the same node. */
-    bool
-    sameNode(NodeId a, NodeId b) const
-    {
-        return a == b;
-    }
 
     /** Human-readable one-line summary ("16 nodes, 8 leaves, 8 spines"). */
     std::string summary() const;

@@ -174,7 +174,6 @@ class TrainingJob
 
     /** DP communicators currently live (what C4D agents watch). */
     const std::vector<CommId> &dpComms() const { return dpComms_; }
-    CommId tpComm() const { return tpComm_; }
     CommId ppComm() const { return ppComm_; }
     CommId epComm() const { return epComm_; }
     /** @} */

@@ -1,6 +1,6 @@
 /**
  * @file
- * C4P subsystem tests: path probing, the master's three allocation rules
+ * C4P subsystem tests: the master's three allocation rules
  * (fault elimination, dual-port balance, spine balance), and dynamic
  * load balance re-pinning.
  */
@@ -14,8 +14,6 @@
 #include <vector>
 
 #include "c4p/master.h"
-#include "c4p/prober.h"
-#include "net/fabric.h"
 #include "perf/perf.h"
 #include "testutil/testutil.h"
 
@@ -26,59 +24,6 @@ using accl::ConnContext;
 using accl::PathDecision;
 using testutil::makeConnContext;
 using testutil::podConfig;
-
-TEST(Prober, AllHealthyCatalog)
-{
-    Simulator sim;
-    net::Topology topo(podConfig());
-    net::Fabric fabric(sim, topo);
-    PathProber prober(sim, fabric);
-
-    bool done = false;
-    prober.probe([&](const ProbeCatalog &catalog) {
-        done = true;
-        EXPECT_EQ(catalog.numLeaves, 8);
-        EXPECT_EQ(catalog.numSpines, 8);
-        EXPECT_EQ(catalog.healthyUplinkCount(), 64u);
-        EXPECT_EQ(catalog.healthySpines(0, 2).size(), 8u);
-    });
-    sim.run();
-    EXPECT_TRUE(done);
-    EXPECT_EQ(prober.probesSent(), 64u);
-}
-
-TEST(Prober, DetectsDeadTrunk)
-{
-    Simulator sim;
-    net::Topology topo(podConfig());
-    net::Fabric fabric(sim, topo);
-    fabric.setLinkUp(topo.trunkUplink(0, 3), false);
-
-    PathProber prober(sim, fabric);
-    bool done = false;
-    prober.probe([&](const ProbeCatalog &catalog) {
-        done = true;
-        EXPECT_FALSE(catalog.uplink(0, 3));
-        EXPECT_TRUE(catalog.uplink(0, 2));
-        EXPECT_TRUE(catalog.uplink(1, 3));
-        const auto healthy = catalog.healthySpines(0, 2);
-        EXPECT_EQ(healthy.size(), 7u);
-    });
-    sim.run();
-    EXPECT_TRUE(done);
-}
-
-TEST(Prober, ManagementViewMatchesTopology)
-{
-    Simulator sim;
-    net::Topology topo(podConfig());
-    net::Fabric fabric(sim, topo);
-    topo.setLinkUp(topo.trunkDownlink(5, 2), false);
-    const ProbeCatalog catalog =
-        PathProber(sim, fabric).managementView();
-    EXPECT_FALSE(catalog.downlink(5, 2));
-    EXPECT_TRUE(catalog.downlink(5, 3));
-}
 
 TEST(C4pMaster, DualPortRulePinsRxPlane)
 {

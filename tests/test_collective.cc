@@ -53,8 +53,6 @@ TEST(Collective, Names)
 {
     EXPECT_STREQ(collOpName(CollOp::AllReduce), "allreduce");
     EXPECT_STREQ(collOpName(CollOp::SendRecv), "sendrecv");
-    EXPECT_STREQ(algoKindName(AlgoKind::Ring), "ring");
-    EXPECT_STREQ(algoKindName(AlgoKind::Tree), "tree");
 }
 
 std::vector<DeviceInfo>

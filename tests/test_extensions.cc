@@ -2,8 +2,7 @@
  * @file
  * Tests for the paper's Section-V extensions: alltoall / expert
  * parallelism (load imbalance vs persistent stragglers), the
- * halving-doubling algorithm, the background root-cause analyzer, and
- * topology-aware placement.
+ * background root-cause analyzer, and topology-aware placement.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +22,6 @@
 namespace c4 {
 namespace {
 
-using accl::AlgoKind;
 using accl::CollOp;
 using accl::CollectiveResult;
 using accl::DeviceInfo;
@@ -70,33 +68,6 @@ TEST(AllToAll, SingleRankDegenerates)
     bool done = false;
     h.lib.postCollective(comm, CollOp::AllToAll, mib(1),
                          [&](const CollectiveResult &) { done = true; });
-    h.sim.run();
-    EXPECT_TRUE(done);
-}
-
-TEST(HalvingDoubling, CompletesOnPowerOfTwo)
-{
-    Harness h(4);
-    const CommId comm = h.fullComm(4); // 32 ranks (power of 2)
-    CollectiveResult res;
-    h.lib.postCollective(
-        comm, CollOp::AllReduce, mib(64),
-        [&](const CollectiveResult &r) { res = r; }, {},
-        AlgoKind::HalvingDoubling);
-    h.sim.run();
-    EXPECT_EQ(res.algo, AlgoKind::HalvingDoubling);
-    EXPECT_GT(toGbps(res.busBw()), 10.0);
-}
-
-TEST(HalvingDoubling, FallsBackToRingOffPowerOfTwo)
-{
-    Harness h(3);
-    const CommId comm = h.fullComm(3); // 24 ranks
-    bool done = false;
-    h.lib.postCollective(
-        comm, CollOp::AllReduce, mib(16),
-        [&](const CollectiveResult &) { done = true; }, {},
-        AlgoKind::HalvingDoubling);
     h.sim.run();
     EXPECT_TRUE(done);
 }
@@ -287,27 +258,6 @@ TEST(Rca, HardwareVisibility)
     EXPECT_FALSE(c4d::faultVisibleInHardwareLogs(FaultType::CudaError));
     EXPECT_FALSE(
         c4d::faultVisibleInHardwareLogs(FaultType::NcclTimeout));
-}
-
-TEST(Rca, ClusterWiresHardwareMonitors)
-{
-    core::ClusterConfig cc;
-    cc.topology = core::paperTestbed();
-    cc.enableC4d = true;
-    core::Cluster cluster(cc);
-    ASSERT_NE(cluster.rca(), nullptr);
-
-    fault::FaultEvent ecc;
-    ecc.type = fault::FaultType::EccError;
-    ecc.node = 3;
-    cluster.faults().injectNow(ecc);
-
-    fault::FaultEvent cuda; // no hardware trace
-    cuda.type = fault::FaultType::CudaError;
-    cuda.node = 4;
-    cluster.faults().injectNow(cuda);
-
-    EXPECT_EQ(cluster.rca()->logSize(), 1u);
 }
 
 TEST(Placement, PackedMinimizesSegments)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the fluid fabric: max-min fair sharing, completions,
- * stalls, link failures with ECMP reroute, and the congestion overlay.
+ * routeless flows, link failures with ECMP reroute, and the congestion
+ * overlay.
  */
 
 #include <algorithm>
@@ -106,24 +107,6 @@ TEST(Fabric, AbortSuppressesCallback)
     h.sim.run();
     EXPECT_FALSE(fired);
     EXPECT_EQ(h.fabric.totalFlowsCompleted(), 0u);
-}
-
-TEST(Fabric, StallAndResume)
-{
-    Harness h;
-    bool fired = false;
-    const FlowId f = h.fabric.startFlow(h.request(0, 4), mib(10),
-                                        [&](const FlowEnd &) {
-                                            fired = true;
-                                        });
-    h.fabric.stallFlow(f);
-    h.sim.run(seconds(10));
-    EXPECT_FALSE(fired);
-    EXPECT_DOUBLE_EQ(h.fabric.flowRate(f), 0.0);
-
-    h.fabric.resumeFlow(f);
-    h.sim.run();
-    EXPECT_TRUE(fired);
 }
 
 TEST(Fabric, ProgressPreservedAcrossReallocation)
@@ -298,7 +281,6 @@ struct ShadowPair
     Topology topoA, topoB;
     Fabric incr, full;
     std::vector<FlowId> ids; // admission order; identical in both
-    std::vector<char> stalled; // by FlowId
     Time now = 0;
 
     explicit ShadowPair(FabricConfig fc = testutil::quietFabricConfig(),
@@ -323,34 +305,26 @@ struct ShadowPair
         const FlowId b = full.startFlow(req, bytes, nullptr);
         EXPECT_EQ(a, b);
         ids.push_back(a);
-        stalled.resize(static_cast<std::size_t>(a) + 1, 0);
         return a;
     }
 
     void
-    startExplicit(Route route, Bytes bytes)
+    setLinkUp(LinkId id, bool up)
     {
-        Route copy = route;
-        const FlowId a =
-            incr.startFlowOnRoute(std::move(route), bytes, nullptr);
-        const FlowId b =
-            full.startFlowOnRoute(std::move(copy), bytes, nullptr);
-        EXPECT_EQ(a, b);
-        ids.push_back(a);
-        stalled.resize(static_cast<std::size_t>(a) + 1, 0);
+        incr.setLinkUp(id, up);
+        full.setLinkUp(id, up);
     }
 
-    void
-    setStalled(FlowId id, bool on)
+    /** True if an active flow has no route (it sends nothing). */
+    bool
+    holdsRoutelessFlow() const
     {
-        if (on) {
-            incr.stallFlow(id);
-            full.stallFlow(id);
-        } else {
-            incr.resumeFlow(id);
-            full.resumeFlow(id);
+        for (FlowId id : ids) {
+            const Route *route = incr.flowRoute(id);
+            if (route != nullptr && !route->valid())
+                return true;
         }
-        stalled[static_cast<std::size_t>(id)] = on ? 1 : 0;
+        return false;
     }
 
     void
@@ -405,9 +379,9 @@ struct ReferenceFill
 
 /**
  * Progressive filling as a self-contained reference, read only through
- * the public surface (flowRoute, effectiveCapacity) plus the caller's
- * record of stalled flows: one global fill over member lists rebuilt
- * per call in id order, ties between equally constrained links going
+ * the public surface (flowRoute, effectiveCapacity): one global fill
+ * over member lists rebuilt per call in id order, a flow with no route
+ * getting rate 0, ties between equally constrained links going
  * to the lowest link id. The fabric's incidence lists are shared by
  * its incremental and full modes, so a bug in them could keep the two
  * in agreement; it cannot hide from this copy. With the jitter off,
@@ -415,19 +389,18 @@ struct ReferenceFill
  */
 ReferenceFill
 referenceFill(const Fabric &fabric, const Topology &topo,
-              const std::vector<FlowId> &ids,
-              const std::vector<char> &stalled)
+              const std::vector<FlowId> &ids)
 {
     const std::size_t numLinks = topo.numLinks();
     ReferenceFill out;
-    out.flowRate.assign(stalled.size(), 0.0);
+    out.flowRate.assign(
+        ids.empty() ? 0 : static_cast<std::size_t>(ids.back()) + 1, 0.0);
     out.linkAlloc.assign(numLinks, 0.0);
     std::vector<FlowId> runnable; // ids are admitted in ascending order
     std::vector<const Route *> routes;
     for (FlowId id : ids) {
         const Route *route = fabric.flowRoute(id);
-        if (route == nullptr || !route->valid() ||
-            stalled[static_cast<std::size_t>(id)])
+        if (route == nullptr || !route->valid())
             continue;
         runnable.push_back(id);
         routes.push_back(route);
@@ -488,10 +461,9 @@ referenceFill(const Fabric &fabric, const Topology &topo,
  * bit. */
 void
 expectReferenceFill(Fabric &fabric, const Topology &topo,
-                    const std::vector<FlowId> &ids,
-                    const std::vector<char> &stalled)
+                    const std::vector<FlowId> &ids)
 {
-    const ReferenceFill ref = referenceFill(fabric, topo, ids, stalled);
+    const ReferenceFill ref = referenceFill(fabric, topo, ids);
     for (FlowId id : ids) {
         EXPECT_EQ(fabric.flowRate(id),
                   ref.flowRate[static_cast<std::size_t>(id)])
@@ -508,7 +480,9 @@ expectReferenceFill(Fabric &fabric, const Topology &topo,
  * Randomized event soup driving both allocators in lockstep. With the
  * jitter off, both are also held to referenceFill after every step.
  * @p tieScales scales trunks to 1/4, 1/2 or 1 only, so equally
- * constrained links tie often.
+ * constrained links tie often. Host uplink toggles leave flows (and
+ * new admissions) routeless until the port comes back; the soup must
+ * hold such a flow at some step.
  */
 void
 runShadowEquivalence(std::uint64_t seed, FabricConfig fc,
@@ -516,8 +490,8 @@ runShadowEquivalence(std::uint64_t seed, FabricConfig fc,
 {
     ShadowPair p(fc);
     Rng ev(seed);
-    PathSelector sel(p.topoA);
     std::uint32_t label = 0;
+    bool sawRouteless = false;
 
     const int trunks = p.topoA.numLeaves() * p.topoA.numSpines();
     auto randomTrunk = [&] {
@@ -548,16 +522,18 @@ runShadowEquivalence(std::uint64_t seed, FabricConfig fc,
                 ev.uniformInt(0, static_cast<std::int64_t>(
                                      p.ids.size() - 1)))];
             EXPECT_EQ(p.incr.abortFlow(id), p.full.abortFlow(id));
-        } else if (roll < 0.55 && !p.ids.empty()) {
-            const FlowId id = p.ids[static_cast<std::size_t>(
-                ev.uniformInt(0, static_cast<std::int64_t>(
-                                     p.ids.size() - 1)))];
-            p.setStalled(id, ev.chance(0.5));
+        } else if (roll < 0.55) {
+            const auto node = static_cast<NodeId>(
+                ev.uniformInt(0, p.topoA.numNodes() - 1));
+            const auto nic = static_cast<NicId>(
+                ev.uniformInt(0, p.topoA.nicsPerNode() - 1));
+            const Plane plane =
+                planeFromIndex(static_cast<int>(ev.uniformInt(0, 1)));
+            const LinkId id = p.topoA.hostUplink(node, nic, plane);
+            p.setLinkUp(id, !p.topoA.link(id).up);
         } else if (roll < 0.7) {
             const LinkId id = randomTrunk();
-            const bool up = !p.topoA.link(id).up;
-            p.incr.setLinkUp(id, up);
-            p.full.setLinkUp(id, up);
+            p.setLinkUp(id, !p.topoA.link(id).up);
         } else if (roll < 0.8) {
             const LinkId id = randomTrunk();
             const double scale =
@@ -567,10 +543,9 @@ runShadowEquivalence(std::uint64_t seed, FabricConfig fc,
             p.incr.setLinkCapacityScale(id, scale);
             p.full.setLinkCapacityScale(id, scale);
         } else if (roll < 0.87) {
-            // An explicit-route (prober-style) flow on whatever path
-            // is currently healthy for a random pair. The NICs must be
-            // real ones: PathSelector::select indexes host links by
-            // (node, nic) and asserts on kInvalidId.
+            // A short flow from node 0. The NICs must be real ones:
+            // PathSelector::select indexes host links by (node, nic)
+            // and asserts on kInvalidId.
             PathRequest req;
             req.srcNode = 0;
             req.dstNode = static_cast<NodeId>(
@@ -579,31 +554,28 @@ runShadowEquivalence(std::uint64_t seed, FabricConfig fc,
                 ev.uniformInt(0, p.topoA.nicsPerNode() - 1));
             req.dstNic = req.srcNic;
             req.flowLabel = ++label;
-            p.startExplicit(sel.select(req),
-                            mib(static_cast<Bytes>(
-                                ev.uniformInt(1, 64))));
+            p.start(req, mib(static_cast<Bytes>(ev.uniformInt(1, 64))));
         } else {
             p.advance(microseconds(ev.uniformInt(10, 2000)));
         }
         p.equal();
         if (!fc.congestionJitter) {
-            expectReferenceFill(p.incr, p.topoA, p.ids, p.stalled);
-            expectReferenceFill(p.full, p.topoB, p.ids, p.stalled);
+            expectReferenceFill(p.incr, p.topoA, p.ids);
+            expectReferenceFill(p.full, p.topoB, p.ids);
         }
+        sawRouteless = sawRouteless || p.holdsRoutelessFlow();
     }
-    // Drain: restore all trunks and let the survivors finish.
-    for (int leaf = 0; leaf < p.topoA.numLeaves(); ++leaf)
-        for (int s = 0; s < p.topoA.numSpines(); ++s) {
-            const LinkId id = p.topoA.trunkUplink(leaf, s);
-            if (!p.topoA.link(id).up) {
-                p.incr.setLinkUp(id, true);
-                p.full.setLinkUp(id, true);
-            }
-        }
+    EXPECT_TRUE(sawRouteless) << "no step held a routeless flow";
+    // Drain: restore every link and let the survivors finish.
+    for (std::size_t l = 0; l < p.topoA.numLinks(); ++l) {
+        const auto id = static_cast<LinkId>(l);
+        if (!p.topoA.link(id).up)
+            p.setLinkUp(id, true);
+    }
     p.advance(seconds(60));
     p.equal();
     if (!fc.congestionJitter)
-        expectReferenceFill(p.incr, p.topoA, p.ids, p.stalled);
+        expectReferenceFill(p.incr, p.topoA, p.ids);
     EXPECT_EQ(p.incr.totalFlowsCompleted(),
               p.full.totalFlowsCompleted());
 }
@@ -750,43 +722,6 @@ TEST(Fabric, NearZeroRateDoesNotOverflowCompletionTime)
     EXPECT_EQ(h.fabric.flowRemaining(f), gib(1));
 }
 
-TEST(Fabric, ExplicitRouteFlowsCarryDistinctJitterBias)
-{
-    // Two probers on the same congested uplink. Their DCQCN bias must
-    // derive from the flow id (they share flowLabel == 0), so their
-    // *mean* rates over many re-draws separate; with the old shared
-    // bias the means coincide to within RNG noise.
-    net::FabricConfig fc; // jitter ON
-    Harness h(podConfig(), fc);
-    PathSelector sel(h.topo);
-    const Route route = sel.select(h.request(0, 4));
-    const FlowId f1 =
-        h.fabric.startFlowOnRoute(route, gib(1000), nullptr); // id 1
-    h.fabric.startFlow(h.request(1, 5, 7), gib(1000), nullptr); // id 2
-    const FlowId f3 =
-        h.fabric.startFlowOnRoute(route, gib(1000), nullptr); // id 3
-
-    // A flow draws new noise only when its overlay inputs change, so
-    // each round nudges the shared host uplink's capacity: both
-    // probers get a new fair share, hence a new draw.
-    const int rounds = 400;
-    double m1 = 0.0, m3 = 0.0;
-    const LinkId shared = route.links.front();
-    for (int r = 0; r < rounds; ++r) {
-        h.fabric.setLinkCapacityScale(shared, r % 2 == 0 ? 0.99 : 1.0);
-        m1 += h.fabric.flowRate(f1);
-        m3 += h.fabric.flowRate(f3);
-    }
-    m1 /= rounds;
-    m3 /= rounds;
-    // Expected separation: 0.5 * jitterMax * |bias1 - bias3| * base,
-    // with base = 100 Gbps and bias values ~0.35 vs ~0.72 for flow
-    // ids 1 and 3 — about 1.1 Gbps. Mean RNG noise over 400 rounds is
-    // ~0.05 Gbps, so a 0.5 Gbps floor is a safe discriminator.
-    EXPECT_GT(m1 - m3, gbps(0.5))
-        << "mean rates: " << toGbps(m1) << " vs " << toGbps(m3);
-}
-
 TEST(Fabric, OutOfRangeLinkQueriesAreSafe)
 {
     Harness h;
@@ -854,8 +789,6 @@ TEST(Fabric, StaleFlowIdsAreInert)
         EXPECT_EQ(h.fabric.flowRoute(id), nullptr) << id;
         EXPECT_DOUBLE_EQ(h.fabric.flowRate(id), 0.0) << id;
         EXPECT_EQ(h.fabric.flowRemaining(id), 0) << id;
-        h.fabric.stallFlow(id); // no-ops
-        h.fabric.resumeFlow(id);
     }
     EXPECT_EQ(h.fabric.activeFlowCount(), 0u);
     // Ids keep counting up: never reused after the churn.

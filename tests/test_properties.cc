@@ -73,7 +73,7 @@ TEST_P(FabricInvariants, FeasibilityAndWorkConservation)
         const net::Route *route = fabric.flowRoute(f);
         ASSERT_NE(route, nullptr);
         if (!route->valid())
-            continue; // stalled flows are exempt
+            continue; // routeless flows are exempt
         bool bottlenecked = false;
         for (LinkId l : route->links) {
             if (fabric.linkThroughput(l) >=

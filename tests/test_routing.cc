@@ -184,12 +184,11 @@ TEST(PathSelector, RxPlaneHashIsRoughlyBalanced)
 TEST(PathSelector, CandidateSpinesMatchesTopology)
 {
     Topology topo(podConfig());
-    PathSelector sel(topo);
     const int tx = topo.leafIndex(0, Plane::Left);
     const int rx = topo.leafIndex(2, Plane::Left);
-    EXPECT_EQ(sel.candidateSpines(tx, rx).size(), 8u);
+    EXPECT_EQ(topo.healthySpines(tx, rx).size(), 8u);
     topo.setLinkUp(topo.trunkDownlink(1, rx), false);
-    EXPECT_EQ(sel.candidateSpines(tx, rx).size(), 7u);
+    EXPECT_EQ(topo.healthySpines(tx, rx).size(), 7u);
 }
 
 /**
