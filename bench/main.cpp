@@ -4,15 +4,13 @@
  * extra workload is a scenario registered by the translation units
  * linked alongside this main. `c4bench --list` enumerates them;
  * `c4bench <name> --smoke` is what CTest runs under the bench-smoke
- * label. Spec-file support (--spec / --dump-spec) comes from specio.
+ * label. The command line is specio::scenarioMain.
  */
 
-#include "scenario/cli.h"
 #include "specio/specio.h"
 
 int
 main(int argc, char **argv)
 {
-    c4::specio::installSpecCliHooks();
-    return c4::scenario::scenarioMain(argc, argv);
+    return c4::specio::scenarioMain(argc, argv);
 }

@@ -39,24 +39,8 @@ namespace c4::accl {
 /** Library-wide tunables. */
 struct AcclConfig
 {
-    /**
-     * Parallel channels per communicator. Channel c's inter-node traffic
-     * departs NIC (c mod nics) for node-spanning rings; with the default
-     * of 2, a node's boundary traffic exercises one bonded NIC pair —
-     * the configuration whose dual-port imbalance Fig. 9 studies.
-     */
-    int defaultChannels = 2;
-
     /** QPs per (channel, connection); chunks are split across them. */
     int qpsPerConnection = 1;
-
-    /**
-     * Ring rounds simulated per collective. The payload is divided over
-     * this many barrier-synchronized rounds; the real round count (2(n-1))
-     * is used for bandwidth bookkeeping, so this only sets the temporal
-     * resolution at which contention is sampled.
-     */
-    int maxSimRounds = 8;
 };
 
 /** Completion summary delivered to the collective's callback. */

@@ -139,7 +139,7 @@ analyzeCommSlow(const DelayMatrix &matrix, const AnalyzerConfig &cfg,
     if (median <= 0.0)
         return finding;
     const int n = matrix.size();
-    const double cutoff = median * cfg.slowRatio;
+    const double cutoff = median * kSlowRatio;
 
     // Collect outlier cells.
     std::vector<Cell> &outliers = scratch.outliers;
@@ -174,7 +174,7 @@ analyzeCommSlow(const DelayMatrix &matrix, const AnalyzerConfig &cfg,
         const auto si = static_cast<std::size_t>(s);
         if (row_present[si] >= 2 &&
             static_cast<double>(row_out[si]) >=
-                cfg.rowColumnFraction * row_present[si]) {
+                kRowColumnFraction * row_present[si]) {
             finding.kind = CommSlowKind::SourceTx;
             finding.src = s;
             double worst = 0.0;
@@ -190,7 +190,7 @@ analyzeCommSlow(const DelayMatrix &matrix, const AnalyzerConfig &cfg,
         const auto di = static_cast<std::size_t>(d);
         if (col_present[di] >= 2 &&
             static_cast<double>(col_out[di]) >=
-                cfg.rowColumnFraction * col_present[di]) {
+                kRowColumnFraction * col_present[di]) {
             finding.kind = CommSlowKind::DestRx;
             finding.dst = d;
             double worst = 0.0;
@@ -319,7 +319,7 @@ WaitScan::judge(const AnalyzerConfig &cfg)
         }
         const double consistency =
             static_cast<double>(hits) / static_cast<double>(ops);
-        if (consistency < cfg.stragglerConsistency)
+        if (consistency < kStragglerConsistency)
             return finding; // transient imbalance, not a straggler
     }
 

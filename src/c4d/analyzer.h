@@ -145,36 +145,36 @@ struct CommSlowFinding
     std::string str() const;
 };
 
+/** A delay-matrix cell counts as an outlier above this x matrix median. */
+inline constexpr double kSlowRatio = 2.0;
+
+/**
+ * Fraction of a row/column that must be outlying to blame the endpoint
+ * rather than a single connection.
+ */
+inline constexpr double kRowColumnFraction = 0.6;
+
+/**
+ * Fraction of operations in the window where the suspected straggler
+ * must be the minimum-wait rank. A *persistent* straggler is the minimum
+ * nearly every time; rotating skew (e.g. MoE expert load imbalance, paper
+ * Section V) shifts the minimum around, so a consistency floor suppresses
+ * those false positives — the paper's planned "incorporate load variation
+ * into C4D" refinement.
+ */
+inline constexpr double kStragglerConsistency = 0.6;
+
 /** Tunables of the slow analyses. */
 struct AnalyzerConfig
 {
-    /** Cell counts as an outlier above ratio x matrix median. */
-    double slowRatio = 2.0;
-
     /** Minimum samples per cell before it is judged. */
     int minSamplesPerCell = 2;
-
-    /**
-     * Fraction of a row/column that must be outlying to blame the
-     * endpoint rather than a single connection.
-     */
-    double rowColumnFraction = 0.6;
 
     /** Ignore wait patterns whose median is below this (normal jitter). */
     Duration minWaitForSlow = milliseconds(100);
 
     /** Straggler must beat the median wait by this factor. */
     double waitRatio = 4.0;
-
-    /**
-     * Fraction of operations in the window where the suspected
-     * straggler must be the minimum-wait rank. A *persistent* straggler
-     * is the minimum nearly every time; rotating skew (e.g. MoE expert
-     * load imbalance, paper Section V) shifts the minimum around, so a
-     * consistency floor suppresses those false positives — the paper's
-     * planned "incorporate load variation into C4D" refinement.
-     */
-    double stragglerConsistency = 0.6;
 };
 
 /** Buffers analyzeCommSlow reuses when a long-lived caller (the C4D

@@ -6,6 +6,17 @@ namespace c4::c4d {
 
 using fault::FaultType;
 
+namespace {
+
+/** Elastic-agent hang timeout (baseline detection floor). */
+constexpr Duration kWatchdogTimeout = minutes(30);
+
+/** Median extra time until a human reacts (lognormal). */
+constexpr Duration kHumanReactionMedian = minutes(20);
+constexpr double kHumanReactionSigma = 0.6;
+
+} // namespace
+
 const char *
 causeGroupName(CauseGroup g)
 {
@@ -129,17 +140,15 @@ DowntimeModel::runOnce()
             } else if (policy_.c4dEnabled) {
                 // C4D missed it; the watchdog still fires, and a human
                 // reacts with modern alerting.
-                detect = static_cast<double>(policy_.watchdogTimeout) +
+                detect = static_cast<double>(kWatchdogTimeout) +
                          rng_.lognormal(
-                             static_cast<double>(
-                                 policy_.humanReactionMedian) * 0.5,
-                             policy_.humanReactionSigma);
+                             static_cast<double>(kHumanReactionMedian) * 0.5,
+                             kHumanReactionSigma);
             } else {
-                detect = static_cast<double>(policy_.watchdogTimeout) +
+                detect = static_cast<double>(kWatchdogTimeout) +
                          rng_.lognormal(
-                             static_cast<double>(
-                                 policy_.humanReactionMedian),
-                             policy_.humanReactionSigma);
+                             static_cast<double>(kHumanReactionMedian),
+                             kHumanReactionSigma);
             }
             out.detection += detect / span;
 

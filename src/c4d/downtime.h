@@ -53,11 +53,6 @@ struct RecoveryPolicy
     bool c4dEnabled = false;
 
     /** @name Detection @{ */
-    /** Elastic-agent hang timeout (baseline detection floor). */
-    Duration watchdogTimeout = minutes(30);
-    /** Median extra time until a human reacts (lognormal). */
-    Duration humanReactionMedian = minutes(20);
-    double humanReactionSigma = 0.6;
     /** C4D detection latency ("mere tens of seconds"). */
     Duration c4dDetection = seconds(20);
     /**

@@ -9,6 +9,30 @@ namespace c4::c4d {
 
 using fault::FaultType;
 
+namespace {
+
+/** Link-down events closer than this form one incident (the two
+ * directions of a cable, plus the immediate reroute cascade). */
+constexpr Duration kLinkGroupWindow = milliseconds(50);
+
+/** Link-failure groups within this span merge into a storm. */
+constexpr Duration kStormWindow = seconds(30);
+
+/** Minimum groups for a storm verdict. */
+constexpr int kStormMinLinks = 3;
+
+/** CNP comparison span on each side of a degradation onset. */
+constexpr Duration kCnpWindow = seconds(60);
+
+/** after/before mean-CNP ratio that counts as corroborating. */
+constexpr double kCnpSpikeRatio = 1.5;
+
+/** Steering decisions for one job within this span are one incident (a
+ * restart retry is not a second crash). */
+constexpr Duration kSyndromeCooldown = minutes(5);
+
+} // namespace
+
 const char *
 incidentKindName(IncidentKind k)
 {
@@ -34,18 +58,12 @@ incidentKindFromName(const std::string &name, IncidentKind &out)
     return false;
 }
 
-IncidentAnalyzer::IncidentAnalyzer(IncidentAnalyzerConfig cfg)
-    : cfg_(cfg), rca_(cfg.rca)
-{
-}
-
 void
-IncidentAnalyzer::addToGroups(std::vector<EventGroup> &groups,
-                              Duration window, Time when,
+IncidentAnalyzer::addToGroups(std::vector<EventGroup> &groups, Time when,
                               std::int64_t link, std::int64_t flows,
                               double scale)
 {
-    if (groups.empty() || when - groups.back().last > window) {
+    if (groups.empty() || when - groups.back().last > kLinkGroupWindow) {
         EventGroup g;
         g.start = g.last = when;
         g.minLink = link;
@@ -93,13 +111,12 @@ IncidentAnalyzer::onEvent(const trace::Event &ev)
         // Link recoveries and restorations to nominal close an
         // incident, they don't open one.
         if (sub == trace::PathReallocKind::LinkDown) {
-            addToGroups(downGroups_, cfg_.linkGroupWindow, ev.when,
-                        static_cast<LinkId>(ev.a),
+            addToGroups(downGroups_, ev.when, static_cast<LinkId>(ev.a),
                         static_cast<std::int64_t>(ev.value), 1.0);
         } else if (sub == trace::PathReallocKind::LinkScale &&
                    ev.value < 1.0) {
-            addToGroups(scaleGroups_, cfg_.linkGroupWindow, ev.when,
-                        static_cast<LinkId>(ev.a), ev.b, ev.value);
+            addToGroups(scaleGroups_, ev.when, static_cast<LinkId>(ev.a),
+                        ev.b, ev.value);
         }
         return;
       }
@@ -120,10 +137,10 @@ IncidentAnalyzer::cnpElevatedAround(Time onset) const
     double beforeSum = 0.0, afterSum = 0.0;
     int beforeN = 0, afterN = 0;
     for (const CnpPoint &s : cnp_) {
-        if (s.when < onset && onset - s.when <= cfg_.cnpWindow) {
+        if (s.when < onset && onset - s.when <= kCnpWindow) {
             beforeSum += s.meanKps;
             ++beforeN;
-        } else if (s.when >= onset && s.when - onset <= cfg_.cnpWindow) {
+        } else if (s.when >= onset && s.when - onset <= kCnpWindow) {
             afterSum += s.meanKps;
             ++afterN;
         }
@@ -132,7 +149,7 @@ IncidentAnalyzer::cnpElevatedAround(Time onset) const
         return false;
     const double beforeMean = beforeSum / beforeN;
     const double afterMean = afterSum / afterN;
-    return afterMean > 0.0 && afterMean >= cfg_.cnpSpikeRatio * beforeMean;
+    return afterMean > 0.0 && afterMean >= kCnpSpikeRatio * beforeMean;
 }
 
 void
@@ -141,21 +158,21 @@ IncidentAnalyzer::emitLinkVerdicts(std::vector<IncidentVerdict> &out) const
     const std::size_t n = downGroups_.size();
     std::size_t i = 0;
     while (i < n) {
-        // Extend the run while groups keep landing inside stormWindow
+        // Extend the run while groups keep landing inside kStormWindow
         // of the run's first group.
         std::size_t j = i;
         while (j + 1 < n && downGroups_[j + 1].start -
                                     downGroups_[i].start <=
-                                cfg_.stormWindow)
+                                kStormWindow)
             ++j;
         const std::size_t run = j - i + 1;
-        if (run >= static_cast<std::size_t>(cfg_.stormMinLinks)) {
+        if (run >= static_cast<std::size_t>(kStormMinLinks)) {
             IncidentVerdict v;
             v.kind = IncidentKind::FaultStorm;
             // Callable as a storm the moment the Nth distinct link
             // drops — that is the detection latency, not run end.
             v.detectedAt =
-                downGroups_[i + cfg_.stormMinLinks - 1].start;
+                downGroups_[i + kStormMinLinks - 1].start;
             v.cause = "link-down";
             v.corroborated = rca_.explainSyndrome(
                                  v.detectedAt, SyndromeClass::Fabric) !=
@@ -229,7 +246,7 @@ IncidentAnalyzer::emitSyndromeVerdicts(
     for (const Restart &s : restarts_) {
         const auto it = lastForJob.find(s.job);
         if (it != lastForJob.end() &&
-            s.when - it->second < cfg_.syndromeCooldown)
+            s.when - it->second < kSyndromeCooldown)
             continue; // restart retry, not a second incident
         lastForJob[s.job] = s.when;
         const std::string via =

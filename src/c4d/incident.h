@@ -14,8 +14,8 @@
  * Detection sources, per kind:
  *  - LinkFailure: switch telemetry (path_realloc link_down events),
  *    the two directions of a cable grouped into one incident by time.
- *  - FaultStorm: >= stormMinLinks link-failure groups inside
- *    stormWindow collapse into one storm verdict (the fabric's
+ *  - FaultStorm: >= kStormMinLinks link-failure groups inside
+ *    kStormWindow collapse into one storm verdict (the fabric's
  *    coalescing case), detected when the Nth group arrives.
  *  - PortDegradation: link_scale telemetry below 1.0, localized to a
  *    node via the RCA hardware log when a Slow* entry corroborates,
@@ -64,31 +64,6 @@ struct IncidentVerdict
     std::string evidence;        ///< compact human-readable support
 };
 
-struct IncidentAnalyzerConfig
-{
-    /** Link-down events closer than this form one incident (the two
-     * directions of a cable, plus the immediate reroute cascade). */
-    Duration linkGroupWindow = milliseconds(50);
-
-    /** Link-failure groups within this span merge into a storm. */
-    Duration stormWindow = seconds(30);
-
-    /** Minimum groups for a storm verdict. */
-    int stormMinLinks = 3;
-
-    /** CNP comparison span on each side of a degradation onset. */
-    Duration cnpWindow = seconds(60);
-
-    /** after/before mean-CNP ratio that counts as corroborating. */
-    double cnpSpikeRatio = 1.5;
-
-    /** Steering decisions for one job within this span are one
-     * incident (a restart retry is not a second crash). */
-    Duration syndromeCooldown = minutes(5);
-
-    RcaConfig rca;
-};
-
 /**
  * Streaming incident detector: feed events via onEvent in timestamp
  * order, then call finish() once for the run's verdicts (sorted by
@@ -97,8 +72,6 @@ struct IncidentAnalyzerConfig
 class IncidentAnalyzer final : public TelemetrySink
 {
   public:
-    explicit IncidentAnalyzer(IncidentAnalyzerConfig cfg = {});
-
     void onEvent(const trace::Event &ev) override;
 
     /** Close open groups, resolve syndromes against the now-complete
@@ -121,7 +94,6 @@ class IncidentAnalyzer final : public TelemetrySink
         double minScale = 1.0;  ///< scale groups only
     };
 
-    IncidentAnalyzerConfig cfg_;
     RootCauseAnalyzer rca_;
     std::vector<EventGroup> downGroups_;
     std::vector<EventGroup> scaleGroups_;
@@ -143,8 +115,7 @@ class IncidentAnalyzer final : public TelemetrySink
     std::vector<Restart> restarts_;
     bool finished_ = false;
 
-    static void addToGroups(std::vector<EventGroup> &groups,
-                            Duration window, Time when,
+    static void addToGroups(std::vector<EventGroup> &groups, Time when,
                             std::int64_t link, std::int64_t flows,
                             double scale);
     void emitLinkVerdicts(std::vector<IncidentVerdict> &out) const;

@@ -6,9 +6,15 @@
 #include <sstream>
 
 #include "accl/accl.h"
-#include "common/log.h"
 
 namespace c4::c4d {
+
+namespace {
+
+/** Suppress duplicate findings per (comm, kind) for this long. */
+constexpr Duration kFindingCooldown = minutes(2);
+
+} // namespace
 
 const char *
 c4dEventKindName(C4dEventKind kind)
@@ -172,7 +178,7 @@ bool
 C4dMaster::cooldownOk(CommHealth &health, C4dEventKind kind)
 {
     Time &last = health.lastFinding[static_cast<std::size_t>(kind)];
-    if (last != kTimeNever && sim_.now() - last < cfg_.findingCooldown)
+    if (last != kTimeNever && sim_.now() - last < kFindingCooldown)
         return false;
     last = sim_.now();
     return true;
@@ -185,7 +191,6 @@ C4dMaster::emit(C4dEvent event, CommHealth &health)
     if (c4dEventIsFatal(event.kind))
         health.flaggedFatal = true;
     ++emitted_;
-    logInfo("c4d", "event: %s", event.str().c_str());
     eventLog_.push_back(event);
     for (const auto &cb : callbacks_)
         cb(event);

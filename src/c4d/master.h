@@ -40,9 +40,6 @@ struct C4dConfig
     /** Slow-analysis thresholds. */
     AnalyzerConfig analyzer;
 
-    /** Suppress duplicate findings per (comm, kind) for this long. */
-    Duration findingCooldown = minutes(2);
-
     /** Telemetry window sizes per communicator. */
     std::size_t connWindow = 8192;
     std::size_t waitWindow = 2048;

@@ -6,6 +6,20 @@ namespace c4::c4d {
 
 using fault::FaultType;
 
+namespace {
+
+/** Hardware log entries this far before (or shortly after) the C4D
+ * event, on a suspect node, corroborate the cause. */
+constexpr Duration kCorrelationWindow = minutes(10);
+
+/** Slack after the event (monitor batching). */
+constexpr Duration kPostEventSlack = seconds(30);
+
+/** Retained hardware log entries. */
+constexpr std::size_t kLogCapacity = 1u << 16;
+
+} // namespace
+
 bool
 faultVisibleInHardwareLogs(FaultType type)
 {
@@ -26,14 +40,10 @@ faultVisibleInHardwareLogs(FaultType type)
     return false;
 }
 
-RootCauseAnalyzer::RootCauseAnalyzer(RcaConfig cfg) : cfg_(cfg)
-{
-}
-
 void
 RootCauseAnalyzer::ingestHardwareEvent(const HardwareLogEntry &entry)
 {
-    if (log_.size() >= cfg_.logCapacity)
+    if (log_.size() >= kLogCapacity)
         log_.pop_front();
     log_.push_back(entry);
 }
@@ -41,8 +51,8 @@ RootCauseAnalyzer::ingestHardwareEvent(const HardwareLogEntry &entry)
 bool
 RootCauseAnalyzer::inWindow(const HardwareLogEntry &entry, Time when) const
 {
-    return entry.when <= when + cfg_.postEventSlack &&
-           when - entry.when <= cfg_.correlationWindow;
+    return entry.when <= when + kPostEventSlack &&
+           when - entry.when <= kCorrelationWindow;
 }
 
 bool

@@ -52,19 +52,6 @@ struct RootCauseReport
     std::string rationale;
 };
 
-struct RcaConfig
-{
-    /** Hardware log entries this far before (or shortly after) the
-     * C4D event, on a suspect node, corroborate the cause. */
-    Duration correlationWindow = minutes(10);
-
-    /** Slack after the event (monitor batching). */
-    Duration postEventSlack = seconds(30);
-
-    /** Retained hardware log entries. */
-    std::size_t logCapacity = 1u << 16;
-};
-
 /** Which hardware-log fault classes a syndrome query should match. */
 enum class SyndromeClass : std::int8_t {
     Fatal,       ///< worker-killing faults (ECC, NVLink, ...)
@@ -76,15 +63,13 @@ enum class SyndromeClass : std::int8_t {
 class RootCauseAnalyzer
 {
   public:
-    explicit RootCauseAnalyzer(RcaConfig cfg = {});
-
     /** Feed a hardware monitor entry. */
     void ingestHardwareEvent(const HardwareLogEntry &entry);
 
     /**
      * Window query underpinning replayed-telemetry diagnosis: the
-     * latest log entry of @p cls within [when - correlationWindow,
-     * when + postEventSlack], with no node filter — for syndromes
+     * latest log entry of @p cls within [when - kCorrelationWindow,
+     * when + kPostEventSlack], with no node filter — for syndromes
      * (e.g. a recorded steering decision) where only the job, not a
      * suspect-node list, is known. Same window arithmetic as the
      * suspect-node corroboration used by analyze().
@@ -103,7 +88,6 @@ class RootCauseAnalyzer
     std::size_t logSize() const { return log_.size(); }
 
   private:
-    RcaConfig cfg_;
     std::deque<HardwareLogEntry> log_;
 
     const HardwareLogEntry *findCorroboration(const C4dEvent &ev) const;

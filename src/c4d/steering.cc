@@ -1,8 +1,7 @@
 #include "c4d/steering.h"
 
 #include <algorithm>
-
-#include "common/log.h"
+#include <cstdio>
 
 namespace c4::c4d {
 
@@ -46,8 +45,8 @@ JobSteeringService::replaceNodes(const std::vector<NodeId> &placement,
         if (it == out.end())
             continue;
         if (backups_.empty()) {
-            logWarn("steering", "backup pool exhausted; node %d stays in "
-                    "job placement", b);
+            std::fprintf(stderr, "WARN  [steering] backup pool exhausted; "
+                         "node %d stays in job placement\n", b);
             continue;
         }
         *it = backups_.front();
@@ -111,9 +110,6 @@ JobSteeringService::scheduleRestart(train::TrainingJob &job,
             tr.record(std::move(tev));
         }
 
-        logInfo("steering", "restarting job %d (isolated %zu nodes, "
-                "via %s)", id, toIsolate.size(),
-                viaC4d ? "c4d" : "manual");
         j.restart(nodes);
     });
 }

@@ -4,13 +4,18 @@
 #include <cassert>
 #include <limits>
 
-#include "common/log.h"
-
 namespace c4::c4p {
 
 using accl::ConnContext;
 using accl::PathDecision;
 using accl::PathFeedback;
+
+namespace {
+
+/** EWMA weight for per-QP achieved-rate tracking. */
+constexpr double kRateEwmaAlpha = 0.4;
+
+} // namespace
 
 C4pMaster::C4pMaster(Simulator &sim, const net::Topology &topo,
                      C4pConfig cfg, std::uint64_t seed)
@@ -135,7 +140,7 @@ C4pMaster::feedback(const ConnContext &ctx, const PathDecision &decision,
         return;
     auto &st = qpState_[qpKey(ctx)];
     if (st.rate.empty())
-        st.rate = Ewma(cfg_.rateEwmaAlpha);
+        st.rate = Ewma(kRateEwmaAlpha);
     st.rate.add(fb.achievedRate);
 }
 

@@ -49,9 +49,6 @@ struct C4pConfig
 
     /** Minimum time between re-pins of the same QP. */
     Duration rebalanceCooldown = milliseconds(200);
-
-    /** EWMA weight for per-QP achieved-rate tracking. */
-    double rateEwmaAlpha = 0.4;
 };
 
 class C4pMaster : public accl::PathPolicy

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/log.h"
-
 namespace c4::core {
 
 Cluster::Cluster(ClusterConfig cfg)
@@ -28,8 +26,8 @@ Cluster::Cluster(ClusterConfig cfg)
     }
     if (cfg_.enableC4d) {
         c4dMaster_ = std::make_unique<c4d::C4dMaster>(sim_, cfg_.c4d);
-        agent_ = std::make_unique<c4d::C4Agent>(sim_, *accl_, *c4dMaster_,
-                                                cfg_.agentPeriod);
+        agent_ =
+            std::make_unique<c4d::C4Agent>(sim_, *accl_, *c4dMaster_);
         steering_ = std::make_unique<c4d::JobSteeringService>(
             sim_, cfg_.steering, seeds());
         c4dMaster_->onEvent([this](const c4d::C4dEvent &ev) {

@@ -43,7 +43,6 @@ struct ClusterConfig
     bool enableC4d = false;
     c4d::C4dConfig c4d;
     c4d::SteeringConfig steering;
-    Duration agentPeriod = seconds(2);
 
     /** Deploy C4P (path allocation policy installed into ACCL). */
     bool enableC4p = false;

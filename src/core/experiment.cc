@@ -50,12 +50,7 @@ AllreduceTask::postNext()
                 done_ = true;
                 return;
             }
-            if (cfg_.gap > 0) {
-                cluster_.sim().scheduleAfter(cfg_.gap,
-                                             [this] { postNext(); });
-            } else {
-                postNext();
-            }
+            postNext();
         });
 }
 

@@ -24,8 +24,6 @@ struct AllreduceTaskConfig
     std::vector<NodeId> nodes;
     Bytes bytes = mib(256);
     int iterations = 50;
-    /** Idle gap between iterations (0 = back to back). */
-    Duration gap = 0;
 };
 
 /**

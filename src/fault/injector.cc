@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "common/log.h"
-
 namespace c4::fault {
 
 FaultInjector::FaultInjector(Simulator &sim, std::uint64_t seed)
@@ -35,7 +33,6 @@ FaultInjector::injectNow(FaultEvent ev)
 void
 FaultInjector::fire(FaultEvent ev)
 {
-    logDebug("fault", "inject %s", ev.str().c_str());
     trace::TraceScope &tr = sim_.tracer();
     if (tr.wants(trace::EventKind::FaultInjected)) {
         trace::Event tev;

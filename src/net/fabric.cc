@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 
-#include "common/log.h"
 #include "net/philox.h"
 
 namespace c4::net {
@@ -206,10 +205,6 @@ Fabric::startFlow(const PathRequest &req, Bytes bytes, FlowCallback done)
     st.remaining = static_cast<double>(bytes);
     st.total = bytes;
     st.done = std::move(done);
-    if (!st.route.valid()) {
-        logDebug("fabric", "flow admitted routeless (no healthy path) "
-                 "src=n%d dst=n%d", req.srcNode, req.dstNode);
-    }
     return admit(slot);
 }
 

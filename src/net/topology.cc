@@ -48,9 +48,7 @@ Topology::Topology(const TopologyConfig &config) : config_(config)
     if (!err.empty())
         throw std::invalid_argument("TopologyConfig: " + err);
 
-    numSegments_ =
-        (config_.numNodes + config_.nodesPerSegment - 1) /
-        config_.nodesPerSegment;
+    numSegments_ = config_.numSegments();
 
     buildHostLinks();
     buildTrunkLinks();

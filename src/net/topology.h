@@ -108,6 +108,13 @@ struct TopologyConfig
      */
     Bandwidth nvlinkBusBandwidth = gbps(362);
 
+    /** Leaf-pair groups: the nodes split nodesPerSegment at a time. */
+    int
+    numSegments() const
+    {
+        return (numNodes + nodesPerSegment - 1) / nodesPerSegment;
+    }
+
     /** Validate invariants; returns an error message or empty string. */
     std::string validate() const;
 };

@@ -36,11 +36,6 @@ kindFromName(std::string_view text, MetricKind &out)
     return false;
 }
 
-MetricRegistry::MetricRegistry(std::size_t windowCapacity)
-    : windowCapacity_(windowCapacity == 0 ? 1 : windowCapacity)
-{
-}
-
 MetricRegistry::Metric &
 MetricRegistry::metricFor(std::string_view name, MetricKind kind)
 {
@@ -54,7 +49,7 @@ MetricRegistry::metricFor(std::string_view name, MetricKind kind)
         }
         return m;
     }
-    Metric &m = metrics_.emplace_back(name, kind, windowCapacity_);
+    Metric &m = metrics_.emplace_back(name, kind);
     index_.emplace(m.name, metrics_.size() - 1);
     return m;
 }

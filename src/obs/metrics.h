@@ -76,9 +76,6 @@ struct Sample {
 class MetricRegistry
 {
   public:
-    /** @param windowCapacity ring size for every Window metric. */
-    explicit MetricRegistry(std::size_t windowCapacity = 512);
-
     /** Bump a counter by @p delta (creating it at zero). */
     void addCounter(std::string_view name, std::int64_t delta = 1);
     /** Overwrite a counter with an externally-tracked absolute total. */
@@ -94,6 +91,9 @@ class MetricRegistry
     const std::vector<Sample> &samples() const { return samples_; }
 
   private:
+    /** Ring size for every Window metric. */
+    static constexpr std::size_t kWindowCapacity = 512;
+
     struct Metric {
         std::string name;
         MetricKind kind = MetricKind::Counter;
@@ -101,9 +101,8 @@ class MetricRegistry
         double gauge = 0.0;
         WindowedQuantile window;
 
-        Metric(std::string_view n, MetricKind k,
-               std::size_t windowCapacity)
-            : name(n), kind(k), window(windowCapacity)
+        Metric(std::string_view n, MetricKind k)
+            : name(n), kind(k), window(kWindowCapacity)
         {
         }
     };
@@ -124,7 +123,6 @@ class MetricRegistry
     std::unordered_map<std::string, std::size_t, NameHash, std::equal_to<>>
         index_;
     std::vector<Sample> samples_;
-    std::size_t windowCapacity_;
 
     Metric &metricFor(std::string_view name, MetricKind kind);
 };

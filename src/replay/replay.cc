@@ -30,10 +30,9 @@ feedTrace(const std::vector<trace::Event> &events,
 }
 
 std::vector<c4d::IncidentVerdict>
-replayTrace(const std::vector<trace::Event> &events,
-            const c4d::IncidentAnalyzerConfig &cfg)
+replayTrace(const std::vector<trace::Event> &events)
 {
-    c4d::IncidentAnalyzer analyzer(cfg);
+    c4d::IncidentAnalyzer analyzer;
     feedTrace(events, analyzer);
     return analyzer.finish();
 }

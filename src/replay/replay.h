@@ -60,8 +60,7 @@ void feedTrace(const std::vector<trace::Event> &events,
  * its verdicts.
  */
 std::vector<c4d::IncidentVerdict>
-replayTrace(const std::vector<trace::Event> &events,
-            const c4d::IncidentAnalyzerConfig &cfg = {});
+replayTrace(const std::vector<trace::Event> &events);
 
 } // namespace c4::replay
 

@@ -1,62 +1,19 @@
 /**
  * @file
- * The unified scenario CLI. Every registered scenario is runnable via
- *
- *   c4bench <scenario...> [--smoke] [--trials N] [--threads N]
- *           [--seed S] [--csv FILE] [--json FILE]
- *   c4bench --list              # enumerate registered scenarios
- *   c4bench --all [...]        # run everything
- *   c4bench --spec file.json   # register + run a spec file from disk
- *   c4bench --dump-spec NAME   # export a scenario as a spec file
- *
- * scenarioMain() is the whole bench binary's main(); examples may call
- * it too to expose a scoped scenario set.
- *
- * Spec-file support is provided by the specio module, one layer above
- * this one, through SpecCliHooks — a binary that wants --spec /
- * --dump-spec calls specio::installSpecCliHooks() before
- * scenarioMain(); one that does not simply rejects the flags.
+ * The scenario CLI's shared value grammar: one definition for every
+ * binary that takes scenario options (c4bench, c4sweep, c4replay), so a
+ * value copied between their command lines means the same run. The
+ * c4bench command line itself is specio::scenarioMain (specio.h).
  */
 
 #ifndef C4_SCENARIO_CLI_H
 #define C4_SCENARIO_CLI_H
 
-#include <functional>
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "scenario/options.h"
-
 namespace c4::scenario {
-
-struct Scenario;
-
-/** Spec-file handlers installed by a higher layer (specio). */
-struct SpecCliHooks
-{
-    /**
-     * Load @p path, register its scenario (replacing a same-named
-     * registration), and return the scenario name.
-     * @throws std::exception on parse/validation failure.
-     */
-    std::function<std::string(const std::string &path)>
-        loadAndRegister;
-
-    /** Serialize @p scenario with its variants evaluated under
-     * @p opt. */
-    std::function<std::string(const Scenario &scenario,
-                              const RunOptions &opt)>
-        dump;
-};
-
-/** Install the --spec / --dump-spec handlers (see SpecCliHooks). */
-void setSpecCliHooks(SpecCliHooks hooks);
-
-/** @name Shared CLI value grammar
- * One definition for every binary that takes scenario options
- * (c4bench, c4sweep), so a value copied between their command lines
- * means the same run.
- * @{ */
 
 /** Strict positive integer in [1, 1'000'000]. */
 bool parseCliInt(const char *s, int &out);
@@ -72,14 +29,6 @@ bool looksLikeSpecPath(const char *arg);
  * (the `--spec a,b` / `--only id1,id2` value grammar). */
 void splitCommaList(const std::string &list,
                     std::vector<std::string> &out);
-
-/** @} */
-
-/**
- * Parse argv, resolve scenarios against the registry, and run them.
- * @return process exit code (0 ok, 1 run failure, 2 usage error).
- */
-int scenarioMain(int argc, char **argv);
 
 } // namespace c4::scenario
 

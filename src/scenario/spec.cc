@@ -3,6 +3,8 @@
 #include <set>
 #include <sstream>
 
+#include "core/cluster.h"
+
 namespace c4::scenario {
 
 bool
@@ -47,7 +49,37 @@ err(const ScenarioSpec &spec, const std::string &what)
     return "variant '" + spec.variant + "': " + what;
 }
 
+bool
+inRange(int index, int count)
+{
+    return index >= 0 && index < count;
+}
+
+std::string
+outOfRange(const ScenarioSpec &spec, const char *what, int index,
+           int count)
+{
+    std::ostringstream os;
+    os << what << " " << index << " is out of range [0, " << count
+       << ") for the topology";
+    return err(spec, os.str());
+}
+
 } // namespace
+
+net::TopologyConfig
+topologyConfigOf(const TopologySpec &t)
+{
+    net::TopologyConfig tc =
+        t.kind == TopologySpec::Kind::Testbed
+            ? core::paperTestbed(t.oversubscription)
+            : core::productionPod(t.numNodes, t.oversubscription);
+    if (t.nodesPerSegment > 0)
+        tc.nodesPerSegment = t.nodesPerSegment;
+    if (t.nvlinkBusBandwidth > 0)
+        tc.nvlinkBusBandwidth = t.nvlinkBusBandwidth;
+    return tc;
+}
 
 std::string
 validateSpec(const ScenarioSpec &spec)
@@ -57,14 +89,14 @@ validateSpec(const ScenarioSpec &spec)
     if (spec.custom)
         return ""; // custom executors own their configuration
 
-    if (spec.topology.kind == TopologySpec::Kind::Pod &&
-        spec.topology.numNodes <= 0) {
-        return err(spec, "Pod topology needs numNodes > 0");
-    }
-    if (spec.topology.oversubscription <= 0.0)
-        return err(spec, "oversubscription must be > 0");
     if (spec.topology.nodesPerSegment < 0)
         return err(spec, "nodesPerSegment must be >= 0");
+    if (spec.topology.nvlinkBusBandwidth < 0)
+        return err(spec, "nvlinkBusBandwidth must be >= 0");
+    const net::TopologyConfig topo = topologyConfigOf(spec.topology);
+    const std::string wiring = topo.validate();
+    if (!wiring.empty())
+        return err(spec, wiring);
     if (spec.features.qpsPerConnection < 0)
         return err(spec, "qpsPerConnection must be >= 0");
     if (spec.features.backupNodes < 0)
@@ -73,6 +105,14 @@ validateSpec(const ScenarioSpec &spec)
         return err(spec, "backup nodes need C4D enabled");
     if (spec.features.fabricCoalesceWindow < 0)
         return err(spec, "fabricCoalesceWindow must be >= 0");
+    if (spec.features.evaluatePeriod < 0)
+        return err(spec, "evaluatePeriod must be >= 0");
+    if (spec.features.hangThreshold < 0)
+        return err(spec, "hangThreshold must be >= 0");
+    if (spec.features.minWaitForSlow < 0)
+        return err(spec, "minWaitForSlow must be >= 0");
+    if (spec.features.isolationDelay < 0)
+        return err(spec, "isolationDelay must be >= 0");
 
     std::set<JobId> ids;
     for (const JobSpec &job : spec.jobs) {
@@ -89,6 +129,18 @@ validateSpec(const ScenarioSpec &spec)
         }
         if (job.microBatch < 1)
             return err(spec, "microBatch must be >= 1");
+        if (job.microbatchCompute < 0)
+            return err(spec, "microbatchCompute must be >= 0");
+        if (job.initTime < 0)
+            return err(spec, "initTime must be >= 0");
+        if (job.checkpointCost < 0)
+            return err(spec, "checkpointCost must be >= 0");
+        if (job.hangWatchdogTimeout < 0)
+            return err(spec, "hangWatchdogTimeout must be >= 0");
+        for (NodeId n : job.nodes) {
+            if (!inRange(n, topo.numNodes))
+                return outOfRange(spec, "job node", n, topo.numNodes);
+        }
     }
     if (!spec.jobs.empty() && spec.horizon <= 0) {
         return err(spec,
@@ -100,12 +152,20 @@ validateSpec(const ScenarioSpec &spec)
             return err(spec, "allreduce group needs tasks >= 1");
         if (g.iterations < 1)
             return err(spec, "allreduce group needs iterations >= 1");
-        if (g.bytes == 0)
+        if (g.bytes <= 0)
             return err(spec, "allreduce group needs bytes > 0");
         if (g.placement == AllreduceGroupSpec::Placement::Explicit &&
             g.explicitNodes.size() != static_cast<std::size_t>(g.tasks)) {
             return err(spec, "explicit allreduce placement needs one "
                              "node list per task");
+        }
+        for (const std::vector<NodeId> &nodes : g.explicitNodes) {
+            for (NodeId n : nodes) {
+                if (!inRange(n, topo.numNodes)) {
+                    return outOfRange(spec, "allreduce node", n,
+                                      topo.numNodes);
+                }
+            }
         }
         if (g.placement ==
             AllreduceGroupSpec::Placement::SpreadAcrossSegments) {
@@ -118,11 +178,30 @@ validateSpec(const ScenarioSpec &spec)
         }
     }
 
+    for (const LinkEventSpec &le : spec.linkEvents) {
+        if (le.at < 0)
+            return err(spec, "link event at_s must be >= 0");
+        if (!inRange(le.segment, topo.numSegments())) {
+            return outOfRange(spec, "link event segment", le.segment,
+                              topo.numSegments());
+        }
+        if (!inRange(le.spine, topo.numSpines)) {
+            return outOfRange(spec, "link event spine", le.spine,
+                              topo.numSpines);
+        }
+    }
+
     for (const FaultSpec &f : spec.faults) {
+        if (f.at < 0)
+            return err(spec, "fault at_s must be >= 0");
         if (f.job == kInvalidId && f.node == kInvalidId)
             return err(spec, "fault needs a job or an absolute node");
         if (f.job != kInvalidId && f.jobNodeIndex < 0)
             return err(spec, "fault jobNodeIndex must be >= 0");
+        if (f.job == kInvalidId && !inRange(f.node, topo.numNodes))
+            return outOfRange(spec, "fault node", f.node, topo.numNodes);
+        if (!inRange(f.nic, topo.nicsPerNode))
+            return outOfRange(spec, "fault nic", f.nic, topo.nicsPerNode);
         if (f.severity <= 0.0)
             return err(spec, "fault severity must be > 0");
     }
@@ -145,6 +224,14 @@ validateSpec(const ScenarioSpec &spec)
     if (spec.metrics.cnpSamplePeriod < 0 ||
         spec.metrics.uplinkSamplePeriod < 0) {
         return err(spec, "sampler periods must be >= 0");
+    }
+    if (!inRange(spec.metrics.cnpNic, topo.nicsPerNode)) {
+        return outOfRange(spec, "cnp_nic", spec.metrics.cnpNic,
+                          topo.nicsPerNode);
+    }
+    if (!inRange(spec.metrics.uplinkSegment, topo.numSegments())) {
+        return outOfRange(spec, "uplink_segment",
+                          spec.metrics.uplinkSegment, topo.numSegments());
     }
     return "";
 }

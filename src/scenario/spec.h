@@ -240,10 +240,15 @@ struct ScenarioSpec
     std::function<void(TrialContext &)> custom;
 };
 
+/** The wiring a spec's cluster is built on (what toClusterConfig uses). */
+net::TopologyConfig topologyConfigOf(const TopologySpec &t);
+
 /**
  * Validate a declarative spec. Returns an empty string when the spec is
- * runnable, otherwise a human-readable description of the first error.
- * Specs with a `custom` executor skip workload validation.
+ * runnable, otherwise a human-readable description of the first error:
+ * a bad value, a topology TopologyConfig::validate rejects, or a node,
+ * NIC, segment or spine index out of range for that topology. Specs with a `custom` executor skip workload
+ * validation.
  */
 std::string validateSpec(const ScenarioSpec &spec);
 

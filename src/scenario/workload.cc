@@ -42,16 +42,8 @@ modelByName(const std::string &name)
 core::ClusterConfig
 toClusterConfig(const ScenarioSpec &spec, std::uint64_t seed)
 {
-    const TopologySpec &t = spec.topology;
     core::ClusterConfig cc;
-    cc.topology = t.kind == TopologySpec::Kind::Testbed
-                      ? core::paperTestbed(t.oversubscription)
-                      : core::productionPod(t.numNodes,
-                                            t.oversubscription);
-    if (t.nodesPerSegment > 0)
-        cc.topology.nodesPerSegment = t.nodesPerSegment;
-    if (t.nvlinkBusBandwidth > 0)
-        cc.topology.nvlinkBusBandwidth = t.nvlinkBusBandwidth;
+    cc.topology = topologyConfigOf(spec.topology);
 
     const FeatureSpec &f = spec.features;
     cc.enableC4p = f.c4p;

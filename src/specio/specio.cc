@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/jsonl_files.h"
-#include "scenario/cli.h"
 #include "scenario/runner.h"
 
 namespace c4::specio {
@@ -952,29 +951,6 @@ loadSpecFile(const std::string &path)
     } catch (const SpecError &e) {
         throw SpecError(path + ": " + e.what(), 0, 0);
     }
-}
-
-void
-installSpecCliHooks()
-{
-    scenario::SpecCliHooks hooks;
-    hooks.loadAndRegister = [](const std::string &path) {
-        SpecFile file = loadSpecFile(path);
-        const bool replaced =
-            scenario::Registry::instance().addOrReplace(
-                scenarioFromSpec(file));
-        if (replaced) {
-            std::fprintf(stderr,
-                         "note: spec file '%s' replaces registered "
-                         "scenario '%s'\n",
-                         path.c_str(), file.name.c_str());
-        }
-        return file.name;
-    };
-    hooks.dump = [](const Scenario &scenario, const RunOptions &opt) {
-        return writeSpecFile(specFromScenario(scenario, opt));
-    };
-    scenario::setSpecCliHooks(std::move(hooks));
 }
 
 } // namespace c4::specio

@@ -108,11 +108,19 @@ SpecFile parseSpecFile(const std::string &text);
 SpecFile loadSpecFile(const std::string &path);
 
 /**
- * Install the --spec / --dump-spec handlers into the scenario CLI
- * (scenario::setSpecCliHooks). Call once from a bench main() before
- * scenarioMain(); binaries that skip this simply reject the flags.
+ * The unified scenario CLI, c4bench's whole main():
+ *
+ *   c4bench <scenario...> [--smoke] [--trials N] [--threads N]
+ *           [--seed S] [--csv FILE] [--json FILE]
+ *   c4bench --list              # enumerate registered scenarios
+ *   c4bench --all [...]        # run everything
+ *   c4bench --spec file.json   # register + run a spec file from disk
+ *   c4bench --dump-spec NAME   # export a scenario as a spec file
+ *
+ * Parses argv, resolves scenarios against the registry, and runs them.
+ * @return process exit code (0 ok, 1 run failure, 2 usage error).
  */
-void installSpecCliHooks();
+int scenarioMain(int argc, char **argv);
 
 } // namespace c4::specio
 

@@ -2,7 +2,6 @@
 
 #include <filesystem>
 #include <ostream>
-#include <set>
 #include <stdexcept>
 
 #include "common/jsonl_files.h"
@@ -129,18 +128,11 @@ collectCampaign(const CollectRequest &request, CollectStats &stats,
 
     // `--only`: same contract as the executor — every id must exist,
     // and non-selected shards are never touched.
-    const std::set<std::string> only(request.only.begin(),
-                                     request.only.end());
-    std::set<std::string> unknown = only;
-    for (const Shard &s : primary.shards)
-        unknown.erase(s.id);
-    if (!unknown.empty()) {
-        return "--only: unknown shard id '" + *unknown.begin() +
-               "' (see `c4sweep status`)";
-    }
-    auto selected = [&](const Shard &s) {
-        return only.empty() || only.count(s.id) > 0;
-    };
+    ShardSelection selected;
+    const std::string badOnly =
+        selectShards(primary, request.only, selected);
+    if (!badOnly.empty())
+        return badOnly;
 
     // Phase 1: decide a winner per shard and validate every rule.
     // Nothing in the primary directory is touched until every shard

@@ -119,23 +119,15 @@ runCampaign(const ExecRequest &request, ExecStats &stats,
                "': " + std::strerror(errno) + " (pass --bench)";
     }
 
-    // `--only`: validate every id against the manifest up front — a
-    // typo must fail loudly, not silently run nothing — then build
-    // the selection predicate. Non-selected shards are never touched,
-    // not even their journal state: on a multi-host split, this
-    // host's view of a peer's shard is stale by construction.
-    const std::set<std::string> only(request.only.begin(),
-                                     request.only.end());
-    std::set<std::string> unknown = only;
-    for (const Shard &s : manifest.shards)
-        unknown.erase(s.id);
-    if (!unknown.empty()) {
-        return "--only: unknown shard id '" + *unknown.begin() +
-               "' (see `c4sweep status`)";
-    }
-    auto selected = [&](const Shard &s) {
-        return only.empty() || only.count(s.id) > 0;
-    };
+    // `--only`: validate every id against the manifest up front.
+    // Non-selected shards are never touched, not even their journal
+    // state: on a multi-host split, this host's view of a peer's
+    // shard is stale by construction.
+    ShardSelection selected;
+    const std::string badOnly =
+        selectShards(manifest, request.only, selected);
+    if (!badOnly.empty())
+        return badOnly;
 
     // Crash recovery: a `running` shard at load means a previous
     // executor died (or was killed) mid-shard. Its CSV may be

@@ -178,4 +178,19 @@ campaignComplete(const Manifest &manifest)
     return true;
 }
 
+std::string
+selectShards(const Manifest &manifest,
+             const std::vector<std::string> &only, ShardSelection &out)
+{
+    out.ids = std::set<std::string>(only.begin(), only.end());
+    std::set<std::string> unknown = out.ids;
+    for (const Shard &s : manifest.shards)
+        unknown.erase(s.id);
+    if (!unknown.empty()) {
+        return "--only: unknown shard id '" + *unknown.begin() +
+               "' (see `c4sweep status`)";
+    }
+    return "";
+}
+
 } // namespace c4::sweep

@@ -18,6 +18,7 @@
 #define C4_SWEEP_MANIFEST_H
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -93,6 +94,28 @@ void saveManifest(const std::string &dir, const Manifest &manifest);
 
 /** True when every shard is Done. */
 bool campaignComplete(const Manifest &manifest);
+
+/** The shards one `--only id1,id2` list selects; no ids select all. */
+struct ShardSelection
+{
+    std::set<std::string> ids;
+
+    bool
+    operator()(const Shard &s) const
+    {
+        return ids.empty() || ids.count(s.id) > 0;
+    }
+};
+
+/**
+ * Build @p out from an `--only` list (`c4sweep run` and `collect`).
+ * Every id must name a shard of @p manifest: a typo must fail loudly,
+ * not silently select nothing.
+ * @return "" on success, else the error naming the first unknown id.
+ */
+std::string selectShards(const Manifest &manifest,
+                         const std::vector<std::string> &only,
+                         ShardSelection &out);
 
 } // namespace c4::sweep
 

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "common/log.h"
-
 namespace c4::train {
 
 using accl::CollOp;
@@ -57,7 +55,6 @@ TrainingJob::start()
             ++startFailures_;
             ++epoch_;
             state_ = State::Failed;
-            logInfo("job", "job %d start failure", cfg_.id);
             if (failCb_)
                 failCb_();
             return;
@@ -110,11 +107,11 @@ TrainingJob::setupComms()
             cfg_.id, layout.devicesFor(layout.dpGroup(g))));
     }
 
-    if (cfg_.simulateTp && cfg_.parallel.tp > 1) {
+    if (cfg_.parallel.tp > 1) {
         tpComm_ = accl_.createCommunicator(
             cfg_.id, layout.devicesFor(layout.tpGroup(0)));
     }
-    if (cfg_.simulatePp && cfg_.parallel.pp > 1) {
+    if (cfg_.parallel.pp > 1) {
         ppComm_ = accl_.createCommunicator(
             cfg_.id, layout.devicesFor(layout.ppGroup(0)));
     }
@@ -160,7 +157,6 @@ TrainingJob::computePhaseDuration()
         cfg_.model, cfg_.parallel.tp, cfg_.parallel.pp);
     double total = static_cast<double>(micro) *
                    cfg_.parallel.gradientAccumulation;
-    total += static_cast<double>(cfg_.dataLoadPerIter);
     if (cfg_.computeJitterCv > 0.0) {
         total *= std::max(
             0.5, rng_.normal(1.0, cfg_.computeJitterCv));
@@ -400,7 +396,6 @@ TrainingJob::onWatchdog(std::uint64_t epoch)
         return;
     // The elastic agent kills the stalled processes; the job is dead
     // until something (user or steering service) restarts it.
-    logInfo("job", "job %d watchdog kill after hang", cfg_.id);
     ++epoch_;
     sim_.cancel(phaseEvent_);
     phaseEvent_ = kInvalidEvent;

@@ -5,10 +5,10 @@
  * A job owns its communicators and cycles through iterations: a compute
  * phase (gradient-accumulated microbatches), a tensor-parallel collective,
  * a pipeline send chain, then the data-parallel gradient allreduce that
- * synchronizes every replica. Periodic checkpoints cost time; a hang
- * watchdog models the PyTorch elastic agent that kills a stalled job
- * after a timeout (the paper's 30-minute crash-detection cost in the
- * pre-C4D world).
+ * synchronizes every replica. Data loading is taken to hide entirely
+ * behind compute. Periodic checkpoints cost time; a hang watchdog models
+ * the PyTorch elastic agent that kills a stalled job after a timeout (the
+ * paper's 30-minute crash-detection cost in the pre-C4D world).
  *
  * Faults surface exactly as they do in production: a crashed node makes
  * the in-flight collective stall (peers hang); a straggler node delays
@@ -49,15 +49,8 @@ struct JobConfig
     /** Coefficient of variation of per-iteration compute jitter. */
     double computeJitterCv = 0.01;
 
-    /** Non-hidden data-loading time per iteration. */
-    Duration dataLoadPerIter = 0;
-
     /** Representative DP rings simulated (of the tp*pp real ones). */
     int dpGroupsSimulated = 2;
-
-    /** Simulate the TP collective / PP send chain per iteration. */
-    bool simulateTp = true;
-    bool simulatePp = true;
 
     /**
      * Coefficient of variation of per-rank expert load (MoE token

@@ -19,6 +19,9 @@
 
 namespace c4::train {
 
+/** Bytes per gradient element (fp16/bf16 training). */
+inline constexpr int kGradientElementBytes = 2;
+
 /** Static properties of a model being trained. */
 struct ModelConfig
 {
@@ -26,9 +29,6 @@ struct ModelConfig
 
     /** Parameter count. */
     double params = 0.0;
-
-    /** Bytes per gradient element (fp16/bf16 training). */
-    int gradientElementBytes = 2;
 
     /**
      * Per-GPU compute time for one microbatch at TP=1 (scaled by the
@@ -54,7 +54,7 @@ struct ModelConfig
     Bytes
     gradientBytes() const
     {
-        return static_cast<Bytes>(params) * gradientElementBytes;
+        return static_cast<Bytes>(params) * kGradientElementBytes;
     }
 };
 

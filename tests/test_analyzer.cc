@@ -337,7 +337,7 @@ referenceNonCommSlow(int nranks, const std::vector<RankWaitRecord> &waits,
             hits += entry.first == candidate ? 1 : 0;
         if (static_cast<double>(hits) /
                 static_cast<double>(op_min.size()) <
-            cfg.stragglerConsistency)
+            kStragglerConsistency)
             return finding;
     }
     finding.found = true;

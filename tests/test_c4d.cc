@@ -439,8 +439,13 @@ TEST(Steering, BackupExhaustionKeepsPlacement)
     ev.kind = C4dEventKind::CommHang;
     ev.job = 1;
     ev.suspectNodes = {1};
+    testing::internal::CaptureStderr();
     steering.handleEvent(ev);
     sim.run(minutes(10));
+    // The one warning the simulator writes, byte for byte.
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "WARN  [steering] backup pool exhausted; node 1 stays in "
+              "job placement\n");
     // Restarted on the same nodes (nothing to swap in).
     EXPECT_EQ(job.nodes(), (std::vector<NodeId>{0, 1}));
     EXPECT_EQ(job.state(), train::TrainingJob::State::Running);

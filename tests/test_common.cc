@@ -20,7 +20,6 @@
 
 #include "common/csv.h"
 #include "common/jsonl_files.h"
-#include "common/log.h"
 #include "common/random.h"
 #include "common/ring.h"
 #include "common/stats.h"
@@ -340,49 +339,6 @@ TEST(Table, Helpers)
     EXPECT_EQ(AsciiTable::num(3.14159, 2), "3.14");
     EXPECT_EQ(AsciiTable::percent(0.3119), "31.19%");
     EXPECT_EQ(AsciiTable::integer(42), "42");
-}
-
-
-TEST(Log, SinkCapturesAboveLevel)
-{
-    std::vector<std::string> captured;
-    setLogSink([&](LogLevel level, const std::string &tag,
-                   const std::string &message) {
-        captured.push_back(std::string(logLevelName(level)) + "|" + tag +
-                           "|" + message);
-    });
-    setLogLevel(LogLevel::Info);
-
-    logDebug("t", "dropped %d", 1);
-    logInfo("t", "kept %d", 2);
-    logError("t", "kept %s", "too");
-
-    setLogSink(nullptr);
-    setLogLevel(LogLevel::Warn); // restore defaults
-
-    ASSERT_EQ(captured.size(), 2u);
-    EXPECT_EQ(captured[0], "INFO|t|kept 2");
-    EXPECT_EQ(captured[1], "ERROR|t|kept too");
-}
-
-TEST(Log, OffLevelSilencesEverything)
-{
-    int count = 0;
-    setLogSink([&](LogLevel, const std::string &, const std::string &) {
-        ++count;
-    });
-    setLogLevel(LogLevel::Off);
-    logError("t", "nope");
-    setLogSink(nullptr);
-    setLogLevel(LogLevel::Warn);
-    EXPECT_EQ(count, 0);
-}
-
-TEST(Log, LevelNames)
-{
-    EXPECT_STREQ(logLevelName(LogLevel::Trace), "TRACE");
-    EXPECT_STREQ(logLevelName(LogLevel::Warn), "WARN");
-    EXPECT_STREQ(logLevelName(LogLevel::Off), "OFF");
 }
 
 TEST(RingWindow, KeepsTheNewestOldestFirst)

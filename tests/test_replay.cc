@@ -238,12 +238,12 @@ TEST(ReplayAnalyzer, GroupsBothDirectionsOfOneCut)
 TEST(ReplayAnalyzer, StormCollapsesSpreadOutCuts)
 {
     c4d::IncidentAnalyzer an;
-    for (int i = 0; i < 4; ++i) // 2 s apart: beyond linkGroupWindow
+    for (int i = 0; i < 4; ++i) // 2 s apart: beyond kLinkGroupWindow
         an.onEvent(linkDown(seconds(10 + 2 * i), 100 + i, 1));
     const std::vector<c4d::IncidentVerdict> vs = an.finish();
     ASSERT_EQ(vs.size(), 1u);
     EXPECT_EQ(vs[0].kind, c4d::IncidentKind::FaultStorm);
-    // Detected when the stormMinLinks-th group arrived, not at finish.
+    // Detected when the kStormMinLinks-th group arrived, not at finish.
     EXPECT_EQ(vs[0].detectedAt, seconds(14));
 }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 
 #include "common/json.h"
@@ -113,6 +114,84 @@ TEST(SpecValidation, ExplicitPlacementNeedsNodeListPerTask)
     spec.allreduces[0].explicitNodes = {{0, 1}}; // 1 list, 4 tasks
     EXPECT_NE(validateSpec(spec).find("one node list per task"),
               std::string::npos);
+}
+
+// Each value below passed validation before and then aborted the
+// interpreter on an assert (an index past the topology, a negative
+// delay) or silently ran as a default.
+TEST(SpecValidation, RejectsValuesTheInterpreterCannotRun)
+{
+    ScenarioSpec base = tinyAllreduce("bad", false);
+    base.jobs.push_back(JobSpec{});
+    base.horizon = seconds(10);
+    base.linkEvents.push_back(LinkEventSpec{});
+    FaultSpec fault;
+    fault.type = fault::FaultType::SlowNicTx;
+    fault.node = 1;
+    base.faults.push_back(fault);
+    ASSERT_EQ(validateSpec(base), "");
+
+    struct Case
+    {
+        const char *expect;
+        std::function<void(ScenarioSpec &)> mutate;
+    };
+    const std::vector<Case> cases = {
+        {"bytes > 0", [](ScenarioSpec &s) { s.allreduces[0].bytes = -5; }},
+        {"oversubscription must be >= 1",
+         [](ScenarioSpec &s) { s.topology.oversubscription = 0.5; }},
+        {"nvlinkBusBandwidth",
+         [](ScenarioSpec &s) { s.topology.nvlinkBusBandwidth = -1; }},
+        {"initTime",
+         [](ScenarioSpec &s) { s.jobs[0].initTime = -seconds(3); }},
+        {"checkpointCost",
+         [](ScenarioSpec &s) {
+             s.jobs[0].checkpointIntervalIters = 2;
+             s.jobs[0].checkpointCost = -seconds(1);
+         }},
+        {"link event spine 99",
+         [](ScenarioSpec &s) { s.linkEvents[0].spine = 99; }},
+        {"link event segment 99",
+         [](ScenarioSpec &s) { s.linkEvents[0].segment = 99; }},
+        {"fault nic 99", [](ScenarioSpec &s) { s.faults[0].nic = 99; }},
+        {"allreduce node 99",
+         [](ScenarioSpec &s) {
+             s.allreduces[0].tasks = 1;
+             s.allreduces[0].placement =
+                 AllreduceGroupSpec::Placement::Explicit;
+             s.allreduces[0].explicitNodes = {{0, 99}};
+         }},
+        {"job node 99",
+         [](ScenarioSpec &s) { s.jobs[0].nodes = {0, 99}; }},
+        {"fault node 99", [](ScenarioSpec &s) { s.faults[0].node = 99; }},
+        {"fault at_s",
+         [](ScenarioSpec &s) { s.faults[0].at = -seconds(1); }},
+        {"link event at_s",
+         [](ScenarioSpec &s) { s.linkEvents[0].at = -seconds(1); }},
+        {"cnp_nic 99", [](ScenarioSpec &s) { s.metrics.cnpNic = 99; }},
+        {"uplink_segment 99",
+         [](ScenarioSpec &s) { s.metrics.uplinkSegment = 99; }},
+        {"evaluatePeriod",
+         [](ScenarioSpec &s) { s.features.evaluatePeriod = -seconds(1); }},
+        {"hangThreshold",
+         [](ScenarioSpec &s) { s.features.hangThreshold = -seconds(1); }},
+        {"minWaitForSlow",
+         [](ScenarioSpec &s) { s.features.minWaitForSlow = -seconds(1); }},
+        {"isolationDelay",
+         [](ScenarioSpec &s) { s.features.isolationDelay = -seconds(1); }},
+        {"microbatchCompute",
+         [](ScenarioSpec &s) { s.jobs[0].microbatchCompute = -seconds(1); }},
+        {"hangWatchdogTimeout",
+         [](ScenarioSpec &s) {
+             s.jobs[0].hangWatchdogTimeout = -seconds(1);
+         }},
+    };
+    for (const Case &c : cases) {
+        ScenarioSpec spec = base;
+        c.mutate(spec);
+        EXPECT_NE(validateSpec(spec).find(c.expect), std::string::npos)
+            << c.expect << ": got '" << validateSpec(spec) << "'";
+    }
 }
 
 TEST(SpecValidation, DetectionNeedsC4d)
